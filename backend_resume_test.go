@@ -4,60 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"varbench/store"
 )
 
-// TestStoreResumeBackends extends the jsonl resume acceptance test
-// (TestVarianceStudyStoreResume) to the other backends: a variance study
-// interrupted mid-collection and resumed against the same backend renders
-// a byte-identical report to an uninterrupted run, recomputing only the
-// missing cells. For seglog the interruption is a real process-style
-// boundary (Close drains the group commit, a fresh OpenSegLog replays the
-// segments); for mem — which cannot outlive a process — the resumed run
-// reuses the live store, pinning the same cache-correctness property
-// without the durability leg.
+// TestStoreResumeBackends extends the seglog resume acceptance test
+// (TestVarianceStudyStoreResume) to the mem backend: a variance study
+// interrupted mid-collection and resumed renders a byte-identical report to
+// an uninterrupted run, recomputing only the missing cells. mem cannot
+// outlive a process, so the resumed run reuses the live store, pinning the
+// same cache-correctness property without the durability leg.
 func TestStoreResumeBackends(t *testing.T) {
-	type fixture struct {
-		name string
-		open func(t *testing.T, dir string) store.Backend
-		// boundary simulates the death of the interrupted process and
-		// returns the backend the resumed run uses.
-		boundary func(t *testing.T, dir string, b store.Backend) store.Backend
-	}
-	fixtures := []fixture{
-		{
-			name: "mem",
-			open: func(t *testing.T, dir string) store.Backend { return store.NewMem() },
-			boundary: func(t *testing.T, dir string, b store.Backend) store.Backend {
-				return b // nothing to reopen; resume against the live store
-			},
-		},
-		{
-			name: "seglog",
-			open: func(t *testing.T, dir string) store.Backend {
-				s, err := store.OpenSegLog(dir, store.WithFlushInterval(time.Millisecond))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-			boundary: func(t *testing.T, dir string, b store.Backend) store.Backend {
-				if err := b.Close(); err != nil {
-					t.Fatal(err)
-				}
-				s, err := store.OpenSegLog(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-		},
-	}
-
 	study := func(p TrialFunc, st store.Backend) VarianceStudy {
 		return VarianceStudy{
 			Pipeline:     p,
@@ -80,7 +41,7 @@ func TestStoreResumeBackends(t *testing.T) {
 	}
 	const total = 3 * 2 * 3 // (2 sources + joint) × realizations × K
 
-	// Golden: uninterrupted, storeless — shared across backends.
+	// Golden: uninterrupted, storeless.
 	var goldenCalls atomic.Int64
 	rep, err := study(countingPipeline(&goldenCalls, 0.2, 0, nil), nil).Run(context.Background())
 	if err != nil {
@@ -88,43 +49,40 @@ func TestStoreResumeBackends(t *testing.T) {
 	}
 	golden := render(t, rep)
 
-	for _, fx := range fixtures {
-		t.Run(fx.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st := fx.open(t, dir)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var calls atomic.Int64
-			_, err := study(countingPipeline(&calls, 0.2, 5, cancel), st).Run(ctx)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
-			}
+	t.Run("mem", func(t *testing.T) {
+		st := store.NewMem()
+		defer st.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var calls atomic.Int64
+		_, err := study(countingPipeline(&calls, 0.2, 5, cancel), st).Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run: want context.Canceled, got %v", err)
+		}
 
-			st2 := fx.boundary(t, dir, st)
-			defer st2.Close()
-			recorded := st2.CountPrefix("trial/")
-			if recorded < 5 || recorded >= total {
-				t.Fatalf("interrupted run recorded %d trials, want in [5, %d)", recorded, total)
-			}
-			var resumeCalls atomic.Int64
-			rep2, err := study(countingPipeline(&resumeCalls, 0.2, 0, nil), st2).Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := render(t, rep2); got != golden {
-				t.Errorf("resumed report differs from uninterrupted golden:\n%s\n--- golden ---\n%s", got, golden)
-			}
-			if got, want := resumeCalls.Load(), int64(total-recorded); got != want {
-				t.Errorf("resumed run made %d pipeline calls, want %d (total %d - %d cached)",
-					got, want, total, recorded)
-			}
-		})
-	}
+		recorded := st.CountPrefix("trial/")
+		if recorded < 5 || recorded >= total {
+			t.Fatalf("interrupted run recorded %d trials, want in [5, %d)", recorded, total)
+		}
+		var resumeCalls atomic.Int64
+		rep2, err := study(countingPipeline(&resumeCalls, 0.2, 0, nil), st).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(t, rep2); got != golden {
+			t.Errorf("resumed report differs from uninterrupted golden:\n%s\n--- golden ---\n%s", got, golden)
+		}
+		if got, want := resumeCalls.Load(), int64(total-recorded); got != want {
+			t.Errorf("resumed run made %d pipeline calls, want %d (total %d - %d cached)",
+				got, want, total, recorded)
+		}
+	})
 }
 
 // TestExperimentResumeBackendEquivalence: one interrupted Experiment.Run
 // resumed on each backend lands on the byte-identical report — the report
-// must not depend on which engine persisted the trials.
+// must not depend on which engine, or which on-disk format, persisted the
+// trials.
 func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	const maxRuns = 12
 	exp := func(a, b TrialFunc, st store.Backend) Experiment {
@@ -158,19 +116,47 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	}
 	golden := render(res)
 
-	backends := map[string]store.Backend{"mem": store.NewMem()}
-	if sl, err := store.OpenSegLog(t.TempDir(), store.WithFlushInterval(time.Millisecond)); err != nil {
-		t.Fatal(err)
-	} else {
-		backends["seglog"] = sl
+	seglog := func() *store.SegLog {
+		sl, err := store.OpenSegLog(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sl
 	}
-	if js, err := store.Open(t.TempDir()); err != nil {
-		t.Fatal(err)
-	} else {
-		backends["jsonl"] = js
+	legs := []struct {
+		name string
+		st   store.Backend
+		// resume, when set, stands between the two runs and returns the
+		// backend the resumed run uses.
+		resume func(t *testing.T, st store.Backend) store.Backend
+	}{
+		{"mem", store.NewMem(), nil},
+		{"seglog", seglog(), nil},
+		// The interrupted run's trials and analysis snapshots reach the
+		// resumed run as a legacy trials.jsonl — a store dump — imported
+		// into a fresh directory.
+		{"jsonl", seglog(), func(t *testing.T, st store.Backend) store.Backend {
+			dir := t.TempDir()
+			f, err := os.Create(filepath.Join(dir, "trials.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.(*store.SegLog).Dump(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			imported, err := store.OpenSegLog(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return imported
+		}},
 	}
-	for name, st := range backends {
-		t.Run(name, func(t *testing.T) {
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			st := leg.st
 			defer st.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -179,6 +165,10 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 			b := countingPipeline(&calls, 0.1, 7, cancel)
 			if _, err := exp(a, b, st).Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
+			}
+			if leg.resume != nil {
+				st = leg.resume(t, st)
+				defer st.Close()
 			}
 			var resumeCalls atomic.Int64
 			rA := countingPipeline(&resumeCalls, 0.3, 0, nil)
@@ -189,11 +179,11 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 			}
 			if got := render(res2); got != golden {
 				t.Errorf("%s-resumed report differs from golden:\n%s\n--- golden ---\n%s",
-					name, got, golden)
+					leg.name, got, golden)
 			}
 			if resumeCalls.Load() >= 2*maxRuns {
 				t.Errorf("resumed run recomputed everything (%d calls): nothing was served from %s",
-					resumeCalls.Load(), name)
+					resumeCalls.Load(), leg.name)
 			}
 		})
 	}

@@ -33,7 +33,7 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 1, "bootstrap seed")
 	unpaired := fs.Bool("unpaired", false, "scores were not collected under shared seeds (single dataset only)")
 	format := fs.String("format", "text", "output format: text, json or csv")
-	storeDir := fs.String("store", "", "result-store DSN (jsonl:DIR, mem:, seglog:DIR; a bare directory means jsonl): the analysis is cached by a fingerprint of the score files and protocol flags, and reused verbatim when nothing changed")
+	storeDir := fs.String("store", "", "result-store DSN (a directory, seglog:DIR or mem:): the analysis is cached by a fingerprint of the score files and protocol flags, and reused verbatim when nothing changed")
 	waitLock := fs.Duration("wait-lock", 0, "wait up to this long for another process to release the store lock instead of failing immediately (0: fail immediately)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: varbench compare -a scoresA.csv -b scoresB.csv [flags]")

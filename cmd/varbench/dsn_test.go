@@ -11,7 +11,8 @@ import (
 
 // TestVarianceCommandStoreDSN: the -store flag speaks DSNs — every backend
 // scheme produces the byte-identical report, a seglog DSN leaves segment
-// files a rerun resumes from, and a bare directory keeps meaning jsonl.
+// files a rerun resumes from, and the retired jsonl scheme is refused with
+// its bare-directory replacement.
 func TestVarianceCommandStoreDSN(t *testing.T) {
 	var clean bytes.Buffer
 	if err := run(context.Background(), varianceArgs("-p", "2"), &clean); err != nil {
@@ -53,14 +54,12 @@ func TestVarianceCommandStoreDSN(t *testing.T) {
 	t.Run("explicit jsonl scheme", func(t *testing.T) {
 		dir := t.TempDir()
 		var out bytes.Buffer
-		if err := run(context.Background(), varianceArgs("-p", "2", "-store", "jsonl:"+dir), &out); err != nil {
-			t.Fatal(err)
+		err := run(context.Background(), varianceArgs("-p", "2", "-store", "jsonl:"+dir), &out)
+		if err == nil || !strings.Contains(err.Error(), "retired") || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("jsonl: want the retired-engine error naming %s, got %v", dir, err)
 		}
-		if out.String() != clean.String() {
-			t.Errorf("jsonl: run differs from storeless run")
-		}
-		if m, _ := filepath.Glob(filepath.Join(dir, "trials.jsonl")); len(m) != 1 {
-			t.Errorf("jsonl: scheme did not write trials.jsonl in %s", dir)
+		if out.Len() != 0 {
+			t.Errorf("refused store rendered a report:\n%s", out.String())
 		}
 	})
 
@@ -70,7 +69,7 @@ func TestVarianceCommandStoreDSN(t *testing.T) {
 		if err == nil {
 			t.Fatal("unknown scheme must fail")
 		}
-		for _, want := range []string{"unknown scheme", "jsonl:DIR", "mem:", "seglog:DIR"} {
+		for _, want := range []string{"unknown scheme", "mem:", "seglog:DIR"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not mention %q", err, want)
 			}

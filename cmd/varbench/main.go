@@ -9,6 +9,7 @@
 //	varbench compare -a scoresA.csv -b scoresB.csv [flags]
 //	varbench variance [-task name] [-sources spec] [flags]
 //	varbench watch -file scores.csv [-follow] [flags]
+//	varbench store dump DIR
 //
 // Experiments: fig1 fig2 fig3 fig5 figH5 fig6 figC1 figF2 figG3 figI6
 // table8 appendixC spaces env all (figH4 is accepted as an alias of fig5,
@@ -38,6 +39,10 @@
 // never a re-analysis of the history. With -follow it tails the file;
 // with -store the analysis snapshot survives interrupts and a rerun
 // resumes without recomputation; see `varbench watch -h` for its flags.
+//
+// The store dump subcommand prints every cell of a -store directory as one
+// JSON line, sorted by (key, fingerprint) — the line format of the retired
+// trials.jsonl log, so a dump is itself an importable legacy log.
 package main
 
 import (
@@ -143,6 +148,29 @@ func openStore(ctx context.Context, dsn string, waitLock time.Duration) (store.B
 	return st, nil
 }
 
+// runStore implements `varbench store dump DIR`: every cell of the store
+// in DIR as one legacy JSON line, sorted by (key, fingerprint). Opening the
+// store takes its lock and imports a legacy trials.jsonl first, so the dump
+// shows what a -store run would see.
+func runStore(args []string, w io.Writer) error {
+	if len(args) != 2 || args[0] != "dump" {
+		return fmt.Errorf("usage: varbench store dump DIR")
+	}
+	dir := args[1]
+	if _, err := os.Stat(dir); err != nil {
+		return fmt.Errorf("store dump: %w", err)
+	}
+	st, err := store.OpenSegLog(dir)
+	if err != nil {
+		return err
+	}
+	if err := st.Dump(w); err != nil {
+		st.Close()
+		return err
+	}
+	return st.Close()
+}
+
 func run(ctx context.Context, args []string, w io.Writer) error {
 	// The compare and variance subcommands have their own flag sets and no
 	// timing footer.
@@ -155,6 +183,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if len(args) > 0 && args[0] == "watch" {
 		return runWatch(ctx, args[1:], w)
 	}
+	if len(args) > 0 && args[0] == "store" {
+		return runStore(args[1:], w)
+	}
 
 	fs := flag.NewFlagSet("varbench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced experiment budget")
@@ -165,6 +196,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprintln(fs.Output(), "       varbench compare -a scoresA.csv -b scoresB.csv [flags]")
 		fmt.Fprintln(fs.Output(), "       varbench variance [-task name] [-sources spec] [flags]")
 		fmt.Fprintln(fs.Output(), "       varbench watch -file scores.csv [-follow] [flags]")
+		fmt.Fprintln(fs.Output(), "       varbench store dump DIR")
 		fmt.Fprintln(fs.Output(), "experiments: fig1 fig2 fig3 fig5 (alias figH4) figH5 fig6 figC1 figF2 figG3 figI6 table8 appendixC spaces env all")
 		fs.PrintDefaults()
 	}

@@ -20,7 +20,7 @@ import (
 // errDegraded (exit code 3 in main).
 func TestVarianceQuarantineExitsDegraded(t *testing.T) {
 	dir := t.TempDir()
-	dsn := "faultinject:put@2-4:jsonl:" + dir
+	dsn := "faultinject:put@2-4:" + dir
 	var buf bytes.Buffer
 	err := run(context.Background(), []string{"variance",
 		"-task", "tiny", "-k", "3", "-realizations", "4",
@@ -42,7 +42,7 @@ func TestVarianceQuarantineExitsDegraded(t *testing.T) {
 	var resumed bytes.Buffer
 	if err := run(context.Background(), []string{"variance",
 		"-task", "tiny", "-k", "3", "-realizations", "4",
-		"-store", "jsonl:" + dir}, &resumed); err != nil {
+		"-store", dir}, &resumed); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	var clean bytes.Buffer
@@ -81,15 +81,15 @@ func TestVarianceResilienceFlagsParse(t *testing.T) {
 // never lets go.
 func TestWaitLockRetriesUntilFree(t *testing.T) {
 	dir := t.TempDir()
-	holder, err := store.Open(dir)
+	holder, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := openStore(context.Background(), "jsonl:"+dir, 0); !errors.Is(err, store.ErrLocked) {
+	if _, err := openStore(context.Background(), "seglog:"+dir, 0); !errors.Is(err, store.ErrLocked) {
 		t.Fatalf("no wait: err = %v, want ErrLocked", err)
 	}
-	if _, err := openStore(context.Background(), "jsonl:"+dir, 150*time.Millisecond); !errors.Is(err, store.ErrLocked) {
+	if _, err := openStore(context.Background(), "seglog:"+dir, 150*time.Millisecond); !errors.Is(err, store.ErrLocked) {
 		t.Fatalf("timed-out wait: err = %v, want ErrLocked", err)
 	}
 
@@ -101,7 +101,7 @@ func TestWaitLockRetriesUntilFree(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		holder.Close()
 	}()
-	st, err := openStore(context.Background(), "jsonl:"+dir, 10*time.Second)
+	st, err := openStore(context.Background(), "seglog:"+dir, 10*time.Second)
 	<-done
 	if err != nil {
 		t.Fatalf("wait for released lock: %v", err)

@@ -34,7 +34,7 @@ func runVariance(ctx context.Context, args []string, w io.Writer) error {
 	par := fs.Int("p", 0, "worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
 	format := fs.String("format", "text", "output format: text, json or csv")
 	curves := fs.Bool("curves", false, "render SE-vs-k curves (text format only)")
-	storeDir := fs.String("store", "", "durable trial-store DSN (jsonl:DIR, mem:, seglog:DIR; a bare directory means jsonl): completed measures are appended as they finish and reused on rerun, so an interrupted study resumes where it stopped")
+	storeDir := fs.String("store", "", "durable trial-store DSN (a directory, seglog:DIR or mem:): completed measures are appended as they finish and reused on rerun, so an interrupted study resumes where it stopped")
 	waitLock := fs.Duration("wait-lock", 0, "wait up to this long for another process to release the store lock instead of failing immediately (0: fail immediately)")
 	trialTimeout := fs.Duration("trial-timeout", 0, "per-trial deadline; a measure running longer fails with a timeout (0: no deadline)")
 	maxRetries := fs.Int("max-retries", 0, "retries per failed trial on a deterministic seeded backoff (0: no retries)")

@@ -30,7 +30,7 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples")
 	seed := fs.Uint64("seed", 1, "bootstrap seed")
 	id := fs.String("id", "", "pipeline ID naming this stream in the store (required with -store)")
-	storeDir := fs.String("store", "", "result-store DSN (jsonl:DIR, mem:, seglog:DIR; a bare directory means jsonl): the analysis snapshot is flushed there, and an interrupted watch resumes without recomputation")
+	storeDir := fs.String("store", "", "result-store DSN (a directory, seglog:DIR or mem:): the analysis snapshot is flushed there, and an interrupted watch resumes without recomputation")
 	waitLock := fs.Duration("wait-lock", 0, "wait up to this long for another process to release the store lock instead of failing immediately (0: fail immediately)")
 	format := fs.String("format", "text", "output format: text, json or csv")
 	fs.Usage = func() {

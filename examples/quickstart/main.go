@@ -14,10 +14,10 @@
 //
 // Run: go run ./examples/quickstart [-store dir]
 //
-// With -store dir, collection is durable: every completed run is appended
-// to dir/trials.jsonl the moment it finishes, a killed experiment resumes
-// where it stopped on rerun, and an unchanged rerun replays entirely from
-// cache (watch the Progress lines complete instantly the second time).
+// With -store dir, collection is durable: every completed run is recorded
+// in the store under dir as it finishes, a killed experiment resumes where
+// it stopped on rerun, and an unchanged rerun replays entirely from cache
+// (watch the Progress lines complete instantly the second time).
 //
 // With -max-retries or -trial-timeout, collection is also resilient:
 // failed runs are retried on a deterministic backoff, and runs that still
@@ -50,7 +50,7 @@ func main() {
 }
 
 func quickstart() int {
-	storeDir := flag.String("store", "", "trial store DSN: jsonl:DIR, mem:, seglog:DIR, faultinject:SCHEDULE:INNER or a bare directory (= jsonl); empty = recompute everything")
+	storeDir := flag.String("store", "", "trial store DSN: a directory, seglog:DIR, mem: or faultinject:SCHEDULE:INNER; empty = recompute everything")
 	maxRetries := flag.Int("max-retries", 0, "retries per failed run on a deterministic seeded backoff")
 	trialTimeout := flag.Duration("trial-timeout", 0, "per-run deadline (0: none)")
 	failFast := flag.Bool("fail-fast", false, "abort on the first exhausted run instead of quarantining it")

@@ -11,10 +11,10 @@
 // is bit-identical at any -p.
 //
 // With -store DIR the study is durable and resumable: every completed
-// measure is appended to DIR/trials.jsonl as soon as it exists, so a killed
-// run (Ctrl-C, OOM, preemption) reuses all completed work on rerun instead
-// of recomputing it — and a later study with a bigger -k or a subset of the
-// sources shares the recorded cells too.
+// measure is recorded in the store under DIR as soon as it exists, so a
+// killed run (Ctrl-C, OOM, preemption) reuses all completed work on rerun
+// instead of recomputing it — and a later study with a bigger -k or a
+// subset of the sources shares the recorded cells too.
 //
 // Run: go run ./examples/variance-study [-task name] [-k measures] [-r realizations] [-p workers] [-store dir]
 package main
@@ -39,7 +39,7 @@ func main() {
 	realizations := flag.Int("r", 3, "independent realizations (paper: 20)")
 	workers := flag.Int("p", 0, "worker-pool size (0 = GOMAXPROCS)")
 	curves := flag.Bool("curves", false, "render SE-vs-k curves")
-	storeDir := flag.String("store", "", "trial store DSN: jsonl:DIR, mem:, seglog:DIR or a bare directory (= jsonl); empty = recompute everything")
+	storeDir := flag.String("store", "", "trial store DSN: a directory, seglog:DIR or mem:; empty = recompute everything")
 	flag.Parse()
 
 	task, err := casestudy.ByName(*taskName, 20210301)

@@ -671,7 +671,7 @@ func (e *Experiment) specFingerprint() string {
 
 // datasetRoot derives the seed root of one dataset's collection stream.
 // The unnamed single dataset uses the experiment seed directly, which keeps
-// trial seeds bit-identical to the historical CollectPaired sequence.
+// trial seeds bit-identical to the historical paired-collection sequence.
 func (e *Experiment) datasetRoot(name string) uint64 {
 	if name == "" {
 		return e.Seed
@@ -771,8 +771,8 @@ func (s *trialStream) take(dst []Trial, n int) []Trial {
 }
 
 // makeTrials eagerly materializes the full MaxRuns seed assignment. It is
-// the historical eager path, kept for the deprecated CollectPaired wrapper
-// and as the reference the lazy stream is pinned against.
+// the historical eager path, kept as the reference the lazy stream is
+// pinned against.
 func (e *Experiment) makeTrials(dataset string) []Trial {
 	return e.trialStream(dataset).take(make([]Trial, 0, e.MaxRuns), e.MaxRuns)
 }

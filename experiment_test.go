@@ -437,34 +437,6 @@ func TestCollectParallelismInvariance(t *testing.T) {
 	}
 }
 
-func TestCollectPairedMatchesExperimentSeeds(t *testing.T) {
-	// The deprecated wrapper and the Experiment engine draw the same seed
-	// sequence for the same base seed.
-	var wrapperSeeds, engineSeeds []uint64
-	var mu sync.Mutex
-	record := func(dst *[]uint64) RunFunc {
-		return func(seed uint64) (float64, error) {
-			mu.Lock()
-			*dst = append(*dst, seed)
-			mu.Unlock()
-			return float64(seed%1000) / 1000, nil
-		}
-	}
-	if _, _, err := CollectPaired(record(&wrapperSeeds), noisyRunner(0), 6, 99); err != nil {
-		t.Fatal(err)
-	}
-	e := Experiment{
-		A: record(&engineSeeds), B: noisyRunner(0),
-		Seed: 99, MaxRuns: 6, EarlyStop: EarlyStopOff, Parallelism: 1,
-	}
-	if _, err := e.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wrapperSeeds, engineSeeds) {
-		t.Errorf("seed sequences diverged:\n wrapper: %v\n engine:  %v", wrapperSeeds, engineSeeds)
-	}
-}
-
 func TestRunSingleNamedDataset(t *testing.T) {
 	// One named dataset is still a single-dataset run: no γ adjustment,
 	// and the Comparison convenience field is populated.
@@ -516,16 +488,16 @@ func TestExplicitZeroOptionsRejected(t *testing.T) {
 	// Regression: an explicit WithGamma(0) must be rejected like any other
 	// out-of-range γ (the zero *field* still means "use the default").
 	a := []float64{1, 2, 3}
-	if _, err := Compare(a, a, WithGamma(0)); err == nil {
+	if _, err := Analyze(a, a, WithGamma(0)); err == nil {
 		t.Error("WithGamma(0) silently replaced by the default")
 	}
-	if _, err := Compare(a, a, WithConfidence(0)); err == nil {
+	if _, err := Analyze(a, a, WithConfidence(0)); err == nil {
 		t.Error("WithConfidence(0) silently replaced by the default")
 	}
-	if _, err := Compare(a, a, WithBootstrap(-1)); err == nil {
+	if _, err := Analyze(a, a, WithBootstrap(-1)); err == nil {
 		t.Error("WithBootstrap(-1) accepted")
 	}
-	if _, err := Compare(a, a, WithGamma(0.8)); err != nil {
+	if _, err := Analyze(a, a, WithGamma(0.8)); err != nil {
 		t.Errorf("valid explicit options rejected: %v", err)
 	}
 }
@@ -554,16 +526,16 @@ func TestAnalyzeDatasetsHonorsProtocolOptions(t *testing.T) {
 }
 
 func TestCompareAcrossDatasetsGammaValidation(t *testing.T) {
-	// Regression: CompareAcrossDatasets used to skip the γ ∈ (0.5, 1)
-	// check that Compare and CompareUnpaired perform.
+	// Regression: the multi-dataset path used to skip the γ ∈ (0.5, 1)
+	// check that the single-dataset path performs.
 	ds := syntheticDatasets(1, 2, 10, 1.0)
-	if _, err := CompareAcrossDatasets(ds, WithGamma(0.4)); err == nil {
+	if _, err := AnalyzeDatasets(ds, WithGamma(0.4)); err == nil {
 		t.Error("γ ≤ 0.5 accepted")
 	}
-	if _, err := CompareAcrossDatasets(ds, WithGamma(1.0)); err == nil {
+	if _, err := AnalyzeDatasets(ds, WithGamma(1.0)); err == nil {
 		t.Error("γ ≥ 1 accepted")
 	}
-	if _, err := CompareAcrossDatasets(ds, WithGamma(0.8)); err != nil {
+	if _, err := AnalyzeDatasets(ds, WithGamma(0.8)); err != nil {
 		t.Errorf("valid γ rejected: %v", err)
 	}
 }

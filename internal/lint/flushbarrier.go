@@ -10,10 +10,10 @@ import (
 )
 
 // The flushbarrier analyzer: writes to a buffered store must reach a Flush
-// barrier before anything observes their durability. The store backends
-// buffer on Put (jsonl in its bufio writer, seglog in its staging segment),
-// so a path that Puts and then exits — or reads back expecting the write —
-// without Flush is exactly the torn-tail-on-SIGKILL bug class the
+// barrier before anything observes their durability. The durable store
+// buffers on Put (seglog in its pending group-commit batch), so a path
+// that Puts and then exits — or reads back expecting the write — without
+// Flush is exactly the torn-tail-on-SIGKILL bug class the
 // conformance suite hunts dynamically; this check catches it statically.
 //
 // A "store-like" value is any type (interface or concrete) whose method

@@ -68,12 +68,12 @@ func (c *Cache) Flush() {
 	c.mu.Unlock()
 }
 
-// sync mirrors the jsonl backend's fsync-under-mu, with the reasoned
-// escape hatch instead of a restructure; reached from Put via flushNow.
+// sync is a single-file writer's fsync-under-mu, with the reasoned escape
+// hatch instead of a restructure; reached from Put via flushNow.
 func (c *Cache) flushNow() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.f.Sync() //lint:allow lockorder(single-writer fsync under mu mirrors the jsonl backend's Flush)
+	c.f.Sync() //lint:allow lockorder(single-writer fsync under mu: the fsync is the serialized commit)
 }
 
 // cold is unreachable from any hot root: sleeping under the lock is not

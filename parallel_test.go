@@ -312,13 +312,6 @@ func TestScoreEntryPointsRejectTooFewScores(t *testing.T) {
 	}); err == nil {
 		t.Error("AnalyzeDatasets with a 1-score dataset: accepted")
 	}
-	// Deprecated wrappers route through the same boundary.
-	if _, err := Compare([]float64{1}, []float64{2}); err == nil {
-		t.Error("Compare single pair: accepted")
-	}
-	if _, err := CompareUnpaired([]float64{1}, []float64{2, 3}); err == nil {
-		t.Error("CompareUnpaired single measure: accepted")
-	}
 }
 
 // TestAnalyzeDatasetsNameValidation: per-dataset bootstrap streams are

@@ -358,7 +358,7 @@ func TestFaultInjectedStoreResumesToClean(t *testing.T) {
 	wantText := renderText(t, want)
 
 	dir := t.TempDir()
-	faulty, err := store.OpenDSN("faultinject:put@4-6:jsonl:" + dir)
+	faulty, err := store.OpenDSN("faultinject:put@4-6:" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestFaultInjectedStoreResumesToClean(t *testing.T) {
 		t.Fatal("fault-injected store quarantined nothing — schedule did not engage")
 	}
 	// The failure records were written durably alongside the trials.
-	healthy, err := store.Open(dir)
+	healthy, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

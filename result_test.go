@@ -107,25 +107,6 @@ func TestCSVRendererFullPrecision(t *testing.T) {
 	}
 }
 
-func TestAnalyzeMatchesCompare(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	b := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	res, err := Analyze(a, b, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compare(a, b, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Comparison != c {
-		t.Errorf("Analyze and Compare disagree:\n %+v\n %+v", res.Comparison, c)
-	}
-	if res.Pairs != 8 || len(res.Datasets) != 1 {
-		t.Error("result shape wrong")
-	}
-}
-
 func TestAnalyzeUnpaired(t *testing.T) {
 	a := []float64{5, 6, 7, 8, 9}
 	b := []float64{1, 2, 3}

@@ -9,11 +9,12 @@ import "errors"
 // Close. Check with errors.Is; backends may wrap it with location context.
 var ErrClosed = errors.New("store is closed")
 
-// ErrLocked is returned by Open/OpenSegLog when another live process holds
-// the store's advisory lock. It is transient by nature — the lock drops the
-// moment the other process exits — which makes it the canonical retryable
-// open error (the varbench CLI's -wait-lock flag retries exactly this).
-// Check with errors.Is.
+// ErrLocked is returned by OpenSegLog when another live process holds the
+// store's advisory lock, or, during a legacy import, the flock of a
+// pre-upgrade writer still appending to trials.jsonl. It is transient by
+// nature — the lock drops the moment the other process exits — which makes
+// it the canonical retryable open error (the varbench CLI's -wait-lock
+// flag retries exactly this). Check with errors.Is.
 var ErrLocked = errors.New("store is locked")
 
 // Backend is the trial-store contract every storage engine implements: a
@@ -21,7 +22,8 @@ var ErrLocked = errors.New("store is locked")
 // either a float64 score or a JSON payload, with last-record-wins
 // semantics. varbench's collection engine, analysis-snapshot persistence
 // and the compare/variance/watch CLIs all speak this interface and nothing
-// more; Open/NewMem/OpenSegLog (or the OpenDSN factory) pick the engine.
+// more; OpenSegLog/NewMem/NewFaultInject (or the OpenDSN factory) pick the
+// engine.
 //
 // Semantics every backend must honor — the conformance suite in
 // conformance_test.go pins them, run it against any new backend:
@@ -41,11 +43,9 @@ var ErrLocked = errors.New("store is locked")
 //   - Durability: Put makes a record visible immediately but durable only
 //     at the backend's documented commit point. Flush is the explicit
 //     barrier — when it returns, every previously accepted write has
-//     reached the backend's durable medium. For the jsonl backend each Put
-//     is written (one write syscall) before returning and Flush additionally
-//     fsyncs; for seglog Puts coalesce in memory until the group committer's
-//     size/interval policy, a Flush, or Close commits them; for mem both
-//     are no-ops on an open store.
+//     reached the backend's durable medium. For seglog, Puts coalesce in
+//     memory until the group committer's size/interval policy, a Flush, or
+//     Close commits them; for mem both are no-ops on an open store.
 //   - Close: flushes pending writes, releases the log, and is idempotent.
 //     After Close, writes fail with ErrClosed and reads keep serving the
 //     in-memory index.
@@ -80,7 +80,7 @@ type Backend interface {
 
 // The three shipped backends satisfy the contract.
 var (
-	_ Backend = (*Store)(nil)
 	_ Backend = (*Mem)(nil)
 	_ Backend = (*SegLog)(nil)
+	_ Backend = (*FaultInject)(nil)
 )

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // A backendFixture adapts one backend to the shared suite. open opens (or,
@@ -26,22 +25,16 @@ type backendFixture struct {
 }
 
 func conformanceFixtures() []backendFixture {
+	tearSegLog := func(t *testing.T, dir string) {
+		ns, err := segments(dir)
+		if err != nil || len(ns) == 0 {
+			t.Fatalf("segments: %v (%d)", err, len(ns))
+		}
+		// A torn frame: a header promising more payload than follows.
+		appendBytes(t, filepath.Join(dir, segName(ns[len(ns)-1])),
+			[]byte{0xF0, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02})
+	}
 	return []backendFixture{
-		{
-			name:    "jsonl",
-			durable: true,
-			open: func(t *testing.T, dir string) Backend {
-				s, err := Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-			tear: func(t *testing.T, dir string) {
-				appendBytes(t, filepath.Join(dir, LogName),
-					[]byte(`{"key":"torn","fp":"f","sco`))
-			},
-		},
 		{
 			name: "mem",
 			open: func(t *testing.T, dir string) Backend { return NewMem() },
@@ -50,62 +43,29 @@ func conformanceFixtures() []backendFixture {
 			name:    "seglog",
 			durable: true,
 			open: func(t *testing.T, dir string) Backend {
-				// A short coalescing window keeps timer-driven commits from
-				// stalling tests; correctness must not depend on it.
-				s, err := OpenSegLog(dir, WithFlushInterval(time.Millisecond))
+				s, err := OpenSegLog(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return s
 			},
-			tear: func(t *testing.T, dir string) {
-				ns, err := segments(dir)
-				if err != nil || len(ns) == 0 {
-					t.Fatalf("segments: %v (%d)", err, len(ns))
-				}
-				// A torn frame: a header promising more payload than follows.
-				appendBytes(t, filepath.Join(dir, segName(ns[len(ns)-1])),
-					[]byte{0xF0, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02})
-			},
+			tear: tearSegLog,
 		},
 		// The fault-injection wrapper with an empty schedule must be a
-		// transparent proxy: the whole contract holds through it, over both
-		// durable engines. Opened through the DSN factory so the
-		// faultinject:SCHEDULE:INNER_DSN parsing rides the suite too.
-		{
-			name:    "faultinject-jsonl",
-			durable: true,
-			open: func(t *testing.T, dir string) Backend {
-				s, err := OpenDSN("faultinject::jsonl:" + dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-			tear: func(t *testing.T, dir string) {
-				appendBytes(t, filepath.Join(dir, LogName),
-					[]byte(`{"key":"torn","fp":"f","sco`))
-			},
-		},
+		// transparent proxy: the whole contract holds through it. Opened
+		// through the DSN factory so the faultinject:SCHEDULE:INNER_DSN
+		// parsing rides the suite too.
 		{
 			name:    "faultinject-seglog",
 			durable: true,
 			open: func(t *testing.T, dir string) Backend {
-				s, err := OpenDSN("faultinject::seglog:"+dir,
-					WithFlushInterval(time.Millisecond))
+				s, err := OpenDSN("faultinject::seglog:" + dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return s
 			},
-			tear: func(t *testing.T, dir string) {
-				ns, err := segments(dir)
-				if err != nil || len(ns) == 0 {
-					t.Fatalf("segments: %v (%d)", err, len(ns))
-				}
-				appendBytes(t, filepath.Join(dir, segName(ns[len(ns)-1])),
-					[]byte{0xF0, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02})
-			},
+			tear: tearSegLog,
 		},
 	}
 }

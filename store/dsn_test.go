@@ -1,6 +1,7 @@
 package store
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -8,27 +9,42 @@ import (
 
 func TestOpenDSNSchemes(t *testing.T) {
 	t.Run("jsonl explicit", func(t *testing.T) {
+		// The retired engine's scheme is refused with its replacement.
 		dir := t.TempDir()
 		b, err := OpenDSN("jsonl:" + dir)
+		if err == nil {
+			b.Close()
+			t.Fatal("jsonl: opened a store, want the retired-engine error")
+		}
+		for _, want := range []string{"retired", "bare directory", dir} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+	})
+	t.Run("bare path means seglog", func(t *testing.T) {
+		// Relative drive-letter paths land in a scratch working directory.
+		wd, err := os.Getwd()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer b.Close()
-		if _, ok := b.(*Store); !ok {
-			t.Fatalf("jsonl: opened %T, want *Store", b)
+		if err := os.Chdir(t.TempDir()); err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Run("bare path means jsonl", func(t *testing.T) {
+		t.Cleanup(func() { os.Chdir(wd) })
 		for _, dsn := range []string{
 			t.TempDir(),
 			filepath.Join(t.TempDir(), "nested", "cache"),
+			`C:\cache`,
+			`c:\cache`,
+			"d:/x",
 		} {
 			b, err := OpenDSN(dsn)
 			if err != nil {
 				t.Fatalf("OpenDSN(%q): %v", dsn, err)
 			}
-			if _, ok := b.(*Store); !ok {
-				t.Fatalf("OpenDSN(%q) opened %T, want *Store", dsn, b)
+			if _, ok := b.(*SegLog); !ok {
+				t.Fatalf("OpenDSN(%q) opened %T, want *SegLog", dsn, b)
 			}
 			b.Close()
 		}
@@ -61,9 +77,9 @@ func TestOpenDSNErrors(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"bolt:/tmp/x", "unknown scheme"},
-		{"bolt:/tmp/x", "jsonl:DIR"}, // the error names the valid schemes
+		{"bolt:/tmp/x", "seglog:DIR"}, // the error names the valid schemes
 		{"mem:/tmp/x", "takes no path"},
-		{"jsonl:", "needs a directory"},
+		{"jsonl:", "retired"},
 		{"seglog:", "needs a directory"},
 	}
 	for _, c := range cases {

@@ -43,8 +43,6 @@ type FaultInject struct {
 	calls map[string]uint64
 }
 
-var _ Backend = (*FaultInject)(nil)
-
 // faultRule is one parsed schedule clause. Counter rules fire when the op's
 // 1-based call number lands in [from, to]; rate rules fire when the seeded
 // Bernoulli draw for that call comes up under rate.

@@ -131,7 +131,7 @@ func TestFaultInjectSeededDeterminism(t *testing.T) {
 // every write accepted before the fault.
 func TestFaultInjectCrashedClose(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDSN("faultinject:put@3;close@1:jsonl:" + dir)
+	s, err := OpenDSN("faultinject:put@3;close@1:" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFaultInjectCrashedClose(t *testing.T) {
 	}
 	// The crashing close still released the lock: reopening plain works and
 	// the accepted writes survived, the faulted one does not exist.
-	re, err := Open(dir)
+	re, err := OpenSegLog(dir)
 	if err != nil {
 		t.Fatalf("reopen after crashed close: %v", err)
 	}

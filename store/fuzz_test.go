@@ -1,18 +1,22 @@
 package store
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzOpenRepairsTail throws arbitrary bytes at the log's recovery path.
-// The contract under fuzzing: Open either rejects the log with an error or
-// returns a fully working store — never panics, and never leaves the log in
-// a state a second Open would refuse. The torn-tail repair (parse-and-keep
-// an unterminated final record, truncate unparseable tail bytes) is exactly
-// the code a crashed run depends on, so it must hold for every input, not
-// just the truncations the unit tests enumerate.
+// FuzzOpenRepairsTail throws arbitrary bytes at the legacy import as a
+// directory's trials.jsonl. The contract under fuzzing: OpenSegLog either
+// rejects the log with an error or imports it into a fully working store —
+// never panics — and the import is final: a second open must succeed, must
+// not find the legacy log again, and must serve a Put made after the
+// import. The torn-tail rule (keep an intact unterminated final record,
+// skip an unparseable one) is exactly the code a crashed pre-upgrade run
+// depends on, so it must hold for every input, not just the truncations
+// the unit tests enumerate.
 func FuzzOpenRepairsTail(f *testing.F) {
 	intact := `{"key":"k1","fp":"f1","score":"0x1p-1"}` + "\n"
 	f.Add([]byte(nil))
@@ -27,18 +31,18 @@ func FuzzOpenRepairsTail(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, LogName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, legacyLogName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir)
+		s, err := OpenSegLog(dir)
 		if err != nil {
 			return // rejecting corruption is fine; crashing is not
 		}
-		// The repaired store must be fully usable: append one record...
+		// The imported store must be fully usable: append one record...
 		key := TrialKey(7, "fuzz-ds", 0, "A")
 		fp := Fingerprint("fuzz")
 		if err := s.Put(key, fp, 0.5); err != nil {
-			t.Fatalf("Put on repaired store: %v", err)
+			t.Fatalf("Put on imported store: %v", err)
 		}
 		if got, ok := s.Get(key, fp); !ok || got != 0.5 {
 			t.Fatalf("Get after Put = (%v, %v), want (0.5, true)", got, ok)
@@ -46,12 +50,14 @@ func FuzzOpenRepairsTail(f *testing.F) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		// ...and the repair must be durable: a second Open of the same log
-		// has to succeed and still serve both the new record and any record
-		// the first Open indexed.
-		s2, err := Open(dir)
+		// ...and the import must be final: a second open succeeds without
+		// a legacy log to import and still serves the new record.
+		if _, err := os.Stat(filepath.Join(dir, legacyLogName)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("legacy log still in place after import: %v", err)
+		}
+		s2, err := OpenSegLog(dir)
 		if err != nil {
-			t.Fatalf("reopen after repair: %v", err)
+			t.Fatalf("reopen after import: %v", err)
 		}
 		defer s2.Close()
 		if got, ok := s2.Get(key, fp); !ok || got != 0.5 {

@@ -1,14 +1,12 @@
 // The seglog backend: a segmented binary record log with group-commit
-// coalescing. The JSONL backend issues one write syscall per Put — the
-// right durability-by-default when every trial costs seconds of training,
-// but the wrong constant factor once trials are cheap or arrive from a
-// many-worker fleet, where persistence becomes the hot path. SegLog moves
-// the durability point: Put appends the encoded record to an in-memory
-// batch and returns after updating the index; a committer goroutine writes
-// and fsyncs the batch when a size threshold or coalescing interval
-// elapses (group commit — many logical appends, one write+fsync), and
-// Flush/Close are explicit barriers. In exchange for the documented
-// durability window, Put drops from a syscall to a memcpy under a mutex.
+// coalescing, and the only durable engine. Put appends the encoded record
+// to an in-memory batch and returns after updating the index; a committer
+// goroutine writes and fsyncs the batch when a size threshold or
+// coalescing interval elapses (group commit — many logical appends, one
+// write+fsync), and Flush/Close are explicit barriers. In exchange for the
+// documented durability window, Put is a memcpy under a mutex rather than
+// a syscall, so persistence stays off the hot path even when trials are
+// cheap or arrive from a many-worker fleet.
 package store
 
 import (
@@ -51,27 +49,26 @@ const (
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// SegLogOption adjusts a SegLog's group-commit and rotation policy.
-type SegLogOption func(*segCfg)
-
+// segCfg is a SegLog's group-commit and rotation policy.
 type segCfg struct {
-	flushBytes    int
+	// flushBytes is the pending-batch size that triggers an immediate
+	// group commit.
+	flushBytes int
+	// flushInterval is how long the committer coalesces appends before
+	// committing a non-empty batch. It bounds the durability window: a
+	// crash loses at most the appends of the last interval.
 	flushInterval time.Duration
-	segmentBytes  int64
+	// segmentBytes is the size at which the active segment is sealed and a
+	// new one started.
+	segmentBytes int64
 }
 
-// WithFlushBytes sets the pending-batch size that triggers an immediate
-// group commit (default 256 KiB).
-func WithFlushBytes(n int) SegLogOption { return func(c *segCfg) { c.flushBytes = n } }
-
-// WithFlushInterval sets how long the committer coalesces appends before
-// committing a non-empty batch (default 2ms). It bounds the durability
-// window: a crash loses at most the appends of the last interval.
-func WithFlushInterval(d time.Duration) SegLogOption { return func(c *segCfg) { c.flushInterval = d } }
-
-// WithSegmentBytes sets the size at which the active segment is sealed and
-// a new one started (default 64 MiB).
-func WithSegmentBytes(n int64) SegLogOption { return func(c *segCfg) { c.segmentBytes = n } }
+// defaultSegCfg is the policy every OpenSegLog runs with.
+var defaultSegCfg = segCfg{
+	flushBytes:    256 << 10,
+	flushInterval: 2 * time.Millisecond,
+	segmentBytes:  64 << 20,
+}
 
 // SegLog is the segmented binary-log Backend with group-commit coalescing.
 // All methods are safe for concurrent use. See OpenSegLog and the Backend
@@ -106,23 +103,30 @@ type SegLog struct {
 
 // OpenSegLog creates dir if needed, replays its segments into the index,
 // repairs a torn tail in the final segment, and starts the group
-// committer. Like the jsonl backend, one PROCESS owns a seglog at a time:
-// an exclusive advisory lock on dir/LOCK fails fast when another live
-// process holds it, which is what makes the tail repair safe. A torn or
+// committer. One PROCESS owns a seglog at a time: an exclusive advisory
+// lock on dir/LOCK fails fast with ErrLocked when another live process
+// holds it, which is what makes the tail repair safe. A torn or
 // CRC-failing frame at the end of the FINAL segment is the signature of a
 // crash mid-commit and is truncated away; the same damage in a sealed
 // (non-final) segment is real corruption — a sealed segment was fully
 // committed before its successor existed — and is reported, never guessed
 // at.
-func OpenSegLog(dir string, opts ...SegLogOption) (*SegLog, error) {
-	cfg := segCfg{
-		flushBytes:    256 << 10,
-		flushInterval: 2 * time.Millisecond,
-		segmentBytes:  64 << 20,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+//
+// Puts commit in batches of up to 256 KiB or every 2ms, whichever comes
+// first, into segments of 64 MiB. A SIGKILL can therefore lose the last
+// ≤2ms of accepted Puts; a resumed run recomputes them deterministically.
+//
+// A dir/trials.jsonl left by the retired JSONL engine is imported once:
+// OpenSegLog takes the file's flock (ErrLocked while a pre-upgrade writer
+// still holds it), replays its records, flushes them and renames the file
+// trials.jsonl.imported. Without one, the import costs a failed open.
+func OpenSegLog(dir string) (*SegLog, error) {
+	return openSegLog(dir, defaultSegCfg)
+}
+
+// openSegLog is OpenSegLog with an explicit policy, for tests that need
+// tiny segments or a long coalescing window.
+func openSegLog(dir string, cfg segCfg) (*SegLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -150,6 +154,10 @@ func OpenSegLog(dir string, opts ...SegLogOption) (*SegLog, error) {
 		return nil, err
 	}
 	go s.committer()
+	if err := s.importLegacy(); err != nil {
+		s.Close()
+		return nil, err
+	}
 	return s, nil
 }
 

@@ -4,14 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // FuzzSegLogRepairsTail throws arbitrary bytes at the seglog recovery
-// path, as FuzzOpenRepairsTail does for the JSONL log. The contract is the
-// same: OpenSegLog either rejects the directory with an error or returns a
-// fully working store — never panics, and never leaves the final segment
-// in a state a second OpenSegLog would refuse. Because the fuzzed bytes
+// path, as FuzzOpenRepairsTail does for the legacy import. The contract is
+// the same: OpenSegLog either rejects the directory with an error or
+// returns a fully working store — never panics, and never leaves the final
+// segment in a state a second OpenSegLog would refuse. Because the fuzzed bytes
 // become the FINAL segment, every decode failure is by policy a torn tail;
 // the frames before it must survive the truncation.
 func FuzzSegLogRepairsTail(f *testing.F) {
@@ -35,7 +34,7 @@ func FuzzSegLogRepairsTail(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenSegLog(dir, WithFlushInterval(time.Millisecond))
+		s, err := OpenSegLog(dir)
 		if err != nil {
 			return // rejecting corruption is fine; crashing is not
 		}

@@ -14,7 +14,9 @@ import (
 // reopen, and sealed segments are never rewritten.
 func TestSegLogRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegLog(dir, WithSegmentBytes(512), WithFlushInterval(time.Millisecond))
+	cfg := defaultSegCfg
+	cfg.segmentBytes = 512
+	s, err := openSegLog(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,9 @@ func TestSegLogFlushBarrier(t *testing.T) {
 	dir := t.TempDir()
 	// An hour-long coalescing window: nothing reaches disk unless the
 	// barrier (or the size threshold) forces it.
-	s, err := OpenSegLog(dir, WithFlushInterval(time.Hour))
+	cfg := defaultSegCfg
+	cfg.flushInterval = time.Hour
+	s, err := openSegLog(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestSegLogFlushBarrier(t *testing.T) {
 // disk, and group commit keeps the file consistent under concurrency.
 func TestSegLogCoalescing(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegLog(dir, WithFlushInterval(time.Millisecond))
+	s, err := OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,9 @@ func TestSegLogCoalescing(t *testing.T) {
 // successor existed — and must be reported, never truncated away.
 func TestSegLogSealedSegmentCorruptionErrors(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegLog(dir, WithSegmentBytes(256), WithFlushInterval(time.Millisecond))
+	cfg := defaultSegCfg
+	cfg.segmentBytes = 256
+	s, err := openSegLog(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +168,8 @@ func TestSegLogSealedSegmentCorruptionErrors(t *testing.T) {
 	}
 }
 
-// TestSegLogExcludesSecondOpener: like the jsonl backend, one process owns
-// a seglog directory at a time, and the lock dies with Close.
+// TestSegLogExcludesSecondOpener: one process owns a seglog directory at a
+// time, and the lock dies with Close.
 func TestSegLogExcludesSecondOpener(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := OpenSegLog(dir)
@@ -188,7 +194,9 @@ func TestSegLogExcludesSecondOpener(t *testing.T) {
 // committed by Close — the shutdown path a CLI's deferred Close relies on.
 func TestSegLogCloseDrains(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegLog(dir, WithFlushInterval(time.Hour))
+	cfg := defaultSegCfg
+	cfg.flushInterval = time.Hour
+	s, err := openSegLog(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,323 +1,6 @@
 package store
 
-import (
-	"math"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
-	"testing"
-)
-
-func TestPutGetRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	key := TrialKey(7, "cifar", 3, "A")
-	fp := Fingerprint("spec/v1", "varied=weights-init")
-	if _, ok := s.Get(key, fp); ok {
-		t.Fatal("empty store should miss")
-	}
-	if err := s.Put(key, fp, 0.8125); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := s.Get(key, fp)
-	if !ok || v != 0.8125 {
-		t.Fatalf("Get = %v, %v; want 0.8125, true", v, ok)
-	}
-	if hits, misses := s.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses; want 1, 1", hits, misses)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-}
-
-// TestFingerprintRejectsStaleCache: a record is only served to the exact
-// spec that wrote it; the same key under a new fingerprint misses.
-func TestFingerprintRejectsStaleCache(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	key := TrialKey(1, "", 0, "A")
-	if err := s.Put(key, "fp-old", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(key, "fp-new"); ok {
-		t.Fatal("stale record must not be served under a different fingerprint")
-	}
-	// Both fingerprints coexist after recomputation.
-	if err := s.Put(key, "fp-new", 2); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := s.Get(key, "fp-old"); !ok || v != 1 {
-		t.Errorf("old record lost: %v, %v", v, ok)
-	}
-	if v, ok := s.Get(key, "fp-new"); !ok || v != 2 {
-		t.Errorf("new record missing: %v, %v", v, ok)
-	}
-}
-
-// TestReopenPersistence: scores survive Close/Open, bit-exactly — including
-// values JSON cannot represent as numbers and floats needing all 17 digits.
-func TestReopenPersistence(t *testing.T) {
-	dir := t.TempDir()
-	scores := map[string]float64{
-		"exact":  0.1 + 0.2, // 0.30000000000000004
-		"tiny":   5e-324,
-		"big":    1.7976931348623157e308,
-		"neg":    -0.0,
-		"nan":    math.NaN(),
-		"posinf": math.Inf(1),
-		"neginf": math.Inf(-1),
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range scores {
-		if err := s.Put(k, "fp", v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != len(scores) {
-		t.Fatalf("Len after reopen = %d, want %d", s2.Len(), len(scores))
-	}
-	for k, want := range scores {
-		got, ok := s2.Get(k, "fp")
-		if !ok {
-			t.Errorf("%s missing after reopen", k)
-			continue
-		}
-		if math.IsNaN(want) {
-			if !math.IsNaN(got) {
-				t.Errorf("%s = %v, want NaN", k, got)
-			}
-		} else if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s = %x, want %x (not bit-identical)", k, got, want)
-		}
-	}
-}
-
-// TestTornFinalLineSkipped: a process killed mid-append leaves a truncated
-// last line; Open must keep every complete record and drop only the torn
-// tail, so an interrupted run stays resumable.
-func TestTornFinalLineSkipped(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := s.Put(TrialKey(1, "", i, "A"), "fp", float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	path := filepath.Join(dir, LogName)
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":"trial/seed=1/dataset=/run=3/A","fp":"fp","sco`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("torn tail must not fail Open: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (torn line dropped)", s2.Len())
-	}
-	// Open truncated the torn bytes, so the next append starts on a clean
-	// line and the store stays fully loadable.
-	if err := s2.Put(TrialKey(1, "", 3, "A"), "fp", 3); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if v, ok := s3.Get(TrialKey(1, "", 2, "A"), "fp"); !ok || v != 2 {
-		t.Errorf("record before torn tail lost: %v %v", v, ok)
-	}
-	if v, ok := s3.Get(TrialKey(1, "", 3, "A"), "fp"); !ok || v != 3 {
-		t.Errorf("record appended after repair lost: %v %v", v, ok)
-	}
-}
-
-// TestUnterminatedButCompleteTailKept: a kill can land after the record's
-// JSON bytes but before its newline; the record is complete and must be
-// kept, with the newline repaired so the next append stays on its own line.
-func TestUnterminatedButCompleteTailKept(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, LogName)
-	content := `{"key":"a","fp":"f","score":"1"}` + "\n" +
-		`{"key":"b","fp":"f","score":"2"}` // no trailing newline
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := s.Get("b", "f"); !ok || v != 2 {
-		t.Fatalf("unterminated complete record lost: %v %v", v, ok)
-	}
-	if err := s.Put("c", "f", 3); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Errorf("Len = %d, want 3", s2.Len())
-	}
-}
-
-// TestCorruptMiddleLineErrors: garbage anywhere but the tail is real
-// corruption and must be reported, not silently dropped.
-func TestCorruptMiddleLineErrors(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, LogName)
-	content := `{"key":"a","fp":"f","score":"1"}` + "\n" +
-		"garbage not json\n" +
-		`{"key":"b","fp":"f","score":"2"}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("want corrupt-record error, got %v", err)
-	}
-}
-
-func TestConcurrentPutGet(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 8 {
-				key := TrialKey(1, "ds", i, "A")
-				if err := s.Put(key, "fp", float64(i)); err != nil {
-					t.Error(err)
-					return
-				}
-				if v, ok := s.Get(key, "fp"); !ok || v != float64(i) {
-					t.Errorf("Get(%d) = %v, %v", i, v, ok)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	s.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != n {
-		t.Errorf("Len after concurrent writes = %d, want %d", s2.Len(), n)
-	}
-}
-
-func TestJSONPayload(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type payload struct {
-		Name string    `json:"name"`
-		P    float64   `json:"p"`
-		Xs   []float64 `json:"xs"`
-	}
-	in := payload{Name: "analysis", P: 0.97, Xs: []float64{1, 2}}
-	if ok, err := s.GetJSON("k", "fp", &payload{}); ok || err != nil {
-		t.Fatalf("empty GetJSON = %v, %v", ok, err)
-	}
-	if err := s.PutJSON("k", "fp", in); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	var out payload
-	ok, err := s2.GetJSON("k", "fp", &out)
-	if err != nil || !ok {
-		t.Fatalf("GetJSON = %v, %v", ok, err)
-	}
-	if out.Name != in.Name || out.P != in.P || len(out.Xs) != 2 {
-		t.Errorf("payload round-trip: %+v", out)
-	}
-	// A payload record is invisible to the score API and vice versa.
-	if _, ok := s2.Get("k", "fp"); ok {
-		t.Error("Get must not serve a JSON payload as a score")
-	}
-	// NaN payloads encode as null rather than failing the append.
-	if err := s2.PutJSON("k2", "fp", payload{P: math.NaN()}); err != nil {
-		t.Fatalf("NaN payload: %v", err)
-	}
-}
-
-// TestOpenExcludesSecondOpener: the advisory lock makes the tail repair
-// safe — a second Open of a live store fails fast instead of racing the
-// writer, and the lock dies with the holder (here: with Close).
-func TestOpenExcludesSecondOpener(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "locked") {
-		s1.Close()
-		t.Fatalf("second Open of a live store: want locked error, got %v", err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open after Close must succeed: %v", err)
-	}
-	s2.Close()
-}
+import "testing"
 
 func TestFingerprintProperties(t *testing.T) {
 	if Fingerprint("ab", "c") == Fingerprint("a", "bc") {

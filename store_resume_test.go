@@ -38,7 +38,9 @@ func countingPipeline(calls *atomic.Int64, offset float64, cancelAt int64, cance
 // interrupted at an arbitrary point and re-run with the same Store produces
 // a byte-identical VarianceText report to an uninterrupted run, at
 // Parallelism 1 and 4, with the resumed run invoking the pipeline only for
-// the missing cells.
+// the missing cells. The store is a seglog, so the interruption is a real
+// process-style boundary: Close drains the group commit and a fresh
+// OpenSegLog replays the segments.
 func TestVarianceStudyStoreResume(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
@@ -76,7 +78,7 @@ func TestVarianceStudyStoreResume(t *testing.T) {
 
 			// Interrupted: cancel fires from inside the 5th pipeline call.
 			dir := t.TempDir()
-			st, err := store.Open(dir)
+			st, err := store.OpenSegLog(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +92,7 @@ func TestVarianceStudyStoreResume(t *testing.T) {
 			st.Close() // the "process died" boundary
 
 			// Resume: only the cells missing from the store may run.
-			st2, err := store.Open(dir)
+			st2, err := store.OpenSegLog(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +175,7 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			st, err := store.Open(dir)
+			st, err := store.OpenSegLog(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +189,7 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			}
 			st.Close()
 
-			st2, err := store.Open(dir)
+			st2, err := store.OpenSegLog(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +225,7 @@ func TestExperimentRunStoreResume(t *testing.T) {
 // source, and so does its joint row (joint over one source ≡ that source's
 // row), so not one pipeline call is needed.
 func TestVarianceStudyCrossStudySharing(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestVarianceStudyCrossStudySharing(t *testing.T) {
 // that wrote them — a different PipelineID or varied-source set recomputes
 // from scratch instead of silently reusing stale scores.
 func TestStoreFingerprintInvalidation(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +345,7 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 // collections from colliding in the store, and a second run is fully
 // cached with an identical report.
 func TestMultiDatasetStoreResume(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	st, err := store.Open(dir)
+	st, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 	}
 	st.Close() // simulate the process dying after the flush
 
-	st2, err := store.Open(dir)
+	st2, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 	// The query-time knobs are not part of the fingerprint: a third stream
 	// with a different γ resumes the same state.
 	st2.Close()
-	st3, err := store.Open(dir)
+	st3, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 func TestStreamStaleSnapshotSettles(t *testing.T) {
 	a, b := streamScores()
 	dir := t.TempDir()
-	st, err := store.Open(dir)
+	st, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStreamStaleSnapshotSettles(t *testing.T) {
 	}
 	st.Close()
 
-	st2, err := store.Open(dir)
+	st2, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestStreamStaleSnapshotSettles(t *testing.T) {
 func TestStreamPoisonedSnapshotRebuilds(t *testing.T) {
 	a, b := streamScores()
 	dir := t.TempDir()
-	st, err := store.Open(dir)
+	st, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStreamPoisonedSnapshotRebuilds(t *testing.T) {
 	a2 := append([]float64(nil), a...)
 	a2[3] += 0.5
 
-	st2, err := store.Open(dir)
+	st2, err := store.OpenSegLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,118 +40,5 @@
 // table (run `go run ./cmd/varbench all -quick`).
 package varbench
 
-import (
-	"context"
-	"fmt"
-)
-
 // DefaultGamma is the recommended meaningfulness threshold for P(A>B).
 const DefaultGamma = 0.75
-
-// CollectPaired measures two pipelines n times each, pairing them on shared
-// seeds: run i of both algorithms receives the same seed, so shared sources
-// of variation (data splits, ordering) cancel in the comparison, which
-// increases statistical power at no cost (Appendix C.2).
-//
-// Deprecated: use Experiment.Run, which collects in parallel, supports
-// cancellation and early stopping, and performs the statistical conclusion
-// in the same call. CollectPaired collects serially and keeps its
-// historical seed sequence — identical to an Experiment whose Seed equals
-// baseSeed (for baseSeed 0, set the seed via WithSeed(0), since the zero
-// Seed field means "default").
-func CollectPaired(a, b RunFunc, n int, baseSeed uint64) (scoresA, scoresB []float64, err error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("varbench: n must be ≥ 1")
-	}
-	// Historical seed sequence: trial seeds drawn from xrand.New(baseSeed)
-	// with no defaulting, exactly as makeTrials derives them.
-	e := Experiment{Seed: baseSeed, MaxRuns: n}
-	runA, err := pickRunner(nil, a, "A")
-	if err != nil {
-		return nil, nil, err
-	}
-	runB, err := pickRunner(nil, b, "B")
-	if err != nil {
-		return nil, nil, err
-	}
-	scoresA = make([]float64, n)
-	scoresB = make([]float64, n)
-	// Legacy fail-fast semantics: no deadline, no retries, first error
-	// aborts, so the fails slice is never written and may be nil.
-	g := &guard{retry: RetryPolicy{}.normalized(), failFast: true, sleep: sleepCtx}
-	if err := collectPairs(context.Background(), "", nil, g, runA, runB, e.makeTrials(""), scoresA, scoresB, nil, 1); err != nil {
-		return nil, nil, err
-	}
-	return scoresA, scoresB, nil
-}
-
-// Compare applies the paper's recommended test to paired performance
-// measures: scoresA[i] and scoresB[i] must come from the same seeds/splits.
-// It returns the estimated P(A>B), its confidence interval, and the
-// three-zone conclusion.
-//
-// Deprecated: use Experiment.Run for end-to-end comparisons, or Analyze for
-// pre-collected scores (same statistics, renderable Result).
-func Compare(scoresA, scoresB []float64, opts ...Option) (Comparison, error) {
-	if len(scoresA) != len(scoresB) {
-		return Comparison{}, fmt.Errorf("varbench: unpaired lengths %d vs %d",
-			len(scoresA), len(scoresB))
-	}
-	res, err := Analyze(scoresA, scoresB, opts...)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return res.Comparison, nil
-}
-
-// CompareUnpaired applies the recommended test to measures collected
-// without shared seeds: P(A>B) comes from the Mann-Whitney U statistic and
-// the bootstrap resamples each sample independently. Prefer paired
-// collection when you control both pipelines — pairing increases power
-// substantially (Appendix C.2).
-//
-// Deprecated: use Analyze with WithUnpaired.
-func CompareUnpaired(scoresA, scoresB []float64, opts ...Option) (Comparison, error) {
-	res, err := Analyze(scoresA, scoresB, append(opts, WithUnpaired())...)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return res.Comparison, nil
-}
-
-// MultiDatasetComparison aggregates evidence across several datasets
-// (Section 6 of the paper).
-type MultiDatasetComparison struct {
-	// PerDataset holds one Comparison per dataset, evaluated at the
-	// Bonferroni-adjusted meaningfulness threshold.
-	PerDataset []Comparison
-	// Names aligns with PerDataset.
-	Names []string
-	// AllMeaningful is the Dror et al. (2017) replicability criterion: A
-	// beats B significantly and meaningfully on every dataset.
-	AllMeaningful bool
-	// WilcoxonP is Demšar's (2006) signed-rank p-value over per-dataset
-	// mean scores (one-sided; 1 when fewer than 3 datasets).
-	WilcoxonP float64
-}
-
-// CompareAcrossDatasets runs the recommended test per dataset with a
-// multiple-comparison-adjusted threshold and combines the evidence.
-//
-// Deprecated: use Experiment.Run with Datasets for end-to-end multi-dataset
-// comparisons, or AnalyzeDatasets for pre-collected scores.
-func CompareAcrossDatasets(datasets []DatasetScores, opts ...Option) (MultiDatasetComparison, error) {
-	res, err := AnalyzeDatasets(datasets, opts...)
-	if err != nil {
-		return MultiDatasetComparison{}, err
-	}
-	out := MultiDatasetComparison{
-		AllMeaningful: res.AllMeaningful,
-		WilcoxonP:     res.WilcoxonP,
-	}
-	for _, d := range res.Datasets {
-		out.PerDataset = append(out.PerDataset, d.Comparison)
-		out.Names = append(out.Names, d.Name)
-	}
-	return out, nil
-}

@@ -1,6 +1,8 @@
 package varbench
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -8,23 +10,26 @@ import (
 	"varbench/internal/xrand"
 )
 
+// TestCollectPairedSharesSeeds: paired collection hands trial i of both
+// pipelines the same seed, so shared noise cancels, and distinct trials
+// distinct seeds.
 func TestCollectPairedSharesSeeds(t *testing.T) {
 	var seedsA, seedsB []uint64
 	a := func(seed uint64) (float64, error) { seedsA = append(seedsA, seed); return 1, nil }
 	b := func(seed uint64) (float64, error) { seedsB = append(seedsB, seed); return 0, nil }
-	sa, sb, err := CollectPaired(a, b, 5, 42)
+	e := Experiment{A: a, B: b, MaxRuns: 5, Seed: 42, EarlyStop: EarlyStopOff, Parallelism: 1}
+	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sa) != 5 || len(sb) != 5 {
-		t.Fatal("wrong lengths")
+	if res.Pairs != 5 || len(seedsA) != 5 || len(seedsB) != 5 {
+		t.Fatalf("collected %d pairs from %d A and %d B calls, want 5 each", res.Pairs, len(seedsA), len(seedsB))
 	}
 	for i := range seedsA {
 		if seedsA[i] != seedsB[i] {
 			t.Fatal("pairing broken: different seeds for A and B")
 		}
 	}
-	// Distinct runs get distinct seeds.
 	seen := map[uint64]bool{}
 	for _, s := range seedsA {
 		if seen[s] {
@@ -37,14 +42,16 @@ func TestCollectPairedSharesSeeds(t *testing.T) {
 func TestCollectPairedPropagatesErrors(t *testing.T) {
 	bad := func(uint64) (float64, error) { return 0, errSentinel }
 	ok := func(uint64) (float64, error) { return 1, nil }
-	if _, _, err := CollectPaired(bad, ok, 3, 1); err == nil {
-		t.Error("A error not propagated")
+	for name, e := range map[string]Experiment{
+		"A": {A: bad, B: ok, Parallelism: 1},
+		"B": {A: ok, B: bad, Parallelism: 1},
+	} {
+		if _, err := e.Run(context.Background()); !errors.Is(err, errSentinel) {
+			t.Errorf("%s error not propagated: %v", name, err)
+		}
 	}
-	if _, _, err := CollectPaired(ok, bad, 3, 1); err == nil {
-		t.Error("B error not propagated")
-	}
-	if _, _, err := CollectPaired(ok, ok, 0, 1); err == nil {
-		t.Error("n=0 should error")
+	if _, err := (&Experiment{A: ok, B: ok, MaxRuns: -1}).Run(context.Background()); err == nil {
+		t.Error("negative run count should error")
 	}
 }
 
@@ -64,10 +71,14 @@ func TestCompareDominantAlgorithm(t *testing.T) {
 		a[i] = base + 2
 		b[i] = base + 0.2*r.NormFloat64()
 	}
-	c, err := Compare(a, b)
+	res, err := Analyze(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Pairs != n || len(res.Datasets) != 1 {
+		t.Errorf("result shape: %d pairs, %d datasets", res.Pairs, len(res.Datasets))
+	}
+	c := res.Comparison
 	if c.Conclusion != SignificantAndMeaningful {
 		t.Errorf("conclusion = %v (%s)", c.Conclusion, c)
 	}
@@ -94,27 +105,27 @@ func TestCompareNullIsNotSignificant(t *testing.T) {
 		a[i] = r.NormFloat64()
 		b[i] = r.NormFloat64()
 	}
-	c, err := Compare(a, b, WithSeed(7))
+	res, err := Analyze(a, b, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Conclusion == SignificantAndMeaningful {
+	if c := res.Comparison; c.Conclusion == SignificantAndMeaningful {
 		t.Errorf("null comparison declared meaningful: %s", c)
 	}
 }
 
 func TestCompareOptionValidation(t *testing.T) {
 	a := []float64{1, 2, 3}
-	if _, err := Compare(a, []float64{1, 2}); err == nil {
+	if _, err := Analyze(a, []float64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := Compare(a, a, WithGamma(0.4)); err == nil {
+	if _, err := Analyze(a, a, WithGamma(0.4)); err == nil {
 		t.Error("γ ≤ 0.5 should error")
 	}
-	if _, err := Compare(a, a, WithGamma(1.0)); err == nil {
+	if _, err := Analyze(a, a, WithGamma(1.0)); err == nil {
 		t.Error("γ ≥ 1 should error")
 	}
-	if _, err := Compare([]float64{1}, []float64{2}); err == nil {
+	if _, err := Analyze([]float64{1}, []float64{2}); err == nil {
 		t.Error("single pair should error")
 	}
 }
@@ -128,15 +139,15 @@ func TestCompareDeterministicWithSeed(t *testing.T) {
 		a[i] = r.NormFloat64() + 0.5
 		b[i] = r.NormFloat64()
 	}
-	c1, err := Compare(a, b, WithSeed(9))
+	r1, err := Analyze(a, b, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Compare(a, b, WithSeed(9))
+	r2, err := Analyze(a, b, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.CILo != c2.CILo || c1.CIHi != c2.CIHi {
+	if c1, c2 := r1.Comparison, r2.Comparison; c1.CILo != c2.CILo || c1.CIHi != c2.CIHi {
 		t.Error("same seed gave different CIs")
 	}
 }
@@ -151,19 +162,19 @@ func TestCompareGammaAffectsConclusion(t *testing.T) {
 		a[i] = r.NormFloat64() + 1.0
 		b[i] = r.NormFloat64()
 	}
-	low, err := Compare(a, b, WithGamma(0.55))
+	low, err := Analyze(a, b, WithGamma(0.55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Compare(a, b, WithGamma(0.99))
+	high, err := Analyze(a, b, WithGamma(0.99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if low.Conclusion != SignificantAndMeaningful {
-		t.Errorf("γ=0.55: %s", low)
+	if c := low.Comparison; c.Conclusion != SignificantAndMeaningful {
+		t.Errorf("γ=0.55: %s", c)
 	}
-	if high.Conclusion != SignificantNotMeaningful {
-		t.Errorf("γ=0.99: %s", high)
+	if c := high.Comparison; c.Conclusion != SignificantNotMeaningful {
+		t.Errorf("γ=0.99: %s", c)
 	}
 }
 
@@ -177,20 +188,21 @@ func TestCompareUnpaired(t *testing.T) {
 	for i := range b {
 		b[i] = r.NormFloat64()
 	}
-	c, err := CompareUnpaired(a, b)
+	res, err := Analyze(a, b, WithUnpaired())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := res.Comparison
 	if c.Conclusion != SignificantAndMeaningful {
 		t.Errorf("unpaired dominance: %s", c)
 	}
 	if c.N != 25 {
 		t.Errorf("N = %d, want min size 25", c.N)
 	}
-	if _, err := CompareUnpaired(a, b, WithGamma(0.3)); err == nil {
+	if _, err := Analyze(a, b, WithUnpaired(), WithGamma(0.3)); err == nil {
 		t.Error("bad γ accepted")
 	}
-	if _, err := CompareUnpaired([]float64{1}, b); err == nil {
+	if _, err := Analyze([]float64{1}, b, WithUnpaired()); err == nil {
 		t.Error("single measure accepted")
 	}
 }
@@ -232,7 +244,8 @@ func TestSummarize(t *testing.T) {
 
 func TestEndToEndWorkflow(t *testing.T) {
 	// The full recommended protocol on two synthetic "pipelines" whose true
-	// P(A>B) ≈ Φ(0.8/√2) ≈ 0.71 — strong but not overwhelming.
+	// P(A>B) ≈ Φ(0.8/√2) ≈ 0.71 — strong but not overwhelming — collected
+	// to Noether's recommended sample size.
 	runner := func(shift float64) RunFunc {
 		return func(seed uint64) (float64, error) {
 			r := xrand.New(seed)
@@ -240,18 +253,18 @@ func TestEndToEndWorkflow(t *testing.T) {
 			return xrand.New(seed^0xABCD).NormFloat64()*0.02 + shift, nil
 		}
 	}
-	n := SampleSize(0.75)
-	a, b, err := CollectPaired(runner(0.85), runner(0.84), n, 11)
+	e := Experiment{
+		A: runner(0.85), B: runner(0.84),
+		MaxRuns: SampleSize(0.75), Seed: 11, EarlyStop: EarlyStopOff,
+	}
+	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != 29 {
-		t.Fatalf("collected %d pairs", len(a))
+	if res.Pairs != 29 {
+		t.Fatalf("collected %d pairs", res.Pairs)
 	}
-	c, err := Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := res.Comparison
 	t.Logf("workflow: %s", c)
 	if c.N != c.RecommendedN {
 		t.Error("sample size bookkeeping wrong")
