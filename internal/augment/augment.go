@@ -77,7 +77,15 @@ func (p Pipeline) Apply(row []float64, r *xrand.Source) {
 // Batch returns an augmented copy of the rows of x indexed by idx, leaving x
 // untouched. A nil augmenter just gathers the rows.
 func Batch(x *tensor.Matrix, idx []int, a Augmenter, r *xrand.Source) *tensor.Matrix {
-	out := tensor.NewMatrix(len(idx), x.Cols)
+	return BatchInto(tensor.NewMatrix(len(idx), x.Cols), x, idx, a, r)
+}
+
+// BatchInto is Batch writing into out, which it resizes to len(idx)×x.Cols
+// (reusing its backing array when large enough) and returns. Row i of out is
+// row idx[i] of x, then augmented; rows are filled in order, so a draws from
+// r exactly as Batch does. out must not share storage with x.
+func BatchInto(out, x *tensor.Matrix, idx []int, a Augmenter, r *xrand.Source) *tensor.Matrix {
+	out.Resize(len(idx), x.Cols)
 	for i, j := range idx {
 		row := out.Row(i)
 		copy(row, x.Row(j))

@@ -78,39 +78,64 @@ func (m *MLP) NumParams() int {
 	return n
 }
 
-// forwardCache stores per-layer values needed for backpropagation.
-type forwardCache struct {
-	inputs  []*tensor.Matrix // input to each layer (post-dropout of previous)
-	acts    []*tensor.Matrix // post-activation, pre-dropout hidden values
-	masks   []*tensor.Matrix // dropout masks (nil when not applied)
-	outputs *tensor.Matrix   // final raw outputs (logits / regression values)
+// workspace holds every buffer one forward/backward pass writes: layer
+// outputs, pre-dropout activations, dropout masks, deltas, softmax
+// probabilities, parameter gradients and an input batch. Buffers are sized
+// on first use and resized in place after that, so passes over batches no
+// larger than an earlier one allocate nothing. A workspace carries no state
+// from one pass to the next (each pass overwrites whatever it later reads),
+// which is why checkpoints never include one. A workspace serves one
+// goroutine and one model shape.
+type workspace struct {
+	outs   []tensor.Matrix // outs[l]: layer l's output; hidden layers after activation and dropout
+	acts   []tensor.Matrix // acts[l]: hidden layer l's activations before dropout (dropout passes only)
+	masks  []tensor.Matrix // masks[l]: hidden layer l's dropout mask (dropout passes only)
+	deltas []tensor.Matrix // deltas[l]: dLoss/dz for layer l's pre-activation output z
+	probs  tensor.Matrix   // softmax probabilities (CrossEntropy)
+	grad   *gradients      // parameter gradients of the last pass
+	batch  tensor.Matrix   // the caller's input batch: an augmented mini-batch or a shard's rows
+}
+
+// fit makes room for m's layers; matrices are resized as each pass writes
+// them.
+func (ws *workspace) fit(m *MLP) {
+	if len(ws.outs) == m.NumLayers() {
+		return
+	}
+	n := m.NumLayers()
+	ws.outs = make([]tensor.Matrix, n)
+	ws.acts = make([]tensor.Matrix, n)
+	ws.masks = make([]tensor.Matrix, n)
+	ws.deltas = make([]tensor.Matrix, n)
+	ws.grad = newGradients(m)
 }
 
 // Forward computes raw outputs (logits for classification, values for
 // regression) in inference mode: no dropout.
 func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
-	cache := m.forward(x, nil)
-	return cache.outputs
+	return m.forward(new(workspace), x, nil)
 }
 
-// forward runs the network; if dropoutRng is non-nil, dropout masks are
-// sampled (training mode, inverted dropout scaling 1/(1-p)).
-func (m *MLP) forward(x *tensor.Matrix, dropoutRng *xrand.Source) *forwardCache {
-	cache := &forwardCache{}
+// forward runs the network on x, writing each layer's values into ws, and
+// returns the final raw outputs (a matrix owned by ws). If dropoutRng is
+// non-nil and the model has dropout, masks are sampled (training mode,
+// inverted dropout scaling 1/(1-p)).
+func (m *MLP) forward(ws *workspace, x *tensor.Matrix, dropoutRng *xrand.Source) *tensor.Matrix {
+	ws.fit(m)
+	drop := dropoutRng != nil && m.Dropout > 0
 	h := x
 	for l := 0; l < m.NumLayers(); l++ {
-		cache.inputs = append(cache.inputs, h)
-		z := tensor.MatMul(h, m.Weights[l])
+		z := ws.outs[l].Resize(h.Rows, m.Weights[l].Cols)
+		tensor.MatMulInto(z, h, m.Weights[l])
+		bias := m.Biases[l]
 		for i := 0; i < z.Rows; i++ {
 			row := z.Row(i)
 			for j := range row {
-				row[j] += m.Biases[l][j]
+				row[j] += bias[j]
 			}
 		}
 		if l == m.NumLayers()-1 {
-			cache.masks = append(cache.masks, nil)
-			cache.outputs = z
-			break
+			return z
 		}
 		switch m.Activation {
 		case ReLU:
@@ -123,11 +148,12 @@ func (m *MLP) forward(x *tensor.Matrix, dropoutRng *xrand.Source) *forwardCache 
 		case Tanh:
 			z.Apply(math.Tanh)
 		}
-		if dropoutRng != nil && m.Dropout > 0 {
-			cache.acts = append(cache.acts, z.Clone())
-			mask := tensor.NewMatrix(z.Rows, z.Cols)
+		if drop {
+			copy(ws.acts[l].Resize(z.Rows, z.Cols).Data, z.Data)
+			mask := ws.masks[l].Resize(z.Rows, z.Cols)
 			keep := 1 - m.Dropout
 			for i := range mask.Data {
+				mask.Data[i] = 0
 				if dropoutRng.Float64() < keep {
 					mask.Data[i] = 1 / keep
 				}
@@ -135,19 +161,21 @@ func (m *MLP) forward(x *tensor.Matrix, dropoutRng *xrand.Source) *forwardCache 
 			for i := range z.Data {
 				z.Data[i] *= mask.Data[i]
 			}
-			cache.masks = append(cache.masks, mask)
-		} else {
-			cache.acts = append(cache.acts, z)
-			cache.masks = append(cache.masks, nil)
 		}
 		h = z
 	}
-	return cache
+	return h
 }
 
 // Softmax returns row-wise softmax probabilities of logits.
 func Softmax(logits *tensor.Matrix) *tensor.Matrix {
 	p := logits.Clone()
+	softmaxRows(p)
+	return p
+}
+
+// softmaxRows replaces each row of p with its softmax.
+func softmaxRows(p *tensor.Matrix) {
 	for i := 0; i < p.Rows; i++ {
 		row := p.Row(i)
 		max := row[0]
@@ -166,7 +194,6 @@ func Softmax(logits *tensor.Matrix) *tensor.Matrix {
 			row[j] /= sum
 		}
 	}
-	return p
 }
 
 // gradients holds parameter gradients matching the MLP layout.
@@ -193,18 +220,21 @@ func (g *gradients) add(o *gradients) {
 
 // lossAndGrad computes the mean loss over the batch and the parameter
 // gradients, given targets y (class indices for CrossEntropy, real values
-// for MSELoss).
-func (m *MLP) lossAndGrad(x *tensor.Matrix, y []float64, dropoutRng *xrand.Source) (float64, *gradients) {
-	cache := m.forward(x, dropoutRng)
+// for MSELoss). Every intermediate value lives in ws, and so do the returned
+// gradients: they are valid until the next pass over ws.
+func (m *MLP) lossAndGrad(ws *workspace, x *tensor.Matrix, y []float64, dropoutRng *xrand.Source) (float64, *gradients) {
+	out := m.forward(ws, x, dropoutRng)
 	n := float64(x.Rows)
-	out := cache.outputs
+	last := m.NumLayers() - 1
 
 	// delta = dLoss/dLogits.
 	var loss float64
-	delta := tensor.NewMatrix(out.Rows, out.Cols)
+	delta := ws.deltas[last].Resize(out.Rows, out.Cols)
 	switch m.Loss {
 	case CrossEntropy:
-		probs := Softmax(out)
+		probs := ws.probs.Resize(out.Rows, out.Cols)
+		copy(probs.Data, out.Data)
+		softmaxRows(probs)
 		for i := 0; i < out.Rows; i++ {
 			c := int(y[i])
 			p := probs.At(i, c)
@@ -221,6 +251,7 @@ func (m *MLP) lossAndGrad(x *tensor.Matrix, y []float64, dropoutRng *xrand.Sourc
 		}
 		loss /= n
 	case MSELoss:
+		delta.Zero()
 		for i := 0; i < out.Rows; i++ {
 			d := out.At(i, 0) - y[i]
 			loss += d * d
@@ -229,15 +260,23 @@ func (m *MLP) lossAndGrad(x *tensor.Matrix, y []float64, dropoutRng *xrand.Sourc
 		loss /= n
 	}
 
-	g := newGradients(m)
-	for l := m.NumLayers() - 1; l >= 0; l-- {
-		in := cache.inputs[l]
+	g := ws.grad
+	dropped := dropoutRng != nil && m.Dropout > 0
+	for l := last; l >= 0; l-- {
+		in := x
+		if l > 0 {
+			in = &ws.outs[l-1]
+		}
 		// dW = inᵀ·delta ; db = column sums of delta.
-		g.w[l] = tensor.TMatMul(in, delta)
+		tensor.TMatMulInto(g.w[l], in, delta)
+		db := g.b[l]
+		for j := range db {
+			db[j] = 0
+		}
 		for i := 0; i < delta.Rows; i++ {
 			row := delta.Row(i)
 			for j, v := range row {
-				g.b[l][j] += v
+				db[j] += v
 			}
 		}
 		if l == 0 {
@@ -245,21 +284,24 @@ func (m *MLP) lossAndGrad(x *tensor.Matrix, y []float64, dropoutRng *xrand.Sourc
 		}
 		// Propagate: dIn = delta·Wᵀ, back through dropout, then through the
 		// activation using the pre-dropout activation values.
-		back := tensor.MatMulT(delta, m.Weights[l])
-		if mask := cache.masks[l-1]; mask != nil {
-			for i := range back.Data {
-				back.Data[i] *= mask.Data[i]
+		back := ws.deltas[l-1].Resize(delta.Rows, m.Weights[l].Rows)
+		tensor.MatMulTInto(back, delta, m.Weights[l])
+		acts := in
+		if dropped {
+			for i, v := range ws.masks[l-1].Data {
+				back.Data[i] *= v
 			}
+			acts = &ws.acts[l-1]
 		}
 		switch m.Activation {
 		case ReLU:
-			for i, v := range cache.acts[l-1].Data {
+			for i, v := range acts.Data {
 				if v <= 0 {
 					back.Data[i] = 0
 				}
 			}
 		case Tanh:
-			for i, v := range cache.acts[l-1].Data {
+			for i, v := range acts.Data {
 				back.Data[i] *= 1 - v*v
 			}
 		}

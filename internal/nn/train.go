@@ -55,6 +55,11 @@ func (c *TrainConfig) Validate() error {
 	if c.OutDim < 1 {
 		return fmt.Errorf("nn: OutDim must be ≥ 1")
 	}
+	for _, h := range c.Hidden {
+		if h < 1 {
+			return fmt.Errorf("nn: hidden widths must be ≥ 1, got %v", c.Hidden)
+		}
+	}
 	if c.LR <= 0 {
 		return fmt.Errorf("nn: LR must be positive")
 	}
@@ -96,13 +101,16 @@ func Train(cfg TrainConfig, train *data.Dataset, streams *xrand.Streams) (*Train
 // batchGradient computes the batch loss and gradient, optionally sharded for
 // the data-parallel reducers. With ReduceNondeterministic the shard
 // gradients are folded in completion order, producing realistic run-to-run
-// floating-point noise even under fixed seeds.
-func batchGradient(model *MLP, cfg TrainConfig, xb *tensor.Matrix, yb []float64,
+// floating-point noise even under fixed seeds. The sequential pass runs in
+// the Trainer's workspace and each shard in one of its own, so the returned
+// gradients live in a workspace until the next batch.
+func (t *Trainer) batchGradient(xb *tensor.Matrix, yb []float64,
 	dropoutRng *xrand.Source) (float64, *gradients) {
-	if cfg.Reducer == tensor.ReduceSequential || xb.Rows < 8 {
-		return model.lossAndGrad(xb, yb, dropoutStream(model, dropoutRng))
+	model := t.model
+	if t.cfg.Reducer == tensor.ReduceSequential || xb.Rows < 8 {
+		return model.lossAndGrad(&t.ws, xb, yb, dropoutStream(model, dropoutRng))
 	}
-	shards := cfg.Shards
+	shards := t.cfg.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 		if shards > 4 {
@@ -111,6 +119,9 @@ func batchGradient(model *MLP, cfg TrainConfig, xb *tensor.Matrix, yb []float64,
 	}
 	if shards > xb.Rows {
 		shards = xb.Rows
+	}
+	for len(t.shardWS) < shards {
+		t.shardWS = append(t.shardWS, new(workspace))
 	}
 	// Pre-draw independent dropout seeds per shard so the sharded run is
 	// seed-reproducible regardless of scheduling.
@@ -139,20 +150,20 @@ func batchGradient(model *MLP, cfg TrainConfig, xb *tensor.Matrix, yb []float64,
 		id := launched
 		launched++
 		wg.Add(1)
-		go func(id, lo, hi int, drop *xrand.Source) {
+		go func(id, lo, hi int, drop *xrand.Source, ws *workspace) {
 			defer wg.Done()
-			sub := tensor.NewMatrix(hi-lo, xb.Cols)
+			sub := ws.batch.Resize(hi-lo, xb.Cols)
 			copy(sub.Data, xb.Data[lo*xb.Cols:hi*xb.Cols])
-			loss, grad := model.lossAndGrad(sub, yb[lo:hi], drop)
+			loss, grad := model.lossAndGrad(ws, sub, yb[lo:hi], drop)
 			outs <- shardOut{id: id, loss: loss, grad: grad, weight: float64(hi - lo)}
-		}(id, lo, hi, shardDrop)
+		}(id, lo, hi, shardDrop, t.shardWS[id])
 	}
 	wg.Wait()
 	close(outs)
 
 	var total *gradients
 	loss, weight := 0.0, 0.0
-	if cfg.Reducer == tensor.ReduceNondeterministic {
+	if t.cfg.Reducer == tensor.ReduceNondeterministic {
 		// Fold in completion order (channel order): the FP rounding of the
 		// fold depends on goroutine scheduling, like GPU atomics.
 		for o := range outs {
@@ -224,7 +235,7 @@ func applySGD(model *MLP, velocity, grad *gradients, lr, momentum, weightDecay f
 
 // EvalLoss computes the mean loss of the model on a dataset (no dropout).
 func EvalLoss(model *MLP, d *data.Dataset) float64 {
-	loss, _ := model.lossAndGrad(d.X, d.Y, nil)
+	loss, _ := model.lossAndGrad(new(workspace), d.X, d.Y, nil)
 	return loss
 }
 
@@ -233,16 +244,17 @@ func EvalLoss(model *MLP, d *data.Dataset) float64 {
 // relative error over a sample of nProbe parameters.
 func GradCheck(model *MLP, x *tensor.Matrix, y []float64, nProbe int, r *xrand.Source) float64 {
 	const eps = 1e-6
-	_, grad := model.lossAndGrad(x, y, nil)
+	_, grad := model.lossAndGrad(new(workspace), x, y, nil)
+	probe := new(workspace) // grad lives in the first workspace
 	maxErr := 0.0
 	for p := 0; p < nProbe; p++ {
 		l := r.Intn(model.NumLayers())
 		i := r.Intn(len(model.Weights[l].Data))
 		orig := model.Weights[l].Data[i]
 		model.Weights[l].Data[i] = orig + eps
-		lossPlus, _ := model.lossAndGrad(x, y, nil)
+		lossPlus, _ := model.lossAndGrad(probe, x, y, nil)
 		model.Weights[l].Data[i] = orig - eps
-		lossMinus, _ := model.lossAndGrad(x, y, nil)
+		lossMinus, _ := model.lossAndGrad(probe, x, y, nil)
 		model.Weights[l].Data[i] = orig
 		numeric := (lossPlus - lossMinus) / (2 * eps)
 		analytic := grad.w[l].Data[i]

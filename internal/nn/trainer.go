@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"varbench/internal/augment"
 	"varbench/internal/data"
@@ -28,14 +29,33 @@ type Trainer struct {
 	decay   float64
 	losses  []float64
 	yBuf    []float64
+	ws      workspace    // the sequential pass and the augmented batch
+	shardWS []*workspace // one per data-parallel shard
 }
+
+// maxPresizedEpochs caps the loss history NewTrainer allocates up front, so
+// that an epoch's append does not allocate: callers that stop training by
+// their own budget set Epochs to an unreachable value (1<<30) instead.
+const maxPresizedEpochs = 1024
 
 // NewTrainer initializes a training run: the model is built and initialized
 // from the weight stream immediately, so two Trainers created from identical
-// streams hold identical parameters.
+// streams hold identical parameters. It rejects a configuration that fails
+// Validate, an empty training set, and, for CrossEntropy, any target that is
+// not a class index in [0, OutDim).
 func NewTrainer(cfg TrainConfig, train *data.Dataset, streams *xrand.Streams) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if train.N() == 0 {
+		return nil, fmt.Errorf("nn: empty training set")
+	}
+	if cfg.Loss == CrossEntropy {
+		for i, y := range train.Y {
+			if y != math.Trunc(y) || y < 0 || y >= float64(cfg.OutDim) {
+				return nil, fmt.Errorf("nn: label %v of example %d is not a class in [0, %d)", y, i, cfg.OutDim)
+			}
+		}
 	}
 	sizes := append([]int{train.Dim()}, cfg.Hidden...)
 	sizes = append(sizes, cfg.OutDim)
@@ -56,7 +76,8 @@ func NewTrainer(cfg TrainConfig, train *data.Dataset, streams *xrand.Streams) (*
 		cfg: cfg, model: model, optim: newOptimState(model, cfg.Algo),
 		streams: streams, train: train, order: order,
 		lr: cfg.LR, decay: decay,
-		yBuf: make([]float64, cfg.BatchSize),
+		losses: make([]float64, 0, min(cfg.Epochs, maxPresizedEpochs)),
+		yBuf:   make([]float64, cfg.BatchSize),
 	}, nil
 }
 
@@ -80,12 +101,12 @@ func (t *Trainer) Epoch() error {
 			end = n
 		}
 		idx := t.order[start:end]
-		xb := augment.Batch(t.train.X, idx, t.cfg.Augment, augmentRng)
+		xb := augment.BatchInto(&t.ws.batch, t.train.X, idx, t.cfg.Augment, augmentRng)
 		yb := t.yBuf[:len(idx)]
 		for i, j := range idx {
 			yb[i] = t.train.Y[j]
 		}
-		loss, grad := batchGradient(t.model, t.cfg, xb, yb, dropoutRng)
+		loss, grad := t.batchGradient(xb, yb, dropoutRng)
 		applyUpdate(t.model, t.optim, grad, t.cfg, t.lr)
 		epochLoss += loss
 		batches++
@@ -195,6 +216,6 @@ func ResumeTrainer(cfg TrainConfig, train *data.Dataset, ckpt []byte) (*Trainer,
 	t.epoch = st.Epoch
 	t.lr = st.LR
 	t.optim.step = st.Step
-	t.losses = append([]float64(nil), st.Losses...)
+	t.losses = append(t.losses[:0], st.Losses...)
 	return t, nil
 }

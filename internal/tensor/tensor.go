@@ -75,35 +75,62 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
+// Resize reshapes m to rows×cols in place and returns m. It keeps the
+// backing array whenever its capacity holds rows·cols elements, so shrinking,
+// and growing back within the capacity, allocate nothing; otherwise it
+// replaces the array with a new zeroed one. Element values after a Resize
+// are unspecified: callers overwrite them, as every Into kernel does. Slices
+// taken from m before the call (Data, Row views) still share the array when
+// it was kept, and keep the old one when it was replaced.
+func (m *Matrix) Resize(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
+	}
+	if n := rows * cols; n <= cap(m.Data) {
+		m.Data = m.Data[:n]
+	} else {
+		m.Data = make([]float64, n)
+	}
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
+// checkProduct panics unless the inner dimensions of the product of a and b
+// agree and out is rows×cols.
+func checkProduct(op string, out, a, b *Matrix, rows, cols int, innerOK bool) {
+	if !innerOK || out.Rows != rows || out.Cols != cols {
+		panic(fmt.Sprintf("tensor: %s dims %dx%d, %dx%d into %dx%d",
+			op, a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
+}
+
 // MatMul returns a×b. Panics on dimension mismatch.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul dims %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Cols)
 	MatMulInto(out, a, b)
 	return out
 }
 
 // MatMulInto computes out = a×b without allocating. out must be a.Rows×b.Cols
-// and must not alias a or b.
+// and must not alias a or b. Each out[i][j] starts from +0 and adds
+// a[i][k]·b[k][j] for k ascending, skipping every k where a[i][k] is zero
+// (either sign), so a zero in a hides a NaN or an infinity in b.
 func MatMulInto(out, a, b *Matrix) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic("tensor: matmul-into dimension mismatch")
-	}
+	checkProduct("matmul", out, a, b, a.Rows, b.Cols, a.Cols == b.Rows)
 	out.Zero()
+	n, p := a.Cols, b.Cols
 	// ikj loop order: the inner loop streams over contiguous rows of b and
 	// out, which is the cache-friendly order for row-major storage.
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
+		orow := out.Data[i*p : (i+1)*p]
+		for k, av := range a.Data[i*n : (i+1)*n] {
 			if av == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			brow := b.Data[k*p : (k+1)*p]
+			brow = brow[:len(orow)] // drops the bounds check on brow[j]
+			for j := range orow {
+				orow[j] += av * brow[j]
 			}
 		}
 	}
@@ -111,40 +138,57 @@ func MatMulInto(out, a, b *Matrix) {
 
 // MatMulT returns a×bᵀ without materializing the transpose.
 func MatMulT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic("tensor: matmulT dimension mismatch")
-	}
 	out := NewMatrix(a.Rows, b.Rows)
+	MatMulTInto(out, a, b)
+	return out
+}
+
+// MatMulTInto computes out = a×bᵀ without allocating or materializing the
+// transpose. out must be a.Rows×b.Rows and must not alias a or b. Each
+// out[i][j] is Dot of row i of a and row j of b: it starts from +0 and adds
+// a[i][k]·b[j][k] for k ascending, with no zero skipping, so a NaN or an
+// infinity anywhere in either row reaches the result.
+func MatMulTInto(out, a, b *Matrix) {
+	checkProduct("matmulT", out, a, b, a.Rows, b.Rows, a.Cols == b.Cols)
+	n, p := a.Cols, b.Rows
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = Dot(arow, b.Row(j))
+		arow := a.Data[i*n : (i+1)*n]
+		orow := out.Data[i*p : (i+1)*p]
+		for j := range orow {
+			orow[j] = Dot(arow, b.Data[j*n:(j+1)*n])
 		}
 	}
-	return out
 }
 
 // TMatMul returns aᵀ×b without materializing the transpose.
 func TMatMul(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("tensor: TmatMul dimension mismatch")
-	}
 	out := NewMatrix(a.Cols, b.Cols)
+	TMatMulInto(out, a, b)
+	return out
+}
+
+// TMatMulInto computes out = aᵀ×b without allocating or materializing the
+// transpose. out must be a.Cols×b.Cols and must not alias a or b. Each
+// out[i][j] starts from +0 and adds a[k][i]·b[k][j] for k ascending,
+// skipping every k where a[k][i] is zero (either sign), the same rule as
+// MatMulInto.
+func TMatMulInto(out, a, b *Matrix) {
+	checkProduct("TmatMul", out, a, b, a.Cols, b.Cols, a.Rows == b.Rows)
+	out.Zero()
+	m, p := a.Cols, b.Cols
 	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
+		brow := b.Data[k*p : (k+1)*p]
+		for i, av := range a.Data[k*m : (k+1)*m] {
 			if av == 0 {
 				continue
 			}
-			orow := out.Row(i)
+			orow := out.Data[i*p : (i+1)*p]
+			orow = orow[:len(brow)] // drops the bounds check on orow[j]
 			for j, bv := range brow {
 				orow[j] += av * bv
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns m×v as a new vector.
