@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -531,7 +532,8 @@ func BenchmarkPipelineRun(b *testing.B) {
 // BenchmarkBatchedAnalysis measures the batched-analysis hot path: the
 // recommended test (K=1000 bootstrap over n=29 pairs) exactly as the
 // early-stop loop re-runs it at every batch boundary, at 1 analysis worker
-// (serial reference) vs GOMAXPROCS sharded workers.
+// (serial reference) vs GOMAXPROCS sharded workers, once each: at
+// GOMAXPROCS=1 the two are the same configuration.
 func BenchmarkBatchedAnalysis(b *testing.B) {
 	r := xrand.New(8)
 	n := 29
@@ -542,7 +544,7 @@ func BenchmarkBatchedAnalysis(b *testing.B) {
 		a[i] = base + 0.5
 		bb[i] = base + 0.3*r.NormFloat64()
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
 		b.Run(fmt.Sprintf("analysis-workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,21 +1,19 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
-// machine-readable JSON document on stdout, so CI can archive benchmark
-// trajectories (BENCH_N.json) across PRs.
+// machine-readable JSON report on stdout, and runs the repo's benchmark
+// regression gate.
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH.json
+//	go test -run '^$' -bench . -benchmem ./... | benchjson > bench.json
+//	benchjson -gate benchgate.json [-prev previous.json] > bench.json
 //
 // Every benchmark line becomes one entry; all reported metrics (ns/op,
 // B/op, allocs/op and custom b.ReportMetric units) are kept as a
 // unit-keyed map. Non-benchmark lines (goos/pkg headers, PASS/ok) are
 // collected into context fields when recognized and otherwise ignored.
 //
-// With -compare, benchjson instead diffs two archived documents and exits
-// nonzero when any benchmark present in both regressed beyond the tolerance
-// on ns/op, B/op or allocs/op — the CI benchmark-regression gate (a zero
-// baseline on the allocation metrics fails on any growth, keeping
-// allocation-free paths allocation-free):
-//
-//	benchjson -compare old.json new.json -tolerance 0.20
+// With -gate, benchjson runs the benchmarks a manifest lists, writes the
+// run's report to stdout and fails unless every check of the manifest holds
+// (see gate). Given a report file after the flags, it gates that report
+// instead of running the benchmarks.
 package main
 
 import (
@@ -23,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -65,45 +64,53 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
-	compare := fs.Bool("compare", false, "compare two archived JSON documents instead of converting stdin")
-	tolerance := fs.Float64("tolerance", 0.20, "allowed relative regression on the gated metrics in compare mode")
-	metrics := fs.String("metrics", defaultCompareMetrics, "comma-separated metrics the compare gate checks (use B/op alone for cross-machine baselines)")
-	allowMissing := fs.Bool("allow-missing-baseline", false, "in compare mode, skip the gate with a warning when the baseline (old) file is missing, undecodable or shares no benchmarks — for first runs and expired artifacts; problems with the new file still fail")
+	manifest := fs.String("gate", "", "run the benchmarks this manifest lists and gate them")
+	prev := fs.String("prev", "", "with -gate, also gate ns/op against this earlier run's report")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: go test -bench . -benchmem | benchjson > BENCH.json")
-		fmt.Fprintln(fs.Output(), "       benchjson -compare old.json new.json [-tolerance 0.20] [-metrics ns/op,B/op] [-allow-missing-baseline]")
+		fmt.Fprintln(fs.Output(), "usage: go test -bench . -benchmem | benchjson > bench.json")
+		fmt.Fprintln(fs.Output(), "       benchjson -gate benchgate.json [-prev previous.json] [run.json] > bench.json")
 		fs.PrintDefaults()
 	}
-	// The flag package stops at the first positional; re-parse the remainder
-	// so `benchjson -compare old.json new.json -tolerance 0.20` works with
-	// the flags in any position.
-	var files []string
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	for fs.NArg() > 0 {
-		rest := fs.Args()
-		files = append(files, rest[0])
-		if err := fs.Parse(rest[1:]); err != nil {
+	files := fs.Args()
+	if len(files) > 1 || (*manifest == "" && (*prev != "" || len(files) > 0)) {
+		fs.Usage()
+		return fmt.Errorf("unexpected arguments %v (-prev and a report file need -gate; conversion reads stdin)", args)
+	}
+	if *manifest == "" {
+		rep, err := parse(bufio.NewScanner(os.Stdin))
+		if err != nil {
 			return err
 		}
+		return writeReport(os.Stdout, rep)
 	}
-	if *compare {
-		if len(files) != 2 {
-			fs.Usage()
-			return fmt.Errorf("-compare needs exactly two files, got %d", len(files))
-		}
-		return compareFiles(files[0], files[1], *tolerance, *metrics, *allowMissing, os.Stdout)
-	}
-	if len(files) != 0 {
-		fs.Usage()
-		return fmt.Errorf("unexpected arguments %v (conversion mode reads stdin)", files)
-	}
-	rep, err := parse(bufio.NewScanner(os.Stdin))
+	m, base, err := loadGate(*manifest)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	var prevRep *Report
+	if *prev != "" {
+		prevRep = new(Report)
+		if err := readJSON(*prev, prevRep); err != nil {
+			return err
+		}
+	}
+	rep := new(Report)
+	if len(files) == 1 {
+		err = readJSON(files[0], rep)
+	} else if rep, err = runBenchmarks(m, os.Stderr); err == nil {
+		err = writeReport(os.Stdout, rep)
+	}
+	if err != nil {
+		return err
+	}
+	return gate(m, base, rep, prevRep, os.Stderr)
+}
+
+func writeReport(w io.Writer, rep *Report) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"varbench/internal/xrand"
@@ -24,6 +25,14 @@ func benchPairs(n int) []Pair {
 		pairs[i] = Pair{A: base + 0.5, B: base + 0.3*r.NormFloat64()}
 	}
 	return pairs
+}
+
+// distinctWorkers sorts a worker-count sweep and drops repeats, so a sweep
+// ending in runtime.GOMAXPROCS(0) measures each configuration once even
+// when GOMAXPROCS is already in it (the bench gate runs at GOMAXPROCS=1).
+func distinctWorkers(ws ...int) []int {
+	slices.Sort(ws)
+	return slices.Compact(ws)
 }
 
 func benchPAB(p []Pair) float64 {
@@ -48,7 +57,7 @@ func BenchmarkPairedBootstrapK1000(b *testing.B) {
 			PairedPercentileBootstrap(pairs, benchPAB, 1000, 0.95, r)
 		}
 	})
-	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+	for _, w := range distinctWorkers(1, 2, 4, runtime.GOMAXPROCS(0)) {
 		b.Run(fmt.Sprintf("sharded-workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -77,7 +86,7 @@ func BenchmarkTwoSampleBootstrapK1000(b *testing.B) {
 		c[i] = r.NormFloat64()
 	}
 	stat := func(x, y []float64) float64 { return MannWhitney(x, y, TwoTailed).PAB }
-	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, w := range distinctWorkers(1, runtime.GOMAXPROCS(0)) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

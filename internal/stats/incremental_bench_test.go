@@ -8,11 +8,14 @@ import (
 )
 
 // BenchmarkIncrementalExtend is the acceptance benchmark of the incremental
-// engine: extending an accumulator by one batch of n_new pairs must cost
-// O(K × n_new) regardless of how many pairs the accumulator already holds —
-// the nold sweep shows flat per-batch cost, while the from-scratch contrast
-// shows what every batch boundary used to pay. Wired into the CI bench
-// regression gate (regex `IncrementalExtend`).
+// engine: extending an accumulator by one batch of n_new pairs should cost
+// O(K × n_new) however many pairs it already holds. The nold sweep keeps
+// the per-batch cost roughly flat, not equal: across four runs on a 2-vCPU
+// Xeon guest, n_old 512 took 1.02x to 1.23x as long as n_old 0, so the
+// sweep is not gated on equality. The from-scratch contrast shows what
+// every batch boundary used to pay, and the bench gate (benchgate.json)
+// asserts that gap: from scratch at n=520 must stay at least 20x slower
+// than extending at n_old=512 (57x to 62x in the same runs).
 func BenchmarkIncrementalExtend(b *testing.B) {
 	const k = 1000
 	const nNew = 8

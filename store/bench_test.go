@@ -1,13 +1,13 @@
 package store
 
-// The coalescing benchmarks behind BENCH_8.json: seglog Put with a Flush
+// The coalescing benchmarks of the bench gate: seglog Put with a Flush
 // after every record (one write+fsync commit per record) versus
 // group-committed seglog Put (memcpy into the pending batch; the committer
 // amortizes write+fsync over the whole batch). The two are
 // durability-equivalent — every record has reached its commit point when
 // the timer stops — which is exactly the trade group commit makes: the
-// same commits, amortized. CI gates on the ratio: the coalesced Put must
-// stay ≥5x faster per op.
+// same commits, amortized. The gate asserts the ratio (benchgate.json):
+// the coalesced Put must stay ≥5x faster per op.
 
 import (
 	"fmt"
@@ -73,7 +73,7 @@ func BenchmarkStorePutSegLogCoalesced(b *testing.B) {
 // BenchmarkStorePutParallel runs seglog under a worker-pool write pattern
 // — the shape a Parallelism-N collection produces — so the coalescing win
 // is measured under lock contention too. The sub-benchmark keeps its name
-// so it still matches its BENCH_8.json entry.
+// so it still matches its row in the gate's baseline, BENCH.json.
 func BenchmarkStorePutParallel(b *testing.B) {
 	b.Run("seglog", func(b *testing.B) {
 		s, err := OpenSegLog(b.TempDir())
