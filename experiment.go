@@ -3,6 +3,7 @@ package varbench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -142,11 +143,6 @@ type Experiment struct {
 	// each with its own pool, so up to len(Datasets)·min(Parallelism,
 	// BatchSize) trials may be in flight at once.
 	Parallelism int
-	// AnalysisParallelism is the worker-pool size of the sharded bootstrap
-	// behind every confidence-interval computation (default GOMAXPROCS).
-	// Shard boundaries and RNG streams depend only on (Seed, Bootstrap),
-	// so results are bit-identical at any setting.
-	AnalysisParallelism int
 	// EarlyStop selects the stopping policy (default EarlyStopAuto).
 	EarlyStop EarlyStopPolicy
 
@@ -157,7 +153,7 @@ type Experiment struct {
 	// pipeline. Because trial seeds depend only on (Seed, dataset, index),
 	// cache hits are bit-identical to recomputation at any Parallelism, and
 	// an interrupted Run resumes exactly where it stopped when re-run with
-	// the same store. Any store.Backend implementation works; store.Open,
+	// the same store. Any store.Backend implementation works;
 	// store.NewMem, store.OpenSegLog and store.OpenDSN all produce one. See
 	// WithStore and the store package.
 	Store store.Backend
@@ -533,7 +529,7 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	aligned := func(n int) bool {
 		return n > 0 && n <= e.MaxRuns && (n == e.MaxRuns || n%e.BatchSize == 0)
 	}
-	ana, err := newIncAnalysis(crit, seed, e.AnalysisParallelism, e.Store,
+	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), e.Store,
 		store.AnalysisKey(e.Seed, "dataset/"+ds.Name), e.analysisFingerprint(gamma, seed), aligned)
 	if err != nil {
 		return nil, err

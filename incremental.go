@@ -203,18 +203,7 @@ func (ia *incAnalysis) comparison() (Comparison, error) {
 		return Comparison{}, err
 	}
 	meanA, meanB := ia.state.Means()
-	gamma := ia.crit.Gamma
-	return Comparison{
-		MeanA:        meanA,
-		MeanB:        meanB,
-		PAB:          res.PAB,
-		CILo:         res.CI.Lo,
-		CIHi:         res.CI.Hi,
-		Gamma:        gamma,
-		Conclusion:   conclusionOf(res.Decision),
-		RecommendedN: stats.NoetherSampleSize(gamma, 0.05, 0.05),
-		N:            ia.state.N(),
-	}, nil
+	return newComparison(res, meanA, meanB, ia.state.N()), nil
 }
 
 // analysisFingerprint hashes everything that must match for a persisted

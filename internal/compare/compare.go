@@ -245,24 +245,6 @@ func (c PAB) Detects(pairs []stats.Pair, r *xrand.Source) bool {
 	return res.Decision == SignificantAndMeaningful
 }
 
-// EvaluateUnpaired runs the P(A>B) protocol on *unpaired* measures: P(A>B)
-// is the Mann-Whitney U statistic scaled to [0,1], and the confidence
-// interval bootstraps the two samples independently. Use when pairing is
-// impossible (e.g. algorithms evaluated by different parties — the Section 6
-// "models instead of procedures" setting); pairing, when available, gives
-// strictly more power (Appendix C.2).
-func (c PAB) EvaluateUnpaired(a, b []float64, r *xrand.Source) (Result, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return Result{}, fmt.Errorf("compare: need ≥ 2 measures per algorithm")
-	}
-	if err := c.validate(); err != nil {
-		return Result{}, err
-	}
-	point := stats.MannWhitney(a, b, stats.TwoTailed).PAB
-	ci := stats.TwoSampleBootstrapWith(a, b, stats.TwoSampleStatFunc(mwPAB), c.boots(), c.level(), r)
-	return c.decide(point, ci), nil
-}
-
 // mwPAB is the Mann-Whitney U statistic scaled to [0,1]: the unpaired
 // plug-in estimate of P(A>B). Rank-based, so it takes the buffered
 // (TwoSampleStatFunc) bootstrap path rather than a fused kernel.
@@ -270,8 +252,13 @@ func mwPAB(x, y []float64) float64 {
 	return stats.MannWhitney(x, y, stats.TwoTailed).PAB
 }
 
-// EvaluateUnpairedSharded is EvaluateUnpaired with the two-sample bootstrap
-// sharded across `workers` goroutines, seeded like EvaluateSharded.
+// EvaluateUnpairedSharded runs the P(A>B) protocol on *unpaired* measures:
+// P(A>B) is the Mann-Whitney U statistic scaled to [0,1], and the
+// confidence interval bootstraps the two samples independently, sharded
+// across `workers` goroutines and seeded like EvaluateSharded. Use when
+// pairing is impossible (e.g. algorithms evaluated by different parties —
+// the Section 6 "models instead of procedures" setting); pairing, when
+// available, gives strictly more power (Appendix C.2).
 func (c PAB) EvaluateUnpairedSharded(a, b []float64, seed uint64, workers int) (Result, error) {
 	if len(a) < 2 || len(b) < 2 {
 		return Result{}, fmt.Errorf("compare: need ≥ 2 measures per algorithm")
@@ -325,11 +312,4 @@ func Pairs(a, b []float64) ([]stats.Pair, error) {
 		out[i] = stats.Pair{A: a[i], B: b[i]}
 	}
 	return out, nil
-}
-
-// RecommendedSampleSize returns Noether's minimal number of paired
-// measurements for the PAB test (Appendix C.3): 29 for the recommended
-// γ=0.75, α=β=0.05.
-func RecommendedSampleSize(gamma, alpha, beta float64) int {
-	return stats.NoetherSampleSize(gamma, alpha, beta)
 }

@@ -20,7 +20,7 @@ import (
 // The incremental protocol is paired-only: the unpaired P(A>B) point
 // estimate is the Mann-Whitney U statistic, a rank statistic that is not
 // decomposable into extendable per-element sums — unpaired comparisons stay
-// on the one-shot EvaluateUnpaired* paths.
+// on the one-shot EvaluateUnpairedSharded path.
 //
 // Note the confidence interval comes from the weighted (Bayesian) bootstrap,
 // which is statistically equivalent to — but not numerically identical to —
@@ -54,10 +54,6 @@ func (c PAB) NewAnalysis(seed uint64, workers int) (*AnalysisState, error) {
 	}
 	return &AnalysisState{crit: c, workers: workers, acc: acc}, nil
 }
-
-// KernelID identifies the accumulator algebra and version backing this
-// state, for snapshot fingerprinting.
-func (st *AnalysisState) KernelID() string { return st.acc.Kind().ID() }
 
 // N returns how many pairs the state has consumed.
 func (st *AnalysisState) N() int { return st.n }
@@ -186,10 +182,6 @@ func (c PAB) RestoreAnalysis(data []byte, workers int) (*AnalysisState, error) {
 	acc, err := stats.RestoreAccum(data[off:])
 	if err != nil {
 		return nil, err
-	}
-	if acc.Kind() != stats.AccPAB {
-		return nil, fmt.Errorf("compare: snapshot holds a %s accumulator, want %s",
-			acc.Kind().ID(), stats.AccPAB.ID())
 	}
 	if acc.K() != c.boots() {
 		return nil, fmt.Errorf("compare: snapshot has K=%d resamples, criterion wants %d",

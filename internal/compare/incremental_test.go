@@ -169,15 +169,10 @@ func TestRestoreAnalysisRejects(t *testing.T) {
 	if _, err := crit.RestoreAnalysis([]byte("not a snapshot at all......"), 1); err == nil {
 		t.Fatal("accepted garbage")
 	}
-	// A mean-kind accumulator blob wrapped in an analysis header must be
-	// rejected as the wrong kernel.
-	acc, _ := stats.NewAccum(stats.AccMean, 100, 1)
-	if err := acc.ExtendFloats([]float64{1, 2, 3}, 1); err != nil {
-		t.Fatal(err)
-	}
-	wrong := bytes.Clone(good[:analysisHeaderSize])
-	accBlob, _ := acc.MarshalBinary()
-	wrong = append(wrong, accBlob...)
+	// An accumulator blob of another kind (byte 1) wrapped in an analysis
+	// header must be rejected as the wrong kernel.
+	wrong := bytes.Clone(good)
+	wrong[analysisHeaderSize+len("VBACC1")] = 1
 	if _, err := crit.RestoreAnalysis(wrong, 1); err == nil {
 		t.Fatal("accepted a foreign accumulator kind")
 	}

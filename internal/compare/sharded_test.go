@@ -1,7 +1,6 @@
 package compare
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -73,44 +72,6 @@ func TestEvaluateUnpairedShardedWorkerInvariance(t *testing.T) {
 	}
 	if _, err := (PAB{}).EvaluateUnpairedSharded(a[:1], b, 13, 2); err == nil {
 		t.Error("single measure accepted")
-	}
-}
-
-func TestAcrossDatasetsShardedOrderAndWorkerInvariance(t *testing.T) {
-	ds := []DatasetPairs{
-		{Name: "d1", Pairs: shardedPairs(30, 2.0, 1)},
-		{Name: "d2", Pairs: shardedPairs(30, 1.5, 2)},
-		{Name: "d3", Pairs: shardedPairs(30, 2.5, 3)},
-	}
-	ref, err := AcrossDatasetsSharded(ds, PAB{}, 0.05, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := AcrossDatasetsSharded(ds, PAB{}, 0.05, 7, runtime.GOMAXPROCS(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, many) {
-		t.Error("sharded multi-dataset result depends on worker count")
-	}
-	// Per-dataset streams are keyed by (seed, name): shuffling the dataset
-	// list permutes the outcomes without changing any of them.
-	shuffled := []DatasetPairs{ds[2], ds[0], ds[1]}
-	perm, err := AcrossDatasetsSharded(shuffled, PAB{}, 0.05, 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]DatasetOutcome{}
-	for _, d := range perm.PerDataset {
-		byName[d.Dataset] = d
-	}
-	for _, d := range ref.PerDataset {
-		if got := byName[d.Dataset]; got != d {
-			t.Errorf("dataset %s changed under reordering:\n %+v\n %+v", d.Dataset, got, d)
-		}
-	}
-	if !ref.AllMeaningful {
-		t.Errorf("uniform winner rejected: %+v", ref.PerDataset)
 	}
 }
 

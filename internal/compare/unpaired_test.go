@@ -14,7 +14,7 @@ func TestEvaluateUnpairedDominance(t *testing.T) {
 		a[i] = r.Normal(2, 1)
 		b[i] = r.NormFloat64()
 	}
-	res, err := PAB{}.EvaluateUnpaired(a, b, r)
+	res, err := PAB{}.EvaluateUnpairedSharded(a, b, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestEvaluateUnpairedNull(t *testing.T) {
 			a[i] = r.NormFloat64()
 			b[i] = r.NormFloat64()
 		}
-		res, err := PAB{Bootstrap: 200}.EvaluateUnpaired(a, b, r)
+		res, err := PAB{Bootstrap: 200}.EvaluateUnpairedSharded(a, b, uint64(trial), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestEvaluateUnpairedUnequalSizes(t *testing.T) {
 	for i := range b {
 		b[i] = r.NormFloat64()
 	}
-	res, err := PAB{}.EvaluateUnpaired(a, b, r)
+	res, err := PAB{}.EvaluateUnpairedSharded(a, b, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEvaluateUnpairedUnequalSizes(t *testing.T) {
 }
 
 func TestEvaluateUnpairedErrors(t *testing.T) {
-	if _, err := (PAB{}).EvaluateUnpaired([]float64{1}, []float64{1, 2}, xrand.New(1)); err == nil {
+	if _, err := (PAB{}).EvaluateUnpairedSharded([]float64{1}, []float64{1, 2}, 1, 1); err == nil {
 		t.Error("single-measure sample accepted")
 	}
 }
@@ -95,7 +95,7 @@ func TestUnpairedLessPowerfulThanPaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpaired, err := PAB{}.EvaluateUnpaired(a, b, xrand.New(5))
+	unpaired, err := PAB{}.EvaluateUnpairedSharded(a, b, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

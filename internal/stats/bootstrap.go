@@ -15,52 +15,20 @@ type CI struct {
 // Contains reports whether v lies inside the interval.
 func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
 
-// PercentileBootstrap computes a percentile-bootstrap confidence interval
-// (Efron) of statistic over x: K resamples with replacement, interval given
-// by the α/2 and 1-α/2 empirical quantiles of the resampled statistics.
-// The paper recommends it for quantifying the reliability of P(A>B)
-// estimates below 0.95 (Appendix C.5).
-func PercentileBootstrap(x []float64, statistic func([]float64) float64,
-	k int, level float64, r *xrand.Source) CI {
-	return PercentileBootstrapWith(x, StatFunc(statistic), k, level, r)
-}
-
-// PercentileBootstrapWith is PercentileBootstrap dispatching on a kernel:
-// the serial engine, drawing every resample from the caller-owned stream r
-// in resample order. A fused kernel consumes r exactly like the equivalent
-// closure (one Intn per sampled element), so swapping one in changes no
-// result and perturbs no downstream draw. Degenerate input (empty x,
-// k ≤ 0, level outside (0,1)) yields a NaN CI and consumes no randomness.
-func PercentileBootstrapWith(x []float64, kern Kernel,
-	k int, level float64, r *xrand.Source) CI {
-	if badBootstrap(len(x), k, level) {
-		return nanCI(level)
-	}
-	vp := getFloats(k)
-	vals := *vp
-	kern.ResampleInto(vals, x, r)
-	ci := percentileCI(vals, level)
-	putFloats(vp)
-	return ci
-}
-
 // Pair is one paired performance measurement of two algorithms on the same
 // seeds/splits (Appendix C.2).
 type Pair struct {
 	A, B float64
 }
 
-// PairedPercentileBootstrap bootstraps pairs jointly (resampling whole pairs
-// preserves the pairing) and returns the percentile CI of statistic.
-// This is exactly the procedure of Appendix C.5 for P(A>B).
-func PairedPercentileBootstrap(pairs []Pair, statistic func([]Pair) float64,
-	k int, level float64, r *xrand.Source) CI {
-	return PairedPercentileBootstrapWith(pairs, PairStatFunc(statistic), k, level, r)
-}
-
-// PairedPercentileBootstrapWith is PairedPercentileBootstrap dispatching on
-// a kernel; see PercentileBootstrapWith for the serial-stream and
-// degenerate-input contracts.
+// PairedPercentileBootstrapWith computes the percentile-bootstrap CI of a
+// paired kernel statistic with the serial engine: K resamples of whole
+// pairs (resampling pairs jointly preserves the pairing; Appendix C.5's
+// procedure for P(A>B)), every one drawn from the caller-owned stream r in
+// resample order. A fused kernel consumes r exactly like the equivalent
+// closure (one Intn per sampled element), so swapping one in changes no
+// result and perturbs no downstream draw. Degenerate input (no pairs,
+// k ≤ 0, level outside (0,1)) yields a NaN CI and consumes no randomness.
 func PairedPercentileBootstrapWith(pairs []Pair, kern PairedKernel,
 	k int, level float64, r *xrand.Source) CI {
 	if badBootstrap(len(pairs), k, level) {
@@ -74,56 +42,12 @@ func PairedPercentileBootstrapWith(pairs []Pair, kern PairedKernel,
 	return ci
 }
 
-// TwoSampleBootstrapWith bootstraps two unpaired samples serially from the
-// caller-owned stream r — each resample redraws all of a, then all of b —
-// and returns the percentile CI of the kernel statistic; see
-// PercentileBootstrapWith for the serial-stream and degenerate-input
-// contracts.
-func TwoSampleBootstrapWith(a, b []float64, kern TwoSampleKernel,
-	k int, level float64, r *xrand.Source) CI {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if badBootstrap(n, k, level) {
-		return nanCI(level)
-	}
-	vp := getFloats(k)
-	vals := *vp
-	kern.ResampleInto(vals, a, b, r)
-	ci := percentileCI(vals, level)
-	putFloats(vp)
-	return ci
-}
-
 // NormalCI returns the normal-approximation interval
 // estimate ± z_{1-α/2}·se, used as the ablation baseline against the
 // percentile bootstrap.
 func NormalCI(estimate, se float64, level float64) CI {
 	z := NormQuantile(1 - (1-level)/2)
 	return CI{Lo: estimate - z*se, Hi: estimate + z*se, Level: level}
-}
-
-// BootstrapStd estimates the standard deviation of statistic over x by
-// resampling (used to attach uncertainty to variance measurements).
-func BootstrapStd(x []float64, statistic func([]float64) float64,
-	k int, r *xrand.Source) float64 {
-	return BootstrapStdWith(x, StatFunc(statistic), k, r)
-}
-
-// BootstrapStdWith is BootstrapStd dispatching on a kernel; see
-// PercentileBootstrapWith for the serial-stream contract. Degenerate input
-// (empty x, k ≤ 0) returns NaN and consumes no randomness.
-func BootstrapStdWith(x []float64, kern Kernel, k int, r *xrand.Source) float64 {
-	if len(x) == 0 || k <= 0 {
-		return math.NaN()
-	}
-	vp := getFloats(k)
-	vals := *vp
-	kern.ResampleInto(vals, x, r)
-	sd := Std(vals)
-	putFloats(vp)
-	return sd
 }
 
 // NoetherSampleSize returns the minimal number of paired measurements needed

@@ -13,12 +13,13 @@ import (
 // boundaries and RNG streams depend only on (seed, K) — never on the worker
 // count or on scheduling — so the resampled statistics, and therefore the
 // confidence interval, are bit-identical at any parallelism. Statistics
-// dispatch through the kernel layer (kernel.go): the protocol's own
-// statistics run fused — accumulating straight from sampled indices with no
-// resample buffer — while arbitrary closures keep the buffered path via the
-// StatFunc adapters. All scratch (the resampled-statistic vector, the shard
-// descriptors, buffered-path buffers) cycles through pools, so the engine
-// allocates nothing in steady state.
+// dispatch through the kernel layer (kernel.go): the protocol's P(A>B)
+// runs fused — accumulating straight from sampled indices with no resample
+// buffer — while rank statistics such as Mann-Whitney keep the buffered
+// path via the TwoSampleStatFunc adapter. All scratch (the
+// resampled-statistic vector, the shard descriptors, buffered-path
+// buffers) cycles through pools, so the serial engine allocates nothing in
+// steady state.
 
 // maxBootstrapShards bounds the shard count. 64 shards keep the work queue
 // balanced for any plausible worker count while each shard still amortizes
@@ -74,7 +75,7 @@ func getShards(k int, seed uint64) *[]bootstrapShard {
 }
 
 // resampler is the engine-facing half of the kernel interfaces, generic
-// over the sample shape (one-sample, paired, two-sample).
+// over the sample shape (paired, two-sample).
 type resampler[S any] interface {
 	ResampleInto(out []float64, sample S, r *xrand.Source)
 }
@@ -88,6 +89,26 @@ func (t twoSampleAdapter) ResampleInto(out []float64, s twoSamples, r *xrand.Sou
 	t.TwoSampleKernel.ResampleInto(out, s.a, s.b, r)
 }
 
+// parallelShards runs work(s) for every shard s in [0, nsh), claimed one at
+// a time by min(workers, nsh) goroutines, and returns once all are done.
+// Both sharded engines (shardedVals and Accum.ExtendPairs) fan out through
+// it; each keeps its serial loop inline instead, because the work closure
+// escapes here and the serial paths must not allocate.
+func parallelShards(nsh, workers int, work func(s int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, nsh); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := int(next.Add(1)) - 1; s < nsh; s = int(next.Add(1)) - 1 {
+				work(s)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // shardedVals fills vals with len(vals) resampled statistics of kern over
 // sample, sharded across `workers` goroutines. The shard streams depend
 // only on (seed, len(vals)) and shards write disjoint ranges, so the
@@ -97,32 +118,16 @@ func (t twoSampleAdapter) ResampleInto(out []float64, s twoSamples, r *xrand.Sou
 func shardedVals[S any, K resampler[S]](vals []float64, sample S, kern K, seed uint64, workers int) {
 	sp := getShards(len(vals), seed)
 	shards := *sp
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
+	if min(workers, len(shards)) <= 1 {
 		for i := range shards {
 			sh := &shards[i]
 			kern.ResampleInto(vals[sh.Lo:sh.Hi], sample, &sh.R)
 		}
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(shards) {
-						return
-					}
-					sh := &shards[i]
-					kern.ResampleInto(vals[sh.Lo:sh.Hi], sample, &sh.R)
-				}
-			}()
-		}
-		wg.Wait()
+		parallelShards(len(shards), workers, func(i int) {
+			sh := &shards[i]
+			kern.ResampleInto(vals[sh.Lo:sh.Hi], sample, &sh.R)
+		})
 	}
 	shardPool.Put(sp)
 }
@@ -163,26 +168,21 @@ func bootstrapCI[S any, K resampler[S]](sample S, sampleLen int, kern K, k int, 
 	return ci
 }
 
-// PercentileBootstrapKernel computes the sharded percentile-bootstrap CI of
-// a one-sample kernel statistic: K resamples with replacement, interval
-// given by the α/2 and 1-α/2 empirical quantiles of the resampled
-// statistics. Results depend only on (x, kern, k, level, seed): any worker
-// count, including 1, produces bit-identical intervals. Degenerate input
-// (empty x, k ≤ 0, level outside (0,1)) yields a NaN CI.
-func PercentileBootstrapKernel(x []float64, kern Kernel, k int, level float64, seed uint64, workers int) CI {
-	return bootstrapCI[[]float64, Kernel](x, len(x), kern, k, level, seed, workers)
-}
-
-// PairedPercentileBootstrapKernel is PercentileBootstrapKernel for paired
-// kernels: whole pairs are resampled jointly, preserving the pairing
-// (Appendix C.5's procedure for P(A>B)).
+// PairedPercentileBootstrapKernel computes the sharded percentile-bootstrap
+// CI of a paired kernel statistic: K resamples of whole pairs drawn jointly
+// with replacement, preserving the pairing (Appendix C.5's procedure for
+// P(A>B)), and the interval given by the α/2 and 1-α/2 empirical quantiles
+// of the resampled statistics. Results depend only on (pairs, kern, k,
+// level, seed): any worker count, including 1, produces bit-identical
+// intervals. Degenerate input (no pairs, k ≤ 0, level outside (0,1))
+// yields a NaN CI.
 func PairedPercentileBootstrapKernel(pairs []Pair, kern PairedKernel, k int, level float64, seed uint64, workers int) CI {
 	return bootstrapCI[[]Pair, PairedKernel](pairs, len(pairs), kern, k, level, seed, workers)
 }
 
-// TwoSampleBootstrapKernel is PercentileBootstrapKernel for two-sample
-// kernels: each resample redraws both a and b independently with
-// replacement. This is the engine behind the unpaired (Mann-Whitney)
+// TwoSampleBootstrapKernel is PairedPercentileBootstrapKernel for
+// two-sample kernels: each resample redraws both a and b independently
+// with replacement. This is the engine behind the unpaired (Mann-Whitney)
 // variant of the recommended test.
 func TwoSampleBootstrapKernel(a, b []float64, kern TwoSampleKernel, k int, level float64, seed uint64, workers int) CI {
 	n := len(a)
@@ -190,28 +190,4 @@ func TwoSampleBootstrapKernel(a, b []float64, kern TwoSampleKernel, k int, level
 		n = len(b)
 	}
 	return bootstrapCI[twoSamples, twoSampleAdapter](twoSamples{a, b}, n, twoSampleAdapter{kern}, k, level, seed, workers)
-}
-
-// PercentileBootstrapSharded is the closure form of
-// PercentileBootstrapKernel: statistic must be safe for concurrent calls on
-// distinct buffers (a pure function of its argument, as every statistic
-// here is). Statistics with a fused kernel should use the kernel entry
-// point directly; closures take the buffered fallback path.
-func PercentileBootstrapSharded(x []float64, statistic func([]float64) float64,
-	k int, level float64, seed uint64, workers int) CI {
-	return PercentileBootstrapKernel(x, StatFunc(statistic), k, level, seed, workers)
-}
-
-// PairedPercentileBootstrapSharded is the closure form of
-// PairedPercentileBootstrapKernel; see PercentileBootstrapSharded for the
-// concurrency contract.
-func PairedPercentileBootstrapSharded(pairs []Pair, statistic func([]Pair) float64,
-	k int, level float64, seed uint64, workers int) CI {
-	return PairedPercentileBootstrapKernel(pairs, PairStatFunc(statistic), k, level, seed, workers)
-}
-
-// TwoSampleBootstrapSharded is the closure form of TwoSampleBootstrapKernel.
-func TwoSampleBootstrapSharded(a, b []float64, statistic func(a, b []float64) float64,
-	k int, level float64, seed uint64, workers int) CI {
-	return TwoSampleBootstrapKernel(a, b, TwoSampleStatFunc(statistic), k, level, seed, workers)
 }

@@ -8,15 +8,6 @@ import (
 	"varbench/internal/xrand"
 )
 
-func shardedSample(n int, seed uint64) []float64 {
-	r := xrand.New(seed)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	return x
-}
-
 func TestBootstrapShardsPureInK(t *testing.T) {
 	for _, k := range []int{1, 2, 31, 64, 65, 1000, 4096} {
 		s := BootstrapShards(k)
@@ -30,17 +21,18 @@ func TestBootstrapShardsPureInK(t *testing.T) {
 }
 
 func TestPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
-	x := shardedSample(29, 3)
+	pairs := randomPairs(xrand.New(3), 29)
+	stat := PairStatFunc(meanDiff)
 	workerCounts := []int{1, 2, 3, 4, 7, 8, runtime.GOMAXPROCS(0), 100}
-	ref := PercentileBootstrapSharded(x, Mean, 1000, 0.95, 42, 1)
+	ref := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 42, 1)
 	for _, w := range workerCounts {
-		ci := PercentileBootstrapSharded(x, Mean, 1000, 0.95, 42, w)
+		ci := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 42, w)
 		if ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
 	// Different seeds give different resamples.
-	other := PercentileBootstrapSharded(x, Mean, 1000, 0.95, 43, 4)
+	other := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 43, 4)
 	if other == ref {
 		t.Error("seed has no effect on the sharded bootstrap")
 	}
@@ -56,7 +48,7 @@ func TestPairedPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
 		base := r.NormFloat64()
 		pairs[i] = Pair{A: base + 1, B: base + 0.3*r.NormFloat64()}
 	}
-	stat := func(p []Pair) float64 {
+	stat := PairStatFunc(func(p []Pair) float64 {
 		wins := 0.0
 		for _, pr := range p {
 			if pr.A > pr.B {
@@ -64,10 +56,10 @@ func TestPairedPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
 			}
 		}
 		return wins / float64(len(p))
-	}
-	ref := PairedPercentileBootstrapSharded(pairs, stat, 1000, 0.95, 9, 1)
+	})
+	ref := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 9, 1)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if ci := PairedPercentileBootstrapSharded(pairs, stat, 1000, 0.95, 9, w); ci != ref {
+		if ci := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 9, w); ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
@@ -80,15 +72,16 @@ func TestPairedPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
 }
 
 func TestTwoSampleBootstrapShardedWorkerInvariance(t *testing.T) {
-	a := shardedSample(25, 1)
+	r := xrand.New(1)
+	a := randomSample(r, 25)
 	for i := range a {
 		a[i] += 1.5
 	}
-	b := shardedSample(20, 2)
-	meanDiff := func(x, y []float64) float64 { return Mean(x) - Mean(y) }
-	ref := TwoSampleBootstrapSharded(a, b, meanDiff, 800, 0.9, 5, 1)
+	b := randomSample(r, 20)
+	diff := TwoSampleStatFunc(func(x, y []float64) float64 { return Mean(x) - Mean(y) })
+	ref := TwoSampleBootstrapKernel(a, b, diff, 800, 0.9, 5, 1)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if ci := TwoSampleBootstrapSharded(a, b, meanDiff, 800, 0.9, 5, w); ci != ref {
+		if ci := TwoSampleBootstrapKernel(a, b, diff, 800, 0.9, 5, w); ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
@@ -99,17 +92,17 @@ func TestTwoSampleBootstrapShardedWorkerInvariance(t *testing.T) {
 
 func TestPercentileBootstrapShardedCoversMean(t *testing.T) {
 	// Statistical sanity: the sharded engine is still a valid percentile
-	// bootstrap — a 95% CI for the mean covers the true mean ≈95% of the
-	// time.
+	// bootstrap — a 95% CI for the mean paired difference covers the true
+	// mean ≈95% of the time.
 	r := xrand.New(21)
 	const reps = 150
 	hits := 0
 	for rep := 0; rep < reps; rep++ {
-		x := make([]float64, 40)
-		for i := range x {
-			x[i] = r.Normal(10, 2)
+		pairs := make([]Pair, 40)
+		for i := range pairs {
+			pairs[i] = Pair{A: r.Normal(10, 2), B: r.Normal(0, 1)}
 		}
-		ci := PercentileBootstrapSharded(x, Mean, 500, 0.95, uint64(rep), 4)
+		ci := PairedPercentileBootstrapKernel(pairs, PairStatFunc(meanDiff), 500, 0.95, uint64(rep), 4)
 		if ci.Contains(10) {
 			hits++
 		}

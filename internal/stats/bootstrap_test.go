@@ -8,18 +8,28 @@ import (
 	"varbench/internal/xrand"
 )
 
+// meanDiff is the mean paired difference, a closure statistic for the
+// buffered bootstrap path.
+func meanDiff(p []Pair) float64 {
+	d := 0.0
+	for _, pr := range p {
+		d += pr.A - pr.B
+	}
+	return d / float64(len(p))
+}
+
 func TestPercentileBootstrapCoversMean(t *testing.T) {
-	// Coverage check: a 95% CI for the mean should contain the true mean
-	// in roughly 95% of repetitions.
+	// Coverage check: a 95% CI for the mean paired difference should
+	// contain the true mean in roughly 95% of repetitions.
 	r := xrand.New(1)
 	const reps = 200
 	hits := 0
 	for rep := 0; rep < reps; rep++ {
-		x := make([]float64, 40)
-		for i := range x {
-			x[i] = r.Normal(10, 2)
+		pairs := make([]Pair, 40)
+		for i := range pairs {
+			pairs[i] = Pair{A: r.Normal(10, 2), B: r.Normal(0, 1)}
 		}
-		ci := PercentileBootstrap(x, Mean, 500, 0.95, r)
+		ci := PairedPercentileBootstrapWith(pairs, PairStatFunc(meanDiff), 500, 0.95, r)
 		if ci.Contains(10) {
 			hits++
 		}
@@ -33,12 +43,8 @@ func TestPercentileBootstrapCoversMean(t *testing.T) {
 func TestPercentileBootstrapOrdering(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := 5 + r.Intn(30)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		ci := PercentileBootstrap(x, Mean, 200, 0.9, r)
+		pairs := randomPairs(r, 5+r.Intn(30))
+		ci := PairedPercentileBootstrapWith(pairs, PABKernel{}, 200, 0.9, r)
 		return ci.Lo <= ci.Hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -62,7 +68,7 @@ func TestPairedPercentileBootstrapPAB(t *testing.T) {
 		}
 		return PairedPAB(a, b)
 	}
-	ci := PairedPercentileBootstrap(pairs, stat, 1000, 0.95, r)
+	ci := PairedPercentileBootstrapWith(pairs, PairStatFunc(stat), 1000, 0.95, r)
 	if ci.Lo <= 0.5 {
 		t.Errorf("CI.Lo = %v, want > 0.5 for dominated pairs", ci.Lo)
 	}
@@ -76,21 +82,6 @@ func TestNormalCI(t *testing.T) {
 	want := 1.959963984540054 * 0.05
 	approxEq(t, "NormalCI lo", ci.Lo, 0.8-want, 1e-9)
 	approxEq(t, "NormalCI hi", ci.Hi, 0.8+want, 1e-9)
-}
-
-func TestBootstrapStdOfMean(t *testing.T) {
-	// The bootstrap std of the mean should approximate σ/√n.
-	r := xrand.New(11)
-	n := 100
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.Normal(0, 3)
-	}
-	got := BootstrapStd(x, Mean, 2000, r)
-	want := 3 / math.Sqrt(float64(n))
-	if math.Abs(got-want) > 0.1 {
-		t.Errorf("bootstrap std of mean = %v, want ≈ %v", got, want)
-	}
 }
 
 func TestNoetherSampleSizePaper(t *testing.T) {

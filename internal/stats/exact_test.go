@@ -226,36 +226,3 @@ func TestKSCalibration(t *testing.T) {
 		t.Errorf("KS null rejection rate %v, want ≈0.05 (conservative ok)", rate)
 	}
 }
-
-func TestBCaBootstrapCoversMean(t *testing.T) {
-	r := xrand.New(5)
-	const reps = 150
-	hits := 0
-	for i := 0; i < reps; i++ {
-		x := make([]float64, 30)
-		for j := range x {
-			// Skewed data: exp-distributed, mean 1 — where BCa shines.
-			x[j] = -math.Log(1 - r.Float64())
-		}
-		ci := BCaBootstrap(x, Mean, 400, 0.95, r)
-		if ci.Contains(1) {
-			hits++
-		}
-	}
-	rate := float64(hits) / reps
-	if rate < 0.87 {
-		t.Errorf("BCa coverage %v, want ≈0.95", rate)
-	}
-}
-
-func TestBCaBootstrapDegenerate(t *testing.T) {
-	ci := BCaBootstrap([]float64{1}, Mean, 100, 0.95, xrand.New(1))
-	if !math.IsNaN(ci.Lo) {
-		t.Error("n=1 should give NaN interval")
-	}
-	// Constant data: interval collapses to the constant.
-	ci = BCaBootstrap([]float64{2, 2, 2, 2}, Mean, 100, 0.95, xrand.New(1))
-	if ci.Lo != 2 || ci.Hi != 2 {
-		t.Errorf("constant data CI = %+v", ci)
-	}
-}

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"varbench/internal/xrand"
 )
 
-// The incremental bootstrap engine: resumable per-resample accumulators.
+// The incremental bootstrap engine: a resumable P(A>B) accumulator.
 //
 // The classic percentile bootstrap (bootstrap_sharded.go) draws, for each of
 // K resamples, n indices uniform in [0, n) — the index range itself depends
@@ -19,30 +17,28 @@ import (
 // when new scores arrive: the early-stop loop had to rebuild all K resamples
 // at every batch boundary, O(batches × K × n) total work. This file
 // implements the *weighted* (Bayesian) percentile bootstrap instead (Rubin
-// 1981): resample i assigns every element j an independent Exp(1) weight
-// w_ij and evaluates the weighted statistic. A new element only *adds* terms
-// to each resample's running sums, so the whole analysis is resumable:
-// per-batch cost is O(K × n_new) and the state is a few K-length columns
-// that serialize to a snapshot.
+// 1981): resample i assigns every pair j an independent Exp(1) weight w_ij
+// and evaluates the weighted fraction of pairs A wins. A new pair only
+// *adds* terms to each resample's running sums, so the whole analysis is
+// resumable: per-batch cost is O(K × n_new) and the state is two K-length
+// columns that serialize to a snapshot.
 //
 // Determinism contract (the incremental analogue of the kernel contract in
 // kernel.go):
 //
-//   - the weight of (element j, resample i) is drawn from a stream derived
-//     from (seed, side, j, shard-of-i) alone — never from when element j
-//     arrived, how extensions were batched, or the worker count — consuming
-//     exactly one Float64 per (element, resample) in resample order within
-//     the shard;
-//   - each resample's sums accumulate over elements in element order (for
-//     two-sample accumulators: the a-side and b-side columns accumulate
-//     independently, each in its own element order);
+//   - the weight of (pair j, resample i) is drawn from a stream derived
+//     from (seed, j, shard-of-i) alone — never from when pair j arrived,
+//     how extensions were batched, or the worker count — consuming exactly
+//     one Float64 per (pair, resample) in resample order within the shard;
+//   - each resample's sums accumulate over pairs in pair order;
 //
 // so Extend(x₁) followed by Extend(x₂) is bit-identical to Extend(x₁‖x₂),
 // at any worker count, across any snapshot/restore boundary. This is a
 // different resampling scheme from the classic engine — confidence
 // intervals are statistically equivalent but not numerically identical to
-// PercentileBootstrapKernel's — which is exactly why it can be incremental:
-// the classic multinomial scheme has no arrival-order-independent form.
+// PairedPercentileBootstrapKernel's — which is exactly why it can be
+// incremental: the classic multinomial scheme has no
+// arrival-order-independent form.
 //
 // Shard boundaries reuse BootstrapShards(k), a pure function of k, so the
 // parallel extension is worker-count invariant for the same reason the
@@ -51,91 +47,46 @@ import (
 // An AccumKind identifies the statistic of an incremental accumulator.
 type AccumKind uint8
 
-// The supported accumulator statistics.
-const (
-	// AccMean: the weighted mean of a single sample.
-	AccMean AccumKind = iota + 1
-	// AccVariance: the weighted analogue of the unbiased sample variance,
-	// (Σwx² − (Σwx)²/Σw) / (Σw − 1).
-	AccVariance
-	// AccMeanDiff: the weighted mean of paired differences A−B.
-	AccMeanDiff
-	// AccPAB: the weighted fraction of pairs A wins, ties counted half —
-	// the incremental form of the recommended protocol's P(A>B) statistic.
-	AccPAB
-	// AccTwoSampleMeanDiff: the difference of weighted means of two
-	// unpaired samples, each with its own independent weights.
-	AccTwoSampleMeanDiff
-)
+// AccPAB is the weighted fraction of pairs A wins, ties counted half — the
+// incremental form of the recommended protocol's P(A>B) statistic, and the
+// one accumulator kind. Its value is the kind byte of the snapshot layout.
+const AccPAB AccumKind = 4
 
 // ID returns the versioned kernel identity used to fingerprint snapshots:
-// restoring a snapshot whose ID does not match the requesting kind fails,
-// and bumping a version here deliberately invalidates persisted state after
-// a semantic change to the accumulator algebra.
+// bumping the version deliberately invalidates persisted state after a
+// semantic change to the accumulator algebra.
 func (k AccumKind) ID() string {
-	switch k {
-	case AccMean:
-		return "wb-mean/v1"
-	case AccVariance:
-		return "wb-variance/v1"
-	case AccMeanDiff:
-		return "wb-meandiff/v1"
-	case AccPAB:
+	if k == AccPAB {
 		return "wb-pab/v1"
-	case AccTwoSampleMeanDiff:
-		return "wb-meandiff2/v1"
-	default:
-		return fmt.Sprintf("wb-unknown(%d)", uint8(k))
 	}
+	return fmt.Sprintf("wb-unknown(%d)", uint8(k))
 }
 
-// ncols returns how many K-length accumulator columns the kind maintains.
-func (k AccumKind) ncols() int {
-	switch k {
-	case AccMean, AccMeanDiff, AccPAB:
-		return 2
-	case AccVariance:
-		return 3
-	case AccTwoSampleMeanDiff:
-		return 4
-	default:
-		return 0
-	}
-}
-
-// An Accum is a resumable bootstrap analysis of one statistic: K weighted
-// resamples maintained as running sums that new elements extend in place.
+// An Accum is a resumable bootstrap analysis of P(A>B): K weighted
+// resamples maintained as running sums that new pairs extend in place.
 // The zero value is unusable; construct with NewAccum or RestoreAccum.
-// An Accum is not safe for concurrent mutation; Extend* calls parallelize
+// An Accum is not safe for concurrent mutation; ExtendPairs parallelizes
 // internally.
 type Accum struct {
-	kind AccumKind
 	k    int
 	seed uint64
-	n    int // elements consumed (pairs for paired kinds, a-side for two-sample)
-	nb   int // b-side elements consumed (two-sample only)
-	cols [][]float64
+	n    int // pairs consumed
+	// Per resample: the total weight, and the weighted sum of twice the
+	// win indicator (2 for a win, 1 for a tie, 0 for a loss).
+	weight, wins []float64
 }
 
-// NewAccum returns an empty accumulator for kind with k resamples, drawing
-// all weights from streams derived from seed.
+// NewAccum returns an empty accumulator for kind (AccPAB) with k
+// resamples, drawing all weights from streams derived from seed.
 func NewAccum(kind AccumKind, k int, seed uint64) (*Accum, error) {
-	nc := kind.ncols()
-	if nc == 0 {
+	if kind != AccPAB {
 		return nil, fmt.Errorf("stats: unknown accumulator kind %d", kind)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("stats: accumulator needs ≥ 1 resample, got %d", k)
 	}
-	ac := &Accum{kind: kind, k: k, seed: seed, cols: make([][]float64, nc)}
-	for i := range ac.cols {
-		ac.cols[i] = make([]float64, k)
-	}
-	return ac, nil
+	return &Accum{k: k, seed: seed, weight: make([]float64, k), wins: make([]float64, k)}, nil
 }
-
-// Kind returns the accumulator's statistic.
-func (ac *Accum) Kind() AccumKind { return ac.kind }
 
 // K returns the number of resamples.
 func (ac *Accum) K() int { return ac.k }
@@ -143,24 +94,18 @@ func (ac *Accum) K() int { return ac.k }
 // Seed returns the root seed of the weight streams.
 func (ac *Accum) Seed() uint64 { return ac.seed }
 
-// N returns how many elements (pairs, for the paired kinds; a-side
-// elements, for the two-sample kind) the accumulator has consumed.
+// N returns how many pairs the accumulator has consumed.
 func (ac *Accum) N() int { return ac.n }
 
-// NB returns how many b-side elements a two-sample accumulator has
-// consumed (0 for the other kinds).
-func (ac *Accum) NB() int { return ac.nb }
+// incLabelPrefix roots the per-(pair, shard) weight-stream labels. The
+// label bytes must stay exactly "incremental/x/<pair>/shard/<index>": they
+// pin the weight streams independently of arrival order.
+const incLabelPrefix = "incremental/x/"
 
-// incLabelPrefix roots the per-(element, shard) weight-stream labels. The
-// label bytes must stay exactly "incremental/<side>/<elem>/shard/<index>":
-// they pin the weight streams independently of arrival order.
-const incLabelPrefix = "incremental/"
-
-// incLabel appends the weight-stream label for (side, element, shard) to b.
-func incLabel(b []byte, side byte, elem, shard int) []byte {
+// incLabel appends the weight-stream label for (pair, shard) to b.
+func incLabel(b []byte, pair, shard int) []byte {
 	b = append(b, incLabelPrefix...)
-	b = append(b, side, '/')
-	b = strconv.AppendInt(b, int64(elem), 10)
+	b = strconv.AppendInt(b, int64(pair), 10)
 	b = append(b, "/shard/"...)
 	return strconv.AppendInt(b, int64(shard), 10)
 }
@@ -170,185 +115,62 @@ func incLabel(b []byte, side byte, elem, shard int) []byte {
 // is finite and non-negative (0 exactly when u is, probability 2⁻⁵³).
 func expWeight(r *xrand.Source) float64 { return -math.Log1p(-r.Float64()) }
 
-// sharded runs work(shard, lo, hi) over the BootstrapShards(k) resample
-// ranges, claimed by up to `workers` goroutines. Shard boundaries are a pure
-// function of k and shards touch disjoint column ranges, so results are
-// bit-identical at any worker count.
-func (ac *Accum) sharded(workers int, work func(s, lo, hi int)) {
-	nsh := BootstrapShards(ac.k)
-	if workers > nsh {
-		workers = nsh
-	}
-	if workers <= 1 {
-		for s := 0; s < nsh; s++ {
-			work(s, s*ac.k/nsh, (s+1)*ac.k/nsh)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= nsh {
-					return
-				}
-				work(s, s*ac.k/nsh, (s+1)*ac.k/nsh)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// extendWeighted adds m new elements of side `side`, starting at global
-// element index `start`, to the column pair/triple selected by upd: for each
-// (element, shard) it seeds the label-derived stream and hands upd one
-// weight per resample in resample order. upd must only write resample i's
-// slots.
-func (ac *Accum) extendWeighted(side byte, start, m, workers int, upd func(j, i int, w float64)) {
-	ac.sharded(workers, func(s, lo, hi int) {
-		var root, r xrand.Source
-		root.Seed(ac.seed)
-		var lbl [len(incLabelPrefix) + 48]byte
-		for j := 0; j < m; j++ {
-			r.Seed(root.SplitSeedBytes(incLabel(lbl[:0], side, start+j, s)))
-			for i := lo; i < hi; i++ {
-				upd(j, i, expWeight(&r))
-			}
-		}
-	})
-}
-
-// ExtendFloats appends new one-sample scores to an AccMean or AccVariance
-// accumulator. The result is bit-identical whether the scores arrive in one
-// call or many, at any worker count.
-func (ac *Accum) ExtendFloats(x []float64, workers int) error {
-	switch ac.kind {
-	case AccMean:
-		c0, c1 := ac.cols[0], ac.cols[1]
-		ac.extendWeighted('x', ac.n, len(x), workers, func(j, i int, w float64) {
-			c0[i] += w
-			c1[i] += w * x[j]
-		})
-	case AccVariance:
-		c0, c1, c2 := ac.cols[0], ac.cols[1], ac.cols[2]
-		ac.extendWeighted('x', ac.n, len(x), workers, func(j, i int, w float64) {
-			v := x[j]
-			c0[i] += w
-			c1[i] += w * v
-			c2[i] += w * v * v
-		})
-	default:
-		return fmt.Errorf("stats: %s accumulator cannot extend with one-sample scores", ac.kind.ID())
-	}
-	ac.n += len(x)
-	return nil
-}
-
-// ExtendPairs appends new paired measurements to an AccMeanDiff or AccPAB
-// accumulator; see ExtendFloats for the extension contract.
+// ExtendPairs appends new paired measurements. The result is bit-identical
+// whether the pairs arrive in one call or many, at any worker count. The
+// returned error is always nil.
 func (ac *Accum) ExtendPairs(pairs []Pair, workers int) error {
-	// The per-pair contribution (difference, or twice-the-win-weight) is
-	// precomputed once into pooled scratch shared read-only by all shards —
-	// the same per-call staging the fused kernels use.
-	dp := getFloats(len(pairs))
-	d := *dp
-	switch ac.kind {
-	case AccMeanDiff:
-		for j, pr := range pairs {
-			d[j] = pr.A - pr.B
+	nsh := BootstrapShards(ac.k)
+	if min(workers, nsh) <= 1 {
+		for s := 0; s < nsh; s++ {
+			ac.extendShard(pairs, s, nsh)
 		}
-		c0, c1 := ac.cols[0], ac.cols[1]
-		ac.extendWeighted('x', ac.n, len(pairs), workers, func(j, i int, w float64) {
-			c0[i] += w
-			c1[i] += w * d[j]
-		})
-	case AccPAB:
-		for j, pr := range pairs {
-			switch {
-			case pr.A > pr.B:
-				d[j] = 2
-			case pr.A == pr.B:
-				d[j] = 1
-			default:
-				d[j] = 0
-			}
-		}
-		c0, c1 := ac.cols[0], ac.cols[1]
-		ac.extendWeighted('x', ac.n, len(pairs), workers, func(j, i int, w float64) {
-			c0[i] += w
-			c1[i] += w * d[j]
-		})
-	default:
-		putFloats(dp)
-		return fmt.Errorf("stats: %s accumulator cannot extend with pairs", ac.kind.ID())
+	} else {
+		parallelShards(nsh, workers, func(s int) { ac.extendShard(pairs, s, nsh) })
 	}
-	putFloats(dp)
 	ac.n += len(pairs)
 	return nil
 }
 
-// ExtendTwoSample appends new unpaired scores to an AccTwoSampleMeanDiff
-// accumulator. The two sides extend independently — a and b may grow at
-// different rates across calls — and each side's weight streams are keyed
-// by its own element indices, so any interleaving of a- and b-side arrivals
-// is bit-identical to a single from-scratch call; see ExtendFloats for the
-// extension contract.
-func (ac *Accum) ExtendTwoSample(a, b []float64, workers int) error {
-	if ac.kind != AccTwoSampleMeanDiff {
-		return fmt.Errorf("stats: %s accumulator cannot extend with two samples", ac.kind.ID())
-	}
-	c0, c1 := ac.cols[0], ac.cols[1]
-	ac.extendWeighted('a', ac.n, len(a), workers, func(j, i int, w float64) {
-		c0[i] += w
-		c1[i] += w * a[j]
-	})
-	ac.n += len(a)
-	c2, c3 := ac.cols[2], ac.cols[3]
-	ac.extendWeighted('b', ac.nb, len(b), workers, func(j, i int, w float64) {
-		c2[i] += w
-		c3[i] += w * b[j]
-	})
-	ac.nb += len(b)
-	return nil
-}
-
-// statOf reads resample i's statistic off the accumulator columns.
-func (ac *Accum) statOf(i int) float64 {
-	switch ac.kind {
-	case AccMean:
-		return ac.cols[1][i] / ac.cols[0][i]
-	case AccVariance:
-		c0, c1, c2 := ac.cols[0][i], ac.cols[1][i], ac.cols[2][i]
-		return (c2 - c1*c1/c0) / (c0 - 1)
-	case AccMeanDiff:
-		return ac.cols[1][i] / ac.cols[0][i]
-	case AccPAB:
-		return ac.cols[1][i] / 2 / ac.cols[0][i]
-	default: // AccTwoSampleMeanDiff
-		return ac.cols[1][i]/ac.cols[0][i] - ac.cols[3][i]/ac.cols[2][i]
+// extendShard adds pairs to the resamples of shard s (of nsh): for each
+// pair it seeds the label-derived stream and draws one weight per resample
+// in resample order.
+func (ac *Accum) extendShard(pairs []Pair, s, nsh int) {
+	lo, hi := s*ac.k/nsh, (s+1)*ac.k/nsh
+	weight, wins := ac.weight[lo:hi], ac.wins[lo:hi]
+	var root, r xrand.Source
+	root.Seed(ac.seed)
+	var lbl [len(incLabelPrefix) + 48]byte
+	for j, pr := range pairs {
+		var x2 float64 // twice the win indicator
+		switch {
+		case pr.A > pr.B:
+			x2 = 2
+		case pr.A == pr.B:
+			x2 = 1
+		}
+		r.Seed(root.SplitSeedBytes(incLabel(lbl[:0], ac.n+j, s)))
+		for i := range weight {
+			w := expWeight(&r)
+			weight[i] += w
+			wins[i] += w * x2
+		}
 	}
 }
 
 // CI reads the two-sided percentile interval off the K weighted resample
-// statistics. An empty accumulator (or, for two-sample kinds, an empty
-// side), or a level outside (0, 1), yields the documented NaN CI. The total
-// weight of a resample is a sum of Exp(1) draws and is zero only when every
-// underlying uniform was exactly 0 (probability 2⁻⁵³ per draw); such a
-// resample evaluates to NaN and sorts first, exactly as NaN resample
-// statistics do in the classic engine.
+// statistics. An empty accumulator, or a level outside (0, 1), yields the
+// documented NaN CI. The total weight of a resample is a sum of Exp(1)
+// draws and is zero only when every underlying uniform was exactly 0
+// (probability 2⁻⁵³ per draw); such a resample evaluates to NaN and sorts
+// first, exactly as NaN resample statistics do in the classic engine.
 func (ac *Accum) CI(level float64) CI {
-	empty := ac.n == 0 || (ac.kind == AccTwoSampleMeanDiff && ac.nb == 0)
-	if empty || math.IsNaN(level) || level <= 0 || level >= 1 {
+	if ac.n == 0 || math.IsNaN(level) || level <= 0 || level >= 1 {
 		return nanCI(level)
 	}
 	vp := getFloats(ac.k)
 	vals := *vp
 	for i := range vals {
-		vals[i] = ac.statOf(i)
+		vals[i] = ac.wins[i] / 2 / ac.weight[i]
 	}
 	ci := percentileCI(vals, level)
 	putFloats(vp)
@@ -360,12 +182,12 @@ func (ac *Accum) CI(level float64) CI {
 //
 //	offset size  field
 //	0      6     magic "VBACC1"
-//	6      1     kind (AccumKind)
+//	6      1     kind   (AccPAB)
 //	7      8     k      (uint64 LE)
 //	15     8     seed   (uint64 LE)
 //	23     8     n      (uint64 LE)
-//	31     8     nb     (uint64 LE)
-//	39     8·k·c columns, column-major (c = kind.ncols()), float64 bits LE
+//	31     8     0      (uint64 LE; reserved, restore rejects any other value)
+//	39     8·k·2 the weight column, then the wins column, float64 bits LE
 //
 // Float64 bit patterns round-trip exactly (including NaN/Inf sums produced
 // by non-finite scores), so restore → extend is bit-identical to never
@@ -378,19 +200,19 @@ const accumMagic = "VBACC1"
 const accumHeaderSize = len(accumMagic) + 1 + 4*8
 
 // MarshalBinary serializes the accumulator state; see the format comment
-// above. The blob embeds kind, k and seed, so RestoreAccum needs no side
-// channel — callers that persist snapshots should still fingerprint them
-// with Kind().ID(), K() and Seed() to reject stale state early.
+// above. The blob embeds k and seed, so RestoreAccum needs no side channel
+// — callers that persist snapshots should still fingerprint them with
+// AccPAB.ID(), K() and Seed() to reject stale state early.
 func (ac *Accum) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, accumHeaderSize+8*ac.k*len(ac.cols))
+	buf := make([]byte, accumHeaderSize+8*2*ac.k)
 	copy(buf, accumMagic)
-	buf[len(accumMagic)] = byte(ac.kind)
+	buf[len(accumMagic)] = byte(AccPAB)
 	off := len(accumMagic) + 1
-	for _, v := range []uint64{uint64(ac.k), ac.seed, uint64(ac.n), uint64(ac.nb)} {
+	for _, v := range []uint64{uint64(ac.k), ac.seed, uint64(ac.n), 0} {
 		binary.LittleEndian.PutUint64(buf[off:], v)
 		off += 8
 	}
-	for _, col := range ac.cols {
+	for _, col := range [2][]float64{ac.weight, ac.wins} {
 		for _, v := range col {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 			off += 8
@@ -406,9 +228,7 @@ func RestoreAccum(data []byte) (*Accum, error) {
 	if len(data) < accumHeaderSize || string(data[:len(accumMagic)]) != accumMagic {
 		return nil, fmt.Errorf("stats: not an accumulator snapshot (bad magic or truncated header)")
 	}
-	kind := AccumKind(data[len(accumMagic)])
-	nc := kind.ncols()
-	if nc == 0 {
+	if kind := AccumKind(data[len(accumMagic)]); kind != AccPAB {
 		return nil, fmt.Errorf("stats: snapshot has unknown accumulator kind %d", kind)
 	}
 	off := len(accumMagic) + 1
@@ -417,25 +237,26 @@ func RestoreAccum(data []byte) (*Accum, error) {
 		off += 8
 		return v
 	}
-	k64, seed, n64, nb64 := word(), word(), word(), word()
+	k64, seed, n64, reserved := word(), word(), word(), word()
 	const maxK = 1 << 31
 	if k64 < 1 || k64 > maxK {
 		return nil, fmt.Errorf("stats: snapshot resample count %d out of range", k64)
 	}
 	k := int(k64)
-	if want := accumHeaderSize + 8*k*nc; len(data) != want {
-		return nil, fmt.Errorf("stats: snapshot length %d, want %d for %s k=%d", len(data), want, kind.ID(), k)
+	if want := accumHeaderSize + 8*2*k; len(data) != want {
+		return nil, fmt.Errorf("stats: snapshot length %d, want %d for %s k=%d", len(data), want, AccPAB.ID(), k)
 	}
-	if n64 > maxK*maxK || nb64 > maxK*maxK {
+	if n64 > maxK*maxK {
 		return nil, fmt.Errorf("stats: snapshot element count out of range")
 	}
-	ac := &Accum{kind: kind, k: k, seed: seed, n: int(n64), nb: int(nb64), cols: make([][]float64, nc)}
-	for c := range ac.cols {
-		col := make([]float64, k)
+	if reserved != 0 {
+		return nil, fmt.Errorf("stats: snapshot reserved word is %d, want 0", reserved)
+	}
+	ac := &Accum{k: k, seed: seed, n: int(n64), weight: make([]float64, k), wins: make([]float64, k)}
+	for _, col := range [2][]float64{ac.weight, ac.wins} {
 		for i := range col {
 			col[i] = math.Float64frombits(word())
 		}
-		ac.cols[c] = col
 	}
 	return ac, nil
 }
@@ -447,11 +268,10 @@ func (ac *Accum) restoreInto(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if ac.kind == re.kind && ac.k == re.k {
-		for c := range ac.cols {
-			copy(ac.cols[c], re.cols[c])
-		}
-		ac.seed, ac.n, ac.nb = re.seed, re.n, re.nb
+	if ac.k == re.k {
+		copy(ac.weight, re.weight)
+		copy(ac.wins, re.wins)
+		ac.seed, ac.n = re.seed, re.n
 		return nil
 	}
 	*ac = *re

@@ -8,20 +8,13 @@ import (
 	"varbench/internal/xrand"
 )
 
-// extendAll feeds scores/pairs to ac in the chunking the split list
-// describes; splits are cumulative element counts and must end at n.
-func extendAll(t *testing.T, ac *Accum, x []float64, pairs []Pair, splits []int, workers int) {
+// extendAll feeds pairs to ac in the chunking the split list describes;
+// splits are cumulative pair counts and must end at len(pairs).
+func extendAll(t *testing.T, ac *Accum, pairs []Pair, splits []int, workers int) {
 	t.Helper()
 	lo := 0
 	for _, hi := range splits {
-		var err error
-		switch ac.Kind() {
-		case AccMeanDiff, AccPAB:
-			err = ac.ExtendPairs(pairs[lo:hi], workers)
-		default:
-			err = ac.ExtendFloats(x[lo:hi], workers)
-		}
-		if err != nil {
+		if err := ac.ExtendPairs(pairs[lo:hi], workers); err != nil {
 			t.Fatalf("extend [%d:%d): %v", lo, hi, err)
 		}
 		lo = hi
@@ -40,25 +33,23 @@ func accumBits(t *testing.T, ac *Accum) []byte {
 	return b
 }
 
-// TestAccumExtendBitIdentical is the tentpole property test: for every
-// accumulator kind, extending by n_new elements is bit-identical to the
-// from-scratch run on n_old+n_new — across the worker grid and across
-// several split points, including element-at-a-time feeding.
+// TestAccumExtendBitIdentical is the central property test: extending by
+// n_new pairs is bit-identical to the from-scratch run on n_old+n_new —
+// across the worker grid and across several split points, including
+// pair-at-a-time feeding.
 func TestAccumExtendBitIdentical(t *testing.T) {
 	r := xrand.New(99)
-	kinds := []AccumKind{AccMean, AccVariance, AccMeanDiff, AccPAB}
 	for trial := 0; trial < 8; trial++ {
 		n := 4 + r.Intn(30)
 		k := 40 + r.Intn(200)
 		seed := r.Uint64()
-		x := randomSample(r, n)
 		pairs := randomPairs(r, n)
 		splitPlans := [][]int{
 			{n},                      // one shot (the reference itself)
 			{1, n},                   // tiny first batch
 			{n / 2, n},               // even split
-			{n - 1, n},               // extension by a single element
-			make([]int, 0, n),        // element at a time
+			{n - 1, n},               // extension by a single pair
+			make([]int, 0, n),        // pair at a time
 			{n / 3, 2 * n / 3, n},    // three batches
 			{n / 4, n / 2, n - 1, n}, // uneven batches
 		}
@@ -68,80 +59,26 @@ func TestAccumExtendBitIdentical(t *testing.T) {
 		}
 		splitPlans[4] = one
 
-		for _, kind := range kinds {
-			ref, err := NewAccum(kind, k, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			extendAll(t, ref, x, pairs, []int{n}, 1)
-			refBits := accumBits(t, ref)
-			refCI := ref.CI(0.95)
-			for _, splits := range splitPlans {
-				for _, w := range kernelWorkerGrid() {
-					got, err := NewAccum(kind, k, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					extendAll(t, got, x, pairs, splits, w)
-					if !bytes.Equal(accumBits(t, got), refBits) {
-						t.Fatalf("%s k=%d n=%d splits=%v workers=%d: state differs from from-scratch",
-							kind.ID(), k, n, splits, w)
-					}
-					if !ciEqual(got.CI(0.95), refCI) {
-						t.Fatalf("%s: CI differs: %+v vs %+v", kind.ID(), got.CI(0.95), refCI)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestAccumTwoSampleBitIdentical covers the two-sample accumulator, whose
-// sides may grow at different rates: any interleaving of a- and b-side
-// extensions must be bit-identical to the single from-scratch call.
-func TestAccumTwoSampleBitIdentical(t *testing.T) {
-	r := xrand.New(7)
-	for trial := 0; trial < 8; trial++ {
-		na, nb := 3+r.Intn(20), 3+r.Intn(20)
-		k := 40 + r.Intn(200)
-		seed := r.Uint64()
-		a := randomSample(r, na)
-		b := randomSample(r, nb)
-
-		ref, err := NewAccum(AccTwoSampleMeanDiff, k, seed)
+		ref, err := NewAccum(AccPAB, k, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.ExtendTwoSample(a, b, 1); err != nil {
-			t.Fatal(err)
-		}
+		extendAll(t, ref, pairs, []int{n}, 1)
 		refBits := accumBits(t, ref)
-
-		plans := []struct {
-			name   string
-			sa, sb []int // cumulative counts per step (may differ in length)
-		}{
-			{"even", []int{na / 2, na}, []int{nb / 2, nb}},
-			{"a-first", []int{na, na}, []int{0, nb}},
-			{"b-first", []int{0, na}, []int{nb, nb}},
-			{"ragged", []int{1, na - 1, na}, []int{nb / 3, nb / 3, nb}},
-		}
-		for _, plan := range plans {
+		refCI := ref.CI(0.95)
+		for _, splits := range splitPlans {
 			for _, w := range kernelWorkerGrid() {
-				got, err := NewAccum(AccTwoSampleMeanDiff, k, seed)
+				got, err := NewAccum(AccPAB, k, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				la, lb := 0, 0
-				for i := range plan.sa {
-					ha, hb := plan.sa[i], plan.sb[i]
-					if err := got.ExtendTwoSample(a[la:ha], b[lb:hb], w); err != nil {
-						t.Fatal(err)
-					}
-					la, lb = ha, hb
-				}
+				extendAll(t, got, pairs, splits, w)
 				if !bytes.Equal(accumBits(t, got), refBits) {
-					t.Fatalf("two-sample %s workers=%d: state differs from from-scratch", plan.name, w)
+					t.Fatalf("k=%d n=%d splits=%v workers=%d: state differs from from-scratch",
+						k, n, splits, w)
+				}
+				if !ciEqual(got.CI(0.95), refCI) {
+					t.Fatalf("CI differs: %+v vs %+v", got.CI(0.95), refCI)
 				}
 			}
 		}
@@ -150,75 +87,45 @@ func TestAccumTwoSampleBitIdentical(t *testing.T) {
 
 // TestAccumSnapshotRoundTrip pins the resumability contract end to end:
 // serialize mid-stream, restore in a fresh process-equivalent, extend with
-// the remaining scores — bit-identical to never having snapshotted.
+// the remaining pairs — bit-identical to never having snapshotted.
 func TestAccumSnapshotRoundTrip(t *testing.T) {
 	r := xrand.New(41)
-	kinds := []AccumKind{AccMean, AccVariance, AccMeanDiff, AccPAB, AccTwoSampleMeanDiff}
 	for trial := 0; trial < 6; trial++ {
 		n := 6 + r.Intn(24)
 		k := 40 + r.Intn(160)
 		seed := r.Uint64()
-		x := randomSample(r, n)
 		pairs := randomPairs(r, n)
 		cut := 1 + r.Intn(n-1)
-		for _, kind := range kinds {
-			ref, err := NewAccum(kind, k, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			half, err := NewAccum(kind, k, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch kind {
-			case AccMeanDiff, AccPAB:
-				extendAll(t, ref, nil, pairs, []int{n}, 1)
-				extendAll(t, half, nil, pairs, []int{cut}, 1)
-			case AccTwoSampleMeanDiff:
-				if err := ref.ExtendTwoSample(x, x, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := half.ExtendTwoSample(x[:cut], x[:cut], 1); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				extendAll(t, ref, x, nil, []int{n}, 1)
-				extendAll(t, half, x, nil, []int{cut}, 1)
-			}
+		ref, err := NewAccum(AccPAB, k, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half, err := NewAccum(AccPAB, k, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extendAll(t, ref, pairs, []int{n}, 1)
+		extendAll(t, half, pairs, []int{cut}, 1)
 
-			restored, err := RestoreAccum(accumBits(t, half))
-			if err != nil {
-				t.Fatalf("RestoreAccum: %v", err)
-			}
-			if restored.Kind() != kind || restored.K() != k || restored.Seed() != seed || restored.N() != cut {
-				t.Fatalf("restored identity mismatch: kind=%v k=%d seed=%d n=%d",
-					restored.Kind(), restored.K(), restored.Seed(), restored.N())
-			}
-			switch kind {
-			case AccMeanDiff, AccPAB:
-				if err := restored.ExtendPairs(pairs[cut:], 1); err != nil {
-					t.Fatal(err)
-				}
-			case AccTwoSampleMeanDiff:
-				if err := restored.ExtendTwoSample(x[cut:], x[cut:], 1); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				if err := restored.ExtendFloats(x[cut:], 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(accumBits(t, restored), accumBits(t, ref)) {
-				t.Fatalf("%s: restore→extend differs from uninterrupted run", kind.ID())
-			}
+		restored, err := RestoreAccum(accumBits(t, half))
+		if err != nil {
+			t.Fatalf("RestoreAccum: %v", err)
+		}
+		if restored.K() != k || restored.Seed() != seed || restored.N() != cut {
+			t.Fatalf("restored identity mismatch: k=%d seed=%d n=%d",
+				restored.K(), restored.Seed(), restored.N())
+		}
+		if err := restored.ExtendPairs(pairs[cut:], 1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(accumBits(t, restored), accumBits(t, ref)) {
+			t.Fatal("restore→extend differs from uninterrupted run")
 		}
 	}
 }
 
-// TestAccumCISanity checks the weighted-bootstrap CIs are statistically
-// sensible: the PAB interval of clearly separated pairs sits above 0.5, a
-// mean interval brackets the sample mean, and variance resamples are
-// positive for spread-out data.
+// TestAccumCISanity checks the weighted-bootstrap CI is statistically
+// sensible: the PAB interval of clearly separated pairs sits above 0.5.
 func TestAccumCISanity(t *testing.T) {
 	r := xrand.New(5)
 	n := 40
@@ -234,48 +141,16 @@ func TestAccumCISanity(t *testing.T) {
 	if !(ci.Lo > 0.5) || !(ci.Hi <= 1) || ci.Lo > ci.Hi {
 		t.Fatalf("PAB CI of clearly separated pairs: %+v", ci)
 	}
-
-	x := randomSample(r, 50)
-	m, _ := NewAccum(AccMean, 1000, 12)
-	if err := m.ExtendFloats(x, 1); err != nil {
-		t.Fatal(err)
-	}
-	mi := m.CI(0.95)
-	if !(mi.Lo < Mean(x)) || !(mi.Hi > Mean(x)) {
-		t.Fatalf("mean CI %+v does not bracket sample mean %v", mi, Mean(x))
-	}
-
-	v, _ := NewAccum(AccVariance, 1000, 13)
-	if err := v.ExtendFloats(x, 1); err != nil {
-		t.Fatal(err)
-	}
-	vi := v.CI(0.95)
-	if !(vi.Lo > 0) || vi.Lo > vi.Hi {
-		t.Fatalf("variance CI of spread-out data: %+v", vi)
-	}
-
-	ts, _ := NewAccum(AccTwoSampleMeanDiff, 1000, 14)
-	a := make([]float64, 30)
-	for i := range a {
-		a[i] = 2 + 0.2*r.NormFloat64()
-	}
-	if err := ts.ExtendTwoSample(a, randomSample(r, 30), 1); err != nil {
-		t.Fatal(err)
-	}
-	ti := ts.CI(0.95)
-	if !(ti.Lo > 1) || !(ti.Hi < 3) {
-		t.Fatalf("two-sample mean-diff CI %+v far from true shift 2", ti)
-	}
 }
 
 // TestAccumCIDegenerate: empty accumulators and bad levels yield the
 // documented NaN CI instead of panicking or inventing numbers.
 func TestAccumCIDegenerate(t *testing.T) {
-	ac, _ := NewAccum(AccMean, 100, 1)
+	ac, _ := NewAccum(AccPAB, 100, 1)
 	if ci := ac.CI(0.95); !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
 		t.Fatalf("empty accumulator CI = %+v, want NaN", ci)
 	}
-	if err := ac.ExtendFloats([]float64{1, 2, 3}, 1); err != nil {
+	if err := ac.ExtendPairs([]Pair{{A: 1, B: 2}, {A: 3, B: 2}, {A: 2, B: 2}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, level := range []float64{0, 1, -0.1, 1.1, math.NaN()} {
@@ -283,38 +158,18 @@ func TestAccumCIDegenerate(t *testing.T) {
 			t.Fatalf("CI(%v) = %+v, want NaN", level, ci)
 		}
 	}
-	// A two-sample accumulator with an empty b side has no statistic yet.
-	ts, _ := NewAccum(AccTwoSampleMeanDiff, 100, 1)
-	if err := ts.ExtendTwoSample([]float64{1, 2}, nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	if ci := ts.CI(0.95); !math.IsNaN(ci.Lo) {
-		t.Fatalf("one-sided two-sample CI = %+v, want NaN", ci)
-	}
 }
 
-// TestAccumShapeErrors: feeding an accumulator the wrong input shape is an
-// error, not a silent misinterpretation.
+// TestAccumShapeErrors: an accumulator of an unknown kind or without
+// resamples is an error, not a silent misinterpretation.
 func TestAccumShapeErrors(t *testing.T) {
-	if _, err := NewAccum(AccumKind(99), 10, 1); err == nil {
-		t.Fatal("NewAccum accepted an unknown kind")
+	for _, kind := range []AccumKind{0, 1, 2, 3, 5, 99} {
+		if _, err := NewAccum(kind, 10, 1); err == nil {
+			t.Fatalf("NewAccum accepted kind %d", kind)
+		}
 	}
-	if _, err := NewAccum(AccMean, 0, 1); err == nil {
+	if _, err := NewAccum(AccPAB, 0, 1); err == nil {
 		t.Fatal("NewAccum accepted k=0")
-	}
-	mean, _ := NewAccum(AccMean, 10, 1)
-	if err := mean.ExtendPairs([]Pair{{A: 1, B: 2}}, 1); err == nil {
-		t.Fatal("mean accumulator accepted pairs")
-	}
-	if err := mean.ExtendTwoSample([]float64{1}, []float64{2}, 1); err == nil {
-		t.Fatal("mean accumulator accepted two samples")
-	}
-	pab, _ := NewAccum(AccPAB, 10, 1)
-	if err := pab.ExtendFloats([]float64{1}, 1); err == nil {
-		t.Fatal("PAB accumulator accepted one-sample scores")
-	}
-	if mean.N() != 0 || pab.N() != 0 {
-		t.Fatal("rejected extends must not advance N")
 	}
 }
 
@@ -339,7 +194,11 @@ func TestRestoreAccumRejectsGarbage(t *testing.T) {
 	wrongMagic[0] = 'X'
 	wrongKind := bytes.Clone(good)
 	wrongKind[6] = 99
-	bad = append(bad, wrongMagic, wrongKind)
+	meanKind := bytes.Clone(good)
+	meanKind[6] = 1
+	reserved := bytes.Clone(good)
+	reserved[31] = 1 // the reserved word after n
+	bad = append(bad, wrongMagic, wrongKind, meanKind, reserved)
 	for i, b := range bad {
 		if _, err := RestoreAccum(b); err == nil {
 			t.Fatalf("RestoreAccum accepted corrupt blob %d", i)

@@ -7,13 +7,13 @@ import (
 )
 
 // The statistic-kernel layer of the bootstrap engine. A kernel owns the
-// whole resampling loop for one statistic, which lets the statistics the
-// recommended protocol actually uses — mean, mean difference, variance and
-// the P(A>B) win count — accumulate directly from sampled indices: no
-// resample buffer, no closure call per resample, no per-resample allocation.
-// Arbitrary statistics keep the historical buffered path through the
-// StatFunc/PairStatFunc/TwoSampleStatFunc adapters, which materialize each
-// resample in a pooled scratch buffer and call the closure.
+// whole resampling loop for one statistic, which lets the statistic the
+// recommended protocol actually uses — the P(A>B) win count — accumulate
+// directly from sampled indices: no resample buffer, no closure call per
+// resample, no per-resample allocation. Other statistics (the unpaired
+// protocol's Mann-Whitney P(A>B)) keep the buffered path through the
+// PairStatFunc/TwoSampleStatFunc adapters, which materialize each resample
+// in a pooled scratch buffer and call the closure.
 //
 // Determinism contract (every implementation MUST obey it, or worker-count
 // invariance and the golden reports break):
@@ -29,18 +29,6 @@ import (
 // Under this contract a fused kernel is observationally identical to its
 // closure counterpart — every CI, report and golden test stays bit-identical
 // at any worker count — and the speedup is visible only in ns/op and B/op.
-
-// A Kernel computes a one-sample statistic over bootstrap resamples.
-type Kernel interface {
-	// Stat is the buffered reference semantics: the statistic of one
-	// materialized sample. Fused Resample implementations must match it
-	// bit-for-bit on the resample they draw.
-	Stat(x []float64) float64
-	// ResampleInto fills out[i] with the statistic of the i-th of len(out)
-	// independent with-replacement resamples of x drawn from r, following
-	// the determinism contract above.
-	ResampleInto(out, x []float64, r *xrand.Source)
-}
 
 // A PairedKernel computes a paired-sample statistic over bootstrap
 // resamples of whole pairs (resampling pairs jointly preserves the pairing,
@@ -105,63 +93,7 @@ func getInts(n int) *[]int64 {
 func putInts(p *[]int64) { intPool.Put(p) }
 
 // ---------------------------------------------------------------------------
-// Fused one-sample kernels.
-
-// MeanKernel is the fused kernel for the sample mean (closure counterpart:
-// Mean).
-type MeanKernel struct{}
-
-// Stat implements Kernel.
-func (MeanKernel) Stat(x []float64) float64 { return Mean(x) }
-
-// ResampleInto implements Kernel: the mean accumulates in draw order,
-// exactly as Mean sums a materialized resample buffer.
-func (MeanKernel) ResampleInto(out, x []float64, r *xrand.Source) {
-	n := len(x)
-	for b := range out {
-		out[b] = r.SampleSum(x, n) / float64(n)
-	}
-}
-
-// VarianceKernel is the kernel for the unbiased sample variance (closure
-// counterpart: Variance). Variance is inherently two-pass — the second pass
-// needs the drawn values again — so the kernel stages each resample in a
-// pooled scratch buffer via the bulk sampler and applies Variance to it:
-// bit-identity is by construction, and the win over an ad-hoc closure is
-// the allocation-free engine, not fewer passes.
-type VarianceKernel struct{}
-
-// Stat implements Kernel.
-func (VarianceKernel) Stat(x []float64) float64 { return Variance(x) }
-
-// ResampleInto implements Kernel by delegating to the buffered path — the
-// same body a Variance closure would run, kept in one place.
-func (VarianceKernel) ResampleInto(out, x []float64, r *xrand.Source) {
-	StatFunc(Variance).ResampleInto(out, x, r)
-}
-
-// StatFunc adapts an arbitrary one-sample statistic to the Kernel
-// interface: the buffered fallback path. Each resample is materialized in a
-// pooled scratch buffer (acquired once per ResampleInto call) and handed to
-// the closure, reproducing the historical copy-then-call loop exactly.
-type StatFunc func([]float64) float64
-
-// Stat implements Kernel.
-func (f StatFunc) Stat(x []float64) float64 { return f(x) }
-
-// ResampleInto implements Kernel.
-func (f StatFunc) ResampleInto(out, x []float64, r *xrand.Source) {
-	sp := getFloats(len(x))
-	buf := *sp
-	for b := range out {
-		xrand.SampleInto(r, buf, x)
-		out[b] = f(buf)
-	}
-	putFloats(sp)
-}
-
-// ---------------------------------------------------------------------------
-// Fused paired kernels.
+// Paired kernels.
 
 // PABKernel is the fused kernel for the plug-in estimator of P(A>B) over
 // paired measures (Equation 9): the fraction of pairs A wins, ties counted
@@ -210,37 +142,10 @@ func (PABKernel) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
 	putInts(wp)
 }
 
-// MeanDiffKernel is the fused kernel for the mean paired difference
-// mean(A-B), the statistic behind average-comparison bootstraps.
-type MeanDiffKernel struct{}
-
-// Stat implements PairedKernel.
-func (MeanDiffKernel) Stat(pairs []Pair) float64 {
-	d := 0.0
-	for _, pr := range pairs {
-		d += pr.A - pr.B
-	}
-	return d / float64(len(pairs))
-}
-
-// ResampleInto implements PairedKernel. The per-pair difference A-B is
-// precomputed once — the same subtraction the reference performs per draw,
-// so the accumulated values are bit-identical.
-func (MeanDiffKernel) ResampleInto(out []float64, pairs []Pair, r *xrand.Source) {
-	n := len(pairs)
-	dp := getFloats(n)
-	d := *dp
-	for i, pr := range pairs {
-		d[i] = pr.A - pr.B
-	}
-	for b := range out {
-		out[b] = r.SampleSum(d, n) / float64(n)
-	}
-	putFloats(dp)
-}
-
 // PairStatFunc adapts an arbitrary paired statistic to the PairedKernel
-// interface (buffered fallback, pooled scratch).
+// interface: the buffered path. Each resample is materialized in a pooled
+// scratch buffer (acquired once per ResampleInto call) and handed to the
+// closure. It is the reference PABKernel is tested against.
 type PairStatFunc func([]Pair) float64
 
 // Stat implements PairedKernel.
@@ -258,30 +163,11 @@ func (f PairStatFunc) ResampleInto(out []float64, pairs []Pair, r *xrand.Source)
 }
 
 // ---------------------------------------------------------------------------
-// Fused two-sample kernels.
-
-// TwoSampleMeanDiffKernel is the fused kernel for the difference of means
-// mean(a)-mean(b) of two unpaired samples.
-type TwoSampleMeanDiffKernel struct{}
-
-// Stat implements TwoSampleKernel.
-func (TwoSampleMeanDiffKernel) Stat(a, b []float64) float64 { return Mean(a) - Mean(b) }
-
-// ResampleInto implements TwoSampleKernel: all of a's draws, then all of
-// b's, each mean accumulating in draw order like Mean over the materialized
-// buffers.
-func (TwoSampleMeanDiffKernel) ResampleInto(out []float64, a, b []float64, r *xrand.Source) {
-	na, nb := len(a), len(b)
-	for i := range out {
-		sa := r.SampleSum(a, na)
-		sb := r.SampleSum(b, nb)
-		out[i] = sa/float64(na) - sb/float64(nb)
-	}
-}
+// Two-sample kernels.
 
 // TwoSampleStatFunc adapts an arbitrary two-sample statistic to the
-// TwoSampleKernel interface (buffered fallback, pooled scratch for both
-// samples).
+// TwoSampleKernel interface (buffered path, pooled scratch for both
+// samples). The unpaired protocol runs Mann-Whitney's P(A>B) through it.
 type TwoSampleStatFunc func(a, b []float64) float64
 
 // Stat implements TwoSampleKernel.

@@ -47,11 +47,16 @@ func ciEqual(a, b CI) bool {
 	return eq(a.Lo, b.Lo) && eq(a.Hi, b.Hi) && a.Level == b.Level
 }
 
+// mwPAB is the unpaired protocol's statistic: Mann-Whitney's P(A>B).
+var mwPAB = TwoSampleStatFunc(func(a, b []float64) float64 { return MannWhitney(a, b, TwoTailed).PAB })
+
 // TestFusedKernelsMatchClosures is the kernel/closure equivalence property
-// test: every fused kernel must produce bit-identical CIs to its buffered
-// closure counterpart, for random inputs, across the worker grid, in both
-// the sharded and the serial caller-stream engines. This is the determinism
-// contract of kernel.go made executable.
+// test: the fused P(A>B) kernel must produce bit-identical CIs to its
+// buffered closure counterpart, for random inputs, across the worker grid,
+// in both the sharded and the serial caller-stream engines; and the
+// buffered two-sample path must draw each resample exactly as the
+// determinism contract says (all of a's indices, then all of b's). This is
+// the determinism contract of kernel.go made executable.
 func TestFusedKernelsMatchClosures(t *testing.T) {
 	r := xrand.New(1234)
 	for trial := 0; trial < 30; trial++ {
@@ -63,78 +68,49 @@ func TestFusedKernelsMatchClosures(t *testing.T) {
 		pairs := randomPairs(r, n)
 		y := randomSample(r, 2+r.Intn(40))
 
-		oneSample := []struct {
-			name    string
-			kern    Kernel
-			closure func([]float64) float64
-		}{
-			{"mean", MeanKernel{}, Mean},
-			{"variance", VarianceKernel{}, Variance},
-		}
-		for _, c := range oneSample {
-			for _, w := range kernelWorkerGrid() {
-				fused := PercentileBootstrapKernel(x, c.kern, k, level, seed, w)
-				closed := PercentileBootstrapSharded(x, c.closure, k, level, seed, w)
-				if !ciEqual(fused, closed) {
-					t.Fatalf("trial %d %s workers=%d: fused %+v != closure %+v",
-						trial, c.name, w, fused, closed)
-				}
-			}
-			rf, rc := xrand.New(seed), xrand.New(seed)
-			fused := PercentileBootstrapWith(x, c.kern, k, level, rf)
-			closed := PercentileBootstrapWith(x, StatFunc(c.closure), k, level, rc)
-			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d %s serial: fused %+v != closure %+v", trial, c.name, fused, closed)
-			}
-			if rf.Uint64() != rc.Uint64() {
-				t.Fatalf("trial %d %s: fused kernel consumed the stream differently", trial, c.name)
-			}
-		}
-
-		paired := []struct {
-			name    string
-			kern    PairedKernel
-			closure func([]Pair) float64
-		}{
-			{"pab", PABKernel{}, PABKernel{}.Stat},
-			{"meandiff", MeanDiffKernel{}, MeanDiffKernel{}.Stat},
-		}
-		for _, c := range paired {
-			for _, w := range kernelWorkerGrid() {
-				fused := PairedPercentileBootstrapKernel(pairs, c.kern, k, level, seed, w)
-				closed := PairedPercentileBootstrapSharded(pairs, c.closure, k, level, seed, w)
-				if !ciEqual(fused, closed) {
-					t.Fatalf("trial %d %s workers=%d: fused %+v != closure %+v",
-						trial, c.name, w, fused, closed)
-				}
-			}
-			rf, rc := xrand.New(seed), xrand.New(seed)
-			fused := PairedPercentileBootstrapWith(pairs, c.kern, k, level, rf)
-			closed := PairedPercentileBootstrapWith(pairs, PairStatFunc(c.closure), k, level, rc)
-			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d %s serial: fused %+v != closure %+v", trial, c.name, fused, closed)
-			}
-			if rf.Uint64() != rc.Uint64() {
-				t.Fatalf("trial %d %s: fused kernel consumed the stream differently", trial, c.name)
-			}
-		}
-
-		meanDiff := TwoSampleMeanDiffKernel{}
+		closure := PairStatFunc(PABKernel{}.Stat)
 		for _, w := range kernelWorkerGrid() {
-			fused := TwoSampleBootstrapKernel(x, y, meanDiff, k, level, seed, w)
-			closed := TwoSampleBootstrapSharded(x, y, meanDiff.Stat, k, level, seed, w)
+			fused := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, level, seed, w)
+			closed := PairedPercentileBootstrapKernel(pairs, closure, k, level, seed, w)
 			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d two-sample workers=%d: fused %+v != closure %+v", trial, w, fused, closed)
+				t.Fatalf("trial %d pab workers=%d: fused %+v != closure %+v", trial, w, fused, closed)
 			}
 		}
 		rf, rc := xrand.New(seed), xrand.New(seed)
-		fused := TwoSampleBootstrapWith(x, y, meanDiff, k, level, rf)
-		closed := TwoSampleBootstrapWith(x, y, TwoSampleStatFunc(meanDiff.Stat), k, level, rc)
+		fused := PairedPercentileBootstrapWith(pairs, PABKernel{}, k, level, rf)
+		closed := PairedPercentileBootstrapWith(pairs, closure, k, level, rc)
 		if !ciEqual(fused, closed) {
-			t.Fatalf("trial %d two-sample serial: fused %+v != closure %+v", trial, fused, closed)
+			t.Fatalf("trial %d pab serial: fused %+v != closure %+v", trial, fused, closed)
 		}
 		if rf.Uint64() != rc.Uint64() {
-			t.Fatal("two-sample fused kernel consumed the stream differently")
+			t.Fatalf("trial %d pab: fused kernel consumed the stream differently", trial)
+		}
+
+		// Two-sample: TwoSampleStatFunc against resamples materialized by
+		// sequential Intn draws from the same stream.
+		got := make([]float64, 5)
+		ra, rb := xrand.New(seed), xrand.New(seed)
+		mwPAB.ResampleInto(got, x, y, ra)
+		bufX, bufY := make([]float64, len(x)), make([]float64, len(y))
+		for i := range got {
+			for j := range bufX {
+				bufX[j] = x[rb.Intn(len(x))]
+			}
+			for j := range bufY {
+				bufY[j] = y[rb.Intn(len(y))]
+			}
+			if want := mwPAB(bufX, bufY); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d two-sample resample %d: %v, want %v", trial, i, got[i], want)
+			}
+		}
+		if ra.Uint64() != rb.Uint64() {
+			t.Fatalf("trial %d two-sample: buffered path consumed the stream differently", trial)
+		}
+		ref := TwoSampleBootstrapKernel(x, y, mwPAB, k, level, seed, 1)
+		for _, w := range kernelWorkerGrid() {
+			if ci := TwoSampleBootstrapKernel(x, y, mwPAB, k, level, seed, w); !ciEqual(ci, ref) {
+				t.Fatalf("trial %d two-sample workers=%d: %+v != serial %+v", trial, w, ci, ref)
+			}
 		}
 	}
 }
@@ -143,40 +119,33 @@ func TestFusedKernelsMatchClosures(t *testing.T) {
 // reference implementations on the full (un-resampled) sample.
 func TestKernelStatsMatchReferences(t *testing.T) {
 	r := xrand.New(7)
-	x := randomSample(r, 23)
-	if got, want := (MeanKernel{}).Stat(x), Mean(x); got != want {
-		t.Errorf("MeanKernel.Stat = %v, want %v", got, want)
-	}
-	if got, want := (VarianceKernel{}).Stat(x), Variance(x); got != want {
-		t.Errorf("VarianceKernel.Stat = %v, want %v", got, want)
-	}
 	pairs := randomPairs(r, 23)
 	wins := 0.0
-	d := 0.0
-	for _, pr := range pairs {
+	a := make([]float64, len(pairs))
+	b := make([]float64, len(pairs))
+	for i, pr := range pairs {
 		switch {
 		case pr.A > pr.B:
 			wins++
 		case pr.A == pr.B:
 			wins += 0.5
 		}
-		d += pr.A - pr.B
+		a[i], b[i] = pr.A, pr.B
 	}
 	if got, want := (PABKernel{}).Stat(pairs), wins/float64(len(pairs)); got != want {
 		t.Errorf("PABKernel.Stat = %v, want %v", got, want)
 	}
-	if got, want := (MeanDiffKernel{}).Stat(pairs), d/float64(len(pairs)); got != want {
-		t.Errorf("MeanDiffKernel.Stat = %v, want %v", got, want)
+	if got, want := (PABKernel{}).Stat(pairs), PairedPAB(a, b); got != want {
+		t.Errorf("PABKernel.Stat = %v, PairedPAB = %v", got, want)
 	}
-	y := randomSample(r, 17)
-	if got, want := (TwoSampleMeanDiffKernel{}).Stat(x, y), Mean(x)-Mean(y); got != want {
-		t.Errorf("TwoSampleMeanDiffKernel.Stat = %v, want %v", got, want)
+	if got, want := mwPAB.Stat(a, b), MannWhitney(a, b, TwoTailed).PAB; got != want {
+		t.Errorf("TwoSampleStatFunc.Stat = %v, want %v", got, want)
 	}
 }
 
 // TestBootstrapDegenerateInputs covers the satellite guard: k ≤ 0, empty
 // samples and a confidence level outside (0,1) answer with the documented
-// NaN CI — and consume no randomness on the serial paths — instead of
+// NaN CI — and consume no randomness on the serial path — instead of
 // panicking inside the quantile machinery.
 func TestBootstrapDegenerateInputs(t *testing.T) {
 	x := []float64{1, 2, 3}
@@ -213,63 +182,36 @@ func TestBootstrapDegenerateInputs(t *testing.T) {
 			}
 			r := xrand.New(5)
 			before := xrand.New(5).Uint64()
-			isNaNCI(t, PercentileBootstrap(sx, Mean, c.k, c.level, r), c.level)
-			isNaNCI(t, PairedPercentileBootstrap(sp, PABKernel{}.Stat, c.k, c.level, r), c.level)
-			isNaNCI(t, TwoSampleBootstrapWith(sx, sx, TwoSampleMeanDiffKernel{}, c.k, c.level, r), c.level)
+			isNaNCI(t, PairedPercentileBootstrapWith(sp, PABKernel{}, c.k, c.level, r), c.level)
 			if got := r.Uint64(); got != before {
 				t.Error("degenerate serial bootstrap consumed randomness")
 			}
 			for _, w := range []int{1, 4} {
-				isNaNCI(t, PercentileBootstrapKernel(sx, MeanKernel{}, c.k, c.level, 9, w), c.level)
 				isNaNCI(t, PairedPercentileBootstrapKernel(sp, PABKernel{}, c.k, c.level, 9, w), c.level)
-				isNaNCI(t, TwoSampleBootstrapKernel(sx, sx, TwoSampleMeanDiffKernel{}, c.k, c.level, 9, w), c.level)
+				isNaNCI(t, TwoSampleBootstrapKernel(sx, sx, mwPAB, c.k, c.level, 9, w), c.level)
 			}
 		})
 	}
-	// BootstrapStd: NaN, no randomness consumed.
-	r := xrand.New(5)
-	if !math.IsNaN(BootstrapStd(nil, Mean, 100, r)) {
-		t.Error("BootstrapStd on empty sample should be NaN")
-	}
-	if !math.IsNaN(BootstrapStd(x, Mean, 0, r)) {
-		t.Error("BootstrapStd with k=0 should be NaN")
-	}
-	if got, want := r.Uint64(), xrand.New(5).Uint64(); got != want {
-		t.Error("degenerate BootstrapStd consumed randomness")
-	}
 }
 
-// TestKernelEntryPointsMatchClosureEntryPoints locks the closure-form
-// Sharded wrappers to the kernel engine: a closure that mirrors a fused
-// statistic goes through StatFunc and must land on the same CI.
+// TestKernelEntryPointsMatchClosureEntryPoints locks the fused kernel to
+// its closure form at resample counts on both sides of the shard-count
+// boundary: a closure that mirrors the fused statistic goes through
+// PairStatFunc and must land on the same CI.
 func TestKernelEntryPointsMatchClosureEntryPoints(t *testing.T) {
 	r := xrand.New(99)
-	x := randomSample(r, 31)
+	pairs := randomPairs(r, 31)
 	for _, k := range []int{1, 2, 63, 64, 65, 1000} {
-		fused := PercentileBootstrapKernel(x, MeanKernel{}, k, 0.9, 3, 4)
-		closed := PercentileBootstrapSharded(x, Mean, k, 0.9, 3, 4)
+		fused := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.9, 3, 4)
+		closed := PairedPercentileBootstrapKernel(pairs, PairStatFunc(PABKernel{}.Stat), k, 0.9, 3, 4)
 		if !ciEqual(fused, closed) {
 			t.Fatalf("k=%d: kernel %+v != closure %+v", k, fused, closed)
 		}
 	}
 }
 
-// TestBootstrapStdKernelEquivalence covers the serial Std engine's kernel
-// dispatch.
-func TestBootstrapStdKernelEquivalence(t *testing.T) {
-	r := xrand.New(17)
-	x := randomSample(r, 25)
-	for _, k := range []int{10, 200} {
-		a := BootstrapStd(x, Mean, k, xrand.New(8))
-		b := BootstrapStdWith(x, MeanKernel{}, k, xrand.New(8))
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("k=%d: closure std %v != kernel std %v", k, a, b)
-		}
-	}
-}
-
 // TestShardedWorkerInvarianceFusedGrid re-runs the worker-grid invariance
-// check on the fused kernels specifically (the closure grid lives in
+// check on the fused kernel specifically (the closure grid lives in
 // bootstrap_sharded_test.go), at several K to cross shard-count boundaries.
 func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 	r := xrand.New(31)
@@ -286,28 +228,33 @@ func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 }
 
 func TestBootstrapSmallSamples(t *testing.T) {
-	// n=1: resampling a single value is legal for the mean (degenerate CI at
-	// the value) and NaN for the variance (n-1 = 0) — on both paths.
-	one := []float64{2.5}
+	// n=1: resampling a single element is legal and collapses the CI at
+	// the statistic of that element — on every path.
 	for _, w := range []int{1, 4} {
-		ci := PercentileBootstrapKernel(one, MeanKernel{}, 100, 0.95, 1, w)
-		if ci.Lo != 2.5 || ci.Hi != 2.5 {
-			t.Errorf("workers=%d: mean CI of singleton = %+v, want collapsed at 2.5", w, ci)
+		for _, c := range []struct {
+			pair Pair
+			want float64
+		}{{Pair{A: 2, B: 1}, 1}, {Pair{A: 1, B: 1}, 0.5}, {Pair{A: 0, B: 1}, 0}} {
+			one := []Pair{c.pair}
+			ci := PairedPercentileBootstrapKernel(one, PABKernel{}, 100, 0.95, 1, w)
+			if ci.Lo != c.want || ci.Hi != c.want {
+				t.Errorf("workers=%d: P(A>B) CI of %+v = %+v, want collapsed at %v", w, c.pair, ci, c.want)
+			}
+			closed := PairedPercentileBootstrapKernel(one, PairStatFunc(PABKernel{}.Stat), 100, 0.95, 1, w)
+			if !ciEqual(ci, closed) {
+				t.Errorf("workers=%d: singleton fused %+v != closure %+v", w, ci, closed)
+			}
 		}
-		vci := PercentileBootstrapKernel(one, VarianceKernel{}, 100, 0.95, 1, w)
-		closed := PercentileBootstrapSharded(one, Variance, 100, 0.95, 1, w)
-		if !ciEqual(vci, closed) {
-			t.Errorf("workers=%d: variance singleton fused %+v != closure %+v", w, vci, closed)
-		}
-		if !math.IsNaN(vci.Lo) {
-			t.Errorf("workers=%d: variance CI of singleton = %+v, want NaN", w, vci)
+		ci := TwoSampleBootstrapKernel([]float64{2.5}, []float64{1}, mwPAB, 100, 0.95, 1, w)
+		if ci.Lo != 1 || ci.Hi != 1 {
+			t.Errorf("workers=%d: two-sample CI of singletons = %+v, want collapsed at 1", w, ci)
 		}
 	}
 }
 
-func ExamplePercentileBootstrapKernel() {
-	x := []float64{0.71, 0.74, 0.69, 0.73, 0.75, 0.70, 0.72}
-	ci := PercentileBootstrapKernel(x, MeanKernel{}, 1000, 0.95, 42, 4)
+func ExamplePairedPercentileBootstrapKernel() {
+	pairs := []Pair{{0.71, 0.69}, {0.74, 0.70}, {0.69, 0.70}, {0.73, 0.71}, {0.75, 0.72}, {0.70, 0.70}, {0.72, 0.68}}
+	ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 42, 4)
 	fmt.Printf("level=%.2f lo<hi: %v\n", ci.Level, ci.Lo < ci.Hi)
 	// Output: level=0.95 lo<hi: true
 }

@@ -125,45 +125,31 @@ func (r *Source) intnRetry(bound uint64) int {
 // Bulk with-replacement sampling for the bootstrap kernels. Each Sample*
 // call is observationally identical to the equivalent sequence of Intn
 // draws — same Uint64 consumption (one per Lemire attempt), same accepted
-// indices, and for the accumulating variants the same floating-point (or
-// integer) addition order — but runs the generator on a register-local
-// state copy with the rejection threshold hoisted, removing the two
-// non-inlinable calls per draw that dominate the per-element cost. The
-// xoshiro step below must stay in sync with Uint64; TestSampleBulkMatchesIntn
-// pins the equivalence.
+// indices, and for SampleSumInt the same addition order — but runs the
+// generator on a register-local state copy with the rejection threshold
+// hoisted, removing the two non-inlinable calls per draw that dominate the
+// per-element cost. The xoshiro step below must stay in sync with Uint64;
+// TestSampleBulkMatchesIntn pins the equivalence.
 //
 // Lemire's acceptance test `lo >= bound || lo >= (-bound)%bound` reduces to
 // `lo >= thresh` with thresh = (-bound)%bound, since thresh < bound: both
 // sides of the || are implied by it and imply it respectively, so hoisting
 // thresh changes no accept/reject decision.
 
-// SampleSum returns the sum of n with-replacement draws from x, added in
-// draw order: bit-identical to `for i := 0; i < n; i++ { sum += x[r.Intn(len(x))] }`.
-// It panics if x is empty and n > 0, as Intn would.
-func (r *Source) SampleSum(x []float64, n int) float64 {
-	return sampleSumOf(r, x, n)
-}
-
-// SampleSumInt is SampleSum over integer weights: the sum of n
-// with-replacement draws from w, accumulated in draw order. Integer
-// accumulation breaks the floating-point add latency chain for statistics
-// whose per-element contributions are exact (the P(A>B) win count).
+// SampleSumInt returns the sum of n with-replacement draws from w, added in
+// draw order: bit-identical to `for i := 0; i < n; i++ { sum += w[r.Intn(len(w))] }`.
+// Integer accumulation breaks the floating-point add latency chain for
+// statistics whose per-element contributions are exact (the P(A>B) win
+// count). It panics if w is empty and n > 0, as Intn would.
 func (r *Source) SampleSumInt(w []int64, n int) int64 {
-	return sampleSumOf(r, w, n)
-}
-
-// sampleSumOf is the shared accumulator loop behind SampleSum and
-// SampleSumInt. float64 and int64 stencil to separate instantiations, so
-// the register-local generator loop survives the generic factoring.
-func sampleSumOf[T float64 | int64](r *Source, x []T, n int) T {
-	var sum T
-	if len(x) == 0 {
+	var sum int64
+	if len(w) == 0 {
 		if n > 0 {
 			panic("xrand: bulk sample from an empty sample")
 		}
 		return sum
 	}
-	bound := uint64(len(x))
+	bound := uint64(len(w))
 	thresh := (-bound) % bound
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := 0; i < n; i++ {
@@ -178,7 +164,7 @@ func sampleSumOf[T float64 | int64](r *Source, x []T, n int) T {
 			s3 = rotl(s3, 45)
 			hi, lo := bits.Mul64(res, bound)
 			if lo >= thresh {
-				sum += x[hi]
+				sum += w[hi]
 				break
 			}
 		}

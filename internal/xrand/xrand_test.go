@@ -285,20 +285,8 @@ func TestSampleBulkMatchesIntn(t *testing.T) {
 		}
 		for _, draws := range []int{0, 1, 5, 200} {
 			seed := uint64(100*n + draws)
-			// SampleSum vs sequential float accumulation.
-			ra, rb := New(seed), New(seed)
-			sum := 0.0
-			for i := 0; i < draws; i++ {
-				sum += x[ra.Intn(n)]
-			}
-			if got := rb.SampleSum(x, draws); math.Float64bits(got) != math.Float64bits(sum) {
-				t.Fatalf("n=%d draws=%d: SampleSum %v != sequential %v", n, draws, got, sum)
-			}
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("n=%d draws=%d: SampleSum consumed the stream differently", n, draws)
-			}
 			// SampleSumInt vs sequential integer accumulation.
-			ra, rb = New(seed), New(seed)
+			ra, rb := New(seed), New(seed)
 			var isum int64
 			for i := 0; i < draws; i++ {
 				isum += w[ra.Intn(n)]
@@ -344,12 +332,11 @@ func TestSampleBulkEmptyPanics(t *testing.T) {
 		f()
 	}
 	r := New(1)
-	mustPanic("SampleSum", func() { r.SampleSum(nil, 3) })
 	mustPanic("SampleSumInt", func() { r.SampleSumInt(nil, 3) })
 	mustPanic("SampleInto", func() { SampleInto(r, make([]float64, 2), nil) })
 	// Zero draws from an empty sample is a no-op, like zero Intn calls.
-	if got := r.SampleSum(nil, 0); got != 0 {
-		t.Errorf("SampleSum(nil, 0) = %v, want 0", got)
+	if got := r.SampleSumInt(nil, 0); got != 0 {
+		t.Errorf("SampleSumInt(nil, 0) = %v, want 0", got)
 	}
 	before := New(1).Uint64()
 	if r.Uint64() != before {

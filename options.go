@@ -24,8 +24,8 @@ const (
 )
 
 // An Option adjusts an Experiment (or, for the score-level entry points
-// Analyze, AnalyzeDatasets and the deprecated Compare family, the protocol
-// parameters they share with Experiment).
+// Analyze and AnalyzeDatasets, the protocol parameters they share with
+// Experiment).
 type Option func(*Experiment)
 
 // WithGamma sets the meaningfulness threshold for P(A>B) (default 0.75).
@@ -61,18 +61,6 @@ func WithSeed(seed uint64) Option {
 // An explicit negative value is rejected; 0 means "use the default".
 func WithParallelism(n int) Option { return func(e *Experiment) { e.Parallelism = n } }
 
-// WithAnalysisParallelism sets the worker-pool size of the sharded
-// percentile bootstrap behind every confidence-interval computation
-// (default: GOMAXPROCS). The resampling is sharded deterministically by
-// (seed, resample count) and runs the fused P(A>B) statistic kernel, so
-// results are bit-identical at any setting — the parallelism (and the
-// kernel fusion) change only the speed; 1 forces the serial reference
-// engine. An explicit negative value is rejected; 0 means "use the
-// default".
-func WithAnalysisParallelism(n int) Option {
-	return func(e *Experiment) { e.AnalysisParallelism = n }
-}
-
 // WithMaxRuns caps the number of paired measurements collected
 // (default: Noether's recommended sample size for the chosen γ).
 func WithMaxRuns(n int) Option { return func(e *Experiment) { e.MaxRuns = n } }
@@ -101,9 +89,9 @@ func WithSources(sources ...Source) Option {
 // appended as soon as they exist and trials already recorded under the same
 // spec fingerprint are served from the store instead of re-running the
 // pipeline, making interrupted runs resumable and identical cells shareable
-// across overlapping experiments. Any store.Backend works — the JSONL log
-// from store.Open, an in-memory store, a seglog, or a DSN-opened backend
-// from store.OpenDSN. See Experiment.Store.
+// across overlapping experiments. Any store.Backend works — an in-memory
+// store, a seglog, or a DSN-opened backend from store.OpenDSN. See
+// Experiment.Store.
 func WithStore(s store.Backend) Option { return func(e *Experiment) { e.Store = s } }
 
 // WithPipelineID names the pipeline implementation inside the trial store's
@@ -209,12 +197,6 @@ func (e *Experiment) withDefaults() (*Experiment, error) {
 	}
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.AnalysisParallelism < 0 {
-		return nil, fmt.Errorf("varbench: AnalysisParallelism must not be negative, got %d (0 means default)", c.AnalysisParallelism)
-	}
-	if c.AnalysisParallelism == 0 {
-		c.AnalysisParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.TrialTimeout < 0 {
 		return nil, fmt.Errorf("varbench: TrialTimeout must not be negative, got %v (0 means no deadline)", c.TrialTimeout)

@@ -76,8 +76,9 @@ func TestTrialStreamMatchesHistoricalSeeds(t *testing.T) {
 }
 
 // TestRunAnalysisParallelismGrid proves bit-identical results across the
-// full {collection workers} × {bootstrap shard workers} grid, the
-// determinism contract of the parallel analysis engine.
+// full {collection workers} × {GOMAXPROCS} grid: the incremental analysis
+// shards its bootstrap across GOMAXPROCS workers, the determinism contract
+// of the parallel analysis engine.
 func TestRunAnalysisParallelismGrid(t *testing.T) {
 	spec := Experiment{
 		A:       noisyRunner(0.85),
@@ -86,12 +87,13 @@ func TestRunAnalysisParallelismGrid(t *testing.T) {
 		MaxRuns: 48,
 	}
 	workerGrid := []int{1, 4, runtime.GOMAXPROCS(0)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *Result
 	for _, collect := range workerGrid {
-		for _, analysis := range workerGrid {
+		for _, procs := range workerGrid {
+			runtime.GOMAXPROCS(procs)
 			e := spec
 			e.Parallelism = collect
-			e.AnalysisParallelism = analysis
 			res, err := e.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -102,8 +104,8 @@ func TestRunAnalysisParallelismGrid(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(res, ref) {
-				t.Errorf("collect=%d analysis=%d diverged:\n %+v\n %+v",
-					collect, analysis, res.Comparison, ref.Comparison)
+				t.Errorf("collect=%d GOMAXPROCS=%d diverged:\n %+v\n %+v",
+					collect, procs, res.Comparison, ref.Comparison)
 			}
 		}
 	}
@@ -111,45 +113,53 @@ func TestRunAnalysisParallelismGrid(t *testing.T) {
 
 func TestAnalyzeAnalysisParallelismInvariance(t *testing.T) {
 	ds := syntheticDatasets(5, 1, 25, 0.3)
-	ref, err := Analyze(ds[0].ScoresA, ds[0].ScoresB, WithSeed(3), WithAnalysisParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := []int{2, 4, runtime.GOMAXPROCS(0)}
+	runtime.GOMAXPROCS(1)
+	ref, err := Analyze(ds[0].ScoresA, ds[0].ScoresB, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		res, err := Analyze(ds[0].ScoresA, ds[0].ScoresB, WithSeed(3), WithAnalysisParallelism(w))
+	refU, err := Analyze(ds[0].ScoresA, ds[0].ScoresB[:20], WithUnpaired(), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		res, err := Analyze(ds[0].ScoresA, ds[0].ScoresB, WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Comparison != ref.Comparison {
-			t.Errorf("workers=%d: %+v != %+v", w, res.Comparison, ref.Comparison)
+			t.Errorf("GOMAXPROCS=%d: %+v != %+v", p, res.Comparison, ref.Comparison)
 		}
-	}
-	// Unpaired path too.
-	refU, err := Analyze(ds[0].ScoresA, ds[0].ScoresB[:20], WithUnpaired(), WithSeed(3), WithAnalysisParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resU, err := Analyze(ds[0].ScoresA, ds[0].ScoresB[:20], WithUnpaired(), WithSeed(3), WithAnalysisParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resU.Comparison != refU.Comparison {
-		t.Errorf("unpaired: %+v != %+v", resU.Comparison, refU.Comparison)
+		// Unpaired path too.
+		resU, err := Analyze(ds[0].ScoresA, ds[0].ScoresB[:20], WithUnpaired(), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resU.Comparison != refU.Comparison {
+			t.Errorf("unpaired GOMAXPROCS=%d: %+v != %+v", p, resU.Comparison, refU.Comparison)
+		}
 	}
 }
 
 func TestAnalyzeDatasetsAnalysisParallelismInvariance(t *testing.T) {
 	ds := syntheticDatasets(9, 4, 25, 0.4)
-	ref, err := AnalyzeDatasets(ds, WithSeed(5), WithAnalysisParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(1)
+	ref, err := AnalyzeDatasets(ds, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeDatasets(ds, WithSeed(5), WithAnalysisParallelism(runtime.GOMAXPROCS(0)))
+	runtime.GOMAXPROCS(max(procs, 4))
+	res, err := AnalyzeDatasets(ds, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref.Datasets, res.Datasets) {
-		t.Error("AnalyzeDatasets differs across analysis parallelism")
+		t.Error("AnalyzeDatasets differs across GOMAXPROCS")
 	}
 }
 
@@ -258,11 +268,10 @@ func TestRunHugeMaxRunsLazyAllocation(t *testing.T) {
 func TestNegativeKnobsRejected(t *testing.T) {
 	ok := noisyRunner(1)
 	cases := map[string]Experiment{
-		"Parallelism":         {A: ok, B: ok, Parallelism: -1},
-		"AnalysisParallelism": {A: ok, B: ok, AnalysisParallelism: -2},
-		"MinRuns":             {A: ok, B: ok, MinRuns: -1},
-		"BatchSize":           {A: ok, B: ok, BatchSize: -8},
-		"MaxRuns":             {A: ok, B: ok, MaxRuns: -3},
+		"Parallelism": {A: ok, B: ok, Parallelism: -1},
+		"MinRuns":     {A: ok, B: ok, MinRuns: -1},
+		"BatchSize":   {A: ok, B: ok, BatchSize: -8},
+		"MaxRuns":     {A: ok, B: ok, MaxRuns: -3},
 	}
 	for name, e := range cases {
 		if _, err := e.Run(context.Background()); err == nil {
@@ -273,18 +282,17 @@ func TestNegativeKnobsRejected(t *testing.T) {
 	// coerced to defaults, unlike WithGamma/WithConfidence/WithBootstrap).
 	a := []float64{1, 2, 3}
 	for name, opt := range map[string]Option{
-		"WithParallelism":         WithParallelism(-1),
-		"WithAnalysisParallelism": WithAnalysisParallelism(-1),
-		"WithMinRuns":             WithMinRuns(-5),
-		"WithBatchSize":           WithBatchSize(-1),
-		"WithMaxRuns":             WithMaxRuns(-1),
+		"WithParallelism": WithParallelism(-1),
+		"WithMinRuns":     WithMinRuns(-5),
+		"WithBatchSize":   WithBatchSize(-1),
+		"WithMaxRuns":     WithMaxRuns(-1),
 	} {
 		if _, err := Analyze(a, a, opt); err == nil {
 			t.Errorf("%s(-n): explicit negative accepted", name)
 		}
 	}
 	// Zero still means "use the default".
-	if _, err := Analyze(a, a, WithParallelism(0), WithBatchSize(0), WithMinRuns(0), WithAnalysisParallelism(0)); err != nil {
+	if _, err := Analyze(a, a, WithParallelism(0), WithBatchSize(0), WithMinRuns(0)); err != nil {
 		t.Errorf("zero-valued knobs rejected: %v", err)
 	}
 }

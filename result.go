@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"varbench/internal/jsonx"
 	"varbench/internal/report"
 	"varbench/internal/stats"
+	"varbench/internal/xrand"
 )
 
 // The report types marshal through jsonx so that NaN and ±Inf float fields
@@ -336,14 +338,16 @@ func combineEvidence(datasets []DatasetResult) (allMeaningful bool, wilcoxonP fl
 }
 
 // protocol carries the statistical knobs of one evaluation of the
-// recommended test; it is the engine behind Experiment.Run, Analyze and the
-// deprecated Compare family. The bootstrap resampling is sharded across
-// `workers` goroutines with (seed, bootstrap)-deterministic shard streams,
-// so evaluations are bit-identical at any worker count. The P(A>B)
-// statistic dispatches as a fused kernel (internal/stats.PABKernel): each
-// resample accumulates straight from sampled indices with no resample
-// buffer and no steady-state allocation, under a determinism contract that
-// keeps the resulting CIs bit-identical to the buffered closure path.
+// recommended test on pre-collected scores; Analyze and AnalyzeDatasets
+// evaluate through it (Experiment.Run and Stream use the incremental
+// accumulator instead, see incremental.go). The bootstrap resampling is
+// sharded across `workers` goroutines with (seed, bootstrap)-deterministic
+// shard streams, so evaluations are bit-identical at any worker count. The
+// paired P(A>B) statistic dispatches as a fused kernel
+// (internal/stats.PABKernel): each resample accumulates straight from
+// sampled indices with no resample buffer and no steady-state allocation,
+// under a determinism contract that keeps the resulting CIs bit-identical
+// to the buffered closure path.
 type protocol struct {
 	gamma     float64
 	level     float64
@@ -363,6 +367,22 @@ func conclusionOf(d compare.Decision) Conclusion {
 	}
 }
 
+// newComparison shapes one outcome of the recommended test, judged at
+// res.Gamma, as the public Comparison.
+func newComparison(res compare.Result, meanA, meanB float64, n int) Comparison {
+	return Comparison{
+		MeanA:        meanA,
+		MeanB:        meanB,
+		PAB:          res.PAB,
+		CILo:         res.CI.Lo,
+		CIHi:         res.CI.Hi,
+		Gamma:        res.Gamma,
+		Conclusion:   conclusionOf(res.Decision),
+		RecommendedN: stats.NoetherSampleSize(res.Gamma, 0.05, 0.05),
+		N:            n,
+	}
+}
+
 // paired runs the complete Appendix C protocol on paired scores.
 func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
 	pairs, err := compare.Pairs(scoresA, scoresB)
@@ -374,17 +394,7 @@ func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{
-		MeanA:        stats.Mean(scoresA),
-		MeanB:        stats.Mean(scoresB),
-		PAB:          res.PAB,
-		CILo:         res.CI.Lo,
-		CIHi:         res.CI.Hi,
-		Gamma:        p.gamma,
-		Conclusion:   conclusionOf(res.Decision),
-		RecommendedN: stats.NoetherSampleSize(p.gamma, 0.05, 0.05),
-		N:            len(pairs),
-	}, nil
+	return newComparison(res, stats.Mean(scoresA), stats.Mean(scoresB), len(pairs)), nil
 }
 
 // unpaired runs the Mann-Whitney variant for scores without shared seeds.
@@ -394,22 +404,12 @@ func (p protocol) unpaired(scoresA, scoresB []float64) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{
-		MeanA:        stats.Mean(scoresA),
-		MeanB:        stats.Mean(scoresB),
-		PAB:          res.PAB,
-		CILo:         res.CI.Lo,
-		CIHi:         res.CI.Hi,
-		Gamma:        p.gamma,
-		Conclusion:   conclusionOf(res.Decision),
-		RecommendedN: stats.NoetherSampleSize(p.gamma, 0.05, 0.05),
-		N:            min(len(scoresA), len(scoresB)),
-	}, nil
+	return newComparison(res, stats.Mean(scoresA), stats.Mean(scoresB), min(len(scoresA), len(scoresB))), nil
 }
 
 func (e *Experiment) protocol() protocol {
 	return protocol{gamma: e.Gamma, level: e.Confidence, bootstrap: e.Bootstrap,
-		seed: e.Seed, workers: e.AnalysisParallelism}
+		seed: e.Seed, workers: runtime.GOMAXPROCS(0)}
 }
 
 // validScores uniformly rejects samples too small for the recommended test
@@ -431,8 +431,8 @@ func validScores(scoresA, scoresB []float64, dataset string) error {
 // Analyze applies the recommended test to pre-collected scores and wraps
 // the conclusion in a renderable Result. Scores are treated as paired on
 // shared seeds unless WithUnpaired is given. This is the score-level entry
-// point the varbench compare subcommand and the deprecated Compare family
-// are built on; prefer Experiment.Run when you control the pipelines.
+// point the varbench compare subcommand is built on; prefer Experiment.Run
+// when you control the pipelines.
 func Analyze(scoresA, scoresB []float64, opts ...Option) (*Result, error) {
 	e, err := applyOptions(opts)
 	if err != nil {
@@ -479,12 +479,23 @@ type DatasetScores struct {
 // AnalyzeDatasets applies the recommended test per dataset with a
 // Bonferroni-adjusted meaningfulness threshold and combines the evidence
 // across datasets (Section 6), wrapping everything in a renderable Result.
+// Each dataset's bootstrap stream is derived from (seed, dataset name)
+// alone, so reordering the datasets changes no dataset's outcome.
 func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) {
 	e, err := applyOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	in := make([]compare.DatasetPairs, 0, len(datasets))
+	if len(datasets) == 0 {
+		return nil, fmt.Errorf("varbench: no datasets")
+	}
+	p := e.protocol()
+	p.gamma = stats.GammaBonferroni(e.Gamma, 0.05, len(datasets))
+	out := &Result{
+		Name:  e.Name,
+		Gamma: e.Gamma,
+		Seed:  e.Seed,
+	}
 	seen := make(map[string]bool, len(datasets))
 	for i, ds := range datasets {
 		// Names key the per-dataset bootstrap streams (and the report), so
@@ -501,39 +512,16 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		if err := validScores(ds.ScoresA, ds.ScoresB, ds.Name); err != nil {
 			return nil, err
 		}
-		pairs, err := compare.Pairs(ds.ScoresA, ds.ScoresB)
+		p.seed = xrand.New(e.Seed).Split("dataset/" + ds.Name).Uint64()
+		c, err := p.paired(ds.ScoresA, ds.ScoresB)
 		if err != nil {
 			return nil, fmt.Errorf("varbench: dataset %s: %w", ds.Name, err)
 		}
-		in = append(in, compare.DatasetPairs{Name: ds.Name, Pairs: pairs})
-	}
-	crit := compare.PAB{Gamma: e.Gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	res, err := compare.AcrossDatasetsSharded(in, crit, 0.05, e.Seed, e.AnalysisParallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Name:  e.Name,
-		Gamma: e.Gamma,
-		Seed:  e.Seed,
-	}
-	for i, d := range res.PerDataset {
-		c := Comparison{
-			MeanA:        stats.Mean(datasets[i].ScoresA),
-			MeanB:        stats.Mean(datasets[i].ScoresB),
-			PAB:          d.Result.PAB,
-			CILo:         d.Result.CI.Lo,
-			CIHi:         d.Result.CI.Hi,
-			Gamma:        d.AdjustedGamma,
-			Conclusion:   conclusionOf(d.Result.Decision),
-			RecommendedN: stats.NoetherSampleSize(d.AdjustedGamma, 0.05, 0.05),
-			N:            len(datasets[i].ScoresA),
-		}
 		out.Datasets = append(out.Datasets, DatasetResult{
-			Name:       d.Dataset,
+			Name:       ds.Name,
 			Comparison: c,
-			ScoresA:    datasets[i].ScoresA,
-			ScoresB:    datasets[i].ScoresB,
+			ScoresA:    ds.ScoresA,
+			ScoresB:    ds.ScoresB,
 			Pairs:      c.N,
 		})
 		out.Pairs += c.N
@@ -544,10 +532,6 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		out.Comparison = out.Datasets[0].Comparison
 		out.WilcoxonP = 1
 	} else {
-		// Deliberately recomputed via combineEvidence rather than taken
-		// from the MultiResult: the facade keeps ONE implementation of the
-		// Section 6 combination rule, shared with Experiment.Run (the
-		// internal fields remain for internal/compare's own users).
 		out.AllMeaningful, out.WilcoxonP = combineEvidence(out.Datasets)
 	}
 	return out, nil

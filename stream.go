@@ -3,6 +3,7 @@ package varbench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"varbench/internal/compare"
@@ -27,7 +28,7 @@ import (
 // changing them reuses the persisted state.
 //
 // A Stream is not safe for concurrent use; one goroutine feeds it
-// (extensions parallelize internally per WithAnalysisParallelism), while
+// (extensions parallelize internally across GOMAXPROCS workers), while
 // Subscribe delivers results to any number of consumers.
 type Stream struct {
 	cfg  *Experiment
@@ -45,7 +46,7 @@ type Stream struct {
 
 // NewStream opens an incremental analysis stream. The statistical knobs
 // come from the same Options as Analyze (WithGamma, WithConfidence,
-// WithBootstrap, WithSeed, WithAnalysisParallelism); WithStore plus
+// WithBootstrap, WithSeed); WithStore plus
 // WithPipelineID make the stream resumable under that ID.
 func NewStream(opts ...Option) (*Stream, error) {
 	cfg, err := applyOptions(opts)
@@ -63,7 +64,7 @@ func NewStream(opts ...Option) (*Stream, error) {
 		"pipeline="+cfg.PipelineID,
 		fmt.Sprintf("kernel=%s/k=%d/seed=%d", stats.AccPAB.ID(), cfg.Bootstrap, seed),
 	)
-	ana, err := newIncAnalysis(crit, seed, cfg.AnalysisParallelism, cfg.Store,
+	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), cfg.Store,
 		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp, nil)
 	if err != nil {
 		return nil, err
