@@ -79,12 +79,47 @@ func TestStoreResumeBackends(t *testing.T) {
 	})
 }
 
+// reimportSegLog dumps sl as a legacy trials.jsonl, without the lines that
+// contain drop (none when drop is ""), and imports it into a fresh
+// directory. It fails the test when drop matches no line.
+func reimportSegLog(t *testing.T, sl *store.SegLog, drop string) *store.SegLog {
+	t.Helper()
+	var dump bytes.Buffer
+	if err := sl.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	var kept []byte
+	dropped := 0
+	for _, line := range bytes.SplitAfter(dump.Bytes(), []byte("\n")) {
+		if drop != "" && bytes.Contains(line, []byte(drop)) {
+			dropped++
+			continue
+		}
+		kept = append(kept, line...)
+	}
+	if drop != "" && dropped == 0 {
+		t.Fatalf("the dump holds no %s line to drop", drop)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "trials.jsonl"), kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	imported, err := store.OpenSegLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imported
+}
+
 // TestExperimentResumeBackendEquivalence: one interrupted Experiment.Run
 // resumed on each backend lands on the byte-identical report — the report
 // must not depend on which engine, or which on-disk format, persisted the
-// trials.
+// trials, nor on whether the run's analysis record survived.
 func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	const maxRuns = 12
+	// The cancel lands in the second batch, so the interrupted run has fed
+	// the first one and saves its analysis on the way out.
+	const cancelAt = 11
 	exp := func(a, b TrialFunc, st store.Backend) Experiment {
 		return Experiment{
 			ATrial:      a,
@@ -132,26 +167,16 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	}{
 		{"mem", store.NewMem(), nil},
 		{"seglog", seglog(), nil},
-		// The interrupted run's trials and analysis snapshots reach the
+		// The interrupted run's trials and analysis snapshot reach the
 		// resumed run as a legacy trials.jsonl — a store dump — imported
 		// into a fresh directory.
 		{"jsonl", seglog(), func(t *testing.T, st store.Backend) store.Backend {
-			dir := t.TempDir()
-			f, err := os.Create(filepath.Join(dir, "trials.jsonl"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.(*store.SegLog).Dump(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-			imported, err := store.OpenSegLog(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return imported
+			return reimportSegLog(t, st.(*store.SegLog), "")
+		}},
+		// The same without the analysis record: a run killed before its one
+		// analysis write resumes from its trials alone.
+		{"trials-only", seglog(), func(t *testing.T, st store.Backend) store.Backend {
+			return reimportSegLog(t, st.(*store.SegLog), `"key":"analysis/`)
 		}},
 	}
 	for _, leg := range legs {
@@ -161,10 +186,13 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var calls atomic.Int64
-			a := countingPipeline(&calls, 0.3, 7, cancel)
-			b := countingPipeline(&calls, 0.1, 7, cancel)
+			a := countingPipeline(&calls, 0.3, cancelAt, cancel)
+			b := countingPipeline(&calls, 0.1, cancelAt, cancel)
 			if _, err := exp(a, b, st).Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
+			}
+			if n := st.CountPrefix("analysis/"); n != 1 {
+				t.Fatalf("interrupted run left %d analysis records, want 1", n)
 			}
 			if leg.resume != nil {
 				st = leg.resume(t, st)

@@ -528,11 +528,13 @@ func BenchmarkPipelineRun(b *testing.B) {
 
 // --- Parallel analysis-engine benchmarks (PR 2 perf trajectory) ---------
 
-// BenchmarkBatchedAnalysis measures the batched-analysis hot path: the
-// recommended test (K=1000 bootstrap over n=29 pairs) exactly as the
-// early-stop loop re-runs it at every batch boundary. Analyze shards the
-// bootstrap across GOMAXPROCS workers, and the sub-benchmark is named after
-// that count, so the bench gate (GOMAXPROCS=1) times the serial engine.
+// BenchmarkBatchedAnalysis measures the one-shot analysis: the recommended
+// test (K=1000 bootstrap over n=29 pairs) as Analyze and compare run it on
+// a finished score set. The early-stop loop does not re-run it; it extends
+// an incremental accumulator, which BenchmarkIncrementalExtend
+// (internal/stats) times. Analyze shards the bootstrap across GOMAXPROCS
+// workers, and the sub-benchmark is named after that count, so the bench
+// gate (GOMAXPROCS=1) times the serial engine.
 func BenchmarkBatchedAnalysis(b *testing.B) {
 	r := xrand.New(8)
 	n := 29

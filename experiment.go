@@ -2,6 +2,7 @@ package varbench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -67,8 +68,7 @@ type Progress struct {
 	// MaxRuns is the collection cap.
 	MaxRuns int
 	// Interim is the recommended test on the pairs so far; nil before
-	// MinRuns pairs exist, when early stopping is off, or while a resumed
-	// run replays batches a persisted analysis snapshot already covers.
+	// MinRuns pairs exist or when early stopping is off.
 	Interim *Comparison
 	// Quarantined counts the trials quarantined so far on this dataset
 	// (always 0 in fail-fast mode, where the first failure aborts the run).
@@ -153,9 +153,11 @@ type Experiment struct {
 	// pipeline. Because trial seeds depend only on (Seed, dataset, index),
 	// cache hits are bit-identical to recomputation at any Parallelism, and
 	// an interrupted Run resumes exactly where it stopped when re-run with
-	// the same store. Any store.Backend implementation works;
-	// store.NewMem, store.OpenSegLog and store.OpenDSN all produce one. See
-	// WithStore and the store package.
+	// the same store. An EarlyStopOff run also stores its final analysis,
+	// once, when it returns, so a rerun verifies the cached pairs against
+	// it instead of re-extending them. Any store.Backend implementation
+	// works; store.NewMem, store.OpenSegLog and store.OpenDSN all produce
+	// one. See WithStore and the store package.
 	Store store.Backend
 	// PipelineID names the pipeline implementation inside the store's spec
 	// fingerprint. The store cannot hash code: two experiments sharing a
@@ -519,18 +521,21 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	// each batch extends the state's K weighted resamples by its new pairs
 	// (O(K × n_new)) instead of re-running the full bootstrap on all n
 	// collected pairs (O(K × n) per boundary — O(batches × K × n) total).
-	// With a store attached, the state snapshots to disk after every batch
-	// and a re-run resumes it: boundaries the snapshot already covers are
-	// hash-verified, skipped, and known non-stopping (the run that saved
-	// the snapshot passed them under the identical decision schedule, which
-	// the analysis fingerprint plus batch-alignment acceptance guarantee).
+	// With a store, an EarlyStopOff run caches its final state: read once
+	// here, written once on the way out, and a rerun hash-verifies the
+	// replayed prefix against it instead of re-extending it. EarlyStopAuto
+	// judges every boundary, so it persists nothing: a resumed Auto run
+	// rebuilds its analysis from the trial cache, byte-identical by
+	// construction and short, since Auto stops at the first boundary past
+	// Noether's N.
 	seed := xrand.New(e.datasetRoot(ds.Name)).Split("analysis/incremental").Uint64()
 	crit := compare.PAB{Gamma: gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	aligned := func(n int) bool {
-		return n > 0 && n <= e.MaxRuns && (n == e.MaxRuns || n%e.BatchSize == 0)
+	var anaStore store.Backend
+	if e.EarlyStop == EarlyStopOff {
+		anaStore = e.Store
 	}
-	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), e.Store,
-		store.AnalysisKey(e.Seed, "dataset/"+ds.Name), e.analysisFingerprint(gamma, seed), aligned)
+	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), anaStore,
+		store.AnalysisKey(e.Seed, "dataset/"+ds.Name), e.analysisFingerprint(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -547,6 +552,11 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 			fails[i] = nil
 		}
 		if err := collectPairs(ctx, label, cache, g, runA, runB, batch, batchA[:m], batchB[:m], fails[:m], e.Parallelism); err != nil {
+			if lo > 0 {
+				// Save what the fed batches built for the rerun; a failing
+				// save joins err rather than hiding it.
+				err = errors.Join(err, ana.save())
+			}
 			return nil, err
 		}
 		// Compact the batch in trial-index order: surviving pairs extend
@@ -569,13 +579,8 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 		if err := ana.feed(outA, outB, prev, n); err != nil {
 			return nil, err
 		}
-		if err := ana.save(); err != nil {
-			return nil, err
-		}
 		lastEval = nil
-		// ana.n() > n means a restored snapshot already covers later batches
-		// of this same schedule; skip the boundary (it was non-stopping).
-		if e.EarlyStop == EarlyStopAuto && n >= e.MinRuns && ana.n() == n {
+		if e.EarlyStop == EarlyStopAuto && n >= e.MinRuns {
 			c, err := ana.comparison()
 			if err != nil {
 				return nil, err
@@ -608,6 +613,9 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 		return nil, fmt.Errorf("varbench: %sonly %d pair(s) survived collection, %d quarantined — cannot analyze: %w (first: %s)",
 			label, n, len(failures), ErrTrialFailed, failures[0].String())
 	}
+	if err := ana.settle(outA, outB); err != nil {
+		return nil, err
+	}
 	// The state is deterministic in (scores, seed), so the evaluation that
 	// decided the stop doubles as the final result.
 	final := Comparison{}
@@ -619,6 +627,9 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 			return nil, err
 		}
 		final = c
+	}
+	if err := ana.save(); err != nil {
+		return nil, err
 	}
 	return &DatasetResult{
 		Name:         ds.Name,

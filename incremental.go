@@ -16,8 +16,10 @@ import (
 // thread ONE resumable analysis state through all batch boundaries via the
 // incAnalysis helper below, instead of re-running the full K-resample
 // bootstrap at each — O(K × n) total resample-extension work instead of
-// O(batches × K × n). With a store attached the state snapshots to disk
-// after every batch, so a resumed run also resumes its analysis.
+// O(batches × K × n). With a store attached the state is a cache of the
+// final analysis: an EarlyStopOff experiment saves it once, when the run
+// returns, and a Stream on Flush; a resumed run verifies the replayed
+// prefix against it instead of re-extending it.
 
 // analysisSnapshot is the JSON payload persisted per analysis state (see
 // store.AnalysisKey for the key/fingerprint scheme). State is the binary
@@ -76,10 +78,9 @@ type incAnalysis struct {
 }
 
 // newIncAnalysis builds the analysis state, resuming from a persisted
-// snapshot when st holds a valid one under (key, fp) whose pair count
-// acceptN admits (nil acceptN admits any). Restore failures of any kind
-// fall back to a fresh state — recomputing is always correct.
-func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend, key, fp string, acceptN func(int) bool) (*incAnalysis, error) {
+// snapshot when st holds a valid one under (key, fp). Restore failures of
+// any kind fall back to a fresh state — recomputing is always correct.
+func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend, key, fp string) (*incAnalysis, error) {
 	ia := &incAnalysis{
 		crit: crit, seed: seed, workers: workers,
 		hasher: newPairHasher(),
@@ -96,9 +97,6 @@ func newIncAnalysis(crit compare.PAB, seed uint64, workers int, st store.Backend
 	var snap analysisSnapshot
 	ok, err := st.GetJSON(key, fp, &snap)
 	if err != nil || !ok || snap.N <= 0 {
-		return ia, nil
-	}
-	if acceptN != nil && !acceptN(snap.N) {
 		return ia, nil
 	}
 	restored, err := crit.RestoreAnalysis(snap.State, workers)
@@ -159,6 +157,27 @@ func (ia *incAnalysis) feed(scoresA, scoresB []float64, lo, hi int) error {
 	return nil
 }
 
+// settle makes the state cover exactly the pairs fed so far, which a and b
+// hold. A restored snapshot longer than the replay (it came from a longer
+// run) is discarded and the state rebuilt from the fed pairs — correct by
+// construction — so a result always describes exactly the pairs its caller
+// saw.
+func (ia *incAnalysis) settle(a, b []float64) error {
+	if ia.state.N() == ia.hasher.n {
+		return nil
+	}
+	fresh, err := ia.crit.NewAnalysis(ia.seed, ia.workers)
+	if err != nil {
+		return err
+	}
+	if err := fresh.Extend(ia.pairs(a, b)); err != nil {
+		return err
+	}
+	ia.state = fresh
+	ia.restoredN = 0
+	return nil
+}
+
 // pairs zips equal-length score slices into the reusable staging buffer.
 func (ia *incAnalysis) pairs(a, b []float64) []stats.Pair {
 	if cap(ia.pairBuf) < len(a) {
@@ -171,8 +190,8 @@ func (ia *incAnalysis) pairs(a, b []float64) []stats.Pair {
 	return buf
 }
 
-// save persists the current state snapshot (no-op without a store). Safe to
-// call at any batch boundary; the last write wins on restore.
+// save persists the current state snapshot (no-op without a store). The
+// last write wins on restore.
 func (ia *incAnalysis) save() error {
 	if ia.st == nil {
 		return nil
@@ -207,20 +226,18 @@ func (ia *incAnalysis) comparison() (Comparison, error) {
 }
 
 // analysisFingerprint hashes everything that must match for a persisted
-// analysis snapshot to be resumable into this run: the collection spec
-// (whose scores feed the state), the kernel identity and resample count,
-// the analysis seed, and every knob that shapes the early-stop decision
-// sequence (γ, level, MinRuns, BatchSize, policy) — a restored state skips
-// re-evaluating boundaries it already passed, which is only sound when the
-// decision schedule is identical. MaxRuns is deliberately excluded: raising
-// a budget resumes the same analysis (the batch-alignment acceptance check
-// handles schedule compatibility).
-func (e *Experiment) analysisFingerprint(gamma float64, seed uint64) string {
+// experiment analysis to be resumable into this run: the collection spec
+// (whose scores feed the state), the kernel identity, the resample count
+// and the analysis seed — the shape NewStream uses. Only EarlyStopOff runs
+// read or write it, and their result depends on the final state alone.
+// The state does not depend on γ or the level, which apply when it is
+// evaluated, nor on the budget: a raised MaxRuns resumes the saved state,
+// and settle rebuilds one that covers more pairs than the run.
+func (e *Experiment) analysisFingerprint(seed uint64) string {
 	return store.Fingerprint(
-		"varbench/analysis/v1",
+		"varbench/analysis/v2",
 		e.specFingerprint(),
-		fmt.Sprintf("kernel=%s/k=%d/seed=%d/gamma=%v/level=%v/minruns=%d/batch=%d/earlystop=%d",
-			stats.AccPAB.ID(), e.Bootstrap, seed, gamma, e.Confidence, e.MinRuns, e.BatchSize, e.EarlyStop),
+		fmt.Sprintf("kernel=%s/k=%d/seed=%d", stats.AccPAB.ID(), e.Bootstrap, seed),
 	)
 }
 

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"varbench/internal/xrand"
 	"varbench/store"
 )
 
@@ -31,6 +33,38 @@ func countingPipeline(calls *atomic.Int64, offset float64, cancelAt int64, cance
 			cancel()
 		}
 		return storeTestScore(t, offset), nil
+	}
+}
+
+// analysisCounter is a store.Backend decorator that counts the analysis
+// reads and writes: GetJSON and PutJSON calls on analysis/ keys. The
+// counters are atomic because a multi-dataset run writes from one
+// goroutine per dataset.
+type analysisCounter struct {
+	store.Backend
+	gets, puts atomic.Int64
+}
+
+func (c *analysisCounter) GetJSON(key, fp string, v any) (bool, error) {
+	if strings.HasPrefix(key, "analysis/") {
+		c.gets.Add(1)
+	}
+	return c.Backend.GetJSON(key, fp, v)
+}
+
+func (c *analysisCounter) PutJSON(key, fp string, v any) error {
+	if strings.HasPrefix(key, "analysis/") {
+		c.puts.Add(1)
+	}
+	return c.Backend.PutJSON(key, fp, v)
+}
+
+// check fails the test unless the counts since the last check are gets
+// and puts, then resets them.
+func (c *analysisCounter) check(t *testing.T, what string, gets, puts int64) {
+	t.Helper()
+	if g, p := c.gets.Swap(0), c.puts.Swap(0); g != gets || p != puts {
+		t.Errorf("%s: %d analysis GetJSON and %d PutJSON, want %d and %d", what, g, p, gets, puts)
 	}
 }
 
@@ -135,7 +169,8 @@ func TestVarianceStudyStoreResume(t *testing.T) {
 
 // TestExperimentRunStoreResume: the paired-collection counterpart — an
 // interrupted Experiment.Run resumes from the store to a byte-identical
-// report, recomputing only missing (trial, side) cells.
+// report, recomputing only missing (trial, side) cells, and each run reads
+// and writes its analysis at most once.
 func TestExperimentRunStoreResume(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
@@ -184,9 +219,20 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			var calls atomic.Int64
 			iA := countingPipeline(&calls, 0.3, 7, cancel)
 			iB := countingPipeline(&calls, 0.1, 7, cancel)
-			if _, err = exp(iA, iB, st).Run(ctx); !errors.Is(err, context.Canceled) {
+			counted := &analysisCounter{Backend: st}
+			if _, err = exp(iA, iB, counted).Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
 			}
+			// The run saves its analysis once, on the way out, if it fed a
+			// batch. At Parallelism 1 the cancel lands in the first batch's
+			// last trial, which finishes, so the second batch is the one
+			// cut off; at 4 the pool reports the cancel for the first batch
+			// itself, and a run that fed nothing writes nothing.
+			wantPuts := int64(0)
+			if par == 1 {
+				wantPuts = 1
+			}
+			counted.check(t, "interrupted run", 1, wantPuts)
 			st.Close()
 
 			st2, err := store.OpenSegLog(dir)
@@ -194,9 +240,9 @@ func TestExperimentRunStoreResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st2.Close()
-			// Count trial cells only: the interrupted run also persists
-			// analysis snapshots under "analysis/" keys, which are not
-			// pipeline calls.
+			// Count trial cells only: the interrupted run may also persist
+			// its analysis under an "analysis/" key, which is not a
+			// pipeline call.
 			recorded := st2.CountPrefix("trial/")
 			if recorded < 7 || recorded >= 2*maxRuns {
 				t.Fatalf("interrupted run recorded %d cells, want in [7, %d)", recorded, 2*maxRuns)
@@ -204,16 +250,30 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			var resumeCalls atomic.Int64
 			rA := countingPipeline(&resumeCalls, 0.3, 0, nil)
 			rB := countingPipeline(&resumeCalls, 0.1, 0, nil)
-			res2, err := exp(rA, rB, st2).Run(context.Background())
+			counted = &analysisCounter{Backend: st2}
+			res2, err := exp(rA, rB, counted).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
+			counted.check(t, "resumed run", 1, 1)
 			if got := render(res2); got != golden {
 				t.Errorf("resumed report differs from golden:\n%s\n--- golden ---\n%s", got, golden)
 			}
 			if got, want := resumeCalls.Load(), int64(2*maxRuns-recorded); got != want {
 				t.Errorf("resumed run made %d calls, want %d", got, want)
 			}
+
+			// A rerun cancelled while it replays the stored analysis must
+			// not overwrite it with a state it has not verified: it writes
+			// nothing.
+			replayCtx, cancelReplay := context.WithCancel(context.Background())
+			defer cancelReplay()
+			replay := exp(rA, rB, counted)
+			replay.Progress = func(Progress) { cancelReplay() }
+			if _, err := replay.Run(replayCtx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("rerun cancelled mid-replay: want context.Canceled, got %v", err)
+			}
+			counted.check(t, "rerun cancelled mid-replay", 1, 0)
 		})
 	}
 }
@@ -298,7 +358,8 @@ func TestVarianceStudyCrossStudySharing(t *testing.T) {
 
 // TestStoreFingerprintInvalidation: records are only served to the spec
 // that wrote them — a different PipelineID or varied-source set recomputes
-// from scratch instead of silently reusing stale scores.
+// from scratch instead of silently reusing stale scores — and analysis
+// records only to EarlyStopOff runs.
 func TestStoreFingerprintInvalidation(t *testing.T) {
 	st, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
@@ -339,17 +400,40 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 			t.Errorf("cached score %d = %v, want %v", i, again[i], first[i])
 		}
 	}
+
+	// An EarlyStopAuto experiment of the same spec reuses the A cells
+	// Collect recorded, and judges from its trials alone: it neither reads
+	// nor writes an analysis record.
+	counted := &analysisCounter{Backend: st}
+	var cA, cB atomic.Int64
+	auto := Experiment{
+		ATrial:     countingPipeline(&cA, 0, 0, nil),
+		BTrial:     countingPipeline(&cB, 0.1, 0, nil),
+		Sources:    []Source{VarInit},
+		Seed:       9,
+		MaxRuns:    4,
+		Store:      counted,
+		PipelineID: "pipeline-v1",
+	}
+	if _, err := auto.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if cA.Load() != 0 || cB.Load() != 4 {
+		t.Errorf("experiment made %d A and %d B calls, want 0 and 4", cA.Load(), cB.Load())
+	}
+	counted.check(t, "EarlyStopAuto run", 0, 0)
 }
 
 // TestMultiDatasetStoreResume: per-dataset keys keep concurrent dataset
 // collections from colliding in the store, and a second run is fully
 // cached with an identical report.
 func TestMultiDatasetStoreResume(t *testing.T) {
-	st, err := store.OpenSegLog(t.TempDir())
+	sl, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer sl.Close()
+	st := &analysisCounter{Backend: sl}
 	build := func(calls *atomic.Int64) Experiment {
 		return Experiment{
 			Datasets: []Dataset{
@@ -358,6 +442,7 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 			},
 			Seed:       13,
 			MaxRuns:    6,
+			BatchSize:  2, // three batches per dataset, one analysis write
 			EarlyStop:  EarlyStopOff,
 			Bootstrap:  50,
 			Store:      st,
@@ -379,6 +464,7 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 	if calls1.Load() != 2*2*6 {
 		t.Fatalf("first run made %d calls, want 24", calls1.Load())
 	}
+	st.check(t, "first run", 2, 2)
 	res2, err := build(&calls2).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +472,187 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 	if calls2.Load() != 0 {
 		t.Errorf("second run made %d calls, want 0", calls2.Load())
 	}
+	st.check(t, "second run", 2, 2)
 	if render(res1) != render(res2) {
 		t.Errorf("cached multi-dataset report differs:\n%s\n---\n%s", render(res1), render(res2))
+	}
+}
+
+// normalSide is a pipeline scoring Normal(mean, 0.02), drawn from the
+// trial seed's label stream.
+func normalSide(label string, mean float64) TrialFunc {
+	return func(t Trial) (float64, error) {
+		return xrand.New(t.Seed).Split(label).Normal(mean, 0.02), nil
+	}
+}
+
+// faultInject wraps inner in a FaultInject backend running schedule.
+func faultInject(t *testing.T, inner store.Backend, schedule string) store.Backend {
+	t.Helper()
+	rules, err := store.ParseFaultSchedule(schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.NewFaultInject(inner, rules)
+}
+
+// TestResumedOffRunReportsFedPairs: an EarlyStopOff rerun that quarantines
+// a pair reports the pairs it fed, not the longer analysis the first run
+// stored. The clean run stores its analysis of 16 pairs. The rerun loses
+// one cache read (get@9), recomputes that cell, fails to store it (put@1)
+// and quarantines the pair. Its report must describe its 15 pairs and
+// equal the report of the same rerun over the trials alone.
+func TestResumedOffRunReportsFedPairs(t *testing.T) {
+	exp := Experiment{
+		ATrial:      normalSide("a", 0.76),
+		BTrial:      normalSide("b", 0.75),
+		Seed:        3,
+		MaxRuns:     16,
+		BatchSize:   8,
+		EarlyStop:   EarlyStopOff,
+		Bootstrap:   200,
+		Parallelism: 1,
+		Retry:       RetryPolicy{MaxAttempts: 1},
+	}
+	sl, err := store.OpenSegLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Close()
+	clean := exp
+	clean.Store = sl
+	if _, err := clean.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	trialsOnly := reimportSegLog(t, sl, `"key":"analysis/`)
+	defer trialsOnly.Close()
+
+	rerun := func(inner store.Backend) *Result {
+		t.Helper()
+		e := exp
+		e.Store = faultInject(t, inner, "get@9;put@1")
+		res, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := rerun(sl)
+	if res.Pairs != 15 || res.Quarantined != 1 || res.Comparison.N != 15 {
+		t.Fatalf("rerun reports %d pairs, %d quarantined and Comparison.N %d, want 15, 1 and 15",
+			res.Pairs, res.Quarantined, res.Comparison.N)
+	}
+	if got, want := renderText(t, res), renderText(t, rerun(trialsOnly)); got != want {
+		t.Errorf("rerun over the stored analysis differs from the rerun over the trials alone:\n%s--- trials only ---\n%s", got, want)
+	}
+}
+
+// TestResumedAutoRunMatchesFreshRun: an EarlyStopAuto rerun over a store
+// that a degraded run filled reaches the verdict of a fresh run. The first
+// run quarantines one of 24 pairs; the rerun's budget is the 23 pairs that
+// run reported, so an analysis it had stored would look complete. Resuming
+// from it would skip the boundaries before the replay verified its prefix:
+// the rerun would report n 23 max-runs, where the fresh run stops at n 16
+// with ci-cleared-gamma.
+func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
+	for _, seed := range []uint64{46, 57, 70} {
+		for _, schedule := range []string{"put@1", "put@3"} {
+			t.Run(fmt.Sprintf("seed-%d-%s", seed, schedule), func(t *testing.T) {
+				exp := Experiment{
+					ATrial:      normalSide("a", 0.78),
+					BTrial:      normalSide("b", 0.75),
+					Seed:        seed,
+					MaxRuns:     24,
+					BatchSize:   8,
+					Bootstrap:   200,
+					Parallelism: 1,
+					Retry:       RetryPolicy{MaxAttempts: 1},
+				}
+				mem := store.NewMem()
+				degraded := exp
+				degraded.Store = faultInject(t, mem, schedule)
+				first, err := degraded.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first.Quarantined != 1 || first.Pairs != 23 {
+					t.Fatalf("degraded run: %d pairs, %d quarantined, want 23 and 1", first.Pairs, first.Quarantined)
+				}
+				exp.MaxRuns = first.Pairs
+				fresh, err := exp.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh.Pairs != 16 || fresh.StopReason != StopCICleared {
+					t.Fatalf("fresh run stopped at n %d (%s); this case stops at n 16 (%s)",
+						fresh.Pairs, fresh.StopReason, StopCICleared)
+				}
+				resumed := exp
+				resumed.Store = mem
+				res, err := resumed.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := renderText(t, res), renderText(t, fresh); got != want {
+					t.Errorf("resumed run differs from a fresh run:\n%s--- fresh ---\n%s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestOffResumeAfterBudgetChange: an EarlyStopOff run resumed at another
+// budget reports what a storeless run at that budget reports — whether the
+// stored analysis covers fewer pairs than the rerun feeds or more (40→13),
+// and whether or not the first run quarantined a pair (put@3), which
+// leaves the stored analysis off the batch grid and unlike the rerun's
+// prefix.
+func TestOffResumeAfterBudgetChange(t *testing.T) {
+	for _, budget := range [][2]int{{13, 40}, {29, 64}, {40, 13}, {5, 9}} {
+		for _, fault := range []struct{ name, schedule string }{{"clean", ""}, {"quarantine", "put@3"}} {
+			for _, effect := range []float64{0, 0.03} {
+				name := fmt.Sprintf("%d-to-%d/%s/effect-%v", budget[0], budget[1], fault.name, effect)
+				t.Run(name, func(t *testing.T) {
+					exp := Experiment{
+						ATrial:      normalSide("a", 0.75+effect),
+						BTrial:      normalSide("b", 0.75),
+						Seed:        1,
+						MaxRuns:     budget[0],
+						EarlyStop:   EarlyStopOff,
+						Bootstrap:   200,
+						Parallelism: 1,
+						Retry:       RetryPolicy{MaxAttempts: 1},
+					}
+					mem := store.NewMem()
+					first := exp
+					first.Store = faultInject(t, mem, fault.schedule)
+					res, err := first.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantQuarantined := 0
+					if fault.schedule != "" {
+						wantQuarantined = 1
+					}
+					if res.Quarantined != wantQuarantined {
+						t.Fatalf("first run quarantined %d pairs, want %d", res.Quarantined, wantQuarantined)
+					}
+					exp.MaxRuns = budget[1]
+					fresh, err := exp.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					resumed := exp
+					resumed.Store = mem
+					got, err := resumed.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := renderText(t, got), renderText(t, fresh); g != w {
+						t.Errorf("resumed run differs from a storeless run:\n%s--- storeless ---\n%s", g, w)
+					}
+				})
+			}
+		}
 	}
 }

@@ -31,9 +31,8 @@ import (
 // (extensions parallelize internally across GOMAXPROCS workers), while
 // Subscribe delivers results to any number of consumers.
 type Stream struct {
-	cfg  *Experiment
-	ana  *incAnalysis
-	crit compare.PAB
+	cfg *Experiment
+	ana *incAnalysis
 
 	// The full score history backs snapshot-mismatch rebuilds and the
 	// stale-snapshot settle in Result.
@@ -56,23 +55,22 @@ func NewStream(opts ...Option) (*Stream, error) {
 	crit := compare.PAB{Gamma: cfg.Gamma, Level: cfg.Confidence, Bootstrap: cfg.Bootstrap}
 	seed := xrand.New(cfg.Seed).Split("analysis/stream").Uint64()
 	// The fingerprint pins state validity only (kernel algebra/version, K,
-	// seed derivation, stream identity): unlike experiment snapshots, no
-	// early-stop decision schedule is replayed, so γ/level/batching stay
-	// out and changing them resumes the same state.
+	// seed derivation, stream identity), as the experiment analysis
+	// fingerprint does: γ/level/batching stay out, so changing them resumes
+	// the same state.
 	fp := store.Fingerprint(
 		"varbench/stream/v1",
 		"pipeline="+cfg.PipelineID,
 		fmt.Sprintf("kernel=%s/k=%d/seed=%d", stats.AccPAB.ID(), cfg.Bootstrap, seed),
 	)
 	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), cfg.Store,
-		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp, nil)
+		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp)
 	if err != nil {
 		return nil, err
 	}
 	return &Stream{
 		cfg:  cfg,
 		ana:  ana,
-		crit: crit,
 		subs: make(map[chan *Result]context.Context),
 	}, nil
 }
@@ -119,18 +117,8 @@ func (s *Stream) Extend(a, b []float64) (*Result, error) {
 // replayed scores first, so the result always describes exactly the pairs
 // this stream saw.
 func (s *Stream) Result() (*Result, error) {
-	if s.ana.n() > s.ana.fed() {
-		// Settle: discard the too-far snapshot and recompute from the
-		// buffered history — correct by construction.
-		fresh, err := s.crit.NewAnalysis(s.ana.seed, s.ana.workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := fresh.Extend(s.ana.pairs(s.outA, s.outB)); err != nil {
-			return nil, err
-		}
-		s.ana.state = fresh
-		s.ana.restoredN = 0
+	if err := s.ana.settle(s.outA, s.outB); err != nil {
+		return nil, err
 	}
 	return s.result()
 }
