@@ -8,16 +8,16 @@ import (
 
 // The seedflow analyzer: every xrand stream in varbench derives from a
 // declared identity — (Seed, realization, source, shard) tuples flowing
-// through Split/SplitSeedBytes labels, precomputed seed tables, or named
-// derivation helpers. Seeds invented at the call site from loop-variable
-// arithmetic (xrand.New(seed + uint64(i))) silently couple streams, break
-// the "reorderable sources" contract and make resumed runs depend on how a
-// loop was batched. The analyzer flags any loop variable reaching an xrand
-// constructor's seed argument through arithmetic or conversions. Reading a
-// precomputed table by loop index (xrand.New(roots[i])) and passing loop
-// variables into a derivation CALL (root.Split(label(i))) are both fine —
-// the derivation is declared, not invented — so the walk stops at index
-// positions and non-conversion calls.
+// through Split labels (or SplitSeed of a continued LabelHash), precomputed
+// seed tables, or named derivation helpers. Seeds invented at the call site
+// from loop-variable arithmetic (xrand.New(seed + uint64(i))) silently
+// couple streams, break the "reorderable sources" contract and make resumed
+// runs depend on how a loop was batched. The analyzer flags any loop
+// variable reaching an xrand constructor's seed argument through arithmetic
+// or conversions. Reading a precomputed table by loop index
+// (xrand.New(roots[i])) and passing loop variables into a derivation CALL
+// (root.Split(label(i))) are both fine — the derivation is declared, not
+// invented — so the walk stops at index positions and non-conversion calls.
 
 // xrandPath is the import path of the RNG layer whose constructors are
 // guarded.
@@ -54,7 +54,7 @@ func runSeedFlow(p *Pass) {
 				p.Reportf(call.Args[0].Pos(),
 					"seed for xrand.%s derives from loop variable %q at the call site; "+
 						"derive it from a declared (seed, realization, source, shard) tuple "+
-						"via Split/SplitSeedBytes, a seed table, or a named derivation function",
+						"via Split/SplitSeed labels, a seed table, or a named derivation function",
 					k.name, bad.Name)
 			}
 			return true

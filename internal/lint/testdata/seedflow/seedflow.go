@@ -1,7 +1,7 @@
 // Package seedflow is a lint fixture: seeds invented from loop-variable
 // arithmetic at an xrand constructor's call site must be flagged; seed
-// tables, Split-derived labels and named derivation helpers are declared
-// derivations and stay clean.
+// tables, Split-derived labels (whole or as a continued LabelHash) and named
+// derivation helpers are declared derivations and stay clean.
 package seedflow
 
 import (
@@ -46,6 +46,19 @@ func viaSplit(seed uint64, n int) []uint64 {
 	for i := 0; i < n; i++ {
 		// A named derivation call owns its arguments: no finding.
 		out[i] = root.Split(fmt.Sprintf("realization/%d", i)).Uint64()
+	}
+	return out
+}
+
+func viaLabelHash(seed uint64, n int) []uint64 {
+	var root, src xrand.Source
+	root.Seed(seed)
+	prefix := xrand.HashLabel("realization/")
+	out := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		// A continued label hash is a Split label: no finding.
+		src.Seed(root.SplitSeed(prefix.AppendInt(i)))
+		out[i] = src.Uint64()
 	}
 	return out
 }

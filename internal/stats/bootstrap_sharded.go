@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -62,14 +61,12 @@ func getShards(k int, seed uint64) *[]bootstrapShard {
 	*p = (*p)[:n]
 	var root xrand.Source
 	root.Seed(seed)
-	var lbl [len(bootstrapShardPrefix) + 20]byte
+	prefix := xrand.HashLabel(bootstrapShardPrefix)
 	shards := *p
 	for s := range shards {
-		b := append(lbl[:0], bootstrapShardPrefix...)
-		b = strconv.AppendInt(b, int64(s), 10)
 		shards[s].Lo = s * k / n
 		shards[s].Hi = (s + 1) * k / n
-		shards[s].R.Seed(root.SplitSeedBytes(b))
+		shards[s].R.Seed(root.SplitSeed(prefix.AppendInt(s)))
 	}
 	return p
 }
@@ -91,9 +88,9 @@ func (t twoSampleAdapter) ResampleInto(out []float64, s twoSamples, r *xrand.Sou
 
 // parallelShards runs work(s) for every shard s in [0, nsh), claimed one at
 // a time by min(workers, nsh) goroutines, and returns once all are done.
-// Both sharded engines (shardedVals and Accum.ExtendPairs) fan out through
-// it; each keeps its serial loop inline instead, because the work closure
-// escapes here and the serial paths must not allocate.
+// shardedVals fans out through it and keeps its serial loop inline instead,
+// because the work closure escapes here and the serial path must not
+// allocate.
 func parallelShards(nsh, workers int, work func(s int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
+	"sync"
 
 	"varbench/internal/xrand"
 )
@@ -26,10 +26,11 @@ import (
 // Determinism contract (the incremental analogue of the kernel contract in
 // kernel.go):
 //
-//   - the weight of (pair j, resample i) is drawn from a stream derived
-//     from (seed, j, shard-of-i) alone — never from when pair j arrived,
-//     how extensions were batched, or the worker count — consuming exactly
-//     one Float64 per (pair, resample) in resample order within the shard;
+//   - the weight of (pair j, resample i) is -log1p(-u) of one uniform
+//     u = m·2⁻⁵³, m = Uint64()>>11 (the draw Float64 makes), from a stream
+//     derived from (seed, j, shard-of-i) alone — never from when pair j
+//     arrived, how extensions were batched, or the worker count — and each
+//     stream is drawn in resample order within its shard;
 //   - each resample's sums accumulate over pairs in pair order;
 //
 // so Extend(x₁) followed by Extend(x₂) is bit-identical to Extend(x₁‖x₂),
@@ -39,6 +40,10 @@ import (
 // PairedPercentileBootstrapKernel's — which is exactly why it can be
 // incremental: the classic multinomial scheme has no
 // arrival-order-independent form.
+//
+// The weight kernel (log1pWeight) computes -log1p(-u) with math.Log1p's own
+// code path specialised to this domain, so its bits equal math.Log1p's; see
+// its doc comment for why, and TestLog1pWeightMatchesLog1p for the pin.
 //
 // Shard boundaries reuse BootstrapShards(k), a pure function of k, so the
 // parallel extension is worker-count invariant for the same reason the
@@ -102,44 +107,39 @@ func (ac *Accum) N() int { return ac.n }
 // pin the weight streams independently of arrival order.
 const incLabelPrefix = "incremental/x/"
 
-// incLabel appends the weight-stream label for (pair, shard) to b.
-func incLabel(b []byte, pair, shard int) []byte {
-	b = append(b, incLabelPrefix...)
-	b = strconv.AppendInt(b, int64(pair), 10)
-	b = append(b, "/shard/"...)
-	return strconv.AppendInt(b, int64(shard), 10)
-}
-
-// expWeight draws one Exp(1) resampling weight, consuming exactly one
-// Float64. u ∈ [0,1) keeps the argument of Log1p in (−1, 0], so the weight
-// is finite and non-negative (0 exactly when u is, probability 2⁻⁵³).
-func expWeight(r *xrand.Source) float64 { return -math.Log1p(-r.Float64()) }
-
 // ExtendPairs appends new paired measurements. The result is bit-identical
 // whether the pairs arrive in one call or many, at any worker count. The
 // returned error is always nil.
 func (ac *Accum) ExtendPairs(pairs []Pair, workers int) error {
 	nsh := BootstrapShards(ac.k)
-	if min(workers, nsh) <= 1 {
-		for s := 0; s < nsh; s++ {
-			ac.extendShard(pairs, s, nsh)
-		}
+	if nw := min(workers, nsh); nw <= 1 {
+		ac.extendShards(pairs, 0, nsh, nsh)
 	} else {
-		parallelShards(nsh, workers, func(s int) { ac.extendShard(pairs, s, nsh) })
+		// Static shard ranges, one per worker: the streams depend only on
+		// (seed, pair, shard) and the ranges write disjoint resamples, so
+		// the split changes no bit.
+		var wg sync.WaitGroup
+		for w := range nw {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ac.extendShards(pairs, w*nsh/nw, (w+1)*nsh/nw, nsh)
+			}()
+		}
+		wg.Wait()
 	}
 	ac.n += len(pairs)
 	return nil
 }
 
-// extendShard adds pairs to the resamples of shard s (of nsh): for each
-// pair it seeds the label-derived stream and draws one weight per resample
-// in resample order.
-func (ac *Accum) extendShard(pairs []Pair, s, nsh int) {
-	lo, hi := s*ac.k/nsh, (s+1)*ac.k/nsh
-	weight, wins := ac.weight[lo:hi], ac.wins[lo:hi]
+// extendShards adds pairs to the resamples of shards [s0, s1) of nsh. It
+// walks the pairs in order and, inside each pair, the shards: the label
+// hash of "incremental/x/<pair>/shard/" is computed once per pair and
+// continued with each shard's digits to seed that (pair, shard) stream.
+func (ac *Accum) extendShards(pairs []Pair, s0, s1, nsh int) {
 	var root, r xrand.Source
 	root.Seed(ac.seed)
-	var lbl [len(incLabelPrefix) + 48]byte
+	prefix := xrand.HashLabel(incLabelPrefix)
 	for j, pr := range pairs {
 		var x2 float64 // twice the win indicator
 		switch {
@@ -148,13 +148,95 @@ func (ac *Accum) extendShard(pairs []Pair, s, nsh int) {
 		case pr.A == pr.B:
 			x2 = 1
 		}
-		r.Seed(root.SplitSeedBytes(incLabel(lbl[:0], ac.n+j, s)))
-		for i := range weight {
-			w := expWeight(&r)
-			weight[i] += w
-			wins[i] += w * x2
+		pair := prefix.AppendInt(ac.n + j).Append("/shard/")
+		for s := s0; s < s1; s++ {
+			lo, hi := s*ac.k/nsh, (s+1)*ac.k/nsh
+			r.Seed(root.SplitSeed(pair.AppendInt(s)))
+			addExpWeights(ac.weight[lo:hi], ac.wins[lo:hi], x2, &r)
 		}
 	}
+}
+
+// addExpWeights draws one Exp(1) weight per resample from r, in resample
+// order, and adds it to that resample's total weight and x2 times it to its
+// wins.
+func addExpWeights(weight, wins []float64, x2 float64, r *xrand.Source) {
+	wins = wins[:len(weight)] // one bounds check for both columns
+	for i := range weight {
+		w := log1pWeight(r.Uint64() >> 11)
+		weight[i] += w
+		wins[i] += w * x2
+	}
+}
+
+// log1pWeight returns the Exp(1) weight -log1p(-u) of the uniform
+// u = m·2⁻⁵³, for m < 2⁵³: bit for bit -math.Log1p(-float64(m)/(1<<53)).
+// The weight is finite and non-negative, and 0 exactly when m is.
+//
+// It is math.Log1p's pure-Go code path (FreeBSD's s_log1p.c) with the
+// constants, the normalisation and every expression shape copied verbatim
+// (the order of operations is what keeps the bits equal), specialised to
+// x = -u ∈ (-1, 0]:
+//
+//   - x is never NaN, ±Inf or ≤ -1, so those checks go;
+//   - for u ≥ 1-√2/2 (log1p's k ≠ 0 path), 1+x = (2⁵³-m)·2⁻⁵³ is exact and
+//     so is (1+x)-1 = x, which makes the correction term
+//     c = (x - ((1+x)-1)) / (1+x) exactly +0: its subtraction and division
+//     drop out, and adding it to k·ln2_lo ≠ 0 changes nothing. There
+//     1+x < √2/2 as well, so normalisation leaves k ≤ -1 and the k = 0
+//     return of that path is unreachable.
+//
+// Two kinds of argument call math.Log1p itself, because log1p takes rare
+// branches for them: m < 2²⁴ (|x| < 2⁻²⁹, the small-argument series) and a
+// normalised mantissa of zero. TestLog1pWeightMatchesLog1p pins the bits
+// against the Go release's own math.Log1p, branch edges included.
+func log1pWeight(m uint64) float64 {
+	const (
+		Sqrt2HalfM1 = -2.928932188134524755992e-01 // Sqrt(2)/2-1 = 0xbfd2bec333018866
+		Ln2Hi       = 6.93147180369123816490e-01   // 3fe62e42fee00000
+		Ln2Lo       = 1.90821492927058770002e-10   // 3dea39ef35793c76
+		Lp1         = 6.666666666666735130e-01     // 3FE5555555555593
+		Lp2         = 3.999999999940941908e-01     // 3FD999999997FA04
+		Lp3         = 2.857142874366239149e-01     // 3FD2492494229359
+		Lp4         = 2.222219843214978396e-01     // 3FCC71C51D8E78AF
+		Lp5         = 1.818357216161805012e-01     // 3FC7466496CB03DE
+		Lp6         = 1.531383769920937332e-01     // 3FC39A09D078C69F
+		Lp7         = 1.479819860511658591e-01     // 3FC2F112DF3E5244
+	)
+	x := -(float64(m) / (1 << 53))
+	if m < 1<<24 {
+		return -math.Log1p(x)
+	}
+	if x > Sqrt2HalfM1 { // k = 0: f = x
+		f := x
+		hfsq := 0.5 * f * f
+		s := f / (2.0 + f)
+		z := s * s
+		R := z * (Lp1 + z*(Lp2+z*(Lp3+z*(Lp4+z*(Lp5+z*(Lp6+z*Lp7))))))
+		return -(f - (hfsq - s*(hfsq+R)))
+	}
+	u := 1.0 + x
+	iu := math.Float64bits(u)
+	k := int((iu >> 52) - 1023)
+	iu &= 0x000fffffffffffff
+	if iu < 0x0006a09e667f3bcd { // mantissa of Sqrt(2)
+		u = math.Float64frombits(iu | 0x3ff0000000000000) // normalize u
+	} else {
+		k++
+		u = math.Float64frombits(iu | 0x3fe0000000000000) // normalize u/2
+		iu = (0x0010000000000000 - iu) >> 2
+	}
+	if iu == 0 {
+		return -math.Log1p(x)
+	}
+	f := u - 1.0 // Sqrt(2)/2 < u < Sqrt(2)
+	hfsq := 0.5 * f * f
+	s := f / (2.0 + f)
+	z := s * s
+	R := z * (Lp1 + z*(Lp2+z*(Lp3+z*(Lp4+z*(Lp5+z*(Lp6+z*Lp7))))))
+	// The explicit conversion rounds k·ln2_lo on its own, as log1p's
+	// (k·ln2_lo + c) does, on targets that fuse multiply-adds.
+	return -(float64(k)*Ln2Hi - ((hfsq - (s*(hfsq+R) + float64(float64(k)*Ln2Lo))) - f))
 }
 
 // CI reads the two-sided percentile interval off the K weighted resample

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,6 +34,24 @@ func accumBits(t *testing.T, ac *Accum) []byte {
 	return b
 }
 
+// splitPlans lists the batchings the extend tests feed n pairs in, as
+// cumulative pair counts (see extendAll).
+func splitPlans(n int) [][]int {
+	one := make([]int, 0, n) // pair at a time
+	for i := 1; i <= n; i++ {
+		one = append(one, i)
+	}
+	return [][]int{
+		{n},                      // one shot
+		{1, n},                   // tiny first batch
+		{n / 2, n},               // even split
+		{n - 1, n},               // extension by a single pair
+		one,                      // pair at a time
+		{n / 3, 2 * n / 3, n},    // three batches
+		{n / 4, n / 2, n - 1, n}, // uneven batches
+	}
+}
+
 // TestAccumExtendBitIdentical is the central property test: extending by
 // n_new pairs is bit-identical to the from-scratch run on n_old+n_new —
 // across the worker grid and across several split points, including
@@ -44,21 +63,6 @@ func TestAccumExtendBitIdentical(t *testing.T) {
 		k := 40 + r.Intn(200)
 		seed := r.Uint64()
 		pairs := randomPairs(r, n)
-		splitPlans := [][]int{
-			{n},                      // one shot (the reference itself)
-			{1, n},                   // tiny first batch
-			{n / 2, n},               // even split
-			{n - 1, n},               // extension by a single pair
-			make([]int, 0, n),        // pair at a time
-			{n / 3, 2 * n / 3, n},    // three batches
-			{n / 4, n / 2, n - 1, n}, // uneven batches
-		}
-		one := splitPlans[4]
-		for i := 1; i <= n; i++ {
-			one = append(one, i)
-		}
-		splitPlans[4] = one
-
 		ref, err := NewAccum(AccPAB, k, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +70,7 @@ func TestAccumExtendBitIdentical(t *testing.T) {
 		extendAll(t, ref, pairs, []int{n}, 1)
 		refBits := accumBits(t, ref)
 		refCI := ref.CI(0.95)
-		for _, splits := range splitPlans {
+		for _, splits := range splitPlans(n) {
 			for _, w := range kernelWorkerGrid() {
 				got, err := NewAccum(AccPAB, k, seed)
 				if err != nil {
@@ -235,5 +239,111 @@ func TestAccumExtendAllocsFlat(t *testing.T) {
 	}
 	if late > early {
 		t.Fatalf("ExtendPairs allocations grow with n: early=%v late=%v", early, late)
+	}
+}
+
+// referenceExtend is the accumulator's original per-cell loop, kept as the
+// reference the engine must match bit for bit: shard by shard and pair by
+// pair, each stream is Split from its whole label and each weight is
+// -math.Log1p(-Float64()).
+func referenceExtend(ac *Accum, pairs []Pair) {
+	nsh := BootstrapShards(ac.k)
+	root := xrand.New(ac.seed)
+	for s := 0; s < nsh; s++ {
+		lo, hi := s*ac.k/nsh, (s+1)*ac.k/nsh
+		for j, pr := range pairs {
+			var x2 float64
+			switch {
+			case pr.A > pr.B:
+				x2 = 2
+			case pr.A == pr.B:
+				x2 = 1
+			}
+			r := root.Split(fmt.Sprintf("incremental/x/%d/shard/%d", ac.n+j, s))
+			for i := lo; i < hi; i++ {
+				w := -math.Log1p(-r.Float64())
+				ac.weight[i] += w
+				ac.wins[i] += w * x2
+			}
+		}
+	}
+	ac.n += len(pairs)
+}
+
+// TestAccumExtendMatchesReferenceLoop pins ExtendPairs to referenceExtend:
+// byte-equal snapshots for every batching, across K values on both sides
+// of the 64-shard cap and uneven shard sizes, at worker counts that split
+// the shards unevenly and beyond the shard count, on pairs with ties and
+// non-finite scores. Stored snapshots written by the reference loop must
+// keep resuming to the same bits.
+func TestAccumExtendMatchesReferenceLoop(t *testing.T) {
+	inf := math.Inf(1)
+	special := []Pair{
+		{A: 1, B: 1}, {A: inf, B: 0}, {A: 0, B: -inf}, {A: inf, B: inf},
+		{A: -inf, B: 2}, {A: math.NaN(), B: 0}, {A: 0, B: math.NaN()},
+	}
+	for _, seed := range []uint64{0, 77, 1 << 63} {
+		pairs := append(randomPairs(xrand.New(seed^5), 10), special...)
+		for _, k := range []int{1, 7, 63, 64, 65, 300, 1000, 1024, 4099} {
+			ref, err := NewAccum(AccPAB, k, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			referenceExtend(ref, pairs)
+			refBits := accumBits(t, ref)
+			for _, splits := range splitPlans(len(pairs)) {
+				for _, w := range []int{1, 2, 3, 64} {
+					got, err := NewAccum(AccPAB, k, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					extendAll(t, got, pairs, splits, w)
+					if !bytes.Equal(accumBits(t, got), refBits) {
+						t.Fatalf("seed=%d k=%d splits=%v workers=%d: state differs from the reference loop",
+							seed, k, splits, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLog1pWeightMatchesLog1p pins the weight kernel to the running Go
+// release's math.Log1p bit for bit: every m below 2²⁰ and the top 2²⁰ below
+// 2⁵³; ±2¹⁶ around 2²⁴, where the math.Log1p fallback ends, and around
+// ⌈(1-√2/2)·2⁵³⌉, log1p's k = 0 edge; ±4096 around 2⁵³-2ᵉ for e = 1…52,
+// where 1-u is a power of two (the zero-mantissa fallback); ±4096 around
+// the √2 mantissa crossover of 1-u in each binade; and 10⁷ seeded draws.
+func TestLog1pWeightMatchesLog1p(t *testing.T) {
+	const top = 1 << 53
+	check := func(m uint64) {
+		if m >= top {
+			return
+		}
+		got, want := log1pWeight(m), -math.Log1p(-float64(m)/(1<<53))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("m=%d: log1pWeight=%v (%#x), -math.Log1p(-u)=%v (%#x)",
+				m, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	span := func(lo, hi uint64) {
+		for m := lo; m < hi; m++ {
+			check(m)
+		}
+	}
+	around := func(c, r uint64) { span(c-min(c, r), c+r) }
+	span(0, 1<<20)
+	span(top-1<<20, top)
+	around(1<<24, 1<<16)
+	around(uint64(math.Ceil((1-math.Sqrt2/2)*top)), 1<<16)
+	for e := 1; e <= 52; e++ {
+		around(top-1<<e, 4096)
+	}
+	for b := 1; b <= 53; b++ { // 1-u = √2·2⁻ᵇ
+		around(top-uint64(math.Round(math.Ldexp(math.Sqrt2, 53-b))), 4096)
+	}
+	r := xrand.New(1)
+	for i := 0; i < 10_000_000; i++ {
+		check(r.Uint64() >> 11)
 	}
 }

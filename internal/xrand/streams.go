@@ -112,7 +112,7 @@ func (s *Streams) Get(v Var) *Source {
 	if !ok {
 		// Unknown custom label: derive deterministically so user-defined
 		// sources are still reproducible.
-		seed = hashLabel(string(v))
+		seed = uint64(HashLabel(string(v)))
 		s.seeds[v] = seed
 	}
 	src := New(seed)

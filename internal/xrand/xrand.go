@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -282,37 +283,47 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 // perturbing one another's streams: this is what lets the benchmark vary one
 // source of variation while holding all others fixed.
 func (r *Source) Split(label string) *Source {
-	return New(r.splitSeed(hashLabel(label)))
+	return New(r.SplitSeed(HashLabel(label)))
 }
 
-// SplitSeedBytes returns the seed of the child stream Split(string(label))
-// would create, without allocating: Seed-ing a Source with it continues the
-// exact same sequence as the equivalent Split. It exists for hot paths (the
-// sharded bootstrap's per-shard streams) that derive many child streams from
-// labels built in a reusable byte buffer.
-func (r *Source) SplitSeedBytes(label []byte) uint64 {
-	return r.splitSeed(hashLabel(label))
+// SplitSeed returns the seed of the child stream Split would create for the
+// label h hashes: Seed-ing a Source with it continues the exact same
+// sequence as the equivalent Split, without allocating. The seed folds h
+// with the parent's whole current state, so a child depends on the parent's
+// identity alone only while the parent is unconsumed: derive children from
+// a dedicated, never-consumed parent, as Streams does.
+func (r *Source) SplitSeed(h LabelHash) uint64 {
+	return uint64(h) ^ r.s[0] ^ rotl(r.s[1], 13) ^ rotl(r.s[2], 29) ^ rotl(r.s[3], 47)
 }
 
-// splitSeed derives a child seed from a label hash.
-// Mix the parent identity (its seed-derived first state word is already
-// consumed; use the full current state hashed with the label) — but to be
-// consumption-independent we instead fold the label hash with the
-// original state snapshot stored at seed time. Simpler and sufficient:
-// child seed = label hash mixed with parent's state[3] at creation.
-// To guarantee consumption independence Split must be called on a
-// dedicated, never-consumed parent; Streams (below) enforces that.
-func (r *Source) splitSeed(h uint64) uint64 {
-	return h ^ r.s[0] ^ rotl(r.s[1], 13) ^ rotl(r.s[2], 29) ^ rotl(r.s[3], 47)
-}
+// A LabelHash is the 64-bit FNV-1a hash of a Split label. FNV-1a folds the
+// label left to right, so a hash can be continued: hot paths that derive
+// many child streams from labels sharing a prefix (the bootstrap engines'
+// "<prefix><index>" shard labels) hash the prefix once and append each
+// suffix, with no label buffer.
+type LabelHash uint64
 
-func hashLabel[T string | []byte](label T) uint64 {
-	// FNV-1a 64-bit.
+// HashLabel returns the hash of label.
+func HashLabel(label string) LabelHash {
 	const offset = 0xcbf29ce484222325
+	return fnv1a(offset, label)
+}
+
+// Append returns the hash of the label h hashes followed by s.
+func (h LabelHash) Append(s string) LabelHash { return fnv1a(h, s) }
+
+// AppendInt returns the hash of the label h hashes followed by the decimal
+// form of v, spelled as strconv.AppendInt spells it.
+func (h LabelHash) AppendInt(v int) LabelHash {
+	var buf [20]byte
+	return fnv1a(h, strconv.AppendInt(buf[:0], int64(v), 10))
+}
+
+// fnv1a continues the FNV-1a 64-bit hash h over the bytes of b.
+func fnv1a[T string | []byte](h LabelHash, b T) LabelHash {
 	const prime = 0x100000001b3
-	h := uint64(offset)
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
+	for i := 0; i < len(b); i++ {
+		h ^= LabelHash(b[i])
 		h *= prime
 	}
 	return h

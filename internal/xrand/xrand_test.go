@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -252,18 +253,42 @@ func TestShuffleIntsPreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestSplitSeedBytesMatchesSplit(t *testing.T) {
-	labels := []string{"", "bootstrap/shard/0", "bootstrap/shard/63", "dataset/cifar10", "变"}
+// TestContinuedLabelHashMatchesSplit pins the LabelHash continuation to
+// Split: a hash built from a prefix and then continued seeds exactly the
+// stream of Split(prefix‖suffix). It covers both label shapes the bootstrap
+// engines derive ("bootstrap/shard/<i>" and
+// "incremental/x/<pair>/shard/<shard>"), other labels and empty suffixes.
+func TestContinuedLabelHashMatchesSplit(t *testing.T) {
+	type label struct {
+		whole string
+		hash  LabelHash
+	}
+	var labels []label
+	add := func(whole string, h LabelHash) { labels = append(labels, label{whole, h}) }
+	nums := []int{0, 9, 10, 63, 123456}
+	for _, i := range nums {
+		s := strconv.Itoa(i)
+		add("bootstrap/shard/"+s, HashLabel("bootstrap/shard/").AppendInt(i))
+		for _, j := range nums {
+			add("incremental/x/"+s+"/shard/"+strconv.Itoa(j),
+				HashLabel("incremental/x/").AppendInt(i).Append("/shard/").AppendInt(j))
+		}
+	}
+	add("", HashLabel(""))
+	add("", HashLabel("").Append(""))
+	add("dataset/cifar10", HashLabel("dataset/").Append("cifar10").Append(""))
+	add("变", HashLabel("").Append("变"))
+	add("seed-1", HashLabel("seed").AppendInt(-1))
 	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
 		parent := New(seed)
-		for _, label := range labels {
-			want := New(seed).Split(label)
+		for _, l := range labels {
+			want := New(seed).Split(l.whole)
 			var got Source
-			got.Seed(parent.SplitSeedBytes([]byte(label)))
+			got.Seed(parent.SplitSeed(l.hash))
 			for i := 0; i < 8; i++ {
 				if g, w := got.Uint64(), want.Uint64(); g != w {
-					t.Fatalf("seed %d label %q draw %d: SplitSeedBytes stream %d != Split stream %d",
-						seed, label, i, g, w)
+					t.Fatalf("seed %d label %q draw %d: continued-hash stream %d != Split stream %d",
+						seed, l.whole, i, g, w)
 				}
 			}
 		}
