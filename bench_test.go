@@ -530,8 +530,8 @@ func BenchmarkPipelineRun(b *testing.B) {
 
 // BenchmarkBatchedAnalysis measures the one-shot analysis: the recommended
 // test (K=1000 bootstrap over n=29 pairs) as Analyze and compare run it on
-// a finished score set. The early-stop loop does not re-run it; it extends
-// an incremental accumulator, which BenchmarkIncrementalExtend
+// a finished score set. Experiment.Run does not run it; its batch loop
+// extends an incremental accumulator, which BenchmarkIncrementalExtend
 // (internal/stats) times. Analyze shards the bootstrap across GOMAXPROCS
 // workers, and the sub-benchmark is named after that count, so the bench
 // gate (GOMAXPROCS=1) times the serial engine.
@@ -559,7 +559,8 @@ func BenchmarkBatchedAnalysis(b *testing.B) {
 // early-stopped experiment with a huge MaxRuns must allocate per collected
 // batch, not per MaxRuns — before the lazy trial stream, the 1<<20 cap
 // below meant ~1M Trial structs plus seed maps up front (B/op exploded
-// with the cap; now it is flat).
+// with the cap; now it is flat). γ = 0.98 puts Noether's N at 8, so every
+// run stops after one batch.
 func BenchmarkCollectionLazyTrials(b *testing.B) {
 	for _, maxRuns := range []int{64, 1 << 20} {
 		b.Run(fmt.Sprintf("maxruns-%d", maxRuns), func(b *testing.B) {
@@ -569,6 +570,7 @@ func BenchmarkCollectionLazyTrials(b *testing.B) {
 					A:       func(seed uint64) (float64, error) { return 1, nil },
 					B:       func(seed uint64) (float64, error) { return 0, nil },
 					Seed:    uint64(i + 1),
+					Gamma:   0.98,
 					MaxRuns: maxRuns,
 				}
 				res, err := e.Run(context.Background())
@@ -586,7 +588,7 @@ func BenchmarkCollectionLazyTrials(b *testing.B) {
 // BenchmarkMultiDatasetCollection contrasts the concurrent multi-dataset
 // engine against per-dataset cost: 4 datasets whose pipelines sleep-free
 // compute keeps the benchmark deterministic; wall-clock gains show up once
-// RunFuncs do real work.
+// RunFuncs do real work. Each dataset collects one batch of 8 pairs.
 func BenchmarkMultiDatasetCollection(b *testing.B) {
 	datasets := []Dataset{
 		{Name: "d1", A: noisyRunner(0.9), B: noisyRunner(0.6)},
@@ -596,7 +598,7 @@ func BenchmarkMultiDatasetCollection(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := Experiment{Datasets: datasets, Seed: uint64(i + 1), MaxRuns: 24}
+		e := Experiment{Datasets: datasets, Seed: uint64(i + 1), MaxRuns: 8}
 		if _, err := e.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 // other source of variation (FixHOptEst(k, All)) — the protocol the paper
 // shows is ~51x cheaper than the ideal estimator yet nearly as reliable,
 // provided the final decision accounts for variance. Measurement collection
-// runs across a worker pool and stops as soon as the evidence is
-// conclusive.
+// runs across a worker pool and stops at Noether's recommended sample size
+// or at the -k cap, whichever comes first.
 //
 // The two contenders are MHC binding predictors with different capacities:
 // a 32-unit hidden layer versus an 8-unit one.

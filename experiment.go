@@ -33,17 +33,12 @@ type TrialFunc func(t Trial) (float64, error)
 type EarlyStopPolicy int
 
 const (
-	// EarlyStopAuto (the default) evaluates the recommended test after each
-	// batch and stops as soon as the bootstrap CI clears γ (a decisive
-	// meaningful win), the CI falls entirely below 0.5 (futility: A cannot
-	// win), or Noether's recommended sample size is reached.
-	//
-	// Note that the CI-based stops examine the interval at every batch
-	// boundary; repeated looks inflate the false-positive rate above the
-	// single-look nominal level (no alpha-spending correction is applied).
-	// They are a compute-saving heuristic for clearly separated pairs —
-	// when strict nominal error rates matter, use EarlyStopOff with
-	// MaxRuns set from SampleSize, the paper's fixed-N protocol.
+	// EarlyStopAuto (the default) is the paper's fixed-N protocol: it stops
+	// at the first batch boundary where the collected pairs reach Noether's
+	// recommended sample size for the dataset's γ (Bonferroni-adjusted in
+	// multi-dataset runs), or at MaxRuns, and evaluates the recommended test
+	// once, on the final pairs. It never looks at the CI before then, so the
+	// test keeps its single-look error rates.
 	EarlyStopAuto EarlyStopPolicy = iota
 	// EarlyStopOff always collects exactly MaxRuns pairs.
 	EarlyStopOff
@@ -67,9 +62,6 @@ type Progress struct {
 	Pairs int
 	// MaxRuns is the collection cap.
 	MaxRuns int
-	// Interim is the recommended test on the pairs so far; nil before
-	// MinRuns pairs exist or when early stopping is off.
-	Interim *Comparison
 	// Quarantined counts the trials quarantined so far on this dataset
 	// (always 0 in fail-fast mode, where the first failure aborts the run).
 	Quarantined int
@@ -78,17 +70,16 @@ type Progress struct {
 // An Experiment is a declarative benchmark comparison following the paper's
 // recommended protocol end to end: it collects paired measurements of two
 // pipelines under randomized sources of variation, across a worker pool,
-// stopping early once the evidence is conclusive, and concludes with the
-// probability of outperforming P(A>B) against the meaningfulness threshold
-// γ. The zero value of every knob means "use the recommended default", so
+// until Noether's recommended sample size is reached, and concludes with
+// the probability of outperforming P(A>B) against the meaningfulness
+// threshold γ. The zero value of every knob means "use the recommended
+// default", so
 //
 //	res, err := varbench.Experiment{A: runA, B: runB}.Run(ctx)
 //
-// is a complete comparison, powered per Noether's recommendation when it
-// runs to MaxRuns (see EarlyStopAuto for the caveat on CI-based early
-// stops). Results are bit-identical at
-// any Parallelism: every trial's seeds are derived from (Seed, trial index)
-// alone.
+// is a complete comparison, powered per Noether's recommendation. Results
+// are bit-identical at any Parallelism: every trial's seeds are derived
+// from (Seed, trial index) alone.
 type Experiment struct {
 	// Name labels the experiment in reports. Optional.
 	Name string
@@ -127,11 +118,9 @@ type Experiment struct {
 	// MaxRuns caps the number of pairs collected per dataset (default:
 	// Noether's recommended sample size for γ, e.g. 29 at γ=0.75).
 	MaxRuns int
-	// MinRuns is the smallest sample the early-stop rule may judge
-	// (default 5).
-	MinRuns int
-	// BatchSize is the number of pairs collected between early-stop
-	// evaluations (default 8). Batch boundaries are independent of
+	// BatchSize is the number of pairs collected between stop checks and
+	// Progress callbacks (default 8); EarlyStopAuto stops at the first
+	// boundary at or past Noether's N. Batch boundaries are independent of
 	// Parallelism, so changing the worker count never changes the result —
 	// which is also why the default is a constant rather than tracking
 	// Parallelism. At most BatchSize trials are in flight at once, so set
@@ -153,7 +142,7 @@ type Experiment struct {
 	// pipeline. Because trial seeds depend only on (Seed, dataset, index),
 	// cache hits are bit-identical to recomputation at any Parallelism, and
 	// an interrupted Run resumes exactly where it stopped when re-run with
-	// the same store. An EarlyStopOff run also stores its final analysis,
+	// the same store. The run also stores each dataset's final analysis,
 	// once, when it returns, so a rerun verifies the cached pairs against
 	// it instead of re-extending them. Any store.Backend implementation
 	// works; store.NewMem, store.OpenSegLog and store.OpenDSN all produce
@@ -193,8 +182,8 @@ type Experiment struct {
 	// WithFailFast(false) forces quarantine mode on its own.
 	FailFast bool
 
-	// Unpaired only affects the score-level Analyze entry point; see
-	// WithUnpaired.
+	// Unpaired selects the unpaired test of the score-level Analyze entry
+	// point; see WithUnpaired.
 	Unpaired bool
 
 	// Progress, when set, is invoked after every collected batch.
@@ -339,12 +328,11 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 // experiment's seed-derivation rules and returns the measurements. This is
 // the entry point for variance studies of a single pipeline: set Sources to
 // the sources to probe (the rest stay fixed) and summarize the spread of
-// the returned scores. Early stopping does not apply; exactly MaxRuns
+// the returned scores. The stopping policy does not apply; exactly MaxRuns
 // measurements are collected unless ctx is canceled or the pipeline errors
 // — or, in quarantine mode, fewer when trials exhaust their attempts (use
 // collectAll via VarianceStudy, or compare len(out) to MaxRuns, to detect
-// the shortfall). Progress, when set, fires after every batch with Interim
-// nil.
+// the shortfall). Progress, when set, fires after every batch.
 func (e Experiment) Collect(ctx context.Context) ([]float64, error) {
 	out, _, err := e.collectAll(ctx)
 	return out, err
@@ -484,12 +472,12 @@ func pickRunner(tf TrialFunc, rf RunFunc, which string) (TrialFunc, error) {
 	}
 }
 
-// runDataset collects one dataset's paired measurements in batches,
-// early-stopping per the policy, and evaluates the recommended test at the
+// runDataset collects one dataset's paired measurements in batches until
+// the policy stops it, then evaluates the recommended test once at the
 // meaningfulness threshold gamma. Trials and score buffers grow one batch
 // at a time: memory tracks the pairs actually collected, never the MaxRuns
-// cap, which matters when γ near 0.5 drives Noether's N — the MaxRuns
-// default — enormous while early stopping ends after a few batches.
+// cap, which matters when MaxRuns is set far above Noether's N, where
+// EarlyStopAuto stops long before the cap.
 func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) (*DatasetResult, error) {
 	// gamma may be the Bonferroni-adjusted threshold rather than the
 	// user-validated Gamma field; re-validate at the point of consumption.
@@ -520,21 +508,14 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	// One incremental analysis state threads through every batch boundary:
 	// each batch extends the state's K weighted resamples by its new pairs
 	// (O(K × n_new)) instead of re-running the full bootstrap on all n
-	// collected pairs (O(K × n) per boundary — O(batches × K × n) total).
-	// With a store, an EarlyStopOff run caches its final state: read once
-	// here, written once on the way out, and a rerun hash-verifies the
-	// replayed prefix against it instead of re-extending it. EarlyStopAuto
-	// judges every boundary, so it persists nothing: a resumed Auto run
-	// rebuilds its analysis from the trial cache, byte-identical by
-	// construction and short, since Auto stops at the first boundary past
-	// Noether's N.
+	// collected pairs at the end. The stop depends on the pair count alone,
+	// so the result depends on the final state alone. With a store, that
+	// state is cached: read once here, written once on the way out, and a
+	// rerun hash-verifies the replayed prefix against it instead of
+	// re-extending it.
 	seed := xrand.New(e.datasetRoot(ds.Name)).Split("analysis/incremental").Uint64()
 	crit := compare.PAB{Gamma: gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	var anaStore store.Backend
-	if e.EarlyStop == EarlyStopOff {
-		anaStore = e.Store
-	}
-	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), anaStore,
+	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), e.Store,
 		store.AnalysisKey(e.Seed, "dataset/"+ds.Name), e.analysisFingerprint(seed))
 	if err != nil {
 		return nil, err
@@ -542,7 +523,6 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	recommended := stats.NoetherSampleSize(gamma, 0.05, 0.05)
 
 	var stop StopReason
-	var lastEval *Comparison // evaluation of outA[:n]/outB[:n], if any
 	n := 0
 	for lo := 0; lo < e.MaxRuns && stop == ""; lo += e.BatchSize {
 		hi := min(lo+e.BatchSize, e.MaxRuns)
@@ -579,31 +559,15 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 		if err := ana.feed(outA, outB, prev, n); err != nil {
 			return nil, err
 		}
-		lastEval = nil
-		if e.EarlyStop == EarlyStopAuto && n >= e.MinRuns {
-			c, err := ana.comparison()
-			if err != nil {
-				return nil, err
-			}
-			lastEval = &c
-			// Early-stop decisions only apply before the last scheduled
-			// batch: hi counts attempted trial indices, which is what the
-			// MaxRuns budget caps (n can trail hi when trials were
-			// quarantined).
-			if hi < e.MaxRuns {
-				switch {
-				case c.CILo > gamma:
-					stop = StopCICleared
-				case c.CIHi < 0.5:
-					stop = StopFutility
-				case n >= recommended:
-					stop = StopNoetherN
-				}
-			}
+		// The Noether stop only applies before the last scheduled batch: hi
+		// counts attempted trial indices, which is what the MaxRuns budget
+		// caps, while n counts surviving pairs, so quarantined trials are
+		// made up for from the budget left above Noether's N.
+		if e.EarlyStop == EarlyStopAuto && hi < e.MaxRuns && n >= recommended {
+			stop = StopNoetherN
 		}
 		if e.Progress != nil {
-			e.Progress(Progress{Dataset: ds.Name, Pairs: n, MaxRuns: e.MaxRuns,
-				Interim: lastEval, Quarantined: len(failures)})
+			e.Progress(Progress{Dataset: ds.Name, Pairs: n, MaxRuns: e.MaxRuns, Quarantined: len(failures)})
 		}
 	}
 	if stop == "" {
@@ -616,17 +580,9 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	if err := ana.settle(outA, outB); err != nil {
 		return nil, err
 	}
-	// The state is deterministic in (scores, seed), so the evaluation that
-	// decided the stop doubles as the final result.
-	final := Comparison{}
-	if lastEval != nil {
-		final = *lastEval
-	} else {
-		c, err := ana.comparison()
-		if err != nil {
-			return nil, err
-		}
-		final = c
+	final, err := ana.comparison()
+	if err != nil {
+		return nil, err
 	}
 	if err := ana.save(); err != nil {
 		return nil, err
@@ -654,12 +610,12 @@ func (e *Experiment) trialCache(dataset string) *trialCache {
 
 // specFingerprint hashes the parts of the spec that change what a trial
 // measures: the pipeline identity and the varied-source assignment. It
-// deliberately excludes MaxRuns, BatchSize, Parallelism, early stopping and
-// every analysis knob — none of them affect a trial's seeds — so raising a
-// budget, changing worker counts or re-running after an interrupt reuses
-// every recorded trial, and overlapping studies share identical cells. A
-// record whose fingerprint does not match is rejected (recomputed), never
-// silently reused.
+// deliberately excludes MaxRuns, BatchSize, Parallelism, the stopping
+// policy and every analysis knob — none of them affect a trial's seeds — so
+// raising a budget, changing worker counts or re-running after an interrupt
+// reuses every recorded trial, and overlapping studies share identical
+// cells. A record whose fingerprint does not match is rejected
+// (recomputed), never silently reused.
 func (e *Experiment) specFingerprint() string {
 	varied := e.Sources
 	restricted := len(varied) > 0

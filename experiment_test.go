@@ -88,7 +88,9 @@ func TestRunParallelismInvarianceMultiDataset(t *testing.T) {
 }
 
 func TestRunEarlyStopsClearSeparation(t *testing.T) {
-	// A dominates B by 10σ: the CI clears γ at the first eligible batch.
+	// A dominates B by 10σ, and MaxRuns leaves room past Noether's N:
+	// collection stops at the first batch boundary at or past N (32 pairs
+	// at γ=0.75) and judges the win once.
 	e := Experiment{
 		A:           noisyRunner(1.0),
 		B:           noisyRunner(0.5),
@@ -105,8 +107,8 @@ func TestRunEarlyStopsClearSeparation(t *testing.T) {
 	if res.Pairs >= 64 {
 		t.Errorf("early stop used %d of %d runs", res.Pairs, 64)
 	}
-	if res.StopReason != StopCICleared {
-		t.Errorf("stop reason = %s, want %s", res.StopReason, StopCICleared)
+	if res.StopReason != StopNoetherN {
+		t.Errorf("stop reason = %s, want %s", res.StopReason, StopNoetherN)
 	}
 	if res.Comparison.Conclusion != SignificantAndMeaningful {
 		t.Errorf("conclusion = %s", res.Comparison.Conclusion)
@@ -145,8 +147,9 @@ func TestRunEarlyStopBatchBoundaries(t *testing.T) {
 }
 
 func TestRunEarlyStopNoetherN(t *testing.T) {
-	// Indistinguishable pipelines: no CI verdict, so collection stops at
-	// Noether's recommended N (29 at γ=0.75) short of MaxRuns.
+	// Indistinguishable pipelines: collection stops at Noether's
+	// recommended N (29 at γ=0.75, so 32 pairs in batches of 8) short of
+	// MaxRuns.
 	e := Experiment{
 		A:       noisyRunner(0.7),
 		B:       noisyRunner(0.7),
@@ -157,10 +160,10 @@ func TestRunEarlyStopNoetherN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StopReason != StopNoetherN && res.StopReason != StopFutility {
+	if res.StopReason != StopNoetherN {
 		t.Fatalf("stop reason = %s", res.StopReason)
 	}
-	if res.StopReason == StopNoetherN && res.Pairs < res.Comparison.RecommendedN {
+	if res.Pairs < res.Comparison.RecommendedN {
 		t.Errorf("stopped at %d pairs, below recommended %d", res.Pairs, res.Comparison.RecommendedN)
 	}
 	if res.Pairs >= 200 {

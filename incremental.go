@@ -12,14 +12,14 @@ import (
 
 // This file is the root-package face of the incremental bootstrap engine
 // (internal/stats/incremental.go → internal/compare.AnalysisState): the
-// early-stop loop in experiment.go and the streaming Stream front end both
+// batch loop in experiment.go and the streaming Stream front end both
 // thread ONE resumable analysis state through all batch boundaries via the
 // incAnalysis helper below, instead of re-running the full K-resample
-// bootstrap at each — O(K × n) total resample-extension work instead of
-// O(batches × K × n). With a store attached the state is a cache of the
-// final analysis: an EarlyStopOff experiment saves it once, when the run
-// returns, and a Stream on Flush; a resumed run verifies the replayed
-// prefix against it instead of re-extending it.
+// bootstrap — O(K × n) total resample-extension work. With a store
+// attached the state is a cache of the final analysis: an experiment saves
+// it once per dataset, when the run returns, and a Stream on Flush; a
+// resumed run verifies the replayed prefix against it instead of
+// re-extending it.
 
 // analysisSnapshot is the JSON payload persisted per analysis state (see
 // store.AnalysisKey for the key/fingerprint scheme). State is the binary
@@ -228,9 +228,9 @@ func (ia *incAnalysis) comparison() (Comparison, error) {
 // analysisFingerprint hashes everything that must match for a persisted
 // experiment analysis to be resumable into this run: the collection spec
 // (whose scores feed the state), the kernel identity, the resample count
-// and the analysis seed — the shape NewStream uses. Only EarlyStopOff runs
-// read or write it, and their result depends on the final state alone.
-// The state does not depend on γ or the level, which apply when it is
+// and the analysis seed — the shape NewStream uses. An experiment's result
+// depends on the final state alone, under either stopping policy. The
+// state does not depend on γ or the level, which apply when it is
 // evaluated, nor on the budget: a raised MaxRuns resumes the saved state,
 // and settle rebuilds one that covers more pairs than the run.
 func (e *Experiment) analysisFingerprint(seed uint64) string {

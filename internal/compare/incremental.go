@@ -12,8 +12,8 @@ import (
 // resumable weighted-bootstrap accumulator of P(A>B) (stats.AccPAB) plus the
 // exact running sums behind the point estimate and the report means, and
 // extends in place as new paired measures arrive. Feeding pairs in one call
-// or many is bit-identical (the stats.Accum extension contract), so an
-// early-stop loop threads one state through all batch boundaries instead of
+// or many is bit-identical (the stats.Accum extension contract), so a
+// batch loop threads one state through all batch boundaries instead of
 // re-running the full analysis at each, and a snapshot taken at any point
 // resumes exactly.
 //

@@ -14,8 +14,9 @@ import (
 // The classic percentile bootstrap (bootstrap_sharded.go) draws, for each of
 // K resamples, n indices uniform in [0, n) — the index range itself depends
 // on the sample size, so a resample computed at n_old cannot be extended
-// when new scores arrive: the early-stop loop had to rebuild all K resamples
-// at every batch boundary, O(batches × K × n) total work. This file
+// when new scores arrive: a loop that judges or saves the analysis at every
+// batch boundary would rebuild all K resamples each time, O(batches × K × n)
+// total work. This file
 // implements the *weighted* (Bayesian) percentile bootstrap instead (Rubin
 // 1981): resample i assigns every pair j an independent Exp(1) weight w_ij
 // and evaluates the weighted fraction of pairs A wins. A new pair only

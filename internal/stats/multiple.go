@@ -75,9 +75,9 @@ func BenjaminiHochberg(p []float64) []float64 {
 // GammaMax is the saturation ceiling of GammaBonferroni: the largest
 // adjusted meaningfulness threshold it returns. It sits strictly below 1
 // because γ = 1 is a degenerate threshold — a bootstrap CI upper bound can
-// never exceed 1, so no comparison could ever be judged meaningful, the
-// CI-cleared early stop (CI.Lo > γ) would be unreachable, and Noether's
-// sample-size relation loses its meaning. An adjusted γ at GammaMax still
+// never exceed 1, so no comparison could ever be judged meaningful, and
+// Noether's sample-size relation loses its meaning (its N stays finite, 8,
+// at GammaMax). An adjusted γ at GammaMax still
 // signals that the correction has saturated: P(A>B) must be essentially 1
 // to clear it.
 const GammaMax = 1 - 1e-9

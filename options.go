@@ -15,12 +15,10 @@ const (
 	DefaultConfidence = 0.95
 	// DefaultBootstrap is the number of bootstrap resamples.
 	DefaultBootstrap = 1000
-	// DefaultBatchSize is the number of pairs collected between early-stop
-	// evaluations. It is independent of Parallelism so that results do not
+	// DefaultBatchSize is the number of pairs collected between stop
+	// checks. It is independent of Parallelism so that results do not
 	// depend on the worker count.
 	DefaultBatchSize = 8
-	// DefaultMinRuns is the smallest sample the early-stop rule will judge.
-	DefaultMinRuns = 5
 )
 
 // An Option adjusts an Experiment (or, for the score-level entry points
@@ -65,18 +63,13 @@ func WithParallelism(n int) Option { return func(e *Experiment) { e.Parallelism 
 // (default: Noether's recommended sample size for the chosen γ).
 func WithMaxRuns(n int) Option { return func(e *Experiment) { e.MaxRuns = n } }
 
-// WithMinRuns sets the smallest sample the early-stop rule may judge
-// (default 5). An explicit negative value is rejected; 0 means "use the
-// default".
-func WithMinRuns(n int) Option { return func(e *Experiment) { e.MinRuns = n } }
-
-// WithBatchSize sets how many pairs are collected between early-stop
-// evaluations (default 8). Raise it to at least the parallelism when using
-// a large worker pool — at most one batch is in flight at a time. An
+// WithBatchSize sets how many pairs are collected between stop checks and
+// Progress callbacks (default 8). Raise it to at least the parallelism when
+// using a large worker pool — at most one batch is in flight at a time. An
 // explicit negative value is rejected; 0 means "use the default".
 func WithBatchSize(n int) Option { return func(e *Experiment) { e.BatchSize = n } }
 
-// WithEarlyStop selects the early-stopping policy (default EarlyStopAuto).
+// WithEarlyStop selects the stopping policy (default EarlyStopAuto).
 func WithEarlyStop(p EarlyStopPolicy) Option { return func(e *Experiment) { e.EarlyStop = p } }
 
 // WithSources restricts which sources of variation receive a fresh seed on
@@ -100,8 +93,9 @@ func WithStore(s store.Backend) Option { return func(e *Experiment) { e.Store = 
 func WithPipelineID(id string) Option { return func(e *Experiment) { e.PipelineID = id } }
 
 // WithUnpaired marks pre-collected scores as unpaired, switching Analyze to
-// the Mann-Whitney estimate of P(A>B). It has no effect on Experiment.Run,
-// which always pairs runs on shared trials.
+// the Mann-Whitney estimate of P(A>B). Analyze is the only unpaired entry
+// point: AnalyzeDatasets and NewStream reject the option, and it has no
+// effect on Experiment.Run, which always pairs runs on shared trials.
 func WithUnpaired() Option { return func(e *Experiment) { e.Unpaired = true } }
 
 // WithProgress installs a callback invoked after every collected batch.
@@ -174,23 +168,11 @@ func (e *Experiment) withDefaults() (*Experiment, error) {
 	if c.BatchSize == 0 {
 		c.BatchSize = DefaultBatchSize
 	}
-	if c.MinRuns < 0 {
-		return nil, fmt.Errorf("varbench: MinRuns must not be negative, got %d (0 means default)", c.MinRuns)
-	}
-	if c.MinRuns == 0 {
-		c.MinRuns = DefaultMinRuns
-	}
-	if c.MinRuns < 2 {
-		c.MinRuns = 2
-	}
 	if c.MaxRuns == 0 {
 		c.MaxRuns = stats.NoetherSampleSize(c.Gamma, 0.05, 0.05)
 	}
 	if c.MaxRuns < 2 {
 		return nil, fmt.Errorf("varbench: MaxRuns must be ≥ 2, got %d", c.MaxRuns)
-	}
-	if c.MinRuns > c.MaxRuns {
-		c.MinRuns = c.MaxRuns
 	}
 	if c.Parallelism < 0 {
 		return nil, fmt.Errorf("varbench: Parallelism must not be negative, got %d (0 means default)", c.Parallelism)

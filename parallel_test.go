@@ -246,7 +246,7 @@ func TestRunMultiDatasetMatchesIndividualRuns(t *testing.T) {
 // trial stream: before it, Run materialized MaxRuns Trial structs (plus one
 // seed map each) before the first measurement, so a MaxRuns in the billions
 // — Noether's N for γ near 0.5 — was an instant OOM. Now memory tracks the
-// ~8 pairs actually collected.
+// 32 pairs actually collected before the Noether stop.
 func TestRunHugeMaxRunsLazyAllocation(t *testing.T) {
 	e := Experiment{
 		A:       noisyRunner(1.0),
@@ -257,8 +257,8 @@ func TestRunHugeMaxRunsLazyAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.EarlyStopped || res.StopReason != StopCICleared {
-		t.Fatalf("clearly separated pair did not early-stop: %d pairs, %s", res.Pairs, res.StopReason)
+	if !res.EarlyStopped || res.StopReason != StopNoetherN {
+		t.Fatalf("run did not stop at Noether's N: %d pairs, %s", res.Pairs, res.StopReason)
 	}
 	if res.Pairs > 64 {
 		t.Errorf("collected %d pairs, expected a handful", res.Pairs)
@@ -269,7 +269,6 @@ func TestNegativeKnobsRejected(t *testing.T) {
 	ok := noisyRunner(1)
 	cases := map[string]Experiment{
 		"Parallelism": {A: ok, B: ok, Parallelism: -1},
-		"MinRuns":     {A: ok, B: ok, MinRuns: -1},
 		"BatchSize":   {A: ok, B: ok, BatchSize: -8},
 		"MaxRuns":     {A: ok, B: ok, MaxRuns: -3},
 	}
@@ -283,7 +282,6 @@ func TestNegativeKnobsRejected(t *testing.T) {
 	a := []float64{1, 2, 3}
 	for name, opt := range map[string]Option{
 		"WithParallelism": WithParallelism(-1),
-		"WithMinRuns":     WithMinRuns(-5),
 		"WithBatchSize":   WithBatchSize(-1),
 		"WithMaxRuns":     WithMaxRuns(-1),
 	} {
@@ -292,7 +290,7 @@ func TestNegativeKnobsRejected(t *testing.T) {
 		}
 	}
 	// Zero still means "use the default".
-	if _, err := Analyze(a, a, WithParallelism(0), WithBatchSize(0), WithMinRuns(0)); err != nil {
+	if _, err := Analyze(a, a, WithParallelism(0), WithBatchSize(0)); err != nil {
 		t.Errorf("zero-valued knobs rejected: %v", err)
 	}
 }
@@ -351,9 +349,10 @@ func TestAnalyzeDatasetsNameValidation(t *testing.T) {
 }
 
 // TestSaturatedAdjustedGammaEarlyStop: with enough datasets the Bonferroni
-// adjustment saturates at stats.GammaMax < 1; a total winner must still
-// trigger the CI-cleared early stop, which the old clamp at exactly 1.0
-// made unreachable (CI.Lo > 1 is impossible).
+// adjustment saturates at stats.GammaMax < 1; a total winner must still be
+// judged a meaningful win, which the old clamp at exactly 1.0 made
+// impossible (CI.Lo > 1 cannot happen), and Noether's N stays finite (8),
+// so every dataset stops after one batch.
 func TestSaturatedAdjustedGammaEarlyStop(t *testing.T) {
 	adj := stats.GammaBonferroni(DefaultGamma, 0.05, 200)
 	if adj != stats.GammaMax {
@@ -378,8 +377,8 @@ func TestSaturatedAdjustedGammaEarlyStop(t *testing.T) {
 		t.Fatal("total winner did not early-stop at the saturated threshold")
 	}
 	for _, d := range res.Datasets {
-		if d.StopReason != StopCICleared {
-			t.Fatalf("dataset %s stopped with %s, want %s", d.Name, d.StopReason, StopCICleared)
+		if d.StopReason != StopNoetherN || d.Pairs != 8 {
+			t.Fatalf("dataset %s stopped with %s at %d pairs, want %s at 8", d.Name, d.StopReason, d.Pairs, StopNoetherN)
 		}
 		if d.Comparison.Conclusion != SignificantAndMeaningful {
 			t.Fatalf("dataset %s judged %q at saturated γ", d.Name, d.Comparison.Conclusion)

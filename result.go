@@ -81,16 +81,8 @@ type StopReason string
 
 // The collection stop reasons.
 const (
-	// StopCICleared: the bootstrap CI rose entirely above γ — a decisive
-	// meaningful win, no further runs needed. Because the CI is examined
-	// at every batch boundary, this stop carries the sequential-testing
-	// caveat documented on EarlyStopAuto.
-	StopCICleared StopReason = "ci-cleared-gamma"
-	// StopFutility: the CI fell entirely below 0.5 — A cannot win, more
-	// runs are wasted compute.
-	StopFutility StopReason = "futility"
-	// StopNoetherN: Noether's recommended sample size was reached; the
-	// test is fully powered for the chosen γ.
+	// StopNoetherN: Noether's recommended sample size was reached before
+	// MaxRuns (EarlyStopAuto); the test is fully powered for the chosen γ.
 	StopNoetherN StopReason = "noether-n"
 	// StopMaxRuns: the MaxRuns cap was reached.
 	StopMaxRuns StopReason = "max-runs"
@@ -412,6 +404,15 @@ func (e *Experiment) protocol() protocol {
 		seed: e.Seed, workers: runtime.GOMAXPROCS(0)}
 }
 
+// pairedOnly rejects WithUnpaired at a paired-only entry point rather than
+// silently running the paired test on scores the caller marked unpaired.
+func (e *Experiment) pairedOnly(entry string) error {
+	if e.Unpaired {
+		return fmt.Errorf("varbench: %s takes paired scores only; use Analyze for an unpaired comparison", entry)
+	}
+	return nil
+}
+
 // validScores uniformly rejects samples too small for the recommended test
 // at the public API boundary: the bootstrap needs at least 2 scores per
 // algorithm, and reaching the resampler with an empty sample would panic
@@ -480,10 +481,14 @@ type DatasetScores struct {
 // Bonferroni-adjusted meaningfulness threshold and combines the evidence
 // across datasets (Section 6), wrapping everything in a renderable Result.
 // Each dataset's bootstrap stream is derived from (seed, dataset name)
-// alone, so reordering the datasets changes no dataset's outcome.
+// alone, so reordering the datasets changes no dataset's outcome. Scores
+// are paired: WithUnpaired is an error.
 func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) {
 	e, err := applyOptions(opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := e.pairedOnly("AnalyzeDatasets"); err != nil {
 		return nil, err
 	}
 	if len(datasets) == 0 {

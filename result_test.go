@@ -122,6 +122,41 @@ func TestAnalyzeUnpaired(t *testing.T) {
 	}
 }
 
+// TestPairedOnlyEntryPointsRejectUnpaired: AnalyzeDatasets and NewStream
+// only run the paired test, so WithUnpaired must fail there, naming
+// Analyze, instead of being ignored.
+func TestPairedOnlyEntryPointsRejectUnpaired(t *testing.T) {
+	a := []float64{5, 6, 7, 8, 9}
+	b := []float64{4, 6.5, 3, 7.5, 2}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"AnalyzeDatasets/equal-lengths", func() error {
+			_, err := AnalyzeDatasets([]DatasetScores{{ScoresA: a, ScoresB: b}}, WithUnpaired())
+			return err
+		}},
+		{"AnalyzeDatasets/unequal-lengths", func() error {
+			_, err := AnalyzeDatasets([]DatasetScores{{ScoresA: a, ScoresB: b[:4]}}, WithUnpaired())
+			return err
+		}},
+		{"NewStream", func() error {
+			_, err := NewStream(WithUnpaired())
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.call()
+			if err == nil || !strings.Contains(err.Error(), "use Analyze") {
+				t.Errorf("WithUnpaired: err = %v, want one naming Analyze", err)
+			}
+		})
+	}
+	if _, err := Analyze(a, b[:4], WithUnpaired()); err != nil {
+		t.Errorf("Analyze rejected unpaired scores: %v", err)
+	}
+}
+
 func TestAnalyzeDatasetsSingle(t *testing.T) {
 	// One dataset: no γ adjustment, and the Comparison convenience field
 	// is populated like every other single-dataset result.

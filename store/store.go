@@ -19,7 +19,7 @@
 // recomputed and appended under the new fingerprint), never silently
 // reused. Because trial seeds in varbench depend only on (seed, dataset,
 // index), a record is valid for any MaxRuns/K, any Parallelism and any
-// early-stop outcome: raising a study's budget or re-running after an
+// stopping outcome: raising a study's budget or re-running after an
 // interrupt reuses every completed trial bit-for-bit.
 //
 // The log is append-only: rewrites never happen, and duplicate

@@ -358,8 +358,8 @@ func TestVarianceStudyCrossStudySharing(t *testing.T) {
 
 // TestStoreFingerprintInvalidation: records are only served to the spec
 // that wrote them — a different PipelineID or varied-source set recomputes
-// from scratch instead of silently reusing stale scores — and analysis
-// records only to EarlyStopOff runs.
+// from scratch instead of silently reusing stale scores — and an
+// experiment reads and writes its analysis record once per dataset.
 func TestStoreFingerprintInvalidation(t *testing.T) {
 	st, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
@@ -402,8 +402,9 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 	}
 
 	// An EarlyStopAuto experiment of the same spec reuses the A cells
-	// Collect recorded, and judges from its trials alone: it neither reads
-	// nor writes an analysis record.
+	// Collect recorded. Its result depends on the final state alone, so,
+	// like an EarlyStopOff run, it reads its analysis record once when the
+	// dataset starts and writes it once when the run returns.
 	counted := &analysisCounter{Backend: st}
 	var cA, cB atomic.Int64
 	auto := Experiment{
@@ -421,7 +422,7 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 	if cA.Load() != 0 || cB.Load() != 4 {
 		t.Errorf("experiment made %d A and %d B calls, want 0 and 4", cA.Load(), cB.Load())
 	}
-	counted.check(t, "EarlyStopAuto run", 0, 0)
+	counted.check(t, "EarlyStopAuto run", 1, 1)
 }
 
 // TestMultiDatasetStoreResume: per-dataset keys keep concurrent dataset
@@ -549,11 +550,12 @@ func TestResumedOffRunReportsFedPairs(t *testing.T) {
 
 // TestResumedAutoRunMatchesFreshRun: an EarlyStopAuto rerun over a store
 // that a degraded run filled reaches the verdict of a fresh run. The first
-// run quarantines one of 24 pairs; the rerun's budget is the 23 pairs that
-// run reported, so an analysis it had stored would look complete. Resuming
-// from it would skip the boundaries before the replay verified its prefix:
-// the rerun would report n 23 max-runs, where the fresh run stops at n 16
-// with ci-cleared-gamma.
+// run quarantines one of 24 pairs and stores its analysis of the 23 that
+// survived; the rerun's budget is those 23 pairs, so the stored analysis
+// looks complete. But the rerun retries the quarantined trial and feeds
+// trials 0–22, not the 23 survivors of trials 0–23: the replay must fail
+// the stored prefix hash and rebuild, and report what a fresh run at that
+// budget reports (n 23, max-runs).
 func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 	for _, seed := range []uint64{46, 57, 70} {
 		for _, schedule := range []string{"put@1", "put@3"} {
@@ -578,14 +580,17 @@ func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 				if first.Quarantined != 1 || first.Pairs != 23 {
 					t.Fatalf("degraded run: %d pairs, %d quarantined, want 23 and 1", first.Pairs, first.Quarantined)
 				}
+				if n := mem.CountPrefix("analysis/"); n != 1 {
+					t.Fatalf("degraded run stored %d analysis records, want 1", n)
+				}
 				exp.MaxRuns = first.Pairs
 				fresh, err := exp.Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fresh.Pairs != 16 || fresh.StopReason != StopCICleared {
-					t.Fatalf("fresh run stopped at n %d (%s); this case stops at n 16 (%s)",
-						fresh.Pairs, fresh.StopReason, StopCICleared)
+				if fresh.Pairs != 23 || fresh.StopReason != StopMaxRuns {
+					t.Fatalf("fresh run stopped at n %d (%s); this case stops at n 23 (%s)",
+						fresh.Pairs, fresh.StopReason, StopMaxRuns)
 				}
 				resumed := exp
 				resumed.Store = mem

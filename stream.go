@@ -46,10 +46,14 @@ type Stream struct {
 // NewStream opens an incremental analysis stream. The statistical knobs
 // come from the same Options as Analyze (WithGamma, WithConfidence,
 // WithBootstrap, WithSeed); WithStore plus
-// WithPipelineID make the stream resumable under that ID.
+// WithPipelineID make the stream resumable under that ID. A stream is
+// paired-only: WithUnpaired is an error.
 func NewStream(opts ...Option) (*Stream, error) {
 	cfg, err := applyOptions(opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.pairedOnly("NewStream"); err != nil {
 		return nil, err
 	}
 	crit := compare.PAB{Gamma: cfg.Gamma, Level: cfg.Confidence, Bootstrap: cfg.Bootstrap}
