@@ -1,10 +1,10 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
-// The golden bytes below were recorded on amd64 at the baseline GOAMD64
-// level. arm64, and amd64 built with GOAMD64=v3 or higher, let the compiler
-// contract x*y+z into a fused multiply-add, so the full-precision floats in
-// these reports (the adjusted γ, the CI endpoints) may legitimately differ
-// in their last bits there.
+// The golden bytes below were recorded on amd64, where they hold at every
+// GOAMD64 level: the amd64 compiler fuses a multiply-add only when the code
+// calls math.FMA. arm64 lets the compiler contract x*y+z into a fused
+// multiply-add, so the full-precision floats in these reports (the adjusted
+// γ, the CI endpoints) may legitimately differ in their last bits there.
 
 package main
 

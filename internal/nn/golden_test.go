@@ -1,14 +1,14 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 // The hashes below pin training numerics bit for bit across versions of the
 // training loop and the tensor kernels: a change that reorders one sum,
 // draws one random number more or less, or changes a zero-skip rule moves
-// them. The build constraint keeps the test to amd64 at the baseline GOAMD64
-// level, because arm64, and amd64 built with GOAMD64=v3 or higher, let the
-// compiler contract x*y+z into a fused multiply-add, so their bits
-// legitimately differ. math.Exp's amd64 assembly also takes an FMA path at
-// run time on CPUs that have one; the hashes were recorded on such a CPU, as
-// every x86-64-v3 processor is.
+// them. The build constraint keeps the test to amd64, where the hashes hold
+// at every GOAMD64 level: the amd64 compiler fuses a multiply-add only when
+// the code calls math.FMA. arm64 lets the compiler contract x*y+z into a
+// fused multiply-add, so its bits legitimately differ. math.Exp's amd64
+// assembly also takes an FMA path at run time on CPUs that have one; the
+// hashes were recorded on such a CPU, as every x86-64-v3 processor is.
 
 package nn_test
 

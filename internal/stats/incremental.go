@@ -44,7 +44,11 @@ import (
 //
 // The weight kernel (log1pWeight) computes -log1p(-u) with math.Log1p's own
 // code path specialised to this domain, so its bits equal math.Log1p's; see
-// its doc comment for why, and TestLog1pWeightMatchesLog1p for the pin.
+// its doc comment for why, and TestLog1pWeightMatchesLog1p for the pin. On
+// amd64 CPUs with AVX2, expWeights runs the same IEEE operations in the
+// same order on four lanes per instruction (expweights_amd64.s), with no
+// fused multiply-add, so a weight's bits do not depend on which path drew
+// it; the tests pin both paths on one machine.
 //
 // Shard boundaries reuse BootstrapShards(k), a pure function of k, so the
 // parallel extension is worker-count invariant for the same reason the
@@ -133,14 +137,26 @@ func (ac *Accum) ExtendPairs(pairs []Pair, workers int) error {
 	return nil
 }
 
+// extendChunk is how many cells extendShards draws and converts at a time,
+// in two stack buffers of 2 KiB each.
+const extendChunk = 256
+
 // extendShards adds pairs to the resamples of shards [s0, s1) of nsh. It
-// walks the pairs in order and, inside each pair, the shards: the label
-// hash of "incremental/x/<pair>/shard/" is computed once per pair and
-// continued with each shard's digits to seed that (pair, shard) stream.
+// walks the pairs in order and, for each pair, the resamples of those
+// shards in chunks: it draws a chunk's mantissas, turns them into weights
+// with expWeights, then adds the weights to the columns. The label hash of
+// "incremental/x/<pair>/shard/" is computed once per pair and continued
+// with each shard's digits to seed that (pair, shard) stream where its
+// resamples begin.
 func (ac *Accum) extendShards(pairs []Pair, s0, s1, nsh int) {
-	var root, r xrand.Source
+	var (
+		root, r xrand.Source
+		ms      [extendChunk]uint64
+		ws      [extendChunk]float64
+	)
 	root.Seed(ac.seed)
 	prefix := xrand.HashLabel(incLabelPrefix)
+	lo, hi := s0*ac.k/nsh, s1*ac.k/nsh
 	for j, pr := range pairs {
 		var x2 float64 // twice the win indicator
 		switch {
@@ -150,23 +166,37 @@ func (ac *Accum) extendShards(pairs []Pair, s0, s1, nsh int) {
 			x2 = 1
 		}
 		pair := prefix.AppendInt(ac.n + j).Append("/shard/")
-		for s := s0; s < s1; s++ {
-			lo, hi := s*ac.k/nsh, (s+1)*ac.k/nsh
-			r.Seed(root.SplitSeed(pair.AppendInt(s)))
-			addExpWeights(ac.weight[lo:hi], ac.wins[lo:hi], x2, &r)
+		s, next := s0, lo // the next shard, and its first resample
+		for c := lo; c < hi; c += extendChunk {
+			n := min(extendChunk, hi-c)
+			for i := 0; i < n; {
+				if c+i == next {
+					r.Seed(root.SplitSeed(pair.AppendInt(s)))
+					s++
+					next = s * ac.k / nsh
+				}
+				d := min(n, next-c)
+				r.Mantissas(ms[i:d])
+				i = d
+			}
+			expWeights(ws[:n], ms[:n])
+			weight, wins := ac.weight[c:c+n], ac.wins[c:c+n]
+			for i, w := range ws[:n] {
+				weight[i] += w
+				wins[i] += w * x2
+			}
 		}
 	}
 }
 
-// addExpWeights draws one Exp(1) weight per resample from r, in resample
-// order, and adds it to that resample's total weight and x2 times it to its
-// wins.
-func addExpWeights(weight, wins []float64, x2 float64, r *xrand.Source) {
-	wins = wins[:len(weight)] // one bounds check for both columns
-	for i := range weight {
-		w := log1pWeight(r.Uint64() >> 11)
-		weight[i] += w
-		wins[i] += w * x2
+// expWeights sets ws[i] = log1pWeight(ms[i]) for every i. Where the CPU
+// has AVX2 (see expweights_amd64.go), a kernel that computes the same IEEE
+// operations on four lanes fills all but a tail of up to three cells;
+// log1pWeight fills the rest, and the whole of a chunk with a rare lane.
+func expWeights(ws []float64, ms []uint64) {
+	ws = ws[:len(ms)]
+	for i := expWeightsVec(ws, ms); i < len(ms); i++ {
+		ws[i] = log1pWeight(ms[i])
 	}
 }
 

@@ -270,65 +270,79 @@ func referenceExtend(ac *Accum, pairs []Pair) {
 	ac.n += len(pairs)
 }
 
-// TestAccumExtendMatchesReferenceLoop pins ExtendPairs to referenceExtend:
-// byte-equal snapshots for every batching, across K values on both sides
-// of the 64-shard cap and uneven shard sizes, at worker counts that split
-// the shards unevenly and beyond the shard count, on pairs with ties and
-// non-finite scores. Stored snapshots written by the reference loop must
-// keep resuming to the same bits.
+// forEachWeightPath runs f once per path of the weight kernel: the scalar
+// log1pWeight loop, then the AVX2 kernel, which it logs and skips on a CPU
+// without AVX2. It restores the CPU's choice when the test ends.
+func forEachWeightPath(t *testing.T, f func(t *testing.T)) {
+	cpu := useAVX2
+	t.Cleanup(func() { useAVX2 = cpu })
+	for _, path := range []struct {
+		name string
+		avx2 bool
+	}{{"scalar", false}, {"avx2", true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if path.avx2 && !cpu {
+				t.Skip("this CPU has no AVX2 kernel (or is not amd64)")
+			}
+			useAVX2 = path.avx2
+			f(t)
+		})
+	}
+}
+
+// TestAccumExtendMatchesReferenceLoop pins ExtendPairs to referenceExtend
+// on both weight-kernel paths: byte-equal snapshots for every batching,
+// across K values on both sides of the 64-shard cap and uneven shard sizes
+// (K = 20000 has 64 shards of 312–313 resamples, so shards cross the
+// 256-cell draw chunks), at worker counts that split the shards unevenly
+// and beyond the shard count, on pairs with ties and non-finite scores.
+// Stored snapshots written by the reference loop must keep resuming to the
+// same bits.
 func TestAccumExtendMatchesReferenceLoop(t *testing.T) {
 	inf := math.Inf(1)
 	special := []Pair{
 		{A: 1, B: 1}, {A: inf, B: 0}, {A: 0, B: -inf}, {A: inf, B: inf},
 		{A: -inf, B: 2}, {A: math.NaN(), B: 0}, {A: 0, B: math.NaN()},
 	}
-	for _, seed := range []uint64{0, 77, 1 << 63} {
-		pairs := append(randomPairs(xrand.New(seed^5), 10), special...)
-		for _, k := range []int{1, 7, 63, 64, 65, 300, 1000, 1024, 4099} {
-			ref, err := NewAccum(AccPAB, k, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			referenceExtend(ref, pairs)
-			refBits := accumBits(t, ref)
-			for _, splits := range splitPlans(len(pairs)) {
-				for _, w := range []int{1, 2, 3, 64} {
-					got, err := NewAccum(AccPAB, k, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					extendAll(t, got, pairs, splits, w)
-					if !bytes.Equal(accumBits(t, got), refBits) {
-						t.Fatalf("seed=%d k=%d splits=%v workers=%d: state differs from the reference loop",
-							seed, k, splits, w)
+	forEachWeightPath(t, func(t *testing.T) {
+		for _, seed := range []uint64{0, 77, 1 << 63} {
+			pairs := append(randomPairs(xrand.New(seed^5), 10), special...)
+			for _, k := range []int{1, 7, 63, 64, 65, 300, 1000, 1024, 4099, 20000} {
+				ref, err := NewAccum(AccPAB, k, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				referenceExtend(ref, pairs)
+				refBits := accumBits(t, ref)
+				for _, splits := range splitPlans(len(pairs)) {
+					for _, w := range []int{1, 2, 3, 64} {
+						got, err := NewAccum(AccPAB, k, seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						extendAll(t, got, pairs, splits, w)
+						if !bytes.Equal(accumBits(t, got), refBits) {
+							t.Fatalf("seed=%d k=%d splits=%v workers=%d: state differs from the reference loop",
+								seed, k, splits, w)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestLog1pWeightMatchesLog1p pins the weight kernel to the running Go
-// release's math.Log1p bit for bit: every m below 2²⁰ and the top 2²⁰ below
-// 2⁵³; ±2¹⁶ around 2²⁴, where the math.Log1p fallback ends, and around
-// ⌈(1-√2/2)·2⁵³⌉, log1p's k = 0 edge; ±4096 around 2⁵³-2ᵉ for e = 1…52,
-// where 1-u is a power of two (the zero-mantissa fallback); ±4096 around
-// the √2 mantissa crossover of 1-u in each binade; and 10⁷ seeded draws.
-func TestLog1pWeightMatchesLog1p(t *testing.T) {
+// log1pWeightSweep calls f with every m the weight-kernel pins check: every
+// m below 2²⁰ and the top 2²⁰ below 2⁵³; ±2¹⁶ around 2²⁴, where the
+// math.Log1p fallback ends, and around ⌈(1-√2/2)·2⁵³⌉, log1p's k = 0 edge;
+// ±4096 around 2⁵³-2ᵉ for e = 1…52, where 1-u is a power of two (the
+// zero-mantissa fallback); ±4096 around the √2 mantissa crossover of 1-u
+// in each binade; and 10⁷ seeded draws.
+func log1pWeightSweep(f func(m uint64)) {
 	const top = 1 << 53
-	check := func(m uint64) {
-		if m >= top {
-			return
-		}
-		got, want := log1pWeight(m), -math.Log1p(-float64(m)/(1<<53))
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("m=%d: log1pWeight=%v (%#x), -math.Log1p(-u)=%v (%#x)",
-				m, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
 	span := func(lo, hi uint64) {
-		for m := lo; m < hi; m++ {
-			check(m)
+		for m := lo; m < min(hi, top); m++ {
+			f(m)
 		}
 	}
 	around := func(c, r uint64) { span(c-min(c, r), c+r) }
@@ -344,6 +358,64 @@ func TestLog1pWeightMatchesLog1p(t *testing.T) {
 	}
 	r := xrand.New(1)
 	for i := 0; i < 10_000_000; i++ {
-		check(r.Uint64() >> 11)
+		f(r.Uint64() >> 11)
 	}
+}
+
+// wantWeight is the weight every kernel must return for m, as bits:
+// -math.Log1p(-u) of u = m·2⁻⁵³ on the running Go release.
+func wantWeight(m uint64) uint64 {
+	return math.Float64bits(-math.Log1p(-float64(m) / (1 << 53)))
+}
+
+// TestLog1pWeightMatchesLog1p pins the weight kernel to the running Go
+// release's math.Log1p bit for bit, on every m of log1pWeightSweep: first
+// log1pWeight itself, then expWeights on each kernel path, fed the same
+// sweep in chunks of 61 cells — so chunks end in a scalar tail and, at the
+// edges of the fallback bands, mix rare and common lanes — and fed each
+// rare m alone in a chunk of common lanes, at every lane position.
+func TestLog1pWeightMatchesLog1p(t *testing.T) {
+	log1pWeightSweep(func(m uint64) {
+		if got := log1pWeight(m); math.Float64bits(got) != wantWeight(m) {
+			t.Fatalf("m=%d: log1pWeight=%v (%#x), -math.Log1p(-u)=%#x",
+				m, got, math.Float64bits(got), wantWeight(m))
+		}
+	})
+	forEachWeightPath(t, func(t *testing.T) {
+		const chunk = 61
+		ms := make([]uint64, 0, chunk)
+		ws := make([]float64, chunk)
+		flush := func() {
+			expWeights(ws[:len(ms)], ms)
+			for i, m := range ms {
+				if got := ws[i]; math.Float64bits(got) != wantWeight(m) {
+					t.Fatalf("m=%d at %d of a %d-cell chunk: expWeights=%v (%#x), -math.Log1p(-u)=%#x",
+						m, i, len(ms), got, math.Float64bits(got), wantWeight(m))
+				}
+			}
+			ms = ms[:0]
+		}
+		log1pWeightSweep(func(m uint64) {
+			if ms = append(ms, m); len(ms) == chunk {
+				flush()
+			}
+		})
+		flush()
+		// The rare branches: m < 2²⁴, 1-u a power of two, and 1-u just
+		// below 1/2 (a normalised mantissa of 2⁵²-2, shifted to zero).
+		rare := []uint64{0, 1, 3, 1<<24 - 1, 1<<52 + 1}
+		for e := 0; e <= 52; e++ {
+			rare = append(rare, 1<<53-1<<e)
+		}
+		common := xrand.New(2)
+		for _, m := range rare {
+			for pos := range 8 {
+				for len(ms) < 8 {
+					ms = append(ms, 1<<24+common.Uint64()>>12)
+				}
+				ms[pos] = m
+				flush()
+			}
+		}
+	})
 }

@@ -209,6 +209,28 @@ func SampleInto[T any](r *Source, dst, src []T) {
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
+// Mantissas fills dst with 53-bit draws, the integers Float64 scales by
+// 2⁻⁵³: bit-identical to `for i := range dst { dst[i] = r.Uint64() >> 11 }`,
+// with the same stream consumption. Uint64 is too large to inline, so a
+// per-cell call would cost more than the draw; like the Sample* methods
+// this runs the xoshiro step on a register-local state copy, which must
+// stay in sync with Uint64 (TestMantissasMatchUint64 pins it).
+func (r *Source) Mantissas(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		res := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		dst[i] = res >> 11
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
 // NormFloat64 returns a standard normal sample using the Marsaglia polar
 // method. The second value of each generated pair is cached, so consecutive
 // draws consume a deterministic amount of the underlying stream.

@@ -347,6 +347,28 @@ func TestSampleBulkMatchesIntn(t *testing.T) {
 	}
 }
 
+// TestMantissasMatchUint64 pins the bulk 53-bit draw to the sequential
+// contract: dst[i] = Uint64()>>11 for every cell, and the stream left where
+// len(dst) Uint64 calls leave it — at lengths around the 256-cell chunk the
+// accumulator fills.
+func TestMantissasMatchUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257} {
+		for _, seed := range []uint64{0, 7, 1 << 63} {
+			ra, rb := New(seed), New(seed)
+			got := make([]uint64, n)
+			rb.Mantissas(got)
+			for i := range got {
+				if want := ra.Uint64() >> 11; got[i] != want {
+					t.Fatalf("n=%d seed=%d: Mantissas[%d] = %d, want %d", n, seed, i, got[i], want)
+				}
+			}
+			if ra.Uint64() != rb.Uint64() {
+				t.Fatalf("n=%d seed=%d: Mantissas consumed the stream differently", n, seed)
+			}
+		}
+	}
+}
+
 func TestSampleBulkEmptyPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
