@@ -114,11 +114,11 @@ func reimportSegLog(t *testing.T, sl *store.SegLog, drop string) *store.SegLog {
 // TestExperimentResumeBackendEquivalence: one interrupted Experiment.Run
 // resumed on each backend lands on the byte-identical report — the report
 // must not depend on which engine, or which on-disk format, persisted the
-// trials, nor on whether the run's analysis record survived.
+// trials, nor on an analysis record an older build left in the store.
 func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	const maxRuns = 12
-	// The cancel lands in the second batch, so the interrupted run has fed
-	// the first one and saves its analysis on the way out.
+	// The cancel lands in the second batch, so the interrupted run has
+	// stored the first one.
 	const cancelAt = 11
 	exp := func(a, b TrialFunc, st store.Backend) Experiment {
 		return Experiment{
@@ -167,16 +167,22 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	}{
 		{"mem", store.NewMem(), nil},
 		{"seglog", seglog(), nil},
-		// The interrupted run's trials and analysis snapshot reach the
-		// resumed run as a legacy trials.jsonl — a store dump — imported
-		// into a fresh directory.
+		// The interrupted run's trials reach the resumed run as a legacy
+		// trials.jsonl — a store dump — imported into a fresh directory.
 		{"jsonl", seglog(), func(t *testing.T, st store.Backend) store.Backend {
 			return reimportSegLog(t, st.(*store.SegLog), "")
 		}},
-		// The same without the analysis record: a run killed before its one
-		// analysis write resumes from its trials alone.
+		// Builds before the exact interval stored each dataset's analysis
+		// under an analysis/ key. The resumed run must neither need such a
+		// record (trials-only: filtered out of the dump) nor read or drop
+		// one (stale-analysis).
 		{"trials-only", seglog(), func(t *testing.T, st store.Backend) store.Backend {
+			putStaleAnalysis(t, st)
 			return reimportSegLog(t, st.(*store.SegLog), `"key":"analysis/`)
+		}},
+		{"stale-analysis", seglog(), func(t *testing.T, st store.Backend) store.Backend {
+			putStaleAnalysis(t, st)
+			return nopCloser{st}
 		}},
 	}
 	for _, leg := range legs {
@@ -191,8 +197,8 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 			if _, err := exp(a, b, st).Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
 			}
-			if n := st.CountPrefix("analysis/"); n != 1 {
-				t.Fatalf("interrupted run left %d analysis records, want 1", n)
+			if n := st.CountPrefix("analysis/"); n != 0 {
+				t.Fatalf("interrupted run left %d analysis records, want none", n)
 			}
 			if leg.resume != nil {
 				st = leg.resume(t, st)
@@ -213,6 +219,24 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 				t.Errorf("resumed run recomputed everything (%d calls): nothing was served from %s",
 					resumeCalls.Load(), leg.name)
 			}
+			if leg.name == "stale-analysis" && st.CountPrefix("analysis/") != 1 {
+				t.Errorf("resumed run dropped the stale analysis record")
+			}
 		})
+	}
+}
+
+// nopCloser hands a backend to a leg whose deferred Close would otherwise
+// close it twice.
+type nopCloser struct{ store.Backend }
+
+func (nopCloser) Close() error { return nil }
+
+// putStaleAnalysis writes the kind of analysis/ record older builds
+// stored for the backend-equivalence experiment's dataset.
+func putStaleAnalysis(t *testing.T, st store.Backend) {
+	t.Helper()
+	if err := st.PutJSON("analysis/seed=5/scope=dataset/", "old-build", map[string]any{"n": 4, "state": "AAAA"}); err != nil {
+		t.Fatal(err)
 	}
 }

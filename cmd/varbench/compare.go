@@ -29,8 +29,8 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 	fileB := fs.String("b", "", "CSV scores of algorithm B (required)")
 	gamma := fs.Float64("gamma", varbench.DefaultGamma, "meaningfulness threshold for P(A>B)")
 	confidence := fs.Float64("confidence", varbench.DefaultConfidence, "bootstrap CI confidence level")
-	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples")
-	seed := fs.Uint64("seed", 1, "bootstrap seed")
+	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples of the -unpaired test (paired reports compute the exact K → ∞ interval and ignore it)")
+	seed := fs.Uint64("seed", 1, "bootstrap seed of the -unpaired test (paired reports draw no randomness and ignore it)")
 	unpaired := fs.Bool("unpaired", false, "scores were not collected under shared seeds (single dataset only)")
 	format := fs.String("format", "text", "output format: text, json or csv")
 	storeDir := fs.String("store", "", "result-store DSN (a directory, seglog:DIR or mem:): the analysis is cached by a fingerprint of the score files and protocol flags, and reused verbatim when nothing changed")
@@ -77,8 +77,10 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 	// With -store, the complete Result is cached under a fingerprint of
 	// every input that determines it — the raw score files and the protocol
 	// flags (-format is deliberately excluded: one cached analysis renders
-	// as text, JSON or CSV alike). An unchanged rerun decodes the cached
-	// result instead of redoing the bootstrap; any input change misses the
+	// as text, JSON or CSV alike). v2 marks results whose paired interval
+	// is the exact one: a v1 result holds a Monte Carlo estimate of it and
+	// is recomputed. An unchanged rerun decodes the cached
+	// result instead of redoing the analysis; any input change misses the
 	// fingerprint and recomputes.
 	const compareKey = "varbench-compare/analysis"
 	var st store.Backend
@@ -89,7 +91,7 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 		}
 		defer st.Close()
 		resultFP = store.Fingerprint(
-			"varbench-compare/v1",
+			"varbench-compare/v2",
 			string(rawA), string(rawB),
 			fmt.Sprintf("gamma=%v/confidence=%v/bootstrap=%d/seed=%d/unpaired=%t",
 				*gamma, *confidence, *bootstrap, *seed, *unpaired),

@@ -77,32 +77,30 @@ func TestVarianceCommandStoreDSN(t *testing.T) {
 	})
 }
 
-// TestWatchCommandStoreDSN: watch accepts a seglog DSN and resumes its
-// analysis snapshot from it.
+// TestWatchCommandStoreDSN: watch takes no store — its analysis is three
+// counts and two score sums, rebuilt by reading the file again — so a
+// -store DSN of any kind, or -id, fails with that reason before any store
+// is opened.
 func TestWatchCommandStoreDSN(t *testing.T) {
 	tmp := t.TempDir()
 	scores := filepath.Join(tmp, "scores.csv")
 	if err := os.WriteFile(scores, []byte("0.91,0.85\n0.93,0.86\n0.90,0.84\n0.92,0.83\n0.94,0.87\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	dsn := "seglog:" + filepath.Join(tmp, "wstore")
-	args := []string{"watch", "-file", scores, "-store", dsn, "-id", "dsn-test", "-format", "json"}
-	var first, second bytes.Buffer
-	if err := run(context.Background(), args, &first); err != nil {
-		t.Fatal(err)
+	wstore := filepath.Join(tmp, "wstore")
+	for _, extra := range [][]string{
+		{"-store", "seglog:" + wstore, "-id", "dsn-test"},
+		{"-store", wstore},
+		{"-store", "mem:"},
+		{"-id", "dsn-test"},
+	} {
+		var out bytes.Buffer
+		err := run(context.Background(), append([]string{"watch", "-file", scores}, extra...), &out)
+		if err == nil || !strings.Contains(err.Error(), "three counts and two score sums") {
+			t.Errorf("watch %v: %v, want the no-store reason", extra, err)
+		}
 	}
-	if !strings.Contains(first.String(), `"conclusion"`) {
-		t.Fatalf("missing conclusion in output:\n%s", first.String())
-	}
-	segs, err := filepath.Glob(filepath.Join(tmp, "wstore", "seg-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("watch wrote no segment files (%v, %v)", segs, err)
-	}
-	if err := run(context.Background(), args, &second); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Errorf("snapshot-resumed watch differs:\n%s\n---\n%s", first.String(), second.String())
+	if _, err := os.Stat(wstore); !os.IsNotExist(err) {
+		t.Errorf("a rejected watch -store created %s (%v)", wstore, err)
 	}
 }

@@ -82,8 +82,8 @@ func formatResult(r compare.Result) string {
 
 // TestGoldenReports pins the exact output of the analysis surfaces:
 // varbench compare (paired, unpaired, four datasets, one named dataset),
-// varbench watch, a two-dataset Experiment.Run report, and an analysis
-// snapshot that must restore and resume bit-identically.
+// varbench watch, a two-dataset Experiment.Run report, and the running
+// analysis state fed in two halves.
 func TestGoldenReports(t *testing.T) {
 	in := func(name string) string { return filepath.Join(goldenDir, name) }
 	cli := []struct {
@@ -128,43 +128,25 @@ func TestGoldenReports(t *testing.T) {
 	t.Run("analysis-state", func(t *testing.T) {
 		pairs := readPairs(t, "watch.csv")
 		half := len(pairs) / 2
-		crit := compare.PAB{Gamma: 0.7, Bootstrap: 300}
-		const seed = 99
+		crit := compare.PAB{Gamma: 0.7}
 
-		// The snapshot of the first half is byte-for-byte the stored blob.
-		st, err := crit.NewAnalysis(seed, 1)
+		// A state fed the first half and then the second evaluates
+		// bit-identically to a fresh state fed every pair and to the
+		// one-shot Evaluate; the golden pins that result at full precision.
+		resumed, err := crit.NewAnalysis()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Extend(pairs[:half]); err != nil {
-			t.Fatal(err)
+		resumed.Extend(pairs[:half])
+		if resumed.N() != half {
+			t.Fatalf("half-fed state holds %d pairs, want %d", resumed.N(), half)
 		}
-		snap, err := st.Snapshot()
+		resumed.Extend(pairs[half:])
+		fresh, err := crit.NewAnalysis()
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "analysis-half.vbans1", snap)
-
-		// The stored blob restores, extends by the second half, and
-		// evaluates bit-identically to a fresh state fed every pair.
-		blob, err := os.ReadFile(in("analysis-half.vbans1"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := crit.RestoreAnalysis(blob, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resumed.Extend(pairs[half:]); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := crit.NewAnalysis(seed, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Extend(pairs); err != nil {
-			t.Fatal(err)
-		}
+		fresh.Extend(pairs)
 		got, err := resumed.Evaluate()
 		if err != nil {
 			t.Fatal(err)
@@ -173,19 +155,12 @@ func TestGoldenReports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if formatResult(got) != formatResult(want) {
-			t.Errorf("resumed %s fresh   %s", formatResult(got), formatResult(want))
-		}
-		a, err := resumed.Snapshot()
+		oneShot, err := crit.Evaluate(pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fresh.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Error("resumed and fresh snapshots differ")
+		if formatResult(got) != formatResult(want) || formatResult(oneShot) != formatResult(want) {
+			t.Errorf("resumed  %sfresh    %sone-shot %s", formatResult(got), formatResult(want), formatResult(oneShot))
 		}
 		checkGolden(t, "analysis-full.txt", []byte(formatResult(want)))
 	})

@@ -35,10 +35,14 @@
 //
 // The watch subcommand streams a growing score file — `a,b` CSV or
 // `{"a": .., "b": ..}` JSONL lines, one paired trial each — through the
-// incremental analysis engine: each new line costs O(K) bootstrap work,
-// never a re-analysis of the history. With -follow it tails the file;
-// with -store the analysis snapshot survives interrupts and a rerun
-// resumes without recomputation; see `varbench watch -h` for its flags.
+// recommended test: each new line adds to the win/tie/loss counts, never a
+// re-analysis of the history. With -follow it tails the file; see
+// `varbench watch -h` for its flags.
+//
+// Paired reports (compare without -unpaired, and watch) compute the
+// percentile bootstrap's exact interval, the limit of infinitely many
+// resamples, from the win, tie and loss counts: they draw no randomness,
+// so -bootstrap and -seed change nothing in them.
 //
 // The store dump subcommand prints every cell of a -store directory as one
 // JSON line, sorted by (key, fingerprint) — the line format of the retired

@@ -11,14 +11,14 @@ import (
 	"varbench"
 )
 
-// runWatch implements the `varbench watch` subcommand: the incremental
-// analysis engine over a growing score file. Each line is one paired trial
-// — `a,b` CSV or `{"a": .., "b": ..}` JSONL — and every batch of new lines
-// is folded into the resumable weighted-bootstrap state in O(K × new)
-// work, so the live conclusion is always current without ever re-reading
-// the history. With -follow the command tails the file like `tail -f`;
-// with -store the analysis snapshot persists across interrupts, and a
-// rerun replays the already-consumed prefix without recomputing it.
+// runWatch implements the `varbench watch` subcommand: the recommended
+// test over a growing score file. Each line is one paired trial — `a,b`
+// CSV or `{"a": .., "b": ..}` JSONL — and every batch of new lines is
+// added to the win/tie/loss counts in O(new) work, so the live conclusion
+// is always current without ever re-reading the history. With -follow the
+// command tails the file like `tail -f`. There is no -store: the whole
+// analysis is three counts and two sums, which a rerun rebuilds by
+// reading the file again.
 func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("varbench watch", flag.ContinueOnError)
 	file := fs.String("file", "", "score file to watch: a,b CSV or {\"a\":..,\"b\":..} JSONL lines (required)")
@@ -27,11 +27,10 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	poll := fs.Duration("poll", 500*time.Millisecond, "poll interval while following")
 	gamma := fs.Float64("gamma", varbench.DefaultGamma, "meaningfulness threshold for P(A>B)")
 	confidence := fs.Float64("confidence", varbench.DefaultConfidence, "bootstrap CI confidence level")
-	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples")
-	seed := fs.Uint64("seed", 1, "bootstrap seed")
-	id := fs.String("id", "", "pipeline ID naming this stream in the store (required with -store)")
-	storeDir := fs.String("store", "", "result-store DSN (a directory, seglog:DIR or mem:): the analysis snapshot is flushed there, and an interrupted watch resumes without recomputation")
-	waitLock := fs.Duration("wait-lock", 0, "wait up to this long for another process to release the store lock instead of failing immediately (0: fail immediately)")
+	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples (ignored: watch computes the paired bootstrap's exact K → ∞ interval)")
+	seed := fs.Uint64("seed", 1, "bootstrap seed (ignored: the paired interval draws no randomness)")
+	id := fs.String("id", "", "no longer supported: see -store")
+	storeDir := fs.String("store", "", "no longer supported: the analysis is three counts and two sums, so a rerun re-reads the file instead of resuming a snapshot")
 	format := fs.String("format", "text", "output format: text, json or csv")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: varbench watch -file scores.csv [-follow] [flags]")
@@ -45,8 +44,8 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("watch needs a -file to tail")
 	}
-	if *storeDir != "" && *id == "" {
-		return fmt.Errorf("-store needs -id to name the stream's snapshot")
+	if *storeDir != "" || *id != "" {
+		return fmt.Errorf("watch -store and -id are no longer supported: %s", errWatchStore)
 	}
 	var ren varbench.Renderer
 	switch *format {
@@ -65,14 +64,6 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 		varbench.WithConfidence(*confidence),
 		varbench.WithBootstrap(*bootstrap),
 		varbench.WithSeed(*seed),
-	}
-	if *storeDir != "" {
-		st, err := openStore(ctx, *storeDir, *waitLock)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		opts = append(opts, varbench.WithStore(st), varbench.WithPipelineID(*id))
 	}
 	stream, err := varbench.NewStream(opts...)
 	if err != nil {
@@ -127,8 +118,7 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 		}
 		return nil
 	}
-	// final renders the conclusion over everything consumed, settling a
-	// stale snapshot if the persisted state ran ahead of this file. The
+	// final renders the conclusion over everything consumed. The
 	// malformed-line count is part of the rendered summary — a conclusion
 	// that silently dropped input lines is not the conclusion it claims to
 	// be — for the text format; JSON/CSV output must stay machine-parseable,
@@ -167,20 +157,17 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 				break
 			}
 			// Tail mode: wait for more bytes, or for the interrupt. On
-			// SIGINT/SIGTERM the snapshot is flushed so a rerun resumes
-			// exactly here, and the context error propagates to main for
-			// the conventional 128+signum exit code.
+			// SIGINT/SIGTERM the conclusion so far is rendered, and the
+			// context error propagates to main for the conventional
+			// 128+signum exit code.
 			select {
 			case <-ctx.Done():
-				if err := stream.Flush(); err != nil {
-					return err
-				}
 				if stream.N() >= 2 {
 					if err := final(); err != nil {
 						return err
 					}
 				}
-				fmt.Fprintf(os.Stderr, "varbench: watch interrupted after %d pairs — snapshot flushed; rerun to resume\n", stream.N())
+				fmt.Fprintf(os.Stderr, "varbench: watch interrupted after %d pairs\n", stream.N())
 				return ctx.Err()
 			case <-time.After(*poll):
 			}
@@ -204,8 +191,8 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	if badLines > 0 {
 		fmt.Fprintf(os.Stderr, "varbench: %s: %d malformed line(s) skipped\n", *file, badLines)
 	}
-	if err := stream.Flush(); err != nil {
-		return err
-	}
 	return final()
 }
+
+// errWatchStore says why watch keeps no store.
+const errWatchStore = "the analysis is three counts and two score sums, rebuilt by reading the file again, so there is no snapshot to persist or resume"

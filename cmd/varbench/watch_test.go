@@ -77,8 +77,8 @@ func TestWatchCommandErrors(t *testing.T) {
 		t.Error("watch without -file accepted")
 	}
 	if err := run(context.Background(), []string{"watch", "-file", "x", "-store", dir}, &out); err == nil ||
-		!strings.Contains(err.Error(), "-id") {
-		t.Errorf("watch -store without -id: %v", err)
+		!strings.Contains(err.Error(), "no longer supported") {
+		t.Errorf("watch -store: %v", err)
 	}
 	one := filepath.Join(dir, "one.csv")
 	if err := os.WriteFile(one, []byte("0.5,0.4\n"), 0o644); err != nil {
@@ -93,15 +93,14 @@ func TestWatchCommandErrors(t *testing.T) {
 	}
 }
 
-// TestWatchCommandFollowInterrupt: a -follow watch with -store, canceled
-// while tailing, flushes its snapshot and reports context.Canceled (main
-// maps that to exit 130); the resumed bounded run renders a report
-// byte-identical to an uninterrupted bounded run.
+// TestWatchCommandFollowInterrupt: a -follow watch canceled while tailing
+// renders the conclusion so far and reports context.Canceled (main maps
+// that to exit 130); a bounded rerun over the same file renders a report
+// byte-identical to the uninterrupted one.
 func TestWatchCommandFollowInterrupt(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "scores.csv")
 	writeScoreFile(t, file, 10)
-	storeDir := filepath.Join(dir, "store")
 
 	var clean bytes.Buffer
 	base := []string{"watch", "-file", file, "-seed", "7"}
@@ -110,8 +109,7 @@ func TestWatchCommandFollowInterrupt(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	withStore := append(base[:len(base):len(base)], "-store", storeDir, "-id", "ci")
-	followArgs := append(withStore[:len(withStore):len(withStore)], "-follow", "-poll", "10ms")
+	followArgs := append(base[:len(base):len(base)], "-follow", "-poll", "10ms")
 	done := make(chan error, 1)
 	var followed bytes.Buffer
 	go func() { done <- run(ctx, followArgs, &followed) }()
@@ -130,13 +128,13 @@ func TestWatchCommandFollowInterrupt(t *testing.T) {
 		t.Errorf("interrupted follow report differs:\n%s\n---\n%s", followed.String(), clean.String())
 	}
 
-	// Resume: the bounded rerun replays the hash-verified prefix from the
-	// flushed snapshot and must render the identical report.
-	var resumed bytes.Buffer
-	if err := run(context.Background(), withStore, &resumed); err != nil {
+	// Rerun: the bounded watch re-reads the file and renders the identical
+	// report.
+	var rerun bytes.Buffer
+	if err := run(context.Background(), base, &rerun); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.String() != clean.String() {
-		t.Errorf("resumed watch differs from uninterrupted run:\n%s\n---\n%s", resumed.String(), clean.String())
+	if rerun.String() != clean.String() {
+		t.Errorf("rerun watch differs from uninterrupted run:\n%s\n---\n%s", rerun.String(), clean.String())
 	}
 }

@@ -37,7 +37,7 @@ func main() {
 	const trueP = 0.75
 	n := varbench.SampleSize(trueP)
 	model := simulate.Model{Sigma2: 0.0004}
-	cfg := simulate.Config{NSim: 400, Bootstrap: 200}
+	cfg := simulate.Config{NSim: 400}
 	pts, err := simulate.SampleSizeSweep(cfg, model, trueP, []int{n / 2, n, n * 2}, xrand.New(1))
 	if err != nil {
 		log.Fatal(err)

@@ -2,9 +2,7 @@ package varbench
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -108,11 +106,13 @@ type Experiment struct {
 	Gamma float64
 	// Confidence is the CI confidence level (default 0.95).
 	Confidence float64
-	// Bootstrap is the number of bootstrap resamples (default 1000).
+	// Bootstrap is the number of bootstrap resamples of the unpaired test
+	// (default 1000). Run's paired test computes the bootstrap's exact
+	// limit and ignores it.
 	Bootstrap int
-	// Seed is the root of all collection and bootstrap randomness. The
-	// zero value means "use the default" (1); to run with seed 0, use
-	// WithSeed(0).
+	// Seed is the root of all collection and unpaired-bootstrap
+	// randomness. The zero value means "use the default" (1); to run with
+	// seed 0, use WithSeed(0).
 	Seed uint64
 
 	// MaxRuns caps the number of pairs collected per dataset (default:
@@ -142,11 +142,11 @@ type Experiment struct {
 	// pipeline. Because trial seeds depend only on (Seed, dataset, index),
 	// cache hits are bit-identical to recomputation at any Parallelism, and
 	// an interrupted Run resumes exactly where it stopped when re-run with
-	// the same store. The run also stores each dataset's final analysis,
-	// once, when it returns, so a rerun verifies the cached pairs against
-	// it instead of re-extending them. Any store.Backend implementation
-	// works; store.NewMem, store.OpenSegLog and store.OpenDSN all produce
-	// one. See WithStore and the store package.
+	// the same store. Only trials are stored: the analysis is three counts
+	// and two sums, which a rerun recounts from the cached pairs. Any
+	// store.Backend implementation works; store.NewMem, store.OpenSegLog
+	// and store.OpenDSN all produce one. See WithStore and the store
+	// package.
 	Store store.Backend
 	// PipelineID names the pipeline implementation inside the store's spec
 	// fingerprint. The store cannot hash code: two experiments sharing a
@@ -505,18 +505,10 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	batchA := make([]float64, e.BatchSize)
 	batchB := make([]float64, e.BatchSize)
 	fails := make([]*TrialFailure, e.BatchSize)
-	// One incremental analysis state threads through every batch boundary:
-	// each batch extends the state's K weighted resamples by its new pairs
-	// (O(K × n_new)) instead of re-running the full bootstrap on all n
-	// collected pairs at the end. The stop depends on the pair count alone,
-	// so the result depends on the final state alone. With a store, that
-	// state is cached: read once here, written once on the way out, and a
-	// rerun hash-verifies the replayed prefix against it instead of
-	// re-extending it.
-	seed := xrand.New(e.datasetRoot(ds.Name)).Split("analysis/incremental").Uint64()
-	crit := compare.PAB{Gamma: gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}
-	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), e.Store,
-		store.AnalysisKey(e.Seed, "dataset/"+ds.Name), e.analysisFingerprint(seed))
+	// One analysis state threads through every batch boundary: each batch
+	// adds its surviving pairs to the win/tie/loss counts and score sums,
+	// and the test is evaluated once, on the final counts.
+	ana, err := compare.PAB{Gamma: gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}.NewAnalysis()
 	if err != nil {
 		return nil, err
 	}
@@ -532,20 +524,14 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 			fails[i] = nil
 		}
 		if err := collectPairs(ctx, label, cache, g, runA, runB, batch, batchA[:m], batchB[:m], fails[:m], e.Parallelism); err != nil {
-			if lo > 0 {
-				// Save what the fed batches built for the rerun; a failing
-				// save joins err rather than hiding it.
-				err = errors.Join(err, ana.save())
-			}
 			return nil, err
 		}
 		// Compact the batch in trial-index order: surviving pairs extend
-		// outA/outB contiguously (the incremental analysis only ever sees
-		// successes), quarantined ones extend the failure list. MaxRuns
-		// caps attempted trial indices, not surviving pairs — a degraded
-		// run reports fewer pairs rather than drawing replacement trials,
-		// which would change every sibling's seed schedule.
-		prev := n
+		// outA/outB contiguously (the analysis only ever sees successes),
+		// quarantined ones extend the failure list. MaxRuns caps attempted
+		// trial indices, not surviving pairs — a degraded run reports fewer
+		// pairs rather than drawing replacement trials, which would change
+		// every sibling's seed schedule.
 		for i := 0; i < m; i++ {
 			if f := fails[i]; f != nil {
 				f.Dataset = ds.Name
@@ -554,11 +540,9 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 			}
 			outA = append(outA, batchA[i])
 			outB = append(outB, batchB[i])
+			ana.Add(batchA[i], batchB[i])
 		}
 		n = len(outA)
-		if err := ana.feed(outA, outB, prev, n); err != nil {
-			return nil, err
-		}
 		// The Noether stop only applies before the last scheduled batch: hi
 		// counts attempted trial indices, which is what the MaxRuns budget
 		// caps, while n counts surviving pairs, so quarantined trials are
@@ -577,14 +561,8 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 		return nil, fmt.Errorf("varbench: %sonly %d pair(s) survived collection, %d quarantined — cannot analyze: %w (first: %s)",
 			label, n, len(failures), ErrTrialFailed, failures[0].String())
 	}
-	if err := ana.settle(outA, outB); err != nil {
-		return nil, err
-	}
-	final, err := ana.comparison()
+	final, err := comparisonOf(ana)
 	if err != nil {
-		return nil, err
-	}
-	if err := ana.save(); err != nil {
 		return nil, err
 	}
 	return &DatasetResult{

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"varbench/internal/stats"
-	"varbench/internal/xrand"
 )
 
 // Decision is the three-zone outcome of the recommended test (Appendix C.6).
@@ -54,10 +53,11 @@ const DefaultGamma = 0.75
 const DefaultDeltaCoefficient = 1.9952
 
 // Criterion decides, from k paired performance measures, whether algorithm A
-// should be declared better than algorithm B.
+// should be declared better than algorithm B. Every criterion is a
+// deterministic function of the pairs.
 type Criterion interface {
 	Name() string
-	Detects(pairs []stats.Pair, r *xrand.Source) bool
+	Detects(pairs []stats.Pair) bool
 }
 
 // SinglePoint compares one run of each algorithm against the threshold
@@ -70,7 +70,7 @@ type SinglePoint struct {
 func (SinglePoint) Name() string { return "single-point" }
 
 // Detects implements Criterion.
-func (c SinglePoint) Detects(pairs []stats.Pair, _ *xrand.Source) bool {
+func (c SinglePoint) Detects(pairs []stats.Pair) bool {
 	if len(pairs) == 0 {
 		return false
 	}
@@ -87,7 +87,7 @@ type AverageThreshold struct {
 func (AverageThreshold) Name() string { return "average" }
 
 // Detects implements Criterion.
-func (c AverageThreshold) Detects(pairs []stats.Pair, _ *xrand.Source) bool {
+func (c AverageThreshold) Detects(pairs []stats.Pair) bool {
 	if len(pairs) == 0 {
 		return false
 	}
@@ -110,7 +110,7 @@ type PairedT struct {
 func (PairedT) Name() string { return "paired-t" }
 
 // Detects implements Criterion.
-func (c PairedT) Detects(pairs []stats.Pair, _ *xrand.Source) bool {
+func (c PairedT) Detects(pairs []stats.Pair) bool {
 	if len(pairs) < 2 {
 		return false
 	}
@@ -133,11 +133,13 @@ func (c PairedT) Detects(pairs []stats.Pair, _ *xrand.Source) bool {
 // PAB is the paper's recommended criterion: estimate P(A>B) from the paired
 // measures (Equation 9), attach a percentile-bootstrap confidence interval
 // (Appendix C.5), and require the result to be both statistically
-// significant (CI.Lo > 0.5) and meaningful (CI.Hi > Gamma).
+// significant (CI.Lo > 0.5) and meaningful (CI.Hi > Gamma). On paired
+// measures the interval is the bootstrap's exact K → ∞ limit
+// (stats.PABCountsCI), so Bootstrap applies to the unpaired test only.
 type PAB struct {
 	Gamma     float64 // meaningfulness threshold (default 0.75)
 	Level     float64 // CI confidence level (default 0.95)
-	Bootstrap int     // resamples (default 1000)
+	Bootstrap int     // unpaired resamples (default 1000)
 }
 
 // Name implements Criterion.
@@ -172,16 +174,9 @@ type Result struct {
 	Decision Decision
 }
 
-// pabKernel is the plug-in estimator of P(A>B) over paired measures
-// (Equation 9) as a fused bootstrap kernel: the fraction of pairs A wins,
-// ties counted half, accumulated straight from sampled indices — the
-// recommended protocol's hot loop runs with no resample buffer and no
-// per-resample allocation.
-var pabKernel = stats.PABKernel{}
-
-// validate rejects statistical knobs the bootstrap cannot honor before they
-// reach the resampler: an explicit negative resample count or a confidence
-// level outside (0, 1). The zero values keep meaning "use the default".
+// validate rejects statistical knobs the test cannot honor: an explicit
+// negative resample count or a confidence level outside (0, 1). The zero
+// values keep meaning "use the default".
 func (c PAB) validate() error {
 	if c.Bootstrap < 0 {
 		return fmt.Errorf("compare: bootstrap resamples must not be negative, got %d (0 means default)", c.Bootstrap)
@@ -206,39 +201,21 @@ func (c PAB) decide(point float64, ci stats.CI) Result {
 	return res
 }
 
-// Evaluate runs the complete Appendix C protocol on paired measures.
-func (c PAB) Evaluate(pairs []stats.Pair, r *xrand.Source) (Result, error) {
-	if len(pairs) < 2 {
-		return Result{}, fmt.Errorf("compare: need ≥ 2 pairs, got %d", len(pairs))
-	}
-	if err := c.validate(); err != nil {
+// Evaluate runs the complete Appendix C protocol on paired measures: it
+// counts the pairs A wins, ties and loses, and judges P(A>B) with the
+// exact percentile interval of those counts. It draws no randomness.
+func (c PAB) Evaluate(pairs []stats.Pair) (Result, error) {
+	st, err := c.NewAnalysis()
+	if err != nil {
 		return Result{}, err
 	}
-	point := pabKernel.Stat(pairs)
-	ci := stats.PairedPercentileBootstrapWith(pairs, pabKernel, c.boots(), c.level(), r)
-	return c.decide(point, ci), nil
-}
-
-// EvaluateSharded is Evaluate with the bootstrap resampling sharded across
-// `workers` goroutines. It draws its randomness from seed instead of a
-// caller-owned stream: shard boundaries and per-shard RNG streams depend
-// only on (seed, Bootstrap), so the result is bit-identical at any worker
-// count — including workers ≤ 1, the serial reference.
-func (c PAB) EvaluateSharded(pairs []stats.Pair, seed uint64, workers int) (Result, error) {
-	if len(pairs) < 2 {
-		return Result{}, fmt.Errorf("compare: need ≥ 2 pairs, got %d", len(pairs))
-	}
-	if err := c.validate(); err != nil {
-		return Result{}, err
-	}
-	point := pabKernel.Stat(pairs)
-	ci := stats.PairedPercentileBootstrapKernel(pairs, pabKernel, c.boots(), c.level(), seed, workers)
-	return c.decide(point, ci), nil
+	st.Extend(pairs)
+	return st.Evaluate()
 }
 
 // Detects implements Criterion.
-func (c PAB) Detects(pairs []stats.Pair, r *xrand.Source) bool {
-	res, err := c.Evaluate(pairs, r)
+func (c PAB) Detects(pairs []stats.Pair) bool {
+	res, err := c.Evaluate(pairs)
 	if err != nil {
 		return false
 	}
@@ -246,8 +223,9 @@ func (c PAB) Detects(pairs []stats.Pair, r *xrand.Source) bool {
 }
 
 // mwPAB is the Mann-Whitney U statistic scaled to [0,1]: the unpaired
-// plug-in estimate of P(A>B). Rank-based, so it takes the buffered
-// (TwoSampleStatFunc) bootstrap path rather than a fused kernel.
+// plug-in estimate of P(A>B). A rank statistic has no closed form over
+// resamples, so the unpaired test bootstraps it through the buffered
+// TwoSampleStatFunc path.
 func mwPAB(x, y []float64) float64 {
 	return stats.MannWhitney(x, y, stats.TwoTailed).PAB
 }
@@ -255,7 +233,9 @@ func mwPAB(x, y []float64) float64 {
 // EvaluateUnpairedSharded runs the P(A>B) protocol on *unpaired* measures:
 // P(A>B) is the Mann-Whitney U statistic scaled to [0,1], and the
 // confidence interval bootstraps the two samples independently, sharded
-// across `workers` goroutines and seeded like EvaluateSharded. Use when
+// across `workers` goroutines. Shard boundaries and per-shard RNG streams
+// depend only on (seed, Bootstrap), so the result is bit-identical at any
+// worker count. Use when
 // pairing is impossible (e.g. algorithms evaluated by different parties —
 // the Section 6 "models instead of procedures" setting); pairing, when
 // available, gives strictly more power (Appendix C.2).
@@ -284,7 +264,7 @@ type Oracle struct {
 func (Oracle) Name() string { return "oracle" }
 
 // Detects implements Criterion.
-func (c Oracle) Detects(pairs []stats.Pair, _ *xrand.Source) bool {
+func (c Oracle) Detects(pairs []stats.Pair) bool {
 	if len(pairs) == 0 {
 		return false
 	}

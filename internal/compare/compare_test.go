@@ -21,17 +21,17 @@ func makePairs(r *xrand.Source, n int, diff, sigma float64) []stats.Pair {
 
 func TestSinglePoint(t *testing.T) {
 	c := SinglePoint{Delta: 0.5}
-	if !c.Detects([]stats.Pair{{A: 1.0, B: 0.2}}, nil) {
+	if !c.Detects([]stats.Pair{{A: 1.0, B: 0.2}}) {
 		t.Error("should detect: diff 0.8 > 0.5")
 	}
-	if c.Detects([]stats.Pair{{A: 0.6, B: 0.2}}, nil) {
+	if c.Detects([]stats.Pair{{A: 0.6, B: 0.2}}) {
 		t.Error("should not detect: diff 0.4 < 0.5")
 	}
-	if c.Detects(nil, nil) {
+	if c.Detects(nil) {
 		t.Error("empty pairs should not detect")
 	}
 	// Only the first pair matters.
-	if c.Detects([]stats.Pair{{A: 0, B: 0}, {A: 9, B: 0}}, nil) {
+	if c.Detects([]stats.Pair{{A: 0, B: 0}, {A: 9, B: 0}}) {
 		t.Error("single point must ignore later pairs")
 	}
 }
@@ -40,10 +40,10 @@ func TestAverageThreshold(t *testing.T) {
 	c := AverageThreshold{Delta: 0.5}
 	pairs := []stats.Pair{{A: 1, B: 0}, {A: 1.4, B: 0.2}}
 	// mean diff = (1 + 1.2)/2 = 1.1 > 0.5.
-	if !c.Detects(pairs, nil) {
+	if !c.Detects(pairs) {
 		t.Error("should detect")
 	}
-	if c.Detects([]stats.Pair{{A: 0.4, B: 0}}, nil) {
+	if c.Detects([]stats.Pair{{A: 0.4, B: 0}}) {
 		t.Error("should not detect small diff")
 	}
 }
@@ -55,12 +55,12 @@ func TestPairedTDetectsConsistentDifference(t *testing.T) {
 		base := r.NormFloat64()
 		pairs[i] = stats.Pair{A: base + 0.5 + 0.1*r.NormFloat64(), B: base}
 	}
-	if !(PairedT{Alpha: 0.05}).Detects(pairs, nil) {
+	if !(PairedT{Alpha: 0.05}).Detects(pairs) {
 		t.Error("paired t missed a consistent paired difference")
 	}
 	// Identical pairs: no detection, no NaN panic.
 	same := []stats.Pair{{A: 1, B: 1}, {A: 2, B: 2}, {A: 3, B: 3}}
-	if (PairedT{Alpha: 0.05}).Detects(same, nil) {
+	if (PairedT{Alpha: 0.05}).Detects(same) {
 		t.Error("identical pairs should not detect")
 	}
 }
@@ -70,7 +70,7 @@ func TestPABEvaluateZones(t *testing.T) {
 
 	// Strong dominance: significant and meaningful.
 	strong := makePairs(r, 60, 3, 1)
-	res, err := PAB{}.Evaluate(strong, r)
+	res, err := PAB{}.Evaluate(strong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPABEvaluateZones(t *testing.T) {
 
 	// No difference: not significant.
 	null := makePairs(r, 60, 0, 1)
-	res, err = PAB{}.Evaluate(null, r)
+	res, err = PAB{}.Evaluate(null)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPABEvaluateZones(t *testing.T) {
 	// Tiny but consistent difference with many samples: significant, not
 	// meaningful. diff chosen so true PAB ≈ 0.58.
 	small := makePairs(r, 4000, 0.29, 1)
-	res, err = PAB{}.Evaluate(small, r)
+	res, err = PAB{}.Evaluate(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,10 @@ func TestPABDefaults(t *testing.T) {
 	if c.gamma() != DefaultGamma || c.level() != 0.95 || c.boots() != 1000 {
 		t.Error("defaults wrong")
 	}
-	if _, err := c.Evaluate([]stats.Pair{{A: 1, B: 0}}, xrand.New(1)); err == nil {
+	if _, err := c.Evaluate(nil); err == nil {
+		t.Error("empty pairs should error")
+	}
+	if _, err := c.Evaluate([]stats.Pair{{A: 1, B: 0}}); err == nil {
 		t.Error("single pair should error")
 	}
 }
@@ -120,7 +123,7 @@ func TestPABTieHandling(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: 1, B: 1}
 	}
-	res, err := PAB{}.Evaluate(pairs, xrand.New(3))
+	res, err := PAB{}.Evaluate(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestOracleCalibration(t *testing.T) {
 	const trials = 2000
 	fp := 0
 	for i := 0; i < trials; i++ {
-		if oracle.Detects(makePairs(r, 50, 0, 1), nil) {
+		if oracle.Detects(makePairs(r, 50, 0, 1)) {
 			fp++
 		}
 	}
@@ -147,7 +150,7 @@ func TestOracleCalibration(t *testing.T) {
 	// Under strong H1 the oracle detects almost always.
 	det := 0
 	for i := 0; i < 200; i++ {
-		if oracle.Detects(makePairs(r, 50, 1, 1), nil) {
+		if oracle.Detects(makePairs(r, 50, 1, 1)) {
 			det++
 		}
 	}
@@ -181,7 +184,7 @@ func TestPABMonotoneInEffect(t *testing.T) {
 	prev := -1.0
 	for _, diff := range []float64{0, 1, 2, 4} {
 		pairs := makePairs(r, 400, diff, 1)
-		res, err := PAB{Bootstrap: 200}.Evaluate(pairs, r)
+		res, err := PAB{Bootstrap: 200}.Evaluate(pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,43 +215,21 @@ func TestPABValidation(t *testing.T) {
 		{Level: math.NaN()},
 	}
 	for _, crit := range bad {
-		if _, err := crit.Evaluate(pairs, xrand.New(1)); err == nil {
+		if _, err := crit.Evaluate(pairs); err == nil {
 			t.Errorf("Evaluate with %+v: expected error", crit)
 		}
-		if _, err := crit.EvaluateSharded(pairs, 1, 4); err == nil {
-			t.Errorf("EvaluateSharded with %+v: expected error", crit)
+		if _, err := crit.NewAnalysis(); err == nil {
+			t.Errorf("NewAnalysis with %+v: expected error", crit)
 		}
 		if _, err := crit.EvaluateUnpairedSharded(a, b, 1, 4); err == nil {
 			t.Errorf("EvaluateUnpairedSharded with %+v: expected error", crit)
 		}
-		if crit.Detects(pairs, xrand.New(1)) {
+		if crit.Detects(pairs) {
 			t.Errorf("Detects with %+v: degenerate knobs must not detect", crit)
 		}
 	}
 	// The zero values still mean "use the defaults".
-	if _, err := (PAB{}).Evaluate(pairs, xrand.New(1)); err != nil {
+	if _, err := (PAB{}).Evaluate(pairs); err != nil {
 		t.Errorf("zero-valued PAB should default, got %v", err)
-	}
-}
-
-// TestEvaluateShardedUsesFusedKernel locks the sharded protocol evaluation
-// to the serial reference: the fused P(A>B) kernel must neither perturb the
-// resampling stream nor the decision, at any worker count.
-func TestEvaluateShardedFusedMatchesSerialStream(t *testing.T) {
-	r := xrand.New(11)
-	pairs := makePairs(r, 29, 1, 1)
-	crit := PAB{Bootstrap: 1000}
-	ref, err := crit.EvaluateSharded(pairs, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		got, err := crit.EvaluateSharded(pairs, 7, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ref {
-			t.Errorf("workers=%d: %+v != serial %+v", w, got, ref)
-		}
 	}
 }

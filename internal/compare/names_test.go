@@ -28,11 +28,11 @@ func TestPABDetectsInterface(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: r.Normal(3, 1), B: r.NormFloat64()}
 	}
-	if !(PAB{Bootstrap: 200}).Detects(pairs, r) {
+	if !(PAB{}).Detects(pairs) {
 		t.Error("PAB.Detects missed strong dominance")
 	}
 	// Too few pairs: Detects must be false, not panic.
-	if (PAB{}).Detects([]stats.Pair{{A: 1, B: 0}}, r) {
+	if (PAB{}).Detects([]stats.Pair{{A: 1, B: 0}}) {
 		t.Error("single pair should not detect")
 	}
 }
@@ -47,7 +47,7 @@ func TestPABCustomLevel(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: r.Normal(2, 1), B: r.NormFloat64()}
 	}
-	res, err := c.Evaluate(pairs, r)
+	res, err := c.Evaluate(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPABCustomLevel(t *testing.T) {
 }
 
 func TestOracleEmptyPairs(t *testing.T) {
-	if (Oracle{Sigma: 1}).Detects(nil, nil) {
+	if (Oracle{Sigma: 1}).Detects(nil) {
 		t.Error("empty pairs should not detect")
 	}
 }

@@ -8,45 +8,6 @@ import (
 	"varbench/internal/xrand"
 )
 
-func shardedPairs(n int, diff float64, seed uint64) []stats.Pair {
-	r := xrand.New(seed)
-	pairs := make([]stats.Pair, n)
-	for i := range pairs {
-		base := r.NormFloat64()
-		pairs[i] = stats.Pair{A: base + diff, B: base + 0.3*r.NormFloat64()}
-	}
-	return pairs
-}
-
-func TestEvaluateShardedWorkerInvariance(t *testing.T) {
-	pairs := shardedPairs(29, 1.0, 3)
-	ref, err := PAB{}.EvaluateSharded(pairs, 11, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0), 64} {
-		res, err := PAB{}.EvaluateSharded(pairs, 11, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != ref {
-			t.Errorf("workers=%d: %+v != serial reference %+v", w, res, ref)
-		}
-	}
-	if ref.Decision != SignificantAndMeaningful {
-		t.Errorf("dominant pairs judged %v", ref.Decision)
-	}
-}
-
-func TestEvaluateShardedTooFewPairs(t *testing.T) {
-	if _, err := (PAB{}).EvaluateSharded(nil, 1, 4); err == nil {
-		t.Error("empty pairs accepted")
-	}
-	if _, err := (PAB{}).EvaluateSharded(shardedPairs(1, 1, 1), 1, 4); err == nil {
-		t.Error("single pair accepted")
-	}
-}
-
 func TestEvaluateUnpairedShardedWorkerInvariance(t *testing.T) {
 	r := xrand.New(5)
 	a := make([]float64, 30)
@@ -75,6 +36,33 @@ func TestEvaluateUnpairedShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestEvaluateShardedTooFewPairs: the sharded unpaired evaluation rejects
+// an empty or single-measure side on either algorithm, at any worker
+// count, before it resamples anything, as the paired Evaluate rejects
+// fewer than two pairs.
+func TestEvaluateShardedTooFewPairs(t *testing.T) {
+	two := []float64{1, 2}
+	for _, w := range []int{1, 4} {
+		for _, short := range [][]float64{nil, {1}} {
+			if _, err := (PAB{}).EvaluateUnpairedSharded(short, two, 1, w); err == nil {
+				t.Errorf("workers=%d: A side of %d measures accepted", w, len(short))
+			}
+			if _, err := (PAB{}).EvaluateUnpairedSharded(two, short, 1, w); err == nil {
+				t.Errorf("workers=%d: B side of %d measures accepted", w, len(short))
+			}
+		}
+		if _, err := (PAB{}).EvaluateUnpairedSharded(two, two, 1, w); err != nil {
+			t.Errorf("workers=%d: two measures per side rejected: %v", w, err)
+		}
+	}
+	if _, err := (PAB{}).Evaluate(nil); err == nil {
+		t.Error("empty pairs accepted")
+	}
+	if _, err := (PAB{}).Evaluate([]stats.Pair{{A: 1, B: 0}}); err == nil {
+		t.Error("single pair accepted")
+	}
+}
+
 func TestSaturatedGammaKeepsMeaningfulReachable(t *testing.T) {
 	// Regression for the γ=1 clamp: at the saturation ceiling a total
 	// winner (every pair A>B, CI [1,1]) must still be judged meaningful,
@@ -83,7 +71,7 @@ func TestSaturatedGammaKeepsMeaningfulReachable(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = stats.Pair{A: 1, B: 0}
 	}
-	res, err := PAB{Gamma: stats.GammaMax}.EvaluateSharded(pairs, 1, 4)
+	res, err := PAB{Gamma: stats.GammaMax}.Evaluate(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestUnpairedLessPowerfulThanPaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paired, err := PAB{}.Evaluate(pairs, xrand.New(5))
+	paired, err := PAB{}.Evaluate(pairs)
 	if err != nil {
 		t.Fatal(err)
 	}

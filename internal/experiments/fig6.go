@@ -44,7 +44,7 @@ type Fig6Result struct {
 // of the single-point, average-threshold and probability-of-outperforming
 // criteria under the ideal and biased estimator models (Figure 6).
 func Fig6(ms ModelStats, b Budget, seed uint64) (Fig6Result, error) {
-	cfg := simulate.Config{NSim: b.SimulationsPerPoint, Bootstrap: 200}
+	cfg := simulate.Config{NSim: b.SimulationsPerPoint}
 	cfg = cfg.Defaults(ms.Sigma2)
 	grid := []float64{0.40, 0.44, 0.48, 0.50, 0.55, 0.60, 0.65, 0.70,
 		0.75, 0.80, 0.85, 0.90, 0.95, 0.99}

@@ -33,7 +33,7 @@ func FigI6(ms ModelStats, b Budget, seed uint64) (FigI6Result, error) {
 		BySampleSize: map[float64][]simulate.RobustnessPoint{},
 		ByGamma:      map[float64][]simulate.RobustnessPoint{},
 	}
-	cfg := simulate.Config{NSim: b.SimulationsPerPoint, Bootstrap: 200}
+	cfg := simulate.Config{NSim: b.SimulationsPerPoint}
 	ideal := simulate.Model{Sigma2: ms.Sigma2}
 	r := xrand.New(seed)
 	for _, p := range res.TruePs {

@@ -30,7 +30,7 @@ type Zone struct {
 // paths of the public API (the root package's collect.go, variance.go and
 // experiment.go — renderers and options stay outside the zone).
 var DeterministicZones = []Zone{
-	{Path: "varbench", Files: []string{"collect.go", "variance.go", "experiment.go", "incremental.go", "retry.go"}},
+	{Path: "varbench", Files: []string{"collect.go", "variance.go", "experiment.go", "retry.go"}},
 	{Path: "varbench/internal/stats"},
 	{Path: "varbench/internal/xrand"},
 	{Path: "varbench/internal/compare"},

@@ -67,12 +67,11 @@ func TruePAB(meanDiff, sigma2 float64) float64 {
 
 // Config parameterizes one detection-rate study.
 type Config struct {
-	K         int     // measures per algorithm per simulation (paper: 50)
-	NSim      int     // simulations per grid point
-	Gamma     float64 // PAB meaningfulness threshold (paper: 0.75)
-	Delta     float64 // average/single-point threshold (paper: 1.9952σ)
-	Alpha     float64 // significance level for t-test and oracle
-	Bootstrap int     // PAB bootstrap resamples
+	K     int     // measures per algorithm per simulation (paper: 50)
+	NSim  int     // simulations per grid point
+	Gamma float64 // PAB meaningfulness threshold (paper: 0.75)
+	Delta float64 // average/single-point threshold (paper: 1.9952σ)
+	Alpha float64 // significance level for t-test and oracle
 }
 
 // Defaults fills unset fields with the paper's values, deriving Delta from
@@ -92,9 +91,6 @@ func (c Config) Defaults(sigma2 float64) Config {
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.05
-	}
-	if c.Bootstrap == 0 {
-		c.Bootstrap = 200
 	}
 	return c
 }
@@ -145,7 +141,7 @@ func DetectionCurve(cfg Config, ideal, biased Model, grid []float64,
 	criteria := []compare.Criterion{
 		compare.SinglePoint{Delta: cfg.Delta},
 		compare.AverageThreshold{Delta: cfg.Delta},
-		compare.PAB{Gamma: cfg.Gamma, Bootstrap: cfg.Bootstrap},
+		compare.PAB{Gamma: cfg.Gamma},
 	}
 	oracle := compare.Oracle{Sigma: math.Sqrt(ideal.Sigma2), Alpha: cfg.Alpha}
 
@@ -165,11 +161,11 @@ func DetectionCurve(cfg Config, ideal, biased Model, grid []float64,
 					return nil, err
 				}
 				for _, c := range criteria {
-					if c.Detects(pairs, r) {
+					if c.Detects(pairs) {
 						counts[c.Name()+"/"+model.label]++
 					}
 				}
-				if model.label == "ideal" && oracle.Detects(pairs, r) {
+				if model.label == "ideal" && oracle.Detects(pairs) {
 					counts["oracle"]++
 				}
 			}
@@ -255,7 +251,7 @@ func SampleSizeSweep(cfg Config, ideal Model, trueP float64, ns []int,
 		counts := map[string]int{}
 		criteria := []compare.Criterion{
 			compare.AverageThreshold{Delta: delta},
-			compare.PAB{Gamma: cfg.Gamma, Bootstrap: cfg.Bootstrap},
+			compare.PAB{Gamma: cfg.Gamma},
 			compare.PairedT{Alpha: cfg.Alpha},
 		}
 		for sim := 0; sim < cfg.NSim; sim++ {
@@ -266,7 +262,7 @@ func SampleSizeSweep(cfg Config, ideal Model, trueP float64, ns []int,
 				return nil, err
 			}
 			for _, c := range criteria {
-				if c.Detects(pairs, r) {
+				if c.Detects(pairs) {
 					counts[c.Name()]++
 				}
 			}
@@ -303,7 +299,7 @@ func GammaSweep(cfg Config, ideal Model, trueP float64, gammas []float64,
 		delta := stats.NormQuantile(g) * math.Sqrt(ideal.Sigma2)
 		criteria := []compare.Criterion{
 			compare.AverageThreshold{Delta: delta},
-			compare.PAB{Gamma: g, Bootstrap: cfg.Bootstrap},
+			compare.PAB{Gamma: g},
 			compare.PairedT{Alpha: cfg.Alpha},
 		}
 		counts := map[string]int{}
@@ -315,7 +311,7 @@ func GammaSweep(cfg Config, ideal Model, trueP float64, gammas []float64,
 				return nil, err
 			}
 			for _, c := range criteria {
-				if c.Detects(pairs, r) {
+				if c.Detects(pairs) {
 					counts[c.Name()]++
 				}
 			}

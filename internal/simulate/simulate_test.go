@@ -84,7 +84,7 @@ func TestDetectionCurveFigure6Orderings(t *testing.T) {
 	ideal := Model{Sigma2: sigma2}
 	// Bias variance at the scale measured in Figure 5: a few percent of σ².
 	biased := Model{Sigma2: sigma2, BiasVar: sigma2 * 0.06, WithinVar: sigma2 * 0.94}
-	cfg := Config{NSim: 120, Bootstrap: 100}
+	cfg := Config{NSim: 120}
 	grid := []float64{0.42, 0.46, 0.5, 0.8, 0.9, 0.98}
 	points, err := DetectionCurve(cfg, ideal, biased, grid, r)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestDetectionCurveBiasedDegradesPAB(t *testing.T) {
 	// observes the biased estimator degrades the PAB test's error control
 	// without breaking it ("we cannot guarantee a nominal control").
 	biased := Model{Sigma2: sigma2, BiasVar: sigma2 * 0.06, WithinVar: sigma2 * 0.94}
-	cfg := Config{NSim: 150, Bootstrap: 100}
+	cfg := Config{NSim: 150}
 	points, err := DetectionCurve(cfg, ideal, biased, []float64{0.5}, r)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestDetectionCurveErrors(t *testing.T) {
 func TestSampleSizeSweepPowerGrows(t *testing.T) {
 	r := xrand.New(11)
 	ideal := Model{Sigma2: 0.0004}
-	pts, err := SampleSizeSweep(Config{NSim: 120, Bootstrap: 100}, ideal, 0.8,
+	pts, err := SampleSizeSweep(Config{NSim: 120}, ideal, 0.8,
 		[]int{5, 20, 60}, r)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSampleSizeSweepPowerGrows(t *testing.T) {
 func TestSampleSizeSweepNullControlled(t *testing.T) {
 	r := xrand.New(13)
 	ideal := Model{Sigma2: 0.0004}
-	pts, err := SampleSizeSweep(Config{NSim: 200, Bootstrap: 100}, ideal, 0.5,
+	pts, err := SampleSizeSweep(Config{NSim: 200}, ideal, 0.5,
 		[]int{30}, r)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSampleSizeSweepNullControlled(t *testing.T) {
 func TestGammaSweepTradeoff(t *testing.T) {
 	r := xrand.New(17)
 	ideal := Model{Sigma2: 0.0004}
-	pts, err := GammaSweep(Config{NSim: 120, Bootstrap: 100, K: 50}, ideal, 0.8,
+	pts, err := GammaSweep(Config{NSim: 120, K: 50}, ideal, 0.8,
 		[]float64{0.6, 0.9}, r)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"varbench/internal/xrand"
-)
+import "math"
 
 // CI is a two-sided confidence interval.
 type CI struct {
@@ -21,30 +17,9 @@ type Pair struct {
 	A, B float64
 }
 
-// PairedPercentileBootstrapWith computes the percentile-bootstrap CI of a
-// paired kernel statistic with the serial engine: K resamples of whole
-// pairs (resampling pairs jointly preserves the pairing; Appendix C.5's
-// procedure for P(A>B)), every one drawn from the caller-owned stream r in
-// resample order. A fused kernel consumes r exactly like the equivalent
-// closure (one Intn per sampled element), so swapping one in changes no
-// result and perturbs no downstream draw. Degenerate input (no pairs,
-// k ≤ 0, level outside (0,1)) yields a NaN CI and consumes no randomness.
-func PairedPercentileBootstrapWith(pairs []Pair, kern PairedKernel,
-	k int, level float64, r *xrand.Source) CI {
-	if badBootstrap(len(pairs), k, level) {
-		return nanCI(level)
-	}
-	vp := getFloats(k)
-	vals := *vp
-	kern.ResampleInto(vals, pairs, r)
-	ci := percentileCI(vals, level)
-	putFloats(vp)
-	return ci
-}
-
 // NormalCI returns the normal-approximation interval
 // estimate ± z_{1-α/2}·se, used as the ablation baseline against the
-// percentile bootstrap.
+// percentile bootstrap's exact limit (PABCountsCI).
 func NormalCI(estimate, se float64, level float64) CI {
 	z := NormQuantile(1 - (1-level)/2)
 	return CI{Lo: estimate - z*se, Hi: estimate + z*se, Level: level}

@@ -9,21 +9,11 @@ import (
 	"varbench/internal/xrand"
 )
 
-// The bootstrap benchmarks pin the protocol's hot loops at the paper's
-// recommended operating point: K=1000 resamples of n=29 pairs (Noether's N
-// for γ=0.75). The fused P(A>B) kernel is what the paired protocol runs
-// (0 allocs/op serially); the two-sample case is the buffered Mann-Whitney
-// path the unpaired protocol runs.
-
-func benchPairs(n int) []Pair {
-	r := xrand.New(6)
-	pairs := make([]Pair, n)
-	for i := range pairs {
-		base := r.NormFloat64()
-		pairs[i] = Pair{A: base + 0.5, B: base + 0.3*r.NormFloat64()}
-	}
-	return pairs
-}
+// The bootstrap benchmark pins the unpaired protocol's hot loop at the
+// paper's recommended operating point: K=1000 resamples of n=29 measures
+// per side (Noether's N for γ=0.75), through the buffered Mann-Whitney
+// path. The paired protocol resamples nothing; BenchmarkPABCountsCI times
+// its exact interval.
 
 // distinctWorkers sorts a worker-count sweep and drops repeats, so a sweep
 // ending in runtime.GOMAXPROCS(0) measures each configuration once even
@@ -31,18 +21,6 @@ func benchPairs(n int) []Pair {
 func distinctWorkers(ws ...int) []int {
 	slices.Sort(ws)
 	return slices.Compact(ws)
-}
-
-func BenchmarkPairedBootstrapK1000(b *testing.B) {
-	pairs := benchPairs(29)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("fused-pab-workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 9, w)
-			}
-		})
-	}
 }
 
 func BenchmarkTwoSampleBootstrapK1000(b *testing.B) {

@@ -11,14 +11,11 @@ import (
 // The sharded bootstrap: the K resamples are partitioned into shards whose
 // boundaries and RNG streams depend only on (seed, K) — never on the worker
 // count or on scheduling — so the resampled statistics, and therefore the
-// confidence interval, are bit-identical at any parallelism. Statistics
-// dispatch through the kernel layer (kernel.go): the protocol's P(A>B)
-// runs fused — accumulating straight from sampled indices with no resample
-// buffer — while rank statistics such as Mann-Whitney keep the buffered
-// path via the TwoSampleStatFunc adapter. All scratch (the
-// resampled-statistic vector, the shard descriptors, buffered-path
-// buffers) cycles through pools, so the serial engine allocates nothing in
-// steady state.
+// confidence interval, are bit-identical at any parallelism. It runs the
+// unpaired protocol's Mann-Whitney P(A>B) through the TwoSampleStatFunc
+// adapter (kernel.go). All scratch (the resampled-statistic vector, the
+// shard descriptors, buffered-path buffers) cycles through pools, so the
+// serial engine allocates nothing in steady state.
 
 // maxBootstrapShards bounds the shard count. 64 shards keep the work queue
 // balanced for any plausible worker count while each shard still amortizes
@@ -71,21 +68,6 @@ func getShards(k int, seed uint64) *[]bootstrapShard {
 	return p
 }
 
-// resampler is the engine-facing half of the kernel interfaces, generic
-// over the sample shape (paired, two-sample).
-type resampler[S any] interface {
-	ResampleInto(out []float64, sample S, r *xrand.Source)
-}
-
-// twoSamples bundles two unpaired samples into one engine sample value.
-type twoSamples struct{ a, b []float64 }
-
-type twoSampleAdapter struct{ TwoSampleKernel }
-
-func (t twoSampleAdapter) ResampleInto(out []float64, s twoSamples, r *xrand.Source) {
-	t.TwoSampleKernel.ResampleInto(out, s.a, s.b, r)
-}
-
 // parallelShards runs work(s) for every shard s in [0, nsh), claimed one at
 // a time by min(workers, nsh) goroutines, and returns once all are done.
 // shardedVals fans out through it and keeps its serial loop inline instead,
@@ -107,23 +89,21 @@ func parallelShards(nsh, workers int, work func(s int)) {
 }
 
 // shardedVals fills vals with len(vals) resampled statistics of kern over
-// sample, sharded across `workers` goroutines. The shard streams depend
+// (a, b), sharded across `workers` goroutines. The shard streams depend
 // only on (seed, len(vals)) and shards write disjoint ranges, so the
-// contents of vals are bit-identical at any worker count. Generic over the
-// kernel type so that concrete adapter structs are not boxed into an
-// interface (which would allocate on every call).
-func shardedVals[S any, K resampler[S]](vals []float64, sample S, kern K, seed uint64, workers int) {
+// contents of vals are bit-identical at any worker count.
+func shardedVals(vals []float64, a, b []float64, kern TwoSampleKernel, seed uint64, workers int) {
 	sp := getShards(len(vals), seed)
 	shards := *sp
 	if min(workers, len(shards)) <= 1 {
 		for i := range shards {
 			sh := &shards[i]
-			kern.ResampleInto(vals[sh.Lo:sh.Hi], sample, &sh.R)
+			kern.ResampleInto(vals[sh.Lo:sh.Hi], a, b, &sh.R)
 		}
 	} else {
 		parallelShards(len(shards), workers, func(i int) {
 			sh := &shards[i]
-			kern.ResampleInto(vals[sh.Lo:sh.Hi], sample, &sh.R)
+			kern.ResampleInto(vals[sh.Lo:sh.Hi], a, b, &sh.R)
 		})
 	}
 	shardPool.Put(sp)
@@ -152,39 +132,22 @@ func percentileCI(vals []float64, level float64) CI {
 	return CI{Lo: lo, Hi: hi, Level: level}
 }
 
-// bootstrapCI is the shared sharded engine behind the kernel entry points.
-func bootstrapCI[S any, K resampler[S]](sample S, sampleLen int, kern K, k int, level float64, seed uint64, workers int) CI {
-	if badBootstrap(sampleLen, k, level) {
+// TwoSampleBootstrapKernel computes the sharded percentile-bootstrap CI of
+// a two-sample kernel statistic: K resamples, each redrawing both a and b
+// independently with replacement, and the interval given by the α/2 and
+// 1-α/2 empirical quantiles of the resampled statistics. Results depend
+// only on (a, b, kern, k, level, seed): any worker count, including 1,
+// produces bit-identical intervals. Degenerate input (an empty sample,
+// k ≤ 0, level outside (0,1)) yields a NaN CI. This is the engine behind
+// the unpaired (Mann-Whitney) variant of the recommended test.
+func TwoSampleBootstrapKernel(a, b []float64, kern TwoSampleKernel, k int, level float64, seed uint64, workers int) CI {
+	if badBootstrap(min(len(a), len(b)), k, level) {
 		return nanCI(level)
 	}
 	vp := getFloats(k)
 	vals := *vp
-	shardedVals(vals, sample, kern, seed, workers)
+	shardedVals(vals, a, b, kern, seed, workers)
 	ci := percentileCI(vals, level)
 	putFloats(vp)
 	return ci
-}
-
-// PairedPercentileBootstrapKernel computes the sharded percentile-bootstrap
-// CI of a paired kernel statistic: K resamples of whole pairs drawn jointly
-// with replacement, preserving the pairing (Appendix C.5's procedure for
-// P(A>B)), and the interval given by the α/2 and 1-α/2 empirical quantiles
-// of the resampled statistics. Results depend only on (pairs, kern, k,
-// level, seed): any worker count, including 1, produces bit-identical
-// intervals. Degenerate input (no pairs, k ≤ 0, level outside (0,1))
-// yields a NaN CI.
-func PairedPercentileBootstrapKernel(pairs []Pair, kern PairedKernel, k int, level float64, seed uint64, workers int) CI {
-	return bootstrapCI[[]Pair, PairedKernel](pairs, len(pairs), kern, k, level, seed, workers)
-}
-
-// TwoSampleBootstrapKernel is PairedPercentileBootstrapKernel for
-// two-sample kernels: each resample redraws both a and b independently
-// with replacement. This is the engine behind the unpaired (Mann-Whitney)
-// variant of the recommended test.
-func TwoSampleBootstrapKernel(a, b []float64, kern TwoSampleKernel, k int, level float64, seed uint64, workers int) CI {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	return bootstrapCI[twoSamples, twoSampleAdapter](twoSamples{a, b}, n, twoSampleAdapter{kern}, k, level, seed, workers)
 }

@@ -21,53 +21,24 @@ func TestBootstrapShardsPureInK(t *testing.T) {
 }
 
 func TestPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
-	pairs := randomPairs(xrand.New(3), 29)
-	stat := PairStatFunc(meanDiff)
+	r := xrand.New(3)
+	a, b := randomSample(r, 29), randomSample(r, 29)
+	stat := TwoSampleStatFunc(meanDiff)
 	workerCounts := []int{1, 2, 3, 4, 7, 8, runtime.GOMAXPROCS(0), 100}
-	ref := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 42, 1)
+	ref := TwoSampleBootstrapKernel(a, b, stat, 1000, 0.95, 42, 1)
 	for _, w := range workerCounts {
-		ci := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 42, w)
+		ci := TwoSampleBootstrapKernel(a, b, stat, 1000, 0.95, 42, w)
 		if ci != ref {
 			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
 		}
 	}
 	// Different seeds give different resamples.
-	other := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 43, 4)
+	other := TwoSampleBootstrapKernel(a, b, stat, 1000, 0.95, 43, 4)
 	if other == ref {
 		t.Error("seed has no effect on the sharded bootstrap")
 	}
 	if ref.Lo > ref.Hi || ref.Level != 0.95 {
 		t.Errorf("malformed CI %+v", ref)
-	}
-}
-
-func TestPairedPercentileBootstrapShardedWorkerInvariance(t *testing.T) {
-	r := xrand.New(7)
-	pairs := make([]Pair, 29)
-	for i := range pairs {
-		base := r.NormFloat64()
-		pairs[i] = Pair{A: base + 1, B: base + 0.3*r.NormFloat64()}
-	}
-	stat := PairStatFunc(func(p []Pair) float64 {
-		wins := 0.0
-		for _, pr := range p {
-			if pr.A > pr.B {
-				wins++
-			}
-		}
-		return wins / float64(len(p))
-	})
-	ref := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 9, 1)
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if ci := PairedPercentileBootstrapKernel(pairs, stat, 1000, 0.95, 9, w); ci != ref {
-			t.Errorf("workers=%d: CI %+v != serial reference %+v", w, ci, ref)
-		}
-	}
-	if ref.Lo <= 0.5 {
-		t.Errorf("CI.Lo = %v, want > 0.5 for dominated pairs", ref.Lo)
-	}
-	if ref.Hi > 1 || ref.Lo < 0 {
-		t.Errorf("CI out of [0,1]: %+v", ref)
 	}
 }
 
@@ -91,18 +62,18 @@ func TestTwoSampleBootstrapShardedWorkerInvariance(t *testing.T) {
 }
 
 func TestPercentileBootstrapShardedCoversMean(t *testing.T) {
-	// Statistical sanity: the sharded engine is still a valid percentile
-	// bootstrap — a 95% CI for the mean paired difference covers the true
-	// mean ≈95% of the time.
+	// Statistical sanity: the sharded engine is a valid percentile
+	// bootstrap — a 95% CI for a mean difference covers the true
+	// difference ≈95% of the time.
 	r := xrand.New(21)
 	const reps = 150
 	hits := 0
+	a, b := make([]float64, 40), make([]float64, 40)
 	for rep := 0; rep < reps; rep++ {
-		pairs := make([]Pair, 40)
-		for i := range pairs {
-			pairs[i] = Pair{A: r.Normal(10, 2), B: r.Normal(0, 1)}
+		for i := range a {
+			a[i], b[i] = r.Normal(10, 2), r.Normal(0, 1)
 		}
-		ci := PairedPercentileBootstrapKernel(pairs, PairStatFunc(meanDiff), 500, 0.95, uint64(rep), 4)
+		ci := TwoSampleBootstrapKernel(a, b, TwoSampleStatFunc(meanDiff), 500, 0.95, uint64(rep), 4)
 		if ci.Contains(10) {
 			hits++
 		}

@@ -8,28 +8,22 @@ import (
 	"varbench/internal/xrand"
 )
 
-// meanDiff is the mean paired difference, a closure statistic for the
-// buffered bootstrap path.
-func meanDiff(p []Pair) float64 {
-	d := 0.0
-	for _, pr := range p {
-		d += pr.A - pr.B
-	}
-	return d / float64(len(p))
-}
+// meanDiff is the difference of the sample means, a closure statistic for
+// the buffered bootstrap path.
+func meanDiff(a, b []float64) float64 { return Mean(a) - Mean(b) }
 
 func TestPercentileBootstrapCoversMean(t *testing.T) {
-	// Coverage check: a 95% CI for the mean paired difference should
-	// contain the true mean in roughly 95% of repetitions.
+	// Coverage check: a 95% CI for a mean difference should contain the
+	// true difference in roughly 95% of repetitions.
 	r := xrand.New(1)
 	const reps = 200
 	hits := 0
+	a, b := make([]float64, 40), make([]float64, 40)
 	for rep := 0; rep < reps; rep++ {
-		pairs := make([]Pair, 40)
-		for i := range pairs {
-			pairs[i] = Pair{A: r.Normal(10, 2), B: r.Normal(0, 1)}
+		for i := range a {
+			a[i], b[i] = r.Normal(10, 2), r.Normal(0, 1)
 		}
-		ci := PairedPercentileBootstrapWith(pairs, PairStatFunc(meanDiff), 500, 0.95, r)
+		ci := TwoSampleBootstrapKernel(a, b, TwoSampleStatFunc(meanDiff), 500, 0.95, r.Uint64(), 1)
 		if ci.Contains(10) {
 			hits++
 		}
@@ -41,39 +35,40 @@ func TestPercentileBootstrapCoversMean(t *testing.T) {
 }
 
 func TestPercentileBootstrapOrdering(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		pairs := randomPairs(r, 5+r.Intn(30))
-		ci := PairedPercentileBootstrapWith(pairs, PABKernel{}, 200, 0.9, r)
-		return ci.Lo <= ci.Hi
+	f := func(w, tie, l uint8, level float64) bool {
+		level = 0.5 + 0.49*math.Abs(math.Sin(level))
+		ci := PABCountsCI(int(w), int(tie), int(l), level)
+		if w == 0 && tie == 0 && l == 0 {
+			return math.IsNaN(ci.Lo)
+		}
+		return 0 <= ci.Lo && ci.Lo <= ci.Hi && ci.Hi <= 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestPairedPercentileBootstrapPAB(t *testing.T) {
-	// A dominates B: CI for P(A>B) should sit well above 0.5.
+	// A dominates B: the exact paired percentile CI for P(A>B) sits well
+	// above 0.5 and inside [0, 1].
 	r := xrand.New(7)
-	pairs := make([]Pair, 50)
-	for i := range pairs {
+	a, b := make([]float64, 50), make([]float64, 50)
+	w, l := 0, 0
+	for i := range a {
 		base := r.NormFloat64()
-		pairs[i] = Pair{A: base + 1.5, B: base + 0.3*r.NormFloat64()}
-	}
-	stat := func(p []Pair) float64 {
-		a := make([]float64, len(p))
-		b := make([]float64, len(p))
-		for i, pr := range p {
-			a[i], b[i] = pr.A, pr.B
+		a[i], b[i] = base+1.5, base+0.3*r.NormFloat64()
+		if a[i] > b[i] {
+			w++
+		} else {
+			l++
 		}
-		return PairedPAB(a, b)
 	}
-	ci := PairedPercentileBootstrapWith(pairs, PairStatFunc(stat), 1000, 0.95, r)
+	ci := PABCountsCI(w, 0, l, 0.95)
 	if ci.Lo <= 0.5 {
 		t.Errorf("CI.Lo = %v, want > 0.5 for dominated pairs", ci.Lo)
 	}
-	if ci.Hi > 1 || ci.Lo < 0 {
-		t.Errorf("CI out of [0,1]: %+v", ci)
+	if ci.Hi > 1 || ci.Lo < 0 || !ci.Contains(PairedPAB(a, b)) {
+		t.Errorf("CI %+v out of [0,1] or missing the point estimate %v", ci, PairedPAB(a, b))
 	}
 }
 

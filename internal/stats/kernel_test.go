@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -50,44 +49,53 @@ func ciEqual(a, b CI) bool {
 // mwPAB is the unpaired protocol's statistic: Mann-Whitney's P(A>B).
 var mwPAB = TwoSampleStatFunc(func(a, b []float64) float64 { return MannWhitney(a, b, TwoTailed).PAB })
 
+// meanDiffKernel is a fused TwoSampleKernel: the difference of means,
+// summed straight from the drawn indices with no resample buffers. It
+// obeys the determinism contract, so the engine must land it on the same
+// CIs as its closure form, TwoSampleStatFunc(meanDiff).
+type meanDiffKernel struct{}
+
+func (meanDiffKernel) Stat(a, b []float64) float64 { return meanDiff(a, b) }
+
+func (meanDiffKernel) ResampleInto(out []float64, a, b []float64, r *xrand.Source) {
+	for i := range out {
+		sa, sb := 0.0, 0.0
+		for range a {
+			sa += a[r.Intn(len(a))]
+		}
+		for range b {
+			sb += b[r.Intn(len(b))]
+		}
+		out[i] = sa/float64(len(a)) - sb/float64(len(b))
+	}
+}
+
 // TestFusedKernelsMatchClosures is the kernel/closure equivalence property
-// test: the fused P(A>B) kernel must produce bit-identical CIs to its
-// buffered closure counterpart, for random inputs, across the worker grid,
-// in both the sharded and the serial caller-stream engines; and the
-// buffered two-sample path must draw each resample exactly as the
+// test: a fused two-sample kernel must produce bit-identical CIs to its
+// buffered closure counterpart, for random inputs, across the worker grid;
+// and the buffered path must draw each resample exactly as the
 // determinism contract says (all of a's indices, then all of b's). This is
 // the determinism contract of kernel.go made executable.
 func TestFusedKernelsMatchClosures(t *testing.T) {
 	r := xrand.New(1234)
 	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(40)
 		k := 50 + r.Intn(300)
 		level := 0.8 + 0.15*r.Float64()
 		seed := r.Uint64()
-		x := randomSample(r, n)
-		pairs := randomPairs(r, n)
+		x := randomSample(r, 2+r.Intn(40))
 		y := randomSample(r, 2+r.Intn(40))
 
-		closure := PairStatFunc(PABKernel{}.Stat)
+		closure := TwoSampleStatFunc(meanDiff)
 		for _, w := range kernelWorkerGrid() {
-			fused := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, level, seed, w)
-			closed := PairedPercentileBootstrapKernel(pairs, closure, k, level, seed, w)
+			fused := TwoSampleBootstrapKernel(x, y, meanDiffKernel{}, k, level, seed, w)
+			closed := TwoSampleBootstrapKernel(x, y, closure, k, level, seed, w)
 			if !ciEqual(fused, closed) {
-				t.Fatalf("trial %d pab workers=%d: fused %+v != closure %+v", trial, w, fused, closed)
+				t.Fatalf("trial %d mean-diff workers=%d: fused %+v != closure %+v", trial, w, fused, closed)
 			}
 		}
-		rf, rc := xrand.New(seed), xrand.New(seed)
-		fused := PairedPercentileBootstrapWith(pairs, PABKernel{}, k, level, rf)
-		closed := PairedPercentileBootstrapWith(pairs, closure, k, level, rc)
-		if !ciEqual(fused, closed) {
-			t.Fatalf("trial %d pab serial: fused %+v != closure %+v", trial, fused, closed)
-		}
-		if rf.Uint64() != rc.Uint64() {
-			t.Fatalf("trial %d pab: fused kernel consumed the stream differently", trial)
-		}
 
-		// Two-sample: TwoSampleStatFunc against resamples materialized by
-		// sequential Intn draws from the same stream.
+		// TwoSampleStatFunc against resamples materialized by sequential
+		// Intn draws from the same stream.
 		got := make([]float64, 5)
 		ra, rb := xrand.New(seed), xrand.New(seed)
 		mwPAB.ResampleInto(got, x, y, ra)
@@ -115,8 +123,10 @@ func TestFusedKernelsMatchClosures(t *testing.T) {
 	}
 }
 
-// TestKernelStatsMatchReferences pins the Stat methods to the package-level
-// reference implementations on the full (un-resampled) sample.
+// TestKernelStatsMatchReferences pins the statistics to their reference
+// implementations on the full (un-resampled) sample: PairedPAB to the win
+// count with ties counted half, and the two-sample adapter's Stat to
+// Mann-Whitney's P(A>B).
 func TestKernelStatsMatchReferences(t *testing.T) {
 	r := xrand.New(7)
 	pairs := randomPairs(r, 23)
@@ -132,11 +142,8 @@ func TestKernelStatsMatchReferences(t *testing.T) {
 		}
 		a[i], b[i] = pr.A, pr.B
 	}
-	if got, want := (PABKernel{}).Stat(pairs), wins/float64(len(pairs)); got != want {
-		t.Errorf("PABKernel.Stat = %v, want %v", got, want)
-	}
-	if got, want := (PABKernel{}).Stat(pairs), PairedPAB(a, b); got != want {
-		t.Errorf("PABKernel.Stat = %v, PairedPAB = %v", got, want)
+	if got, want := PairedPAB(a, b), wins/float64(len(pairs)); got != want {
+		t.Errorf("PairedPAB = %v, want %v", got, want)
 	}
 	if got, want := mwPAB.Stat(a, b), MannWhitney(a, b, TwoTailed).PAB; got != want {
 		t.Errorf("TwoSampleStatFunc.Stat = %v, want %v", got, want)
@@ -145,11 +152,9 @@ func TestKernelStatsMatchReferences(t *testing.T) {
 
 // TestBootstrapDegenerateInputs covers the satellite guard: k ≤ 0, empty
 // samples and a confidence level outside (0,1) answer with the documented
-// NaN CI — and consume no randomness on the serial path — instead of
-// panicking inside the quantile machinery.
+// NaN CI instead of panicking inside the quantile machinery.
 func TestBootstrapDegenerateInputs(t *testing.T) {
 	x := []float64{1, 2, 3}
-	pairs := []Pair{{1, 2}, {3, 4}}
 	isNaNCI := func(t *testing.T, ci CI, level float64) {
 		t.Helper()
 		if !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
@@ -176,19 +181,16 @@ func TestBootstrapDegenerateInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sx, sp := x, pairs
+			sx := x
 			if c.empty {
-				sx, sp = nil, nil
-			}
-			r := xrand.New(5)
-			before := xrand.New(5).Uint64()
-			isNaNCI(t, PairedPercentileBootstrapWith(sp, PABKernel{}, c.k, c.level, r), c.level)
-			if got := r.Uint64(); got != before {
-				t.Error("degenerate serial bootstrap consumed randomness")
+				sx = nil
 			}
 			for _, w := range []int{1, 4} {
-				isNaNCI(t, PairedPercentileBootstrapKernel(sp, PABKernel{}, c.k, c.level, 9, w), c.level)
 				isNaNCI(t, TwoSampleBootstrapKernel(sx, sx, mwPAB, c.k, c.level, 9, w), c.level)
+			}
+			if c.empty || c.k > 0 {
+				n := len(sx)
+				isNaNCI(t, PABCountsCI(n, 0, 0, c.level), c.level)
 			}
 		})
 	}
@@ -196,14 +198,14 @@ func TestBootstrapDegenerateInputs(t *testing.T) {
 
 // TestKernelEntryPointsMatchClosureEntryPoints locks the fused kernel to
 // its closure form at resample counts on both sides of the shard-count
-// boundary: a closure that mirrors the fused statistic goes through
-// PairStatFunc and must land on the same CI.
+// boundary: the engine must hand both the same shard streams and take the
+// same percentiles.
 func TestKernelEntryPointsMatchClosureEntryPoints(t *testing.T) {
 	r := xrand.New(99)
-	pairs := randomPairs(r, 31)
+	x, y := randomSample(r, 31), randomSample(r, 27)
 	for _, k := range []int{1, 2, 63, 64, 65, 1000} {
-		fused := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.9, 3, 4)
-		closed := PairedPercentileBootstrapKernel(pairs, PairStatFunc(PABKernel{}.Stat), k, 0.9, 3, 4)
+		fused := TwoSampleBootstrapKernel(x, y, meanDiffKernel{}, k, 0.9, 3, 4)
+		closed := TwoSampleBootstrapKernel(x, y, TwoSampleStatFunc(meanDiff), k, 0.9, 3, 4)
 		if !ciEqual(fused, closed) {
 			t.Fatalf("k=%d: kernel %+v != closure %+v", k, fused, closed)
 		}
@@ -215,11 +217,11 @@ func TestKernelEntryPointsMatchClosureEntryPoints(t *testing.T) {
 // bootstrap_sharded_test.go), at several K to cross shard-count boundaries.
 func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 	r := xrand.New(31)
-	pairs := randomPairs(r, 29)
+	x, y := randomSample(r, 29), randomSample(r, 29)
 	for _, k := range []int{7, 64, 1000} {
-		ref := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.95, 13, 1)
+		ref := TwoSampleBootstrapKernel(x, y, meanDiffKernel{}, k, 0.95, 13, 1)
 		for _, w := range kernelWorkerGrid() {
-			ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, k, 0.95, 13, w)
+			ci := TwoSampleBootstrapKernel(x, y, meanDiffKernel{}, k, 0.95, 13, w)
 			if !ciEqual(ci, ref) {
 				t.Errorf("k=%d workers=%d: %+v != serial %+v", k, w, ci, ref)
 			}
@@ -230,31 +232,19 @@ func TestShardedWorkerInvarianceFusedGrid(t *testing.T) {
 func TestBootstrapSmallSamples(t *testing.T) {
 	// n=1: resampling a single element is legal and collapses the CI at
 	// the statistic of that element — on every path.
-	for _, w := range []int{1, 4} {
-		for _, c := range []struct {
-			pair Pair
-			want float64
-		}{{Pair{A: 2, B: 1}, 1}, {Pair{A: 1, B: 1}, 0.5}, {Pair{A: 0, B: 1}, 0}} {
-			one := []Pair{c.pair}
-			ci := PairedPercentileBootstrapKernel(one, PABKernel{}, 100, 0.95, 1, w)
-			if ci.Lo != c.want || ci.Hi != c.want {
-				t.Errorf("workers=%d: P(A>B) CI of %+v = %+v, want collapsed at %v", w, c.pair, ci, c.want)
-			}
-			closed := PairedPercentileBootstrapKernel(one, PairStatFunc(PABKernel{}.Stat), 100, 0.95, 1, w)
-			if !ciEqual(ci, closed) {
-				t.Errorf("workers=%d: singleton fused %+v != closure %+v", w, ci, closed)
-			}
+	for _, c := range []struct {
+		w, t, l int
+		want    float64
+	}{{1, 0, 0, 1}, {0, 1, 0, 0.5}, {0, 0, 1, 0}} {
+		ci := PABCountsCI(c.w, c.t, c.l, 0.95)
+		if ci.Lo != c.want || ci.Hi != c.want {
+			t.Errorf("P(A>B) CI of counts %d/%d/%d = %+v, want collapsed at %v", c.w, c.t, c.l, ci, c.want)
 		}
+	}
+	for _, w := range []int{1, 4} {
 		ci := TwoSampleBootstrapKernel([]float64{2.5}, []float64{1}, mwPAB, 100, 0.95, 1, w)
 		if ci.Lo != 1 || ci.Hi != 1 {
 			t.Errorf("workers=%d: two-sample CI of singletons = %+v, want collapsed at 1", w, ci)
 		}
 	}
-}
-
-func ExamplePairedPercentileBootstrapKernel() {
-	pairs := []Pair{{0.71, 0.69}, {0.74, 0.70}, {0.69, 0.70}, {0.73, 0.71}, {0.75, 0.72}, {0.70, 0.70}, {0.72, 0.68}}
-	ci := PairedPercentileBootstrapKernel(pairs, PABKernel{}, 1000, 0.95, 42, 4)
-	fmt.Printf("level=%.2f lo<hi: %v\n", ci.Level, ci.Lo < ci.Hi)
-	// Output: level=0.95 lo<hi: true
 }

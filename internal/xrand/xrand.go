@@ -123,56 +123,19 @@ func (r *Source) intnRetry(bound uint64) int {
 	}
 }
 
-// Bulk with-replacement sampling for the bootstrap kernels. Each Sample*
-// call is observationally identical to the equivalent sequence of Intn
-// draws — same Uint64 consumption (one per Lemire attempt), same accepted
-// indices, and for SampleSumInt the same addition order — but runs the
-// generator on a register-local state copy with the rejection threshold
-// hoisted, removing the two non-inlinable calls per draw that dominate the
-// per-element cost. The xoshiro step below must stay in sync with Uint64;
+// SampleInto is the bulk with-replacement sampler of the bootstrap's
+// buffered path. It is observationally identical to the equivalent
+// sequence of Intn draws — same Uint64 consumption (one per Lemire
+// attempt), same accepted indices — but runs the generator on a
+// register-local state copy with the rejection threshold hoisted, removing
+// the two non-inlinable calls per draw that dominate the per-element cost.
+// The xoshiro step below must stay in sync with Uint64;
 // TestSampleBulkMatchesIntn pins the equivalence.
 //
 // Lemire's acceptance test `lo >= bound || lo >= (-bound)%bound` reduces to
 // `lo >= thresh` with thresh = (-bound)%bound, since thresh < bound: both
 // sides of the || are implied by it and imply it respectively, so hoisting
 // thresh changes no accept/reject decision.
-
-// SampleSumInt returns the sum of n with-replacement draws from w, added in
-// draw order: bit-identical to `for i := 0; i < n; i++ { sum += w[r.Intn(len(w))] }`.
-// Integer accumulation breaks the floating-point add latency chain for
-// statistics whose per-element contributions are exact (the P(A>B) win
-// count). It panics if w is empty and n > 0, as Intn would.
-func (r *Source) SampleSumInt(w []int64, n int) int64 {
-	var sum int64
-	if len(w) == 0 {
-		if n > 0 {
-			panic("xrand: bulk sample from an empty sample")
-		}
-		return sum
-	}
-	bound := uint64(len(w))
-	thresh := (-bound) % bound
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := 0; i < n; i++ {
-		for {
-			res := rotl(s1*5, 7) * 9
-			t := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= t
-			s3 = rotl(s3, 45)
-			hi, lo := bits.Mul64(res, bound)
-			if lo >= thresh {
-				sum += w[hi]
-				break
-			}
-		}
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-	return sum
-}
 
 // SampleInto fills dst with with-replacement draws from src:
 // bit-identical to `for i := range dst { dst[i] = src[r.Intn(len(src))] }`.
@@ -205,28 +168,6 @@ func SampleInto[T any](r *Source, dst, src []T) {
 				break
 			}
 		}
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
-// Mantissas fills dst with 53-bit draws, the integers Float64 scales by
-// 2⁻⁵³: bit-identical to `for i := range dst { dst[i] = r.Uint64() >> 11 }`,
-// with the same stream consumption. Uint64 is too large to inline, so a
-// per-cell call would cost more than the draw; like the Sample* methods
-// this runs the xoshiro step on a register-local state copy, which must
-// stay in sync with Uint64 (TestMantissasMatchUint64 pins it).
-func (r *Source) Mantissas(dst []uint64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range dst {
-		res := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		dst[i] = res >> 11
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }

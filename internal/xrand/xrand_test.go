@@ -295,40 +295,26 @@ func TestContinuedLabelHashMatchesSplit(t *testing.T) {
 	}
 }
 
-// TestSampleBulkMatchesIntn pins the bulk samplers to the sequential Intn
-// contract: same accepted indices, same accumulation order, same stream
-// consumption — the invariant the fused bootstrap kernels rely on. Small n
-// near powers of two exercises the Lemire rejection path.
+// TestSampleBulkMatchesIntn pins the bulk sampler to the sequential Intn
+// contract: same accepted indices, same stream consumption — the invariant
+// the buffered bootstrap path relies on. Small n near powers of two
+// exercises the Lemire rejection path.
 func TestSampleBulkMatchesIntn(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 29, 64, 1000} {
 		x := make([]float64, n)
-		w := make([]int64, n)
 		ref := New(uint64(n))
 		for i := range x {
 			x[i] = ref.NormFloat64()
-			w[i] = int64(ref.Intn(5))
 		}
 		for _, draws := range []int{0, 1, 5, 200} {
 			seed := uint64(100*n + draws)
-			// SampleSumInt vs sequential integer accumulation.
 			ra, rb := New(seed), New(seed)
-			var isum int64
-			for i := 0; i < draws; i++ {
-				isum += w[ra.Intn(n)]
-			}
-			if got := rb.SampleSumInt(w, draws); got != isum {
-				t.Fatalf("n=%d draws=%d: SampleSumInt %v != sequential %v", n, draws, got, isum)
-			}
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("n=%d draws=%d: SampleSumInt consumed the stream differently", n, draws)
-			}
 			// SampleInto vs sequential gather, on a non-float64 element type.
 			type pair struct{ a, b float64 }
 			src := make([]pair, n)
 			for i := range src {
 				src[i] = pair{x[i], -x[i]}
 			}
-			ra, rb = New(seed), New(seed)
 			want := make([]pair, draws)
 			for i := range want {
 				want[i] = src[ra.Intn(n)]
@@ -347,28 +333,6 @@ func TestSampleBulkMatchesIntn(t *testing.T) {
 	}
 }
 
-// TestMantissasMatchUint64 pins the bulk 53-bit draw to the sequential
-// contract: dst[i] = Uint64()>>11 for every cell, and the stream left where
-// len(dst) Uint64 calls leave it — at lengths around the 256-cell chunk the
-// accumulator fills.
-func TestMantissasMatchUint64(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 257} {
-		for _, seed := range []uint64{0, 7, 1 << 63} {
-			ra, rb := New(seed), New(seed)
-			got := make([]uint64, n)
-			rb.Mantissas(got)
-			for i := range got {
-				if want := ra.Uint64() >> 11; got[i] != want {
-					t.Fatalf("n=%d seed=%d: Mantissas[%d] = %d, want %d", n, seed, i, got[i], want)
-				}
-			}
-			if ra.Uint64() != rb.Uint64() {
-				t.Fatalf("n=%d seed=%d: Mantissas consumed the stream differently", n, seed)
-			}
-		}
-	}
-}
-
 func TestSampleBulkEmptyPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -379,12 +343,9 @@ func TestSampleBulkEmptyPanics(t *testing.T) {
 		f()
 	}
 	r := New(1)
-	mustPanic("SampleSumInt", func() { r.SampleSumInt(nil, 3) })
 	mustPanic("SampleInto", func() { SampleInto(r, make([]float64, 2), nil) })
 	// Zero draws from an empty sample is a no-op, like zero Intn calls.
-	if got := r.SampleSumInt(nil, 0); got != 0 {
-		t.Errorf("SampleSumInt(nil, 0) = %v, want 0", got)
-	}
+	SampleInto(r, []float64{}, nil)
 	before := New(1).Uint64()
 	if r.Uint64() != before {
 		t.Error("empty-sample panics consumed randomness")

@@ -13,7 +13,9 @@ import (
 const (
 	// DefaultConfidence is the confidence level of the bootstrap interval.
 	DefaultConfidence = 0.95
-	// DefaultBootstrap is the number of bootstrap resamples.
+	// DefaultBootstrap is the number of bootstrap resamples of the
+	// unpaired test. A paired test computes the bootstrap's exact limit
+	// instead and ignores it.
 	DefaultBootstrap = 1000
 	// DefaultBatchSize is the number of pairs collected between stop
 	// checks. It is independent of Parallelism so that results do not
@@ -39,14 +41,15 @@ func WithConfidence(level float64) Option {
 	return func(e *Experiment) { e.Confidence = level; e.confidenceSet = true }
 }
 
-// WithBootstrap sets the number of bootstrap resamples (default 1000). An
-// explicit non-positive value is rejected.
+// WithBootstrap sets the number of bootstrap resamples of the unpaired test
+// (default 1000). Paired analyses compute the bootstrap's K → ∞ interval
+// exactly and ignore it. An explicit non-positive value is rejected.
 func WithBootstrap(k int) Option {
 	return func(e *Experiment) { e.Bootstrap = k; e.bootstrapSet = true }
 }
 
 // WithSeed sets the experiment's root seed, from which all collection and
-// bootstrap randomness derives (default 1). Unlike the Experiment.Seed
+// unpaired-bootstrap randomness derives (default 1). Unlike the Experiment.Seed
 // field, whose zero value means "use the default", an explicit WithSeed(0)
 // is honored.
 func WithSeed(seed uint64) Option {

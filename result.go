@@ -14,7 +14,6 @@ import (
 	"varbench/internal/jsonx"
 	"varbench/internal/report"
 	"varbench/internal/stats"
-	"varbench/internal/xrand"
 )
 
 // The report types marshal through jsonx so that NaN and ±Inf float fields
@@ -47,7 +46,8 @@ type Comparison struct {
 	// PAB is the estimated probability that A outperforms B on one run
 	// (ties counted half) — Equation 9.
 	PAB float64 `json:"pab"`
-	// CILo, CIHi bound PAB with a percentile-bootstrap confidence interval.
+	// CILo, CIHi bound PAB with a percentile-bootstrap confidence interval:
+	// for paired scores its exact limit over infinitely many resamples.
 	CILo float64 `json:"ci_lo"`
 	CIHi float64 `json:"ci_hi"`
 	// Gamma is the meaningfulness threshold the conclusion used.
@@ -331,15 +331,12 @@ func combineEvidence(datasets []DatasetResult) (allMeaningful bool, wilcoxonP fl
 
 // protocol carries the statistical knobs of one evaluation of the
 // recommended test on pre-collected scores; Analyze and AnalyzeDatasets
-// evaluate through it (Experiment.Run and Stream use the incremental
-// accumulator instead, see incremental.go). The bootstrap resampling is
-// sharded across `workers` goroutines with (seed, bootstrap)-deterministic
-// shard streams, so evaluations are bit-identical at any worker count. The
-// paired P(A>B) statistic dispatches as a fused kernel
-// (internal/stats.PABKernel): each resample accumulates straight from
-// sampled indices with no resample buffer and no steady-state allocation,
-// under a determinism contract that keeps the resulting CIs bit-identical
-// to the buffered closure path.
+// evaluate through it. A paired evaluation counts the pairs A wins, ties
+// and loses and reads the bootstrap's exact interval off those counts, so
+// it uses neither the resample count nor the seed. Those drive the
+// unpaired bootstrap alone, sharded across `workers` goroutines with
+// (seed, bootstrap)-deterministic shard streams, so its evaluations are
+// bit-identical at any worker count.
 type protocol struct {
 	gamma     float64
 	level     float64
@@ -377,16 +374,29 @@ func newComparison(res compare.Result, meanA, meanB float64, n int) Comparison {
 
 // paired runs the complete Appendix C protocol on paired scores.
 func (p protocol) paired(scoresA, scoresB []float64) (Comparison, error) {
-	pairs, err := compare.Pairs(scoresA, scoresB)
+	if len(scoresA) != len(scoresB) {
+		return Comparison{}, fmt.Errorf("compare: unpaired lengths %d vs %d", len(scoresA), len(scoresB))
+	}
+	ana, err := compare.PAB{Gamma: p.gamma, Level: p.level, Bootstrap: p.bootstrap}.NewAnalysis()
 	if err != nil {
 		return Comparison{}, err
 	}
-	crit := compare.PAB{Gamma: p.gamma, Level: p.level, Bootstrap: p.bootstrap}
-	res, err := crit.EvaluateSharded(pairs, p.seed, p.workers)
+	for i := range scoresA {
+		ana.Add(scoresA[i], scoresB[i])
+	}
+	return comparisonOf(ana)
+}
+
+// comparisonOf evaluates the recommended test on a paired analysis state
+// and shapes it as the public Comparison. Its means match stats.Mean bit
+// for bit.
+func comparisonOf(ana *compare.AnalysisState) (Comparison, error) {
+	res, err := ana.Evaluate()
 	if err != nil {
 		return Comparison{}, err
 	}
-	return newComparison(res, stats.Mean(scoresA), stats.Mean(scoresB), len(pairs)), nil
+	meanA, meanB := ana.Means()
+	return newComparison(res, meanA, meanB, ana.N()), nil
 }
 
 // unpaired runs the Mann-Whitney variant for scores without shared seeds.
@@ -480,9 +490,9 @@ type DatasetScores struct {
 // AnalyzeDatasets applies the recommended test per dataset with a
 // Bonferroni-adjusted meaningfulness threshold and combines the evidence
 // across datasets (Section 6), wrapping everything in a renderable Result.
-// Each dataset's bootstrap stream is derived from (seed, dataset name)
-// alone, so reordering the datasets changes no dataset's outcome. Scores
-// are paired: WithUnpaired is an error.
+// Each dataset's outcome depends on its own scores alone, so reordering
+// the datasets changes no dataset's outcome. Scores are paired:
+// WithUnpaired is an error.
 func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) {
 	e, err := applyOptions(opts)
 	if err != nil {
@@ -503,10 +513,9 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 	}
 	seen := make(map[string]bool, len(datasets))
 	for i, ds := range datasets {
-		// Names key the per-dataset bootstrap streams (and the report), so
-		// they must be present and unique — the same rule Experiment.Run
-		// enforces. A lone unnamed dataset stays legal for parity with
-		// single-dataset Analyze.
+		// Names key the report, so they must be present and unique — the
+		// same rule Experiment.Run enforces. A lone unnamed dataset stays
+		// legal for parity with single-dataset Analyze.
 		if ds.Name == "" && len(datasets) > 1 {
 			return nil, fmt.Errorf("varbench: dataset %d needs a name", i)
 		}
@@ -517,7 +526,6 @@ func AnalyzeDatasets(datasets []DatasetScores, opts ...Option) (*Result, error) 
 		if err := validScores(ds.ScoresA, ds.ScoresB, ds.Name); err != nil {
 			return nil, err
 		}
-		p.seed = xrand.New(e.Seed).Split("dataset/" + ds.Name).Uint64()
 		c, err := p.paired(ds.ScoresA, ds.ScoresB)
 		if err != nil {
 			return nil, fmt.Errorf("varbench: dataset %s: %w", ds.Name, err)

@@ -20,9 +20,8 @@ var ErrLocked = errors.New("store is locked")
 // Backend is the trial-store contract every storage engine implements: a
 // durable (or deliberately ephemeral) map from (key, fingerprint) cells to
 // either a float64 score or a JSON payload, with last-record-wins
-// semantics. varbench's collection engine, analysis-snapshot persistence
-// and the compare/variance/watch CLIs all speak this interface and nothing
-// more; OpenSegLog/NewMem/NewFaultInject (or the OpenDSN factory) pick the
+// semantics. varbench's collection engine, its failure records and the
+// compare/variance CLIs all speak this interface and nothing more; OpenSegLog/NewMem/NewFaultInject (or the OpenDSN factory) pick the
 // engine.
 //
 // Semantics every backend must honor — the conformance suite in
@@ -58,14 +57,14 @@ type Backend interface {
 	// into v. It reports whether a payload was found; a found-but-
 	// undecodable payload returns an error.
 	GetJSON(key, fingerprint string, v any) (bool, error)
-	// PutJSON records one JSON payload — e.g. a cached analysis snapshot —
-	// for (key, fingerprint). Non-finite floats in v are encoded as null.
+	// PutJSON records one JSON payload — e.g. a failure record or compare's
+	// cached result — for (key, fingerprint). Non-finite floats in v are
+	// encoded as null.
 	PutJSON(key, fingerprint string, v any) error
 	// Len returns the number of distinct (key, fingerprint) cells.
 	Len() int
 	// CountPrefix returns the number of distinct cells whose key starts
-	// with prefix — e.g. "trial/" or "analysis/", the two key families
-	// varbench writes.
+	// with prefix — e.g. "trial/" or "failure/".
 	CountPrefix(prefix string) int
 	// Stats returns how many Get/GetJSON lookups hit and missed since the
 	// backend was opened.

@@ -406,7 +406,7 @@ func TestDumpImportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutJSON(AnalysisKey(3, "ds"), "fp", map[string]any{"n": 5, "p": math.NaN(), "s": "<&>"}); err != nil {
+	if err := s.PutJSON("analysis/seed=3/scope=ds", "fp", map[string]any{"n": 5, "p": math.NaN(), "s": "<&>"}); err != nil {
 		t.Fatal(err)
 	}
 	first := dump(t, s)

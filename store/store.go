@@ -84,26 +84,3 @@ func TrialKey(seed uint64, dataset string, index int, side string) string {
 func FailureKey(seed uint64, dataset string, index int, side string) string {
 	return fmt.Sprintf("failure/seed=%d/dataset=%s/run=%d/%s", seed, dataset, index, side)
 }
-
-// AnalysisKey names one resumable analysis identity: the root seed of the
-// bootstrap randomness plus a scope label (a dataset name for experiment
-// runs, a caller-chosen stream ID for streaming analyses). Analysis
-// snapshots ride the same append-only log as trials, as JSON payload
-// records (PutJSON) of the form
-//
-//	{"n": <pairs consumed>, "hash": "<prefix hash, hex>", "state": "<base64>"}
-//
-// where state is the binary accumulator snapshot documented in
-// internal/stats/incremental.go (running per-resample sums; float bit
-// patterns preserved exactly) wrapped in the analysis header of
-// internal/compare. The fingerprint covers the kernel ID/version, the
-// resample count K, the analysis seed and the spec fingerprint of the
-// scores feeding it, so a snapshot is invalidated — recomputed, never
-// silently reused — whenever K, the kernel, the seed derivation or the
-// collection spec changes. Later snapshots for the same key supersede
-// earlier ones via the last-record-wins index, and a torn final snapshot
-// frame is repaired by the same OpenSegLog machinery that repairs torn
-// trials.
-func AnalysisKey(seed uint64, scope string) string {
-	return fmt.Sprintf("analysis/seed=%d/scope=%s", seed, scope)
-}

@@ -36,10 +36,11 @@ func countingPipeline(calls *atomic.Int64, offset float64, cancelAt int64, cance
 	}
 }
 
-// analysisCounter is a store.Backend decorator that counts the analysis
-// reads and writes: GetJSON and PutJSON calls on analysis/ keys. The
-// counters are atomic because a multi-dataset run writes from one
-// goroutine per dataset.
+// analysisCounter is a store.Backend decorator that counts analysis reads
+// and writes: GetJSON and PutJSON calls on analysis/ keys, which stores
+// filled by older builds hold. An experiment recounts its analysis from
+// the trials and must make none. The counters are atomic because a
+// multi-dataset run collects from one goroutine per dataset.
 type analysisCounter struct {
 	store.Backend
 	gets, puts atomic.Int64
@@ -169,8 +170,8 @@ func TestVarianceStudyStoreResume(t *testing.T) {
 
 // TestExperimentRunStoreResume: the paired-collection counterpart — an
 // interrupted Experiment.Run resumes from the store to a byte-identical
-// report, recomputing only missing (trial, side) cells, and each run reads
-// and writes its analysis at most once.
+// report, recomputing only missing (trial, side) cells, and no run reads
+// or writes an analysis record.
 func TestExperimentRunStoreResume(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
@@ -223,16 +224,7 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			if _, err = exp(iA, iB, counted).Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: want context.Canceled, got %v", err)
 			}
-			// The run saves its analysis once, on the way out, if it fed a
-			// batch. At Parallelism 1 the cancel lands in the first batch's
-			// last trial, which finishes, so the second batch is the one
-			// cut off; at 4 the pool reports the cancel for the first batch
-			// itself, and a run that fed nothing writes nothing.
-			wantPuts := int64(0)
-			if par == 1 {
-				wantPuts = 1
-			}
-			counted.check(t, "interrupted run", 1, wantPuts)
+			counted.check(t, "interrupted run", 0, 0)
 			st.Close()
 
 			st2, err := store.OpenSegLog(dir)
@@ -240,9 +232,6 @@ func TestExperimentRunStoreResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st2.Close()
-			// Count trial cells only: the interrupted run may also persist
-			// its analysis under an "analysis/" key, which is not a
-			// pipeline call.
 			recorded := st2.CountPrefix("trial/")
 			if recorded < 7 || recorded >= 2*maxRuns {
 				t.Fatalf("interrupted run recorded %d cells, want in [7, %d)", recorded, 2*maxRuns)
@@ -255,7 +244,7 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted.check(t, "resumed run", 1, 1)
+			counted.check(t, "resumed run", 0, 0)
 			if got := render(res2); got != golden {
 				t.Errorf("resumed report differs from golden:\n%s\n--- golden ---\n%s", got, golden)
 			}
@@ -263,9 +252,8 @@ func TestExperimentRunStoreResume(t *testing.T) {
 				t.Errorf("resumed run made %d calls, want %d", got, want)
 			}
 
-			// A rerun cancelled while it replays the stored analysis must
-			// not overwrite it with a state it has not verified: it writes
-			// nothing.
+			// A rerun cancelled while it replays the cached trials writes
+			// nothing either.
 			replayCtx, cancelReplay := context.WithCancel(context.Background())
 			defer cancelReplay()
 			replay := exp(rA, rB, counted)
@@ -273,7 +261,7 @@ func TestExperimentRunStoreResume(t *testing.T) {
 			if _, err := replay.Run(replayCtx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("rerun cancelled mid-replay: want context.Canceled, got %v", err)
 			}
-			counted.check(t, "rerun cancelled mid-replay", 1, 0)
+			counted.check(t, "rerun cancelled mid-replay", 0, 0)
 		})
 	}
 }
@@ -359,7 +347,7 @@ func TestVarianceStudyCrossStudySharing(t *testing.T) {
 // TestStoreFingerprintInvalidation: records are only served to the spec
 // that wrote them — a different PipelineID or varied-source set recomputes
 // from scratch instead of silently reusing stale scores — and an
-// experiment reads and writes its analysis record once per dataset.
+// experiment reads and writes no analysis record.
 func TestStoreFingerprintInvalidation(t *testing.T) {
 	st, err := store.OpenSegLog(t.TempDir())
 	if err != nil {
@@ -402,9 +390,7 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 	}
 
 	// An EarlyStopAuto experiment of the same spec reuses the A cells
-	// Collect recorded. Its result depends on the final state alone, so,
-	// like an EarlyStopOff run, it reads its analysis record once when the
-	// dataset starts and writes it once when the run returns.
+	// Collect recorded, and counts its analysis from the pairs.
 	counted := &analysisCounter{Backend: st}
 	var cA, cB atomic.Int64
 	auto := Experiment{
@@ -422,7 +408,7 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 	if cA.Load() != 0 || cB.Load() != 4 {
 		t.Errorf("experiment made %d A and %d B calls, want 0 and 4", cA.Load(), cB.Load())
 	}
-	counted.check(t, "EarlyStopAuto run", 1, 1)
+	counted.check(t, "EarlyStopAuto run", 0, 0)
 }
 
 // TestMultiDatasetStoreResume: per-dataset keys keep concurrent dataset
@@ -443,7 +429,7 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 			},
 			Seed:       13,
 			MaxRuns:    6,
-			BatchSize:  2, // three batches per dataset, one analysis write
+			BatchSize:  2, // three batches per dataset
 			EarlyStop:  EarlyStopOff,
 			Bootstrap:  50,
 			Store:      st,
@@ -465,7 +451,7 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 	if calls1.Load() != 2*2*6 {
 		t.Fatalf("first run made %d calls, want 24", calls1.Load())
 	}
-	st.check(t, "first run", 2, 2)
+	st.check(t, "first run", 0, 0)
 	res2, err := build(&calls2).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +459,7 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 	if calls2.Load() != 0 {
 		t.Errorf("second run made %d calls, want 0", calls2.Load())
 	}
-	st.check(t, "second run", 2, 2)
+	st.check(t, "second run", 0, 0)
 	if render(res1) != render(res2) {
 		t.Errorf("cached multi-dataset report differs:\n%s\n---\n%s", render(res1), render(res2))
 	}
@@ -498,11 +484,10 @@ func faultInject(t *testing.T, inner store.Backend, schedule string) store.Backe
 }
 
 // TestResumedOffRunReportsFedPairs: an EarlyStopOff rerun that quarantines
-// a pair reports the pairs it fed, not the longer analysis the first run
-// stored. The clean run stores its analysis of 16 pairs. The rerun loses
-// one cache read (get@9), recomputes that cell, fails to store it (put@1)
-// and quarantines the pair. Its report must describe its 15 pairs and
-// equal the report of the same rerun over the trials alone.
+// a pair reports the pairs it fed, not the 16 the first run stored. The
+// rerun loses one cache read (get@9), recomputes that cell, fails to store
+// it (put@1) and quarantines the pair. Its report must describe its 15
+// pairs and equal the report of the same rerun over the trials alone.
 func TestResumedOffRunReportsFedPairs(t *testing.T) {
 	exp := Experiment{
 		ATrial:      normalSide("a", 0.76),
@@ -525,7 +510,7 @@ func TestResumedOffRunReportsFedPairs(t *testing.T) {
 	if _, err := clean.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	trialsOnly := reimportSegLog(t, sl, `"key":"analysis/`)
+	trialsOnly := reimportSegLog(t, sl, "")
 	defer trialsOnly.Close()
 
 	rerun := func(inner store.Backend) *Result {
@@ -544,17 +529,16 @@ func TestResumedOffRunReportsFedPairs(t *testing.T) {
 			res.Pairs, res.Quarantined, res.Comparison.N)
 	}
 	if got, want := renderText(t, res), renderText(t, rerun(trialsOnly)); got != want {
-		t.Errorf("rerun over the stored analysis differs from the rerun over the trials alone:\n%s--- trials only ---\n%s", got, want)
+		t.Errorf("rerun over the full store differs from the rerun over the trials alone:\n%s--- trials only ---\n%s", got, want)
 	}
 }
 
 // TestResumedAutoRunMatchesFreshRun: an EarlyStopAuto rerun over a store
 // that a degraded run filled reaches the verdict of a fresh run. The first
-// run quarantines one of 24 pairs and stores its analysis of the 23 that
-// survived; the rerun's budget is those 23 pairs, so the stored analysis
-// looks complete. But the rerun retries the quarantined trial and feeds
-// trials 0–22, not the 23 survivors of trials 0–23: the replay must fail
-// the stored prefix hash and rebuild, and report what a fresh run at that
+// run quarantines one of 24 pairs and stores the trials of the 23 that
+// survived, and no analysis; the rerun's budget is those 23 pairs. The
+// rerun retries the quarantined trial and feeds trials 0–22, not the 23
+// survivors of trials 0–23, and must report what a fresh run at that
 // budget reports (n 23, max-runs).
 func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 	for _, seed := range []uint64{46, 57, 70} {
@@ -580,8 +564,8 @@ func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 				if first.Quarantined != 1 || first.Pairs != 23 {
 					t.Fatalf("degraded run: %d pairs, %d quarantined, want 23 and 1", first.Pairs, first.Quarantined)
 				}
-				if n := mem.CountPrefix("analysis/"); n != 1 {
-					t.Fatalf("degraded run stored %d analysis records, want 1", n)
+				if n := mem.CountPrefix("analysis/"); n != 0 {
+					t.Fatalf("degraded run stored %d analysis records, want none", n)
 				}
 				exp.MaxRuns = first.Pairs
 				fresh, err := exp.Run(context.Background())
@@ -608,10 +592,9 @@ func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 
 // TestOffResumeAfterBudgetChange: an EarlyStopOff run resumed at another
 // budget reports what a storeless run at that budget reports — whether the
-// stored analysis covers fewer pairs than the rerun feeds or more (40→13),
+// stored trials cover fewer pairs than the rerun feeds or more (40→13),
 // and whether or not the first run quarantined a pair (put@3), which
-// leaves the stored analysis off the batch grid and unlike the rerun's
-// prefix.
+// leaves the stored trials off the batch grid.
 func TestOffResumeAfterBudgetChange(t *testing.T) {
 	for _, budget := range [][2]int{{13, 40}, {29, 64}, {40, 13}, {5, 9}} {
 		for _, fault := range []struct{ name, schedule string }{{"clean", ""}, {"quarantine", "put@3"}} {

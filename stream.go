@@ -3,39 +3,29 @@ package varbench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"varbench/internal/compare"
-	"varbench/internal/stats"
-	"varbench/internal/xrand"
-	"varbench/store"
 )
 
-// A Stream is the incremental analysis engine as a long-lived sidecar:
-// paired scores arrive continuously — from a live training fleet, a log
-// tailer (see varbench watch), a message queue — and every Extend folds
-// them into one resumable weighted-bootstrap state (O(K × n_new) per call)
-// whose current three-zone conclusion is available at any moment. Feeding
-// chunks of any size is bit-identical to a single batch analysis of the
-// full sequence.
+// A Stream is the recommended test as a long-lived sidecar: paired scores
+// arrive continuously — from a live training fleet, a log tailer (see
+// varbench watch), a message queue — and every Extend adds them to the
+// win/tie/loss counts and score sums, in O(new pairs), whose current
+// three-zone conclusion is available at any moment. Feeding chunks of any
+// size gives the same bits as a single Analyze of the full sequence.
 //
-// With a store attached (WithStore), Flush persists the analysis snapshot;
-// a new Stream over the same (seed, WithPipelineID id, store) resumes it:
-// replayed score pairs are hash-verified against the snapshot's prefix and
-// skipped instead of recomputed, and the final result is byte-identical to
-// an uninterrupted stream. γ and the confidence level are query-time knobs:
-// changing them reuses the persisted state.
+// A Stream holds no state worth persisting: its analysis is three counts
+// and two sums, so a rerun re-reads its input instead of resuming a
+// snapshot, and NewStream rejects WithStore.
 //
-// A Stream is not safe for concurrent use; one goroutine feeds it
-// (extensions parallelize internally across GOMAXPROCS workers), while
+// A Stream is not safe for concurrent use; one goroutine feeds it, while
 // Subscribe delivers results to any number of consumers.
 type Stream struct {
 	cfg *Experiment
-	ana *incAnalysis
+	ana *compare.AnalysisState
 
-	// The full score history backs snapshot-mismatch rebuilds and the
-	// stale-snapshot settle in Result.
+	// The score history fills the result's ScoresA/ScoresB.
 	outA, outB []float64
 
 	mu     sync.Mutex // guards subs/closed; the feeding path is single-goroutine
@@ -43,11 +33,12 @@ type Stream struct {
 	closed bool
 }
 
-// NewStream opens an incremental analysis stream. The statistical knobs
-// come from the same Options as Analyze (WithGamma, WithConfidence,
-// WithBootstrap, WithSeed); WithStore plus
-// WithPipelineID make the stream resumable under that ID. A stream is
-// paired-only: WithUnpaired is an error.
+// NewStream opens an analysis stream. The statistical knobs come from the
+// same Options as Analyze (WithGamma, WithConfidence); WithBootstrap and
+// WithSeed are accepted and, as in every paired analysis, ignored. A stream
+// is paired-only: WithUnpaired is an error. WithStore is an error too: the
+// stream's whole analysis state is three counts and two score sums, so
+// there is nothing to resume that re-reading the input does not rebuild.
 func NewStream(opts ...Option) (*Stream, error) {
 	cfg, err := applyOptions(opts)
 	if err != nil {
@@ -56,19 +47,10 @@ func NewStream(opts ...Option) (*Stream, error) {
 	if err := cfg.pairedOnly("NewStream"); err != nil {
 		return nil, err
 	}
-	crit := compare.PAB{Gamma: cfg.Gamma, Level: cfg.Confidence, Bootstrap: cfg.Bootstrap}
-	seed := xrand.New(cfg.Seed).Split("analysis/stream").Uint64()
-	// The fingerprint pins state validity only (kernel algebra/version, K,
-	// seed derivation, stream identity), as the experiment analysis
-	// fingerprint does: γ/level/batching stay out, so changing them resumes
-	// the same state.
-	fp := store.Fingerprint(
-		"varbench/stream/v1",
-		"pipeline="+cfg.PipelineID,
-		fmt.Sprintf("kernel=%s/k=%d/seed=%d", stats.AccPAB.ID(), cfg.Bootstrap, seed),
-	)
-	ana, err := newIncAnalysis(crit, seed, runtime.GOMAXPROCS(0), cfg.Store,
-		store.AnalysisKey(cfg.Seed, "stream/"+cfg.PipelineID), fp)
+	if cfg.Store != nil {
+		return nil, fmt.Errorf("varbench: NewStream takes no store: %s", errStreamStore)
+	}
+	ana, err := compare.PAB{Gamma: cfg.Gamma, Level: cfg.Confidence, Bootstrap: cfg.Bootstrap}.NewAnalysis()
 	if err != nil {
 		return nil, err
 	}
@@ -79,18 +61,15 @@ func NewStream(opts ...Option) (*Stream, error) {
 	}, nil
 }
 
-// N returns how many score pairs the stream has consumed.
-func (s *Stream) N() int { return s.ana.fed() }
+// errStreamStore says why a stream takes no store.
+const errStreamStore = "a stream's analysis is three counts and two score sums, rebuilt by re-reading its input, so there is no snapshot to persist"
 
-// Replaying reports whether the stream is still replaying pairs a restored
-// snapshot already covers; results are unavailable until the replay
-// catches up (or Result settles the stream early).
-func (s *Stream) Replaying() bool { return s.ana.n() > s.ana.fed() }
+// N returns how many score pairs the stream has consumed.
+func (s *Stream) N() int { return s.ana.N() }
 
 // Extend feeds newly arrived paired scores (a[i] and b[i] from the same
 // trial) and returns the updated conclusion, publishing it to subscribers.
-// The result is nil without error while fewer than two pairs exist or
-// while a restored snapshot is still being replayed.
+// The result is nil without error while fewer than two pairs exist.
 func (s *Stream) Extend(a, b []float64) (*Result, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("varbench: unpaired lengths %d vs %d", len(a), len(b))
@@ -98,16 +77,15 @@ func (s *Stream) Extend(a, b []float64) (*Result, error) {
 	if s.isClosed() {
 		return nil, fmt.Errorf("varbench: stream is closed")
 	}
-	lo := len(s.outA)
 	s.outA = append(s.outA, a...)
 	s.outB = append(s.outB, b...)
-	if err := s.ana.feed(s.outA, s.outB, lo, lo+len(a)); err != nil {
-		return nil, err
+	for i := range a {
+		s.ana.Add(a[i], b[i])
 	}
-	if s.ana.fed() < 2 || s.Replaying() {
+	if s.ana.N() < 2 {
 		return nil, nil
 	}
-	res, err := s.result()
+	res, err := s.Result()
 	if err != nil {
 		return nil, err
 	}
@@ -115,21 +93,9 @@ func (s *Stream) Extend(a, b []float64) (*Result, error) {
 	return res, nil
 }
 
-// Result returns the conclusion over every pair consumed so far. If a
-// restored snapshot covers more pairs than this stream has replayed (the
-// persisted state came from a longer run), the state is rebuilt from the
-// replayed scores first, so the result always describes exactly the pairs
-// this stream saw.
+// Result returns the conclusion over every pair consumed so far.
 func (s *Stream) Result() (*Result, error) {
-	if err := s.ana.settle(s.outA, s.outB); err != nil {
-		return nil, err
-	}
-	return s.result()
-}
-
-// result shapes the current state as a renderable Result.
-func (s *Stream) result() (*Result, error) {
-	c, err := s.ana.comparison()
+	c, err := comparisonOf(s.ana)
 	if err != nil {
 		return nil, err
 	}
@@ -149,20 +115,9 @@ func (s *Stream) result() (*Result, error) {
 	}, nil
 }
 
-// Flush persists the analysis snapshot to the stream's store (no-op
-// without one) and then invokes the backend's own Flush as a durability
-// barrier, so when it returns the snapshot — and, on a coalescing backend
-// like seglog, every previously accepted write — has reached the durable
-// medium.
-func (s *Stream) Flush() error {
-	if err := s.ana.save(); err != nil {
-		return err
-	}
-	if s.cfg.Store == nil {
-		return nil
-	}
-	return s.cfg.Store.Flush()
-}
+// Flush is a no-op kept for callers that flushed a stream's snapshot:
+// a stream has no store to flush.
+func (s *Stream) Flush() error { return nil }
 
 // Subscribe returns a channel delivering the latest conclusion after each
 // Extend. Delivery is latest-wins: a slow consumer observes the newest
@@ -213,7 +168,7 @@ func (s *Stream) isClosed() bool {
 }
 
 // Close ends the stream: subscriber channels close and further Extends
-// fail. It does not flush; call Flush first to persist the final state.
+// fail.
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -165,9 +165,8 @@ func FuzzWatchTailer(f *testing.F) {
 }
 
 // TestStreamMatchesAnalyze: a stream fed in dribs and drabs reaches the
-// same conclusion fields as itself fed in one call — and its point
-// estimate/means match Analyze (the CI differs by design: weighted vs
-// multinomial bootstrap).
+// same conclusion as itself fed in one call, and as Analyze on the same
+// scores — at any seed, since a paired verdict draws no randomness.
 func TestStreamMatchesAnalyze(t *testing.T) {
 	a := []float64{0.91, 0.89, 0.93, 0.90, 0.92, 0.88, 0.94, 0.91, 0.90, 0.92}
 	b := []float64{0.85, 0.86, 0.84, 0.87, 0.83, 0.85, 0.86, 0.84, 0.85, 0.83}
@@ -181,7 +180,7 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 		t.Fatalf("one-shot extend: %v (res=%v)", err, resOne)
 	}
 
-	dribs, err := NewStream(WithSeed(3), WithGamma(0.7))
+	dribs, err := NewStream(WithSeed(4), WithGamma(0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +194,12 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 		t.Fatalf("drib-fed stream differs:\n%+v\n%+v", resDribs.Comparison, resOne.Comparison)
 	}
 
-	ref, err := Analyze(a, b, WithSeed(3), WithGamma(0.7))
+	ref, err := Analyze(a, b, WithSeed(5), WithGamma(0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, rc := resOne.Comparison, ref.Comparison
-	if math.Float64bits(c.PAB) != math.Float64bits(rc.PAB) ||
-		math.Float64bits(c.MeanA) != math.Float64bits(rc.MeanA) ||
-		math.Float64bits(c.MeanB) != math.Float64bits(rc.MeanB) ||
-		c.N != rc.N {
-		t.Fatalf("stream point estimate drifts from Analyze:\n%+v\n%+v", c, rc)
-	}
-	if c.CILo > c.PAB || c.CIHi < c.PAB {
-		t.Fatalf("stream CI [%v, %v] does not bracket the point %v", c.CILo, c.CIHi, c.PAB)
+	if c, rc := resOne.Comparison, ref.Comparison; c != rc || math.IsNaN(c.CILo) {
+		t.Fatalf("stream differs from Analyze:\n%+v\n%+v", c, rc)
 	}
 
 	// Below two pairs: no result, no error.
@@ -257,8 +249,9 @@ func TestStreamSubscribe(t *testing.T) {
 }
 
 // BenchmarkWatchIngest measures the watch ingestion hot path — tail,
-// parse, extend — per chunk of 8 score lines against a live stream with
-// K=1000 resamples. Wired into the CI bench regression gate.
+// parse, extend — per chunk of 8 score lines against a live stream, which
+// re-evaluates the exact interval on every chunk. Wired into the CI bench
+// regression gate.
 func BenchmarkWatchIngest(bm *testing.B) {
 	var data bytes.Buffer
 	const batch = 8
