@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"varbench"
 	"varbench/store"
@@ -20,8 +19,8 @@ import (
 // statistical protocol on pre-collected score files, concluding with the
 // three-zone decision. Score files are CSV with either one score per line
 // (single benchmark) or dataset,score pairs (multi-dataset comparison with
-// a Bonferroni-adjusted threshold); a non-numeric first line is treated as
-// a header and skipped.
+// a Bonferroni-adjusted threshold), where fields may be quoted; blank
+// lines are skipped, and a digit-free first line is treated as a header.
 func runCompare(ctx context.Context, args []string, w io.Writer) error {
 	_ = ctx // reserved: the analysis is CPU-bound and completes in one shot
 	fs := flag.NewFlagSet("varbench compare", flag.ContinueOnError)
@@ -138,7 +137,7 @@ func runCompare(ctx context.Context, args []string, w io.Writer) error {
 		if *unpaired {
 			opts = append(opts, varbench.WithUnpaired())
 		}
-		res, err = varbench.Analyze(scoresA.all(), scoresB.all(), opts...)
+		res, err = varbench.Analyze(scoresA.byDataset[""], scoresB.byDataset[""], opts...)
 	}
 	if err != nil {
 		return err
@@ -166,24 +165,6 @@ func (s *scoreFile) named() bool {
 	return len(s.datasets) > 1 || s.datasets[0] != ""
 }
 
-func (s *scoreFile) all() []float64 {
-	var out []float64
-	for _, name := range s.datasets {
-		out = append(out, s.byDataset[name]...)
-	}
-	return out
-}
-
-func (s *scoreFile) add(dataset string, v float64) {
-	if s.byDataset == nil {
-		s.byDataset = make(map[string][]float64)
-	}
-	if _, ok := s.byDataset[dataset]; !ok {
-		s.datasets = append(s.datasets, dataset)
-	}
-	s.byDataset[dataset] = append(s.byDataset[dataset], v)
-}
-
 // readScores reads and parses one score CSV. The raw bytes are returned
 // alongside the parsed scores so the -store fingerprint can hash exactly
 // what was analyzed: re-reading the file for hashing would open a window
@@ -194,41 +175,138 @@ func readScores(path string) (*scoreFile, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cr := csv.NewReader(bytes.NewReader(data))
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
+	out, err := parseScores(path, data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := &scoreFile{}
-	for i, rec := range records {
-		var dataset, field string
-		switch len(rec) {
-		case 1:
-			field = rec[0]
-		case 2:
-			dataset, field = rec[0], rec[1]
-		default:
-			return nil, nil, fmt.Errorf("%s:%d: want `score` or `dataset,score`, got %d fields", path, i+1, len(rec))
-		}
-		v, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			// Only a digit-free first line reads as a header; a malformed
-			// first score (e.g. `O.85`) must error, not be skipped.
-			if i == 0 && !strings.ContainsAny(field, "0123456789") {
-				continue
-			}
-			return nil, nil, fmt.Errorf("%s:%d: bad score %q", path, i+1, field)
-		}
-		// NaN/Inf (failed runs in exported logs) would silently bias
-		// P(A>B) and break JSON output; reject them up front.
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, fmt.Errorf("%s:%d: non-finite score %q", path, i+1, field)
-		}
-		out.add(dataset, v)
-	}
-	if len(out.datasets) == 0 {
-		return nil, nil, fmt.Errorf("%s: no scores found", path)
+		return nil, nil, err
 	}
 	return out, data, nil
+}
+
+// parseScores parses the bytes of the score CSV at path, one line at a
+// time, with encoding/csv's meaning: blank lines are skipped, a final "\r"
+// is dropped from every line, and a line that holds a '"' is read by
+// encoding/csv itself, so quoted dataset names keep working. Any other
+// line is split on its commas here, which is all encoding/csv would do to
+// it. A quoted field may not span lines (no score needs one). Errors name
+// the file line.
+func parseScores(path string, data []byte) (*scoreFile, error) {
+	p := scoreParser{
+		path: path,
+		out:  &scoreFile{byDataset: make(map[string][]float64)},
+		// Room for a score on every line, so that the first dataset, often
+		// the only one, never regrows.
+		scores: make([]float64, 0, bytes.Count(data, []byte("\n"))+1),
+	}
+	var tailer varbench.LineTailer
+	if err := tailer.Feed(data, p.line); err != nil {
+		return nil, err
+	}
+	if rem := tailer.Remainder(); len(rem) > 0 {
+		// encoding/csv drops a "\r" that ends the file.
+		if err := p.line(bytes.TrimSuffix(rem, []byte("\r"))); err != nil {
+			return nil, err
+		}
+	}
+	if len(p.out.datasets) == 0 {
+		return nil, fmt.Errorf("%s: no scores found", path)
+	}
+	p.out.byDataset[p.cur] = p.scores
+	return p.out, nil
+}
+
+// A scoreParser parses the lines of one score file. It appends to the
+// current dataset's scores and touches the map only when the dataset label
+// changes.
+type scoreParser struct {
+	path    string
+	lineNo  int // of the line being parsed
+	records int // non-blank lines so far, this one included
+	out     *scoreFile
+	cur     string    // the current dataset's label,
+	scores  []float64 // and its scores so far
+}
+
+func (p *scoreParser) line(line []byte) error {
+	p.lineNo++
+	if len(line) == 0 {
+		return nil
+	}
+	p.records++
+	var dataset, field []byte
+	if bytes.IndexByte(line, '"') >= 0 {
+		rec, err := p.quoted(line)
+		if err != nil {
+			return err
+		}
+		switch len(rec) {
+		case 1:
+			field = []byte(rec[0])
+		case 2:
+			dataset, field = []byte(rec[0]), []byte(rec[1])
+		default:
+			return p.fieldCount(len(rec))
+		}
+	} else if comma := bytes.IndexByte(line, ','); comma < 0 {
+		field = line
+	} else {
+		dataset, field = line[:comma], line[comma+1:]
+		if extra := bytes.Count(field, []byte(",")); extra > 0 {
+			return p.fieldCount(2 + extra)
+		}
+	}
+	v, err := varbench.ParseScore(field)
+	if err != nil {
+		// Only a digit-free first line reads as a header; a malformed
+		// first score (e.g. `O.85`) must error, not be skipped.
+		if p.records == 1 && !bytes.ContainsAny(field, "0123456789") {
+			return nil
+		}
+		return fmt.Errorf("%s:%d: bad score %q", p.path, p.lineNo, field)
+	}
+	// NaN/Inf (failed runs in exported logs) would silently bias
+	// P(A>B) and break JSON output; reject them up front.
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%s:%d: non-finite score %q", p.path, p.lineNo, field)
+	}
+	if len(p.out.datasets) == 0 || string(dataset) != p.cur {
+		p.switchTo(string(dataset))
+	}
+	p.scores = append(p.scores, v)
+	return nil
+}
+
+// switchTo makes dataset the current one. The first dataset keeps the
+// slice parseScores sized; a later switch saves the current scores and
+// picks up the dataset's own.
+func (p *scoreParser) switchTo(dataset string) {
+	if len(p.out.datasets) > 0 {
+		p.out.byDataset[p.cur] = p.scores
+		p.scores = p.out.byDataset[dataset]
+	}
+	if _, seen := p.out.byDataset[dataset]; !seen {
+		p.out.datasets = append(p.out.datasets, dataset)
+	}
+	p.cur = dataset
+}
+
+// quoted reads one line that holds a '"' with encoding/csv. It is handed
+// the line with "\r\n", which encoding/csv reads as the "\n" that ended the
+// line in the file, keeping any "\r" the line itself ends with.
+func (p *scoreParser) quoted(line []byte) ([]string, error) {
+	cr := csv.NewReader(bytes.NewReader(append(line[:len(line):len(line)], '\r', '\n')))
+	cr.FieldsPerRecord = -1
+	rec, err := cr.Read()
+	if err != nil {
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			pe.StartLine += p.lineNo - 1
+			pe.Line += p.lineNo - 1
+		}
+		return nil, fmt.Errorf("%s: %w", p.path, err)
+	}
+	return rec, nil
+}
+
+func (p *scoreParser) fieldCount(n int) error {
+	return fmt.Errorf("%s:%d: want `score` or `dataset,score`, got %d fields", p.path, p.lineNo, n)
 }

@@ -3,10 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -183,4 +189,151 @@ func TestCompareSubcommandErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"compare", "-a", typo, "-b", fb, "-unpaired"}, &buf); err == nil {
 		t.Error("typo'd first score silently dropped as a header")
 	}
+	// Errors name the line of the file: blank lines count, also before a
+	// line that encoding/csv reads.
+	for _, c := range []struct{ data, want string }{
+		{"0.5\n\n\n0.6\nabc1\n", `lines.csv:5: bad score "abc1"`},
+		{"0.5\n\n\"ds\",abc1\n", `lines.csv:3: bad score "abc1"`},
+		{"0.5\r\n\r\nx\"y,0.6\r\n", `lines.csv: parse error on line 3, column 2: bare " in non-quoted-field`},
+		{"0.5\n\n\"ds,0.6\n0.7\n", `lines.csv: parse error on line 3,`}, // a quoted field may not span lines
+		{"0.5\n\n1,2,3\n", "lines.csv:3: want `score` or `dataset,score`, got 3 fields"},
+	} {
+		path := filepath.Join(t.TempDir(), "lines.csv")
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(context.Background(), []string{"compare", "-a", path, "-b", fb}, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error %v, want one containing %s", c.data, err, c.want)
+		}
+	}
+}
+
+// TestReadScoresAllocations holds readScores to a fixed number of
+// allocations however many lines the file has: a line costs none.
+func TestReadScoresAllocations(t *testing.T) {
+	a, _ := pairedScores(5, 10000, 0)
+	path := writeScores(t, "a.csv", "", a)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := readScores(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 64 {
+		t.Fatalf("readScores made %v allocations on a 10,000-line file, want < 64", allocs)
+	}
+}
+
+// readScoresCSV is the reader compare used before parseScores: the whole
+// file through encoding/csv's ReadAll. It stays as parseScores' oracle.
+func readScoresCSV(path string, data []byte) (*scoreFile, error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	records, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	out := &scoreFile{byDataset: make(map[string][]float64)}
+	for i, rec := range records {
+		var dataset, field string
+		switch len(rec) {
+		case 1:
+			field = rec[0]
+		case 2:
+			dataset, field = rec[0], rec[1]
+		default:
+			return nil, fmt.Errorf("%s:%d: want `score` or `dataset,score`, got %d fields", path, i+1, len(rec))
+		}
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			if i == 0 && !strings.ContainsAny(field, "0123456789") {
+				continue
+			}
+			return nil, fmt.Errorf("%s:%d: bad score %q", path, i+1, field)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%s:%d: non-finite score %q", path, i+1, field)
+		}
+		if _, ok := out.byDataset[dataset]; !ok {
+			out.datasets = append(out.datasets, dataset)
+		}
+		out.byDataset[dataset] = append(out.byDataset[dataset], v)
+	}
+	if len(out.datasets) == 0 {
+		return nil, fmt.Errorf("%s: no scores found", path)
+	}
+	return out, nil
+}
+
+// quotedFieldSpansLine reports whether encoding/csv reads a quoted field
+// of data across a line break, which parseScores refuses.
+func quotedFieldSpansLine(data []byte) bool {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return false
+		}
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			return pe.StartLine != pe.Line
+		}
+		for _, field := range rec {
+			if strings.Contains(field, "\n") {
+				return true
+			}
+		}
+	}
+}
+
+// FuzzReadScores: on any bytes where no quoted field spans a line,
+// parseScores agrees with the whole-file encoding/csv reader on the
+// dataset order, on every score's bits and on whether the file fails.
+// Error messages may differ: parseScores names the file line.
+func FuzzReadScores(f *testing.F) {
+	for _, seed := range []string{
+		"score\n0.5\n0.6\n",
+		"0.5\n\n\n0.6\nabc1\n",
+		"mnist,0.9\r\nsst2,0.8\r\nmnist,0.91\r\n\r\n",
+		"\"a,b\",0.5\n\"q\"\"x\",-0.75\nplain,1e-3",
+		"\"ds\",0.5\r\r\nds,0.6\r",
+		"dataset,score\nrte,0.7\n\"rte\",+.25\n",
+		"x\"y,0.5\n",
+		"\"open,0.5\n0.6\n",
+		"0.5,\n0.6\n",
+		"1,2,3\n",
+		"NaN\n",
+		"\"a\nb\",0.5\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if quotedFieldSpansLine(data) {
+			t.Skip("a quoted field spans a line")
+		}
+		got, gotErr := parseScores("f.csv", data)
+		want, wantErr := readScoresCSV("f.csv", data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("parseScores error %v, encoding/csv reader error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if !slices.Equal(got.datasets, want.datasets) {
+			t.Fatalf("datasets %q, want %q", got.datasets, want.datasets)
+		}
+		for _, name := range want.datasets {
+			g, w := got.byDataset[name], want.byDataset[name]
+			if len(g) != len(w) {
+				t.Fatalf("dataset %q: %d scores, want %d", name, len(g), len(w))
+			}
+			for i := range w {
+				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("dataset %q score %d: %v, want %v", name, i, g[i], w[i])
+				}
+			}
+		}
+	})
 }

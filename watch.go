@@ -8,11 +8,13 @@ import (
 	"strconv"
 )
 
-// This file is the ingestion side of the streaming front end: varbench
-// watch tails a growing score file and feeds a Stream. The tailer and the
-// line parser are exported so other sidecars (log shippers, fleet agents)
-// can reuse the exact same framing and syntax rules — which also keeps a
-// resumed watch byte-identical: parsing is a pure function of the bytes.
+// This file is the ingestion side of the command line: varbench watch
+// tails a growing score file and feeds a Stream, and varbench compare
+// frames and parses its score files with the same tailer and ParseScore.
+// The tailer and the parsers are exported so other sidecars (log
+// shippers, fleet agents) can reuse the exact same framing and syntax
+// rules — which also keeps a resumed watch byte-identical: parsing is a
+// pure function of the bytes.
 
 // A LineTailer incrementally splits an append-only byte stream into lines.
 // Feed it chunks of any size — reads racing a writer may split a line at
@@ -63,6 +65,51 @@ type jsonScorePair struct {
 	B *float64 `json:"b"`
 }
 
+// pow10 holds the powers of ten ParseScore's fast path divides by; every
+// one is exact in float64 (the exact powers run to 1e22).
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// ParseScore parses one score field, and returns exactly what
+// strconv.ParseFloat(string(field), 64) returns: the same bits and the
+// same error (fuzz-tested). Both `varbench compare` and ParseScorePair
+// parse their scores with it.
+//
+// A plain decimal [+-]?digits[.digits] of at most 15 digits takes a fast
+// path: its digits m are below 2⁵³ and 10^f, f the number of fraction
+// digits, is exact too, so one IEEE division rounds m/10^f correctly —
+// which is strconv's own first step (Clinger's fast path). Every other
+// field (an exponent, more digits, Inf, NaN, hex, underscores, spaces,
+// junk) goes to strconv unchanged.
+func ParseScore(field []byte) (float64, error) {
+	i, neg := 0, false
+	if len(field) > 0 && (field[0] == '+' || field[0] == '-') {
+		i, neg = 1, field[0] == '-'
+	}
+	var m uint64
+	digits, dot := 0, -1
+	for ; i < len(field); i++ {
+		if d := field[i] - '0'; d < 10 {
+			m = m*10 + uint64(d)
+			digits++
+		} else if field[i] == '.' && dot < 0 {
+			dot = digits
+		} else {
+			break
+		}
+	}
+	if i < len(field) || digits == 0 || digits > 15 {
+		return strconv.ParseFloat(string(field), 64)
+	}
+	v := float64(m)
+	if dot >= 0 {
+		v /= pow10[digits-dot]
+	}
+	if neg {
+		v = -v
+	}
+	return v, nil
+}
+
 // ParseScorePair parses one line of a paired score stream. Two syntaxes
 // are accepted, matching `varbench watch`:
 //
@@ -89,16 +136,20 @@ func ParseScorePair(line []byte) (a, b float64, ok bool, err error) {
 		}
 		a, b = *p.A, *p.B
 	} else {
-		fields := bytes.Split(s, []byte(","))
-		if len(fields) < 2 {
+		comma := bytes.IndexByte(s, ',')
+		if comma < 0 {
 			if !bytes.ContainsAny(s, "0123456789") {
 				return 0, 0, false, nil // header or stray label
 			}
 			return 0, 0, false, fmt.Errorf("score line %q: want a,b", s)
 		}
-		a, err = strconv.ParseFloat(string(bytes.TrimSpace(fields[0])), 64)
+		second := s[comma+1:]
+		if end := bytes.IndexByte(second, ','); end >= 0 {
+			second = second[:end]
+		}
+		a, err = ParseScore(bytes.TrimSpace(s[:comma]))
 		if err == nil {
-			b, err = strconv.ParseFloat(string(bytes.TrimSpace(fields[1])), 64)
+			b, err = ParseScore(bytes.TrimSpace(second))
 		}
 		if err != nil {
 			if !bytes.ContainsAny(s, "0123456789") {

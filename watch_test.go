@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
+
+	"varbench/internal/xrand"
 )
 
 // feedChunked runs data through a LineTailer in chunks of the given size
@@ -115,6 +118,56 @@ func TestParseScorePair(t *testing.T) {
 			t.Errorf("ParseScorePair(%q) = (%v, %v), want (%v, %v)", c.line, a, b, c.a, c.b)
 		}
 	}
+}
+
+// checkParseScore fails unless ParseScore(field) returns what
+// strconv.ParseFloat returns: the same bits and the same error.
+func checkParseScore(t *testing.T, field []byte) {
+	t.Helper()
+	got, gotErr := ParseScore(field)
+	want, wantErr := strconv.ParseFloat(string(field), 64)
+	if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("ParseScore(%q) = %v (%#x), %v; strconv says %v (%#x), %v",
+			field, got, math.Float64bits(got), gotErr, want, math.Float64bits(want), wantErr)
+	}
+}
+
+// TestParseScoreMatchesStrconv runs ParseScore's fast path, plain decimals
+// of up to 15 digits with the point anywhere, and the lengths just past it
+// against strconv.
+func TestParseScoreMatchesStrconv(t *testing.T) {
+	r := xrand.New(22)
+	var field []byte
+	for i := 0; i < 200000; i++ {
+		digits := 1 + r.Intn(17)
+		field = field[:0]
+		switch r.Intn(3) {
+		case 0:
+			field = append(field, '-')
+		case 1:
+			field = append(field, '+')
+		}
+		dot := r.Intn(digits + 2) // digits+1: no point
+		for d := 0; d <= digits; d++ {
+			if d == dot {
+				field = append(field, '.')
+			}
+			if d < digits {
+				field = append(field, byte('0'+r.Intn(10)))
+			}
+		}
+		checkParseScore(t, field)
+	}
+}
+
+// FuzzParseScore: on any bytes, ParseScore and strconv.ParseFloat return
+// the same bits and fail alike.
+func FuzzParseScore(f *testing.F) {
+	for _, seed := range []string{"-0", "+.5", "5.", ".", "123456789012345", "1234567890123456",
+		"0000000000000000001", "1e5", "1_0", "NaN", "0x1p-2"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(checkParseScore)
 }
 
 // FuzzWatchTailer: for arbitrary bytes and an arbitrary split point, the
@@ -289,3 +342,29 @@ func BenchmarkWatchIngest(bm *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParseScorePair measures the line parser alone, on
+// BenchmarkWatchIngest's 8 CSV lines per op. The bench gate holds it at 0
+// allocs/op.
+func BenchmarkParseScorePair(bm *testing.B) {
+	var lines [][]byte
+	for i := 0; i < 8; i++ {
+		lines = append(lines, fmt.Appendf(nil, "0.9%d,0.8%d", i, (i+3)%10))
+	}
+	var sum float64
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		for _, line := range lines {
+			a, b, ok, err := ParseScorePair(line)
+			if err != nil || !ok {
+				bm.Fatalf("%q: ok=%v err=%v", line, ok, err)
+			}
+			sum += a - b
+		}
+	}
+	parseSink = sum
+}
+
+// parseSink keeps BenchmarkParseScorePair's parses live.
+var parseSink float64
