@@ -25,7 +25,6 @@ import (
 	"varbench/internal/gp"
 	"varbench/internal/hpo"
 	"varbench/internal/nn"
-	"varbench/internal/pipeline"
 	"varbench/internal/simulate"
 	"varbench/internal/stats"
 	"varbench/internal/tensor"
@@ -226,10 +225,7 @@ func BenchmarkAblationResampling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		folds, err := data.KFold(pool.N(), 5, xrand.New(uint64(i)+7))
-		if err != nil {
-			b.Fatal(err)
-		}
+		folds := kFold(pool.N(), 5, xrand.New(uint64(i)+7))
 		var cv []float64
 		for _, fold := range folds {
 			streams := xrand.NewStreams(uint64(i))
@@ -269,11 +265,11 @@ func BenchmarkAblationCI(b *testing.B) {
 					wins++
 				}
 			}
-			if stats.PABCountsCI(wins, 0, n-wins, 0.95).Contains(trueP) {
+			if ci := stats.PABCountsCI(wins, 0, n-wins, 0.95); ci.Lo <= trueP && trueP <= ci.Hi {
 				bootHit++
 			}
-			est := stats.PairedPAB(a, bb)
-			if stats.NormalCI(est, stdErrPAB(est, n), 0.95).Contains(trueP) {
+			est := float64(wins) / n
+			if ci := normalCI(est, stdErrPAB(est, n), 0.95); ci.Lo <= trueP && trueP <= ci.Hi {
 				normHit++
 			}
 		}
@@ -282,12 +278,40 @@ func BenchmarkAblationCI(b *testing.B) {
 	}
 }
 
+// normalCI returns the normal-approximation interval
+// estimate ± z_{1-α/2}·se.
+func normalCI(estimate, se float64, level float64) stats.CI {
+	z := stats.NormQuantile(1 - (1-level)/2)
+	return stats.CI{Lo: estimate - z*se, Hi: estimate + z*se, Level: level}
+}
+
 // stdErrPAB is the binomial-style standard error of a proportion.
 func stdErrPAB(p float64, n int) float64 {
 	if p <= 0 || p >= 1 {
 		p = 0.5
 	}
 	return math.Sqrt(p * (1 - p) / float64(n))
+}
+
+// kFold returns k cross-validation folds of n examples, fold i being (train
+// indices, test indices) over one random partition.
+func kFold(n, k int, r *xrand.Source) [][2][]int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	r.ShuffleInts(perm)
+	folds := make([][2][]int, k)
+	for f := 0; f < k; f++ {
+		lo := f * n / k
+		hi := (f + 1) * n / k
+		test := append([]int(nil), perm[lo:hi]...)
+		train := make([]int, 0, n-(hi-lo))
+		train = append(train, perm[:lo]...)
+		train = append(train, perm[hi:]...)
+		folds[f] = [2][]int{train, test}
+	}
+	return folds
 }
 
 // BenchmarkAblationStratification contrasts stratified vs plain bootstrap on
@@ -302,50 +326,6 @@ func BenchmarkAblationStratification(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(stats.Std(strat), "stratified-std")
-	}
-}
-
-// BenchmarkAblationSHA compares successive halving (continuation-based,
-// using the resumable trainer) against random search at an equal total
-// epoch budget, reporting the achieved validation error of each.
-func BenchmarkAblationSHA(b *testing.B) {
-	task := casestudy.Tiny(1)
-	for i := 0; i < b.N; i++ {
-		streams := xrand.NewStreams(uint64(i))
-		split, err := task.Split(streams.Get(xrand.VarDataSplit))
-		if err != nil {
-			b.Fatal(err)
-		}
-		obj := pipeline.BudgetedObjective(task, split, streams)
-		sha := hpo.SuccessiveHalving{Eta: 3, MinBudget: 1, MaxBudget: 9}
-		hist, err := sha.Optimize(obj, task.Space(), 9, streams.Get(xrand.VarHOpt))
-		if err != nil {
-			b.Fatal(err)
-		}
-		shaBest, _ := hist.Best()
-
-		// Random search with the same total epoch budget (27 epochs → 4
-		// full 6-epoch trainings).
-		rsStreams := xrand.NewStreams(uint64(i))
-		rsSplit, err := task.Split(rsStreams.Get(xrand.VarDataSplit))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rsObj := func(p hpo.Params) float64 {
-			perf, err := pipeline.TrainEval(task, p, rsSplit.Train, rsSplit.Valid, rsStreams.Clone())
-			if err != nil {
-				return 1
-			}
-			return 1 - perf
-		}
-		rsHist, err := hpo.RandomSearch{}.Optimize(rsObj, task.Space(), 4,
-			rsStreams.Get(xrand.VarHOpt))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rsBest, _ := rsHist.Best()
-		b.ReportMetric(shaBest.Value, "sha-valid-err")
-		b.ReportMetric(rsBest.Value, "random-valid-err")
 	}
 }
 
@@ -386,7 +366,8 @@ func BenchmarkCholesky64(b *testing.B) {
 	for i := range m.Data {
 		m.Data[i] = r.NormFloat64()
 	}
-	spd := tensor.MatMulT(m, m)
+	spd := tensor.NewMatrix(64, 64)
+	tensor.MatMulTInto(spd, m, m)
 	for i := 0; i < 64; i++ {
 		spd.Set(i, i, spd.At(i, i)+64)
 	}

@@ -173,6 +173,11 @@ func TestCompareSubcommandErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"compare", "-a", fa, "-b", fb, "-gamma", "0.3"}, &buf); err == nil {
 		t.Error("invalid γ accepted")
 	}
+	// NaN fails every comparison, so it must fail the γ range check itself,
+	// not a budget derived from it.
+	if err := run(context.Background(), []string{"compare", "-a", fa, "-b", fb, "-gamma", "NaN"}, &buf); err == nil || !strings.Contains(err.Error(), "γ") {
+		t.Errorf("-gamma NaN: err = %v, want the γ range error", err)
+	}
 	bad := filepath.Join(t.TempDir(), "bad.csv")
 	if err := os.WriteFile(bad, []byte("1\nnot-a-number\n"), 0o644); err != nil {
 		t.Fatal(err)

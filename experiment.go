@@ -481,7 +481,7 @@ func pickRunner(tf TrialFunc, rf RunFunc, which string) (TrialFunc, error) {
 func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) (*DatasetResult, error) {
 	// gamma may be the Bonferroni-adjusted threshold rather than the
 	// user-validated Gamma field; re-validate at the point of consumption.
-	if gamma <= 0.5 || gamma >= 1 {
+	if !(gamma > 0.5 && gamma < 1) {
 		return nil, fmt.Errorf("varbench: adjusted γ = %v out of (0.5, 1)", gamma)
 	}
 	runA, err := pickRunner(ds.ATrial, ds.A, "A")

@@ -3,6 +3,7 @@ package varbench
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -332,8 +333,8 @@ func TestTrialSourceSeeds(t *testing.T) {
 	// Varied seeds agree with the xrand.NewStreams derivation from the
 	// trial's root seed, so RunFunc and TrialFunc pipelines compose.
 	streams := xrand.NewStreams(trials[3].Seed)
-	if got, want := trials[3].SourceSeed(VarInit), streams.Seed(xrand.VarInit); got != want {
-		t.Errorf("SourceSeed(VarInit) = %d, want NewStreams seed %d", got, want)
+	if got, want := xrand.New(trials[3].SourceSeed(VarInit)).Uint64(), streams.Get(xrand.VarInit).Uint64(); got != want {
+		t.Errorf("SourceSeed(VarInit) starts the stream at %d, want the NewStreams stream's %d", got, want)
 	}
 	// A custom label outside the restricted set obeys the same contract as
 	// the known sources: fixed across trials.
@@ -537,6 +538,9 @@ func TestCompareAcrossDatasetsGammaValidation(t *testing.T) {
 	}
 	if _, err := AnalyzeDatasets(ds, WithGamma(1.0)); err == nil {
 		t.Error("γ ≥ 1 accepted")
+	}
+	if _, err := AnalyzeDatasets(ds, WithGamma(math.NaN())); err == nil {
+		t.Error("γ = NaN accepted")
 	}
 	if _, err := AnalyzeDatasets(ds, WithGamma(0.8)); err != nil {
 		t.Errorf("valid γ rejected: %v", err)

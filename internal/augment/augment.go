@@ -50,20 +50,6 @@ func (m Mask) Apply(row []float64, r *xrand.Source) {
 	}
 }
 
-// Scale multiplies the whole row by a factor drawn uniformly from
-// [1-Range, 1+Range]: the brightness/contrast analogue.
-type Scale struct {
-	Range float64
-}
-
-// Apply implements Augmenter.
-func (s Scale) Apply(row []float64, r *xrand.Source) {
-	f := r.Uniform(1-s.Range, 1+s.Range)
-	for i := range row {
-		row[i] *= f
-	}
-}
-
 // Pipeline applies augmenters in sequence.
 type Pipeline []Augmenter
 
@@ -74,16 +60,12 @@ func (p Pipeline) Apply(row []float64, r *xrand.Source) {
 	}
 }
 
-// Batch returns an augmented copy of the rows of x indexed by idx, leaving x
-// untouched. A nil augmenter just gathers the rows.
-func Batch(x *tensor.Matrix, idx []int, a Augmenter, r *xrand.Source) *tensor.Matrix {
-	return BatchInto(tensor.NewMatrix(len(idx), x.Cols), x, idx, a, r)
-}
-
-// BatchInto is Batch writing into out, which it resizes to len(idx)×x.Cols
-// (reusing its backing array when large enough) and returns. Row i of out is
-// row idx[i] of x, then augmented; rows are filled in order, so a draws from
-// r exactly as Batch does. out must not share storage with x.
+// BatchInto writes an augmented copy of the rows of x indexed by idx into
+// out, which it resizes to len(idx)×x.Cols (reusing its backing array when
+// large enough) and returns; x is left untouched. Row i of out is row idx[i]
+// of x, then augmented by a (a nil augmenter just gathers the rows); rows
+// are filled in order, so a draws from r row by row. out must not share
+// storage with x.
 func BatchInto(out, x *tensor.Matrix, idx []int, a Augmenter, r *xrand.Source) *tensor.Matrix {
 	out.Resize(len(idx), x.Cols)
 	for i, j := range idx {

@@ -75,20 +75,8 @@ func TestMaskEdgeCases(t *testing.T) {
 	}
 }
 
-func TestScaleRange(t *testing.T) {
-	row := []float64{2, 4}
-	Scale{Range: 0.1}.Apply(row, xrand.New(4))
-	f := row[0] / 2
-	if f < 0.9 || f > 1.1 {
-		t.Fatalf("scale factor %v outside [0.9, 1.1]", f)
-	}
-	if math.Abs(row[1]/4-f) > 1e-12 {
-		t.Fatal("scale not uniform across features")
-	}
-}
-
 func TestPipelineOrderAndSeeding(t *testing.T) {
-	p := Pipeline{Jitter{Std: 0.1}, Scale{Range: 0.2}}
+	p := Pipeline{Jitter{Std: 0.1}, Mask{Frac: 0.4}}
 	a := []float64{1, 2, 3}
 	b := []float64{1, 2, 3}
 	p.Apply(a, xrand.New(9))
@@ -101,9 +89,9 @@ func TestPipelineOrderAndSeeding(t *testing.T) {
 }
 
 func TestBatchLeavesSourceUntouched(t *testing.T) {
-	x := tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	x := &tensor.Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}}
 	orig := append([]float64(nil), x.Data...)
-	out := Batch(x, []int{2, 0}, Jitter{Std: 1}, xrand.New(5))
+	out := BatchInto(new(tensor.Matrix), x, []int{2, 0}, Jitter{Std: 1}, xrand.New(5))
 	if out.Rows != 2 || out.Cols != 2 {
 		t.Fatal("bad batch shape")
 	}
@@ -113,7 +101,7 @@ func TestBatchLeavesSourceUntouched(t *testing.T) {
 		}
 	}
 	// nil augmenter = pure gather.
-	gathered := Batch(x, []int{1}, nil, nil)
+	gathered := BatchInto(new(tensor.Matrix), x, []int{1}, nil, nil)
 	if gathered.At(0, 0) != 3 || gathered.At(0, 1) != 4 {
 		t.Fatal("gather wrong")
 	}

@@ -337,12 +337,6 @@ func AUCMeasure(m *nn.MLP, d *data.Dataset) float64 {
 	return metrics.AUC(pred, pos)
 }
 
-// PCCMeasure scores a regression model by Pearson correlation with the true
-// affinities (the PCC column of Table 8).
-func PCCMeasure(m *nn.MLP, d *data.Dataset) float64 {
-	return metrics.Pearson(m.PredictValues(d.X), d.Y)
-}
-
 // All returns the five case studies in the paper's Figure 1 column order.
 func All(structSeed uint64) []*Study {
 	return []*Study{

@@ -224,8 +224,7 @@ func (c PAB) Detects(pairs []stats.Pair) bool {
 
 // mwPAB is the Mann-Whitney U statistic scaled to [0,1]: the unpaired
 // plug-in estimate of P(A>B). A rank statistic has no closed form over
-// resamples, so the unpaired test bootstraps it through the buffered
-// TwoSampleStatFunc path.
+// resamples, so the unpaired test bootstraps it on materialized resamples.
 func mwPAB(x, y []float64) float64 {
 	return stats.MannWhitney(x, y, stats.TwoTailed).PAB
 }
@@ -247,7 +246,7 @@ func (c PAB) EvaluateUnpairedSharded(a, b []float64, seed uint64, workers int) (
 		return Result{}, err
 	}
 	point := stats.MannWhitney(a, b, stats.TwoTailed).PAB
-	ci := stats.TwoSampleBootstrapKernel(a, b, stats.TwoSampleStatFunc(mwPAB), c.boots(), c.level(), seed, workers)
+	ci := stats.TwoSampleBootstrapKernel(a, b, mwPAB, c.boots(), c.level(), seed, workers)
 	return c.decide(point, ci), nil
 }
 

@@ -99,8 +99,3 @@ func Concat(a, b *Dataset) (*Dataset, error) {
 type TrainValidTest struct {
 	Train, Valid, Test *Dataset
 }
-
-// Sizes returns the three split sizes.
-func (s TrainValidTest) Sizes() (int, int, int) {
-	return s.Train.N(), s.Valid.N(), s.Test.N()
-}

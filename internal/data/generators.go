@@ -12,7 +12,6 @@ import (
 // variable (Section 2); having an explicit D lets tests validate that
 // bootstrap resampling of one finite S approximates true resampling from D.
 type Distribution interface {
-	Name() string
 	// Sample draws n i.i.d. examples using the provided source.
 	Sample(n int, r *xrand.Source) *Dataset
 }
@@ -46,9 +45,6 @@ func NewGaussianMixture(name string, classes, dim int, sep, within float64, stru
 	}
 	return g
 }
-
-// Name implements Distribution.
-func (g *GaussianMixture) Name() string { return g.TaskName }
 
 // Sample implements Distribution.
 func (g *GaussianMixture) Sample(n int, r *xrand.Source) *Dataset {
@@ -112,9 +108,6 @@ func NewTextTopics(name string, vocab, docLen, embedDim int, skew, posRate float
 	}
 	return t
 }
-
-// Name implements Distribution.
-func (t *TextTopics) Name() string { return t.TaskName }
 
 // Sample implements Distribution.
 func (t *TextTopics) Sample(n int, r *xrand.Source) *Dataset {
@@ -209,9 +202,6 @@ func NewSegmentation(name string, grid, classes, featDim, maxObjects int, noise 
 	}
 	return s
 }
-
-// Name implements Distribution.
-func (s *Segmentation) Name() string { return s.TaskName }
 
 // CellsPerImage returns the number of examples one image contributes.
 func (s *Segmentation) CellsPerImage() int { return s.GridSize * s.GridSize }
@@ -313,9 +303,6 @@ func NewPeptide(name string, alphabet, pepLen, pocketLen, alleles int, noise flo
 	}
 	return p
 }
-
-// Name implements Distribution.
-func (p *Peptide) Name() string { return p.TaskName }
 
 // Dim returns the one-hot input dimension.
 func (p *Peptide) Dim() int { return (p.PocketLen + p.PepLen) * p.Alphabet }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"varbench/internal/tensor"
 	"varbench/internal/xrand"
 )
 
@@ -232,7 +233,7 @@ func TestSubsetAndConcat(t *testing.T) {
 		t.Fatal("concat misaligned")
 	}
 	other := makeToyDataset(5, 2, 1)
-	other.X = other.X.T() // break dimensions
+	other.X = tensor.NewMatrix(other.X.Cols, other.X.Rows) // break dimensions
 	if _, err := Concat(d, other); err == nil {
 		t.Fatal("incompatible concat should error")
 	}

@@ -98,44 +98,3 @@ func StratifiedOOBSplit(d *Dataset, perTrain, perValid, perTest int, r *xrand.So
 		Test:  d.Subset(testIdx),
 	}, nil
 }
-
-// RandomSplit partitions the dataset into disjoint train/valid/test sets of
-// the given sizes without replacement (a plain random split, the fixed-split
-// baseline the paper argues against reusing across a whole benchmark).
-func RandomSplit(d *Dataset, nTrain, nValid, nTest int, r *xrand.Source) (TrainValidTest, error) {
-	if nTrain+nValid+nTest > d.N() {
-		return TrainValidTest{}, fmt.Errorf("data: split sizes %d+%d+%d exceed n=%d",
-			nTrain, nValid, nTest, d.N())
-	}
-	all := make([]int, d.N())
-	for i := range all {
-		all[i] = i
-	}
-	idx := SampleWithoutReplacement(all, nTrain+nValid+nTest, r)
-	return TrainValidTest{
-		Train: d.Subset(idx[:nTrain]),
-		Valid: d.Subset(idx[nTrain : nTrain+nValid]),
-		Test:  d.Subset(idx[nTrain+nValid:]),
-	}, nil
-}
-
-// KFold returns k cross-validation folds: fold i is (train indices, test
-// indices). Used for the Appendix B ablation comparing cross-validation with
-// the out-of-bootstrap scheme. The assignment is a random partition.
-func KFold(n, k int, r *xrand.Source) ([][2][]int, error) {
-	if k < 2 || k > n {
-		return nil, fmt.Errorf("data: k=%d invalid for n=%d", k, n)
-	}
-	perm := r.Perm(n)
-	folds := make([][2][]int, k)
-	for f := 0; f < k; f++ {
-		lo := f * n / k
-		hi := (f + 1) * n / k
-		test := append([]int(nil), perm[lo:hi]...)
-		train := make([]int, 0, n-(hi-lo))
-		train = append(train, perm[:lo]...)
-		train = append(train, perm[hi:]...)
-		folds[f] = [2][]int{train, test}
-	}
-	return folds, nil
-}

@@ -83,7 +83,7 @@ func TestOOBSplitDisjointRoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt, nv, ne := s.Sizes()
+	nt, nv, ne := s.Train.N(), s.Valid.N(), s.Test.N()
 	if nt != 300 || nv != 30 || ne != 30 {
 		t.Fatalf("sizes = %d %d %d", nt, nv, ne)
 	}
@@ -148,78 +148,5 @@ func TestStratifiedOOBSplitBalance(t *testing.T) {
 	}
 	if s.Train.N() != 5*200 || s.Valid.N() != 5*40 || s.Test.N() != 5*40 {
 		t.Fatalf("stratified sizes wrong: %d %d %d", s.Train.N(), s.Valid.N(), s.Test.N())
-	}
-}
-
-func TestRandomSplitDisjoint(t *testing.T) {
-	d := makeToyDataset(100, 2, 1)
-	// Tag each row uniquely through the first feature to detect overlap.
-	for i := 0; i < d.N(); i++ {
-		d.X.Set(i, 0, float64(i))
-	}
-	s, err := RandomSplit(d, 60, 20, 20, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[float64]bool{}
-	for _, split := range []*Dataset{s.Train, s.Valid, s.Test} {
-		for i := 0; i < split.N(); i++ {
-			id := split.X.At(i, 0)
-			if seen[id] {
-				t.Fatalf("example %v in two splits", id)
-			}
-			seen[id] = true
-		}
-	}
-	if _, err := RandomSplit(d, 90, 20, 20, xrand.New(3)); err == nil {
-		t.Fatal("oversized split should error")
-	}
-}
-
-func TestKFoldPartition(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 10 + r.Intn(100)
-		k := 2 + r.Intn(8)
-		folds, err := KFold(n, k, r)
-		if err != nil {
-			return false
-		}
-		testCount := make([]int, n)
-		for _, fold := range folds {
-			train, test := fold[0], fold[1]
-			if len(train)+len(test) != n {
-				return false
-			}
-			inTest := make(map[int]bool)
-			for _, i := range test {
-				testCount[i]++
-				inTest[i] = true
-			}
-			for _, i := range train {
-				if inTest[i] {
-					return false
-				}
-			}
-		}
-		// Every example appears in exactly one test fold.
-		for _, c := range testCount {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKFoldInvalid(t *testing.T) {
-	if _, err := KFold(5, 1, xrand.New(1)); err == nil {
-		t.Error("k=1 should error")
-	}
-	if _, err := KFold(5, 6, xrand.New(1)); err == nil {
-		t.Error("k>n should error")
 	}
 }

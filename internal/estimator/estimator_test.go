@@ -332,16 +332,3 @@ func TestKsThinning(t *testing.T) {
 		t.Error("kmax=0 should be nil")
 	}
 }
-
-func TestSourceReportRelative(t *testing.T) {
-	rep := NewSourceReport("task", "init", []float64{0.5, 0.7})
-	if rep.Std == 0 {
-		t.Fatal("std should be positive")
-	}
-	if rep.RelativeTo(rep.Std) != 1 {
-		t.Error("self-relative should be 1")
-	}
-	if rep.RelativeTo(0) != 0 {
-		t.Error("zero reference should clamp to 0")
-	}
-}

@@ -13,7 +13,6 @@ import (
 	"varbench/internal/hpo"
 	"varbench/internal/nn"
 	"varbench/internal/pipeline"
-	"varbench/internal/stats"
 	"varbench/internal/tensor"
 	"varbench/internal/xrand"
 )
@@ -104,34 +103,6 @@ func HOptMeasures(t pipeline.Task, opt hpo.Optimizer, budget, n int, baseSeed ui
 		out = append(out, perf)
 	}
 	return out, nil
-}
-
-// SourceReport is the Figure 1 cell for one task × source.
-type SourceReport struct {
-	Task     string
-	Source   string
-	Measures []float64
-	Std      float64
-}
-
-// NewSourceReport computes the summary of a measure vector.
-func NewSourceReport(task, source string, measures []float64) SourceReport {
-	return SourceReport{
-		Task:     task,
-		Source:   source,
-		Measures: measures,
-		Std:      stats.Std(measures),
-	}
-}
-
-// RelativeTo returns this source's standard deviation as a fraction of the
-// reference std (Figure 1 normalizes every source by the bootstrap/data
-// variance).
-func (r SourceReport) RelativeTo(refStd float64) float64 {
-	if refStd == 0 {
-		return 0
-	}
-	return r.Std / refStd
 }
 
 // WithReducer wraps a task so that every built training configuration uses

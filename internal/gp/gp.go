@@ -81,9 +81,6 @@ func Fit(x *tensor.Matrix, y []float64, kernel RBF, noise float64) (*GP, error) 
 	}, nil
 }
 
-// LogMarginalLikelihood returns the evidence of the fitted model.
-func (g *GP) LogMarginalLikelihood() float64 { return g.lml }
-
 // Predict returns the posterior mean and variance at query point q.
 func (g *GP) Predict(q []float64) (mean, variance float64) {
 	n := g.x.Rows

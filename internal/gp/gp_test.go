@@ -152,8 +152,7 @@ func TestLogMarginalLikelihoodSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if good.LogMarginalLikelihood() <= bad.LogMarginalLikelihood() {
-		t.Errorf("smooth-data LML ordering wrong: good=%v bad=%v",
-			good.LogMarginalLikelihood(), bad.LogMarginalLikelihood())
+	if good.lml <= bad.lml {
+		t.Errorf("smooth-data LML ordering wrong: good=%v bad=%v", good.lml, bad.lml)
 	}
 }

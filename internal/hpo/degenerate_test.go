@@ -15,7 +15,7 @@ func TestDegenerateBudgetGrids(t *testing.T) {
 		{Name: "b", Lo: 1e-4, Hi: 1, Log: true},
 		{Name: "c", Lo: -1, Hi: 1},
 	}
-	h, err := GridSearch{}.Optimize(sphere3, space, 6, xrand.New(1))
+	h, err := gridOptimize(sphere3, space, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,22 +58,11 @@ func widen(space Space, pointsPerDim int) Space {
 	return out
 }
 
-// GridSearch evaluates a full factorial grid. The number of points per
-// dimension is the largest n with n^d ≤ budget (at least 2). Grid search is
-// fully deterministic: it consumes no randomness.
-type GridSearch struct{}
-
-// Name implements Optimizer.
-func (GridSearch) Name() string { return "grid-search" }
-
-// Optimize implements Optimizer.
-func (GridSearch) Optimize(obj Objective, space Space, budget int, r *xrand.Source) (History, error) {
-	return gridOptimize(obj, space, budget, nil)
-}
-
-// NoisyGrid perturbs the grid anchor points: ãᵢ ~ U(aᵢ±Δᵢ/2), b̃ᵢ ~
-// U(bᵢ±Δᵢ/2) (Appendix E.2). In expectation it covers the same grid as
-// GridSearch, but each seed realizes a slightly different grid — modelling
+// NoisyGrid perturbs the anchor points of a full factorial grid: ãᵢ ~
+// U(aᵢ±Δᵢ/2), b̃ᵢ ~ U(bᵢ±Δᵢ/2) (Appendix E.2). The number of points per
+// dimension is the largest n with n^d ≤ budget (at least 2). In
+// expectation it covers the unperturbed grid, but each seed realizes a
+// slightly different grid — modelling
 // the arbitrary human choice of grid ranges that the paper identifies as an
 // uncontrolled ξH source.
 type NoisyGrid struct{}

@@ -33,15 +33,6 @@ func Marshal(v any) ([]byte, error) {
 	return json.Marshal(tree) //lint:allow jsonsafe(tree is the sanitizer's own output: every non-finite float is already a string)
 }
 
-// MarshalIndent is the indented counterpart of Marshal.
-func MarshalIndent(v any, prefix, indent string) ([]byte, error) {
-	tree, err := sanitize(reflect.ValueOf(v))
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(tree, prefix, indent) //lint:allow jsonsafe(tree is the sanitizer's own output: every non-finite float is already a string)
-}
-
 var marshalerType = reflect.TypeOf((*json.Marshaler)(nil)).Elem()
 
 // sanitize converts v into a tree of plain values (orderedObject, []any,

@@ -67,18 +67,6 @@ func TestMarshalMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-func TestMarshalIndentMatchesEncodingJSON(t *testing.T) {
-	v := sample{Name: "exp", P: 0.5, Scores: []float64{1, 2}}
-	want, _ := json.MarshalIndent(v, "", "  ")
-	got, err := MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("indent mismatch:\n got %s\nwant %s", got, want)
-	}
-}
-
 // TestMarshalNonFinite is the point of the package: NaN and ±Inf encode as
 // null wherever they appear, instead of failing the whole document.
 func TestMarshalNonFinite(t *testing.T) {

@@ -161,7 +161,7 @@ func checkSourceImports(t *testing.T, src string, imports ...string) []Diagnosti
 	if err != nil {
 		t.Fatal(err)
 	}
-	exports, importMap, err := Deps(".", imports...)
+	exports, importMap, err := deps(".", imports...)
 	if err != nil {
 		t.Fatal(err)
 	}

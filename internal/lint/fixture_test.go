@@ -68,7 +68,7 @@ func loadFixture(t *testing.T, name string) *Package {
 			imports = append(imports, path)
 		}
 		sort.Strings(imports)
-		exports, importMap, err = Deps(".", imports...)
+		exports, importMap, err = deps(".", imports...)
 		if err != nil {
 			t.Fatal(err)
 		}

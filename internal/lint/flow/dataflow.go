@@ -23,19 +23,6 @@ func (f Facts[K]) Clone() Facts[K] {
 	return out
 }
 
-// Equal reports whether f and g hold the same facts.
-func (f Facts[K]) Equal(g Facts[K]) bool {
-	if len(f) != len(g) {
-		return false
-	}
-	for k := range f {
-		if !g[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // union adds g's facts into f, reporting whether f changed.
 func (f Facts[K]) union(g Facts[K]) bool {
 	changed := false

@@ -47,15 +47,10 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Deps resolves package metadata for patterns: the export-data location of
-// every transitive dependency (path → file) and the vendoring import map
-// (source import path → resolved path). dir is the directory `go list` runs
-// in; it must be inside the module.
-func Deps(dir string, patterns ...string) (exports, importMap map[string]string, err error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, nil, err
-	}
+// exportMaps returns the export-data location of every listed package
+// (path → file) and the vendoring import map (source import path →
+// resolved path).
+func exportMaps(pkgs []*listPackage) (exports, importMap map[string]string) {
 	exports = make(map[string]string, len(pkgs))
 	importMap = make(map[string]string)
 	for _, p := range pkgs {
@@ -66,7 +61,7 @@ func Deps(dir string, patterns ...string) (exports, importMap map[string]string,
 			importMap[from] = to
 		}
 	}
-	return exports, importMap, nil
+	return exports, importMap
 }
 
 // Load lists patterns (e.g. "./...") from dir and returns every matched
@@ -78,16 +73,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(pkgs))
-	importMap := make(map[string]string)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		for from, to := range p.ImportMap {
-			importMap[from] = to
-		}
-	}
+	exports, importMap := exportMaps(pkgs)
 
 	fset := token.NewFileSet()
 	var out []*Package
@@ -120,8 +106,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // Typecheck checks files as one package named path, resolving imports
-// through the export-data map produced by Deps or Load. importMap may be
-// nil when the module does not vendor.
+// through the export-data maps of a go list listing (see exportMaps).
+// importMap may be nil when the module does not vendor.
 func Typecheck(fset *token.FileSet, path string, files []*ast.File, exports, importMap map[string]string) (*Package, error) {
 	compilerImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return openExport(exports, path)

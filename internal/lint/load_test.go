@@ -40,11 +40,23 @@ var _ = fmt.Sprint
 	}
 }
 
+// deps resolves the export-data maps of patterns and their transitive
+// dependencies, listed from dir, for fixtures that typecheck their own
+// sources.
+func deps(dir string, patterns ...string) (exports, importMap map[string]string, err error) {
+	pkgs, err := goList(dir, patterns)
+	if err != nil {
+		return nil, nil, err
+	}
+	exports, importMap = exportMaps(pkgs)
+	return exports, importMap, nil
+}
+
 func TestTypecheckVendoredImportMap(t *testing.T) {
 	// A vendored-style import map: the source imports "vendored/fmt", the
 	// map resolves it to the real fmt, and the real export data satisfies
 	// the importer.
-	exports, _, err := Deps(".", "fmt")
+	exports, _, err := deps(".", "fmt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +126,17 @@ func TestGoListCached(t *testing.T) {
 		defer listCacheMu.Unlock()
 		return goListExecs
 	}
-	if _, _, err := Deps(".", "errors"); err != nil {
+	if _, _, err := deps(".", "errors"); err != nil {
 		t.Fatal(err)
 	}
 	before := countExecs()
-	if _, _, err := Deps(".", "errors"); err != nil {
+	if _, _, err := deps(".", "errors"); err != nil {
 		t.Fatal(err)
 	}
 	if after := countExecs(); after != before {
-		t.Errorf("repeated Deps ran go list again (%d → %d execs), want cache hit", before, after)
+		t.Errorf("repeated deps ran go list again (%d → %d execs), want cache hit", before, after)
 	}
-	if _, _, err := Deps(".", "errors", "strconv"); err != nil {
+	if _, _, err := deps(".", "errors", "strconv"); err != nil {
 		t.Fatal(err)
 	}
 	if after := countExecs(); after != before+1 {

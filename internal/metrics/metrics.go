@@ -24,9 +24,6 @@ func Accuracy(pred, target []int) float64 {
 	return float64(hits) / float64(len(pred))
 }
 
-// ErrorRate returns 1 - Accuracy.
-func ErrorRate(pred, target []int) float64 { return 1 - Accuracy(pred, target) }
-
 // MeanIoU returns the mean intersection-over-union across classes, the
 // PascalVOC segmentation metric: for each class, |pred∩target| /
 // |pred∪target| over all cells, averaged over classes that appear in either
@@ -128,17 +125,4 @@ func Pearson(pred, target []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// MSE returns the mean squared error.
-func MSE(pred, target []float64) float64 {
-	if len(pred) != len(target) || len(pred) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - target[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
 }

@@ -12,9 +12,6 @@ func TestAccuracy(t *testing.T) {
 	if got := Accuracy([]int{1, 2, 3, 4}, []int{1, 2, 0, 4}); got != 0.75 {
 		t.Errorf("Accuracy = %v", got)
 	}
-	if got := ErrorRate([]int{1, 2, 3, 4}, []int{1, 2, 0, 4}); got != 0.25 {
-		t.Errorf("ErrorRate = %v", got)
-	}
 	if !math.IsNaN(Accuracy(nil, nil)) {
 		t.Error("empty accuracy should be NaN")
 	}
@@ -138,11 +135,5 @@ func TestPearson(t *testing.T) {
 	}
 	if !math.IsNaN(Pearson(x, []float64{1, 1, 1, 1})) {
 		t.Error("constant target should give NaN")
-	}
-}
-
-func TestMSE(t *testing.T) {
-	if got := MSE([]float64{1, 2}, []float64{0, 4}); got != (1.0+4.0)/2 {
-		t.Errorf("MSE = %v", got)
 	}
 }

@@ -56,36 +56,16 @@ func NewMLP(sizes []int, act Activation, loss Loss, dropout float64,
 	return m, nil
 }
 
-// Clone returns a deep copy of the network.
-func (m *MLP) Clone() *MLP {
-	c := &MLP{Activation: m.Activation, Loss: m.Loss, Dropout: m.Dropout}
-	for l := range m.Weights {
-		c.Weights = append(c.Weights, m.Weights[l].Clone())
-		c.Biases = append(c.Biases, append([]float64(nil), m.Biases[l]...))
-	}
-	return c
-}
-
 // NumLayers returns the number of weight layers.
 func (m *MLP) NumLayers() int { return len(m.Weights) }
-
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.Weights {
-		n += len(m.Weights[l].Data) + len(m.Biases[l])
-	}
-	return n
-}
 
 // workspace holds every buffer one forward/backward pass writes: layer
 // outputs, pre-dropout activations, dropout masks, deltas, softmax
 // probabilities, parameter gradients and an input batch. Buffers are sized
 // on first use and resized in place after that, so passes over batches no
 // larger than an earlier one allocate nothing. A workspace carries no state
-// from one pass to the next (each pass overwrites whatever it later reads),
-// which is why checkpoints never include one. A workspace serves one
-// goroutine and one model shape.
+// from one pass to the next (each pass overwrites whatever it later reads).
+// A workspace serves one goroutine and one model shape.
 type workspace struct {
 	outs   []tensor.Matrix // outs[l]: layer l's output; hidden layers after activation and dropout
 	acts   []tensor.Matrix // acts[l]: hidden layer l's activations before dropout (dropout passes only)
@@ -165,13 +145,6 @@ func (m *MLP) forward(ws *workspace, x *tensor.Matrix, dropoutRng *xrand.Source)
 		h = z
 	}
 	return h
-}
-
-// Softmax returns row-wise softmax probabilities of logits.
-func Softmax(logits *tensor.Matrix) *tensor.Matrix {
-	p := logits.Clone()
-	softmaxRows(p)
-	return p
 }
 
 // softmaxRows replaces each row of p with its softmax.

@@ -73,60 +73,3 @@ func TestAdamDefaults(t *testing.T) {
 		t.Error("explicit values overwritten")
 	}
 }
-
-func TestAdamCheckpointResume(t *testing.T) {
-	// The second-moment state and step counter must survive checkpointing:
-	// bias correction depends on the step count, so a mismatch would show
-	// up as diverging weights.
-	train := toyClassification(150, 2)
-	cfg := adamConfig()
-	cfg.Epochs = 5
-	ref, err := Train(cfg, train, xrand.NewStreams(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(cfg, train, xrand.NewStreams(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 2; e++ {
-		if err := tr.Epoch(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckpt, err := tr.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeTrainer(cfg, train, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !resumed.Done() {
-		if err := resumed.Epoch(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !identicalModels(ref.Model, resumed.Model()) {
-		t.Fatal("Adam resume diverged from straight run")
-	}
-}
-
-func TestAdamCheckpointRejectsSGDCheckpoint(t *testing.T) {
-	train := toyClassification(60, 1)
-	sgdCfg := baseConfig(3, CrossEntropy)
-	sgdCfg.Epochs = 2
-	tr, err := NewTrainer(sgdCfg, train, xrand.NewStreams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := tr.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	adamCfg := sgdCfg
-	adamCfg.Algo = Adam
-	if _, err := ResumeTrainer(adamCfg, train, ckpt); err == nil {
-		t.Fatal("SGD checkpoint accepted for Adam config")
-	}
-}

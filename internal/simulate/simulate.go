@@ -60,11 +60,6 @@ func MeanDiffForPAB(p, sigma2 float64) float64 {
 	return stats.NormQuantile(p) * math.Sqrt(2*sigma2)
 }
 
-// TruePAB inverts MeanDiffForPAB.
-func TruePAB(meanDiff, sigma2 float64) float64 {
-	return stats.NormCDF(meanDiff / math.Sqrt(2*sigma2))
-}
-
 // Config parameterizes one detection-rate study.
 type Config struct {
 	K     int     // measures per algorithm per simulation (paper: 50)

@@ -8,10 +8,16 @@ import (
 	"varbench/internal/xrand"
 )
 
+// truePAB inverts MeanDiffForPAB: the P(A>B) of two independent normals
+// meanDiff apart, each with variance sigma2.
+func truePAB(meanDiff, sigma2 float64) float64 {
+	return stats.NormCDF(meanDiff / math.Sqrt(2*sigma2))
+}
+
 func TestMeanDiffAndTruePABRoundTrip(t *testing.T) {
 	for _, p := range []float64{0.4, 0.5, 0.6, 0.75, 0.9, 0.99} {
 		diff := MeanDiffForPAB(p, 0.04)
-		back := TruePAB(diff, 0.04)
+		back := truePAB(diff, 0.04)
 		if math.Abs(back-p) > 1e-9 {
 			t.Errorf("round trip %v → %v", p, back)
 		}

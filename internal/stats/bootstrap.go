@@ -8,21 +8,10 @@ type CI struct {
 	Level  float64 // confidence level, e.g. 0.95
 }
 
-// Contains reports whether v lies inside the interval.
-func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
-
 // Pair is one paired performance measurement of two algorithms on the same
 // seeds/splits (Appendix C.2).
 type Pair struct {
 	A, B float64
-}
-
-// NormalCI returns the normal-approximation interval
-// estimate ± z_{1-α/2}·se, used as the ablation baseline against the
-// percentile bootstrap's exact limit (PABCountsCI).
-func NormalCI(estimate, se float64, level float64) CI {
-	z := NormQuantile(1 - (1-level)/2)
-	return CI{Lo: estimate - z*se, Hi: estimate + z*se, Level: level}
 }
 
 // NoetherSampleSize returns the minimal number of paired measurements needed

@@ -31,12 +31,11 @@ func BenchmarkTwoSampleBootstrapK1000(b *testing.B) {
 		a[i] = r.NormFloat64() + 0.5
 		c[i] = r.NormFloat64()
 	}
-	stat := TwoSampleStatFunc(func(x, y []float64) float64 { return MannWhitney(x, y, TwoTailed).PAB })
 	for _, w := range distinctWorkers(1, runtime.GOMAXPROCS(0)) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				TwoSampleBootstrapKernel(a, c, stat, 1000, 0.95, 9, w)
+				TwoSampleBootstrapKernel(a, c, mwPAB, 1000, 0.95, 9, w)
 			}
 		})
 	}

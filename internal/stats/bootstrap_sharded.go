@@ -12,10 +12,18 @@ import (
 // boundaries and RNG streams depend only on (seed, K) — never on the worker
 // count or on scheduling — so the resampled statistics, and therefore the
 // confidence interval, are bit-identical at any parallelism. It runs the
-// unpaired protocol's Mann-Whitney P(A>B) through the TwoSampleStatFunc
-// adapter (kernel.go). All scratch (the resampled-statistic vector, the
-// shard descriptors, buffered-path buffers) cycles through pools, so the
-// serial engine allocates nothing in steady state.
+// unpaired protocol's Mann-Whitney P(A>B); the paired P(A>B) needs no
+// resampling at all (see PABCountsCI). All scratch (the resampled-statistic
+// vector, the shard descriptors, the resample buffers) cycles through
+// pools, so the serial engine allocates nothing in steady state.
+//
+// Determinism contract (the worker-count invariance and the golden reports
+// rest on it):
+//
+//   - exactly one r.Intn(len(sample)) per sampled element, drawn in element
+//     order: all of a's draws, then all of b's;
+//   - no other reads of r, and no dependence on how [0, K) resamples are
+//     partitioned across shards or workers.
 
 // maxBootstrapShards bounds the shard count. 64 shards keep the work queue
 // balanced for any plausible worker count while each shard still amortizes
@@ -44,7 +52,22 @@ type bootstrapShard struct {
 // stream derivation.
 const bootstrapShardPrefix = "bootstrap/shard/"
 
-var shardPool sync.Pool // *[]bootstrapShard
+var (
+	shardPool sync.Pool // *[]bootstrapShard
+	floatPool sync.Pool // *[]float64; pooled by pointer so Put does not allocate
+)
+
+// getFloats returns a pooled len-n float slice (contents unspecified).
+func getFloats(n int) *[]float64 {
+	if p, _ := floatPool.Get().(*[]float64); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]float64, n)
+	return &s
+}
+
+func putFloats(p *[]float64) { floatPool.Put(p) }
 
 // getShards returns a pooled slice of n shards covering [0, k) with their
 // (seed, index)-derived RNG streams seeded in place.
@@ -88,25 +111,40 @@ func parallelShards(nsh, workers int, work func(s int)) {
 	wg.Wait()
 }
 
-// shardedVals fills vals with len(vals) resampled statistics of kern over
+// shardedVals fills vals with len(vals) resampled statistics of stat over
 // (a, b), sharded across `workers` goroutines. The shard streams depend
 // only on (seed, len(vals)) and shards write disjoint ranges, so the
 // contents of vals are bit-identical at any worker count.
-func shardedVals(vals []float64, a, b []float64, kern TwoSampleKernel, seed uint64, workers int) {
+func shardedVals(vals []float64, a, b []float64, stat func(a, b []float64) float64, seed uint64, workers int) {
 	sp := getShards(len(vals), seed)
 	shards := *sp
 	if min(workers, len(shards)) <= 1 {
 		for i := range shards {
 			sh := &shards[i]
-			kern.ResampleInto(vals[sh.Lo:sh.Hi], a, b, &sh.R)
+			resampleInto(vals[sh.Lo:sh.Hi], a, b, stat, &sh.R)
 		}
 	} else {
 		parallelShards(len(shards), workers, func(i int) {
 			sh := &shards[i]
-			kern.ResampleInto(vals[sh.Lo:sh.Hi], a, b, &sh.R)
+			resampleInto(vals[sh.Lo:sh.Hi], a, b, stat, &sh.R)
 		})
 	}
 	shardPool.Put(sp)
+}
+
+// resampleInto sets each out[i] to stat over one resample of (a, b): all
+// of a redrawn with replacement from r, then all of b, materialized in
+// pooled buffers.
+func resampleInto(out []float64, a, b []float64, stat func(a, b []float64) float64, r *xrand.Source) {
+	pa, pb := getFloats(len(a)), getFloats(len(b))
+	bufA, bufB := *pa, *pb
+	for i := range out {
+		xrand.SampleInto(r, bufA, a)
+		xrand.SampleInto(r, bufB, b)
+		out[i] = stat(bufA, bufB)
+	}
+	putFloats(pa)
+	putFloats(pb)
 }
 
 // badBootstrap reports whether a bootstrap request is degenerate: nothing
@@ -133,20 +171,20 @@ func percentileCI(vals []float64, level float64) CI {
 }
 
 // TwoSampleBootstrapKernel computes the sharded percentile-bootstrap CI of
-// a two-sample kernel statistic: K resamples, each redrawing both a and b
+// a two-sample statistic: K resamples, each redrawing both a and b
 // independently with replacement, and the interval given by the α/2 and
 // 1-α/2 empirical quantiles of the resampled statistics. Results depend
-// only on (a, b, kern, k, level, seed): any worker count, including 1,
+// only on (a, b, stat, k, level, seed): any worker count, including 1,
 // produces bit-identical intervals. Degenerate input (an empty sample,
 // k ≤ 0, level outside (0,1)) yields a NaN CI. This is the engine behind
 // the unpaired (Mann-Whitney) variant of the recommended test.
-func TwoSampleBootstrapKernel(a, b []float64, kern TwoSampleKernel, k int, level float64, seed uint64, workers int) CI {
+func TwoSampleBootstrapKernel(a, b []float64, stat func(a, b []float64) float64, k int, level float64, seed uint64, workers int) CI {
 	if badBootstrap(min(len(a), len(b)), k, level) {
 		return nanCI(level)
 	}
 	vp := getFloats(k)
 	vals := *vp
-	shardedVals(vals, a, b, kern, seed, workers)
+	shardedVals(vals, a, b, stat, seed, workers)
 	ci := percentileCI(vals, level)
 	putFloats(vp)
 	return ci

@@ -12,6 +12,9 @@ import (
 // the buffered bootstrap path.
 func meanDiff(a, b []float64) float64 { return Mean(a) - Mean(b) }
 
+// contains reports whether v lies inside ci.
+func contains(ci CI, v float64) bool { return v >= ci.Lo && v <= ci.Hi }
+
 func TestPercentileBootstrapCoversMean(t *testing.T) {
 	// Coverage check: a 95% CI for a mean difference should contain the
 	// true difference in roughly 95% of repetitions.
@@ -23,8 +26,8 @@ func TestPercentileBootstrapCoversMean(t *testing.T) {
 		for i := range a {
 			a[i], b[i] = r.Normal(10, 2), r.Normal(0, 1)
 		}
-		ci := TwoSampleBootstrapKernel(a, b, TwoSampleStatFunc(meanDiff), 500, 0.95, r.Uint64(), 1)
-		if ci.Contains(10) {
+		ci := TwoSampleBootstrapKernel(a, b, meanDiff, 500, 0.95, r.Uint64(), 1)
+		if contains(ci, 10) {
 			hits++
 		}
 	}
@@ -67,16 +70,9 @@ func TestPairedPercentileBootstrapPAB(t *testing.T) {
 	if ci.Lo <= 0.5 {
 		t.Errorf("CI.Lo = %v, want > 0.5 for dominated pairs", ci.Lo)
 	}
-	if ci.Hi > 1 || ci.Lo < 0 || !ci.Contains(PairedPAB(a, b)) {
-		t.Errorf("CI %+v out of [0,1] or missing the point estimate %v", ci, PairedPAB(a, b))
+	if est := float64(w) / float64(len(a)); ci.Hi > 1 || ci.Lo < 0 || !contains(ci, est) {
+		t.Errorf("CI %+v out of [0,1] or missing the point estimate %v", ci, est)
 	}
-}
-
-func TestNormalCI(t *testing.T) {
-	ci := NormalCI(0.8, 0.05, 0.95)
-	want := 1.959963984540054 * 0.05
-	approxEq(t, "NormalCI lo", ci.Lo, 0.8-want, 1e-9)
-	approxEq(t, "NormalCI hi", ci.Hi, 0.8+want, 1e-9)
 }
 
 func TestNoetherSampleSizePaper(t *testing.T) {
@@ -108,49 +104,12 @@ func TestNoetherMonotone(t *testing.T) {
 	}
 }
 
-func TestRegressionGolden(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2.1, 3.9, 6.2, 7.8, 10.1}
-	fit := LinearRegression(x, y)
-	approxEq(t, "slope", fit.Slope, 2.01, 0.03)
-	approxEq(t, "intercept", fit.Intercept, 0, 0.15)
-	if fit.R2 < 0.99 {
-		t.Errorf("R2 = %v, want > 0.99", fit.R2)
-	}
-}
-
 func TestRegressionThroughOrigin(t *testing.T) {
 	x := []float64{1, 2, 4}
 	y := []float64{2, 4, 8}
 	fit := RegressionThroughOrigin(x, y)
 	approxEq(t, "slope", fit.Slope, 2, 1e-12)
 	approxEq(t, "R2", fit.R2, 1, 1e-12)
-}
-
-func TestCorrections(t *testing.T) {
-	p := []float64{0.01, 0.04, 0.03, 0.005}
-	bonf := BonferroniCorrect(p)
-	if bonf[0] != 0.04 || bonf[3] != 0.02 {
-		t.Errorf("Bonferroni = %v", bonf)
-	}
-	holm := HolmCorrect(p)
-	// Holm: sorted p = .005, .01, .03, .04 → adj = .02, .03, .06, .06.
-	wantHolm := []float64{0.03, 0.06, 0.06, 0.02}
-	for i := range wantHolm {
-		approxEq(t, "Holm", holm[i], wantHolm[i], 1e-12)
-	}
-	bh := BenjaminiHochberg(p)
-	// BH: sorted .005,.01,.03,.04 → raw adj .02,.02,.04,.04 (monotone).
-	wantBH := []float64{0.02, 0.04, 0.04, 0.02}
-	for i := range wantBH {
-		approxEq(t, "BH", bh[i], wantBH[i], 1e-12)
-	}
-	// Corrections never reduce p-values.
-	for i := range p {
-		if bonf[i] < p[i] || holm[i] < p[i] || bh[i] < p[i] {
-			t.Error("correction decreased a p-value")
-		}
-	}
 }
 
 func TestGammaBonferroni(t *testing.T) {

@@ -51,36 +51,6 @@ func StdOfStd(sigma float64, n int) float64 {
 	return sigma / math.Sqrt(2*float64(n-1))
 }
 
-// Quantile returns the p-quantile of x using linear interpolation between
-// order statistics (type-7, the numpy/R default). x need not be sorted.
-func Quantile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	return quantileSorted(s, p)
-}
-
-func quantileSorted(s []float64, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 1 {
-		return s[len(s)-1]
-	}
-	h := p * float64(len(s)-1)
-	lo := int(math.Floor(h))
-	frac := h - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Median returns the 0.5-quantile.
-func Median(x []float64) float64 { return Quantile(x, 0.5) }
-
 // MinMax returns the extrema of x, (NaN, NaN) for empty input.
 func MinMax(x []float64) (min, max float64) {
 	if len(x) == 0 {
@@ -118,11 +88,6 @@ func PearsonCorr(x, y []float64) float64 {
 		return math.NaN()
 	}
 	return Covariance(x, y) / (sx * sy)
-}
-
-// SpearmanCorr returns the Spearman rank correlation of paired samples.
-func SpearmanCorr(x, y []float64) float64 {
-	return PearsonCorr(Ranks(x), Ranks(y))
 }
 
 // Ranks returns the 1-based ranks of x, assigning midranks to ties.
@@ -185,14 +150,4 @@ func MeanCorrelation(rows [][]float64) float64 {
 		return math.NaN()
 	}
 	return total / float64(count)
-}
-
-// RhoFromVariances solves Equation 7 for ρ given the observed variance of the
-// biased estimator with k samples and the variance σ² of individual measures:
-// Var(μ̃(k)) = σ²/k + (k-1)/k·ρ·σ²  ⇒  ρ = (k·Var(μ̃)/σ² − 1)/(k−1).
-func RhoFromVariances(varEstimator, sigma2 float64, k int) float64 {
-	if k < 2 || sigma2 <= 0 {
-		return math.NaN()
-	}
-	return (float64(k)*varEstimator/sigma2 - 1) / float64(k-1)
 }

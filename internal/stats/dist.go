@@ -1,35 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"varbench/internal/xrand"
-)
-
-// Normal is a Gaussian distribution with mean Mu and standard deviation Sigma.
-type Normal struct {
-	Mu, Sigma float64
-}
-
-// PDF returns the density at x.
-func (n Normal) PDF(x float64) float64 {
-	return NormPDF((x-n.Mu)/n.Sigma) / n.Sigma
-}
-
-// CDF returns P(X ≤ x).
-func (n Normal) CDF(x float64) float64 {
-	return NormCDF((x - n.Mu) / n.Sigma)
-}
-
-// Quantile returns the p-quantile.
-func (n Normal) Quantile(p float64) float64 {
-	return n.Mu + n.Sigma*NormQuantile(p)
-}
-
-// Sample draws one value using r.
-func (n Normal) Sample(r *xrand.Source) float64 {
-	return r.Normal(n.Mu, n.Sigma)
-}
+import "math"
 
 // Binomial is the distribution of successes in N trials with probability P.
 // The paper uses it to model test-set sampling noise of an accuracy measure
@@ -61,34 +32,12 @@ func (b Binomial) PMF(k int) float64 {
 		float64(k)*math.Log(b.P) + float64(b.N-k)*math.Log(1-b.P))
 }
 
-// CDF returns P(X ≤ k) via the regularized incomplete beta identity.
-func (b Binomial) CDF(k int) float64 {
-	switch {
-	case k < 0:
-		return 0
-	case k >= b.N:
-		return 1
-	}
-	return RegIncBeta(float64(b.N-k), float64(k+1), 1-b.P)
-}
-
-// Mean returns N·P.
-func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
-
-// Std returns sqrt(N·P·(1-P)).
-func (b Binomial) Std() float64 {
-	return math.Sqrt(float64(b.N) * b.P * (1 - b.P))
-}
-
 // AccuracyStd returns the standard deviation of the *proportion* of correct
 // answers measured on N samples: sqrt(P(1-P)/N). This is the dotted-line
 // model of Figure 2.
 func (b Binomial) AccuracyStd() float64 {
 	return math.Sqrt(b.P * (1 - b.P) / float64(b.N))
 }
-
-// Sample draws one count using r.
-func (b Binomial) Sample(r *xrand.Source) int { return r.Binomial(b.N, b.P) }
 
 // StudentT is Student's t distribution with Nu degrees of freedom.
 type StudentT struct {
@@ -106,29 +55,6 @@ func (s StudentT) CDF(t float64) float64 {
 		return 1 - p
 	}
 	return p
-}
-
-// Quantile returns the p-quantile by bisection on the CDF (monotone,
-// well-conditioned; plenty fast for test thresholds).
-func (s StudentT) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	case p == 0.5:
-		return 0
-	}
-	lo, hi := -1e3, 1e3
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if s.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // ChiSquared is the chi-squared distribution with K degrees of freedom.

@@ -1,109 +1,5 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Exact small-sample machinery. The normal approximation behind MannWhitney
-// is accurate for n, m ≳ 10; benchmark comparisons at the paper's
-// recommended N=29 pairs sit near that regime, and smaller pilot studies sit
-// below it. MannWhitneyExact computes the exact null distribution of U by
-// dynamic programming, and ClopperPearson gives an exact binomial interval
-// for proportions such as P(A>B) without ties.
-
-// exactRow returns c[u] = the number of arrangements of n ranks among n+m
-// whose U statistic equals u, via the recurrence
-// f(i, j, u) = f(i-1, j, u-j) + f(i, j-1, u) with f(0, j, 0) = f(i, 0, 0) = 1.
-// Counts are float64 (exact below 2^53, far beyond the n, m ≤ 40 this is
-// used for). O(n·m·U) time.
-func exactRow(n, m, maxU int) []float64 {
-	table := make([][]float64, m+1)
-	for j := range table {
-		table[j] = make([]float64, maxU+1)
-	}
-	// f(0, j, 0) = 1 for all j.
-	for j := 0; j <= m; j++ {
-		table[j][0] = 1
-	}
-	for i := 1; i <= n; i++ {
-		next := make([][]float64, m+1)
-		for j := range next {
-			next[j] = make([]float64, maxU+1)
-		}
-		next[0][0] = 1
-		for j := 1; j <= m; j++ {
-			for u := 0; u <= i*j; u++ {
-				v := next[j-1][u]
-				if u >= j {
-					v += table[j][u-j]
-				}
-				next[j][u] = v
-			}
-		}
-		table = next
-	}
-	return table[m]
-}
-
-// MannWhitneyExact computes the exact p-value of the Mann-Whitney U test
-// for samples without ties. For tied data or samples larger than 40 it
-// falls back to the normal approximation of MannWhitney.
-func MannWhitneyExact(a, b []float64, tail Tail) MannWhitneyResult {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return MannWhitneyResult{U: math.NaN(), PAB: math.NaN(), Z: math.NaN(), PValue: math.NaN()}
-	}
-	if n > 40 || m > 40 || hasTies(a, b) {
-		return MannWhitney(a, b, tail)
-	}
-	res := MannWhitney(a, b, tail) // U, PAB, Z from the shared path
-	counts := exactRow(n, m, n*m)
-	total := 0.0
-	for _, c := range counts {
-		total += c
-	}
-	u := int(math.Round(res.U))
-	cdf := 0.0 // P(U ≤ u)
-	for i := 0; i <= u && i < len(counts); i++ {
-		cdf += counts[i]
-	}
-	cdf /= total
-	// Survival including the observed value: P(U ≥ u).
-	sfInc := 0.0
-	for i := u; i < len(counts); i++ {
-		sfInc += counts[i]
-	}
-	sfInc /= total
-	var p float64
-	switch tail {
-	case GreaterTailed:
-		p = sfInc
-	case LessTailed:
-		p = cdf
-	default:
-		p = 2 * math.Min(cdf, sfInc)
-		if p > 1 {
-			p = 1
-		}
-	}
-	res.PValue = p
-	return res
-}
-
-func hasTies(a, b []float64) bool {
-	all := make([]float64, 0, len(a)+len(b))
-	all = append(all, a...)
-	all = append(all, b...)
-	sort.Float64s(all)
-	for i := 1; i < len(all); i++ {
-		if all[i] == all[i-1] {
-			return true
-		}
-	}
-	return false
-}
-
 // ClopperPearson returns the exact binomial confidence interval for a
 // proportion with k successes in n trials, via the beta-quantile
 // formulation. Useful as an exact alternative to the percentile bootstrap
@@ -136,103 +32,4 @@ func betaQuantile(p, a, b float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// CohensD returns the standardized mean difference of two samples with a
-// pooled standard deviation — the classical parametric effect size.
-func CohensD(a, b []float64) float64 {
-	na, nb := float64(len(a)), float64(len(b))
-	if na < 2 || nb < 2 {
-		return math.NaN()
-	}
-	va, vb := Variance(a), Variance(b)
-	pooled := math.Sqrt(((na-1)*va + (nb-1)*vb) / (na + nb - 2))
-	if pooled == 0 {
-		return math.NaN()
-	}
-	return (Mean(a) - Mean(b)) / pooled
-}
-
-// CliffsDelta returns Cliff's δ = P(A>B) − P(B>A) ∈ [−1, 1], the ordinal
-// effect size directly related to the paper's criterion:
-// δ = 2·P(A>B) − 1 when ties are counted half.
-func CliffsDelta(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return math.NaN()
-	}
-	gt, lt := 0, 0
-	for _, x := range a {
-		for _, y := range b {
-			switch {
-			case x > y:
-				gt++
-			case x < y:
-				lt++
-			}
-		}
-	}
-	return float64(gt-lt) / float64(len(a)*len(b))
-}
-
-// KolmogorovSmirnov performs the two-sample KS test: D is the maximal
-// distance between empirical CDFs and the p-value uses the asymptotic
-// Kolmogorov distribution. An alternative distribution-shape check to
-// Shapiro-Wilk for comparing two sets of benchmark measures.
-func KolmogorovSmirnov(a, b []float64) (d, pvalue float64) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		return math.NaN(), math.NaN()
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	i, j := 0, 0
-	for i < n && j < m {
-		var x float64
-		if sa[i] <= sb[j] {
-			x = sa[i]
-		} else {
-			x = sb[j]
-		}
-		for i < n && sa[i] <= x {
-			i++
-		}
-		for j < m && sb[j] <= x {
-			j++
-		}
-		diff := math.Abs(float64(i)/float64(n) - float64(j)/float64(m))
-		if diff > d {
-			d = diff
-		}
-	}
-	ne := float64(n) * float64(m) / float64(n+m)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return d, ksSurvival(lambda)
-}
-
-// ksSurvival evaluates the Kolmogorov distribution's survival function
-// Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} exp(−2k²λ²).
-func ksSurvival(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	sum := 0.0
-	sign := 1.0
-	for k := 1; k <= 100; k++ {
-		term := sign * math.Exp(-2*float64(k*k)*lambda*lambda)
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }

@@ -1,76 +1,8 @@
 package stats
 
-import "sort"
-
-// Multiple-comparison corrections for benchmarks with many contestants
-// (Section 6): when k algorithms are compared pairwise, per-comparison
-// thresholds must be tightened to control the family-wise error rate or the
-// false-discovery rate.
-
-// BonferroniCorrect returns the p-values multiplied by the number of
-// comparisons, clipped at 1. Controls FWER; very conservative for large m.
-func BonferroniCorrect(p []float64) []float64 {
-	m := float64(len(p))
-	out := make([]float64, len(p))
-	for i, v := range p {
-		adj := v * m
-		if adj > 1 {
-			adj = 1
-		}
-		out[i] = adj
-	}
-	return out
-}
-
-// HolmCorrect applies the Holm step-down procedure, uniformly more powerful
-// than Bonferroni while still controlling FWER.
-func HolmCorrect(p []float64) []float64 {
-	n := len(p)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return p[idx[a]] < p[idx[b]] })
-	out := make([]float64, n)
-	runMax := 0.0
-	for rank, i := range idx {
-		adj := p[i] * float64(n-rank)
-		if adj > 1 {
-			adj = 1
-		}
-		if adj < runMax {
-			adj = runMax // enforce monotonicity
-		}
-		runMax = adj
-		out[i] = adj
-	}
-	return out
-}
-
-// BenjaminiHochberg applies the BH step-up procedure controlling the false
-// discovery rate.
-func BenjaminiHochberg(p []float64) []float64 {
-	n := len(p)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return p[idx[a]] < p[idx[b]] })
-	out := make([]float64, n)
-	runMin := 1.0
-	for rank := n - 1; rank >= 0; rank-- {
-		i := idx[rank]
-		adj := p[i] * float64(n) / float64(rank+1)
-		if adj > 1 {
-			adj = 1
-		}
-		if adj < runMin {
-			runMin = adj
-		}
-		out[i] = runMin
-	}
-	return out
-}
+// The multiple-comparison adjustment for benchmarks with many contestants
+// (Section 6): when m comparisons are judged at once, the per-comparison
+// threshold must be tightened to control the family-wise error rate.
 
 // GammaMax is the saturation ceiling of GammaBonferroni: the largest
 // adjusted meaningfulness threshold it returns. It sits strictly below 1

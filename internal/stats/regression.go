@@ -2,35 +2,9 @@ package stats
 
 import "math"
 
-// LinearFit is the result of a simple linear regression y ≈ Intercept + Slope·x.
+// LinearFit is the result of a least-squares fit y ≈ Slope·x.
 type LinearFit struct {
-	Slope, Intercept float64
-	R2               float64
-}
-
-// LinearRegression fits y = a + b·x by least squares.
-func LinearRegression(x, y []float64) LinearFit {
-	if len(x) != len(y) || len(x) < 2 {
-		return LinearFit{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN()}
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN()}
-	}
-	b := sxy / sxx
-	a := my - b*mx
-	var r2 float64
-	if syy > 0 {
-		r2 = sxy * sxy / (sxx * syy)
-	}
-	return LinearFit{Slope: b, Intercept: a, R2: r2}
+	Slope, R2 float64
 }
 
 // RegressionThroughOrigin fits y = b·x by least squares with no intercept.

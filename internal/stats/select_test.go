@@ -17,6 +17,23 @@ func sortedQuantiles(vals []float64, p1, p2 float64) (float64, float64) {
 	return quantileSorted(s, p1), quantileSorted(s, p2)
 }
 
+// quantileSorted is the type-7 quantile of the sorted slice s.
+func quantileSorted(s []float64, p float64) float64 {
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 1 {
+		return s[len(s)-1]
+	}
+	h := p * float64(len(s)-1)
+	lo := int(math.Floor(h))
+	frac := h - float64(lo)
+	if lo+1 >= len(s) {
+		return s[lo]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) ||
 		(math.IsNaN(a) && math.IsNaN(b))
@@ -116,8 +133,11 @@ func TestQuantileSelectNaNs(t *testing.T) {
 				vals[i] = r.NormFloat64()
 			}
 		}
-		// Scatter the NaNs.
-		r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		// Scatter the NaNs (Fisher-Yates).
+		for i := len(vals) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			vals[i], vals[j] = vals[j], vals[i]
+		}
 		wantLo, wantHi := sortedQuantiles(vals, 0.025, 0.975)
 		gotLo, gotHi := quantiles2Select(vals, 0.025, 0.975)
 		if !bitsEqual(gotLo, wantLo) || !bitsEqual(gotHi, wantHi) {

@@ -1,10 +1,11 @@
 // Package stats implements the statistical machinery used by the paper:
-// distributions (normal, binomial, Student t), descriptive statistics,
-// hypothesis tests (z, t, Mann-Whitney, Wilcoxon, Shapiro-Wilk), the
-// percentile bootstrap, Noether's sample-size determination for the
-// probability-of-outperforming test, simple linear regression, and
-// multiple-comparison corrections. Everything is built on the standard
-// library only.
+// the normal, binomial, Student t and chi-squared distributions,
+// descriptive statistics, hypothesis tests (paired t, Mann-Whitney,
+// Wilcoxon, Shapiro-Wilk), the percentile bootstrap and its exact paired
+// limit, Noether's sample-size determination for the
+// probability-of-outperforming test, a through-origin regression, and the
+// Bonferroni adjustment of γ. Everything is built on the standard library
+// only.
 package stats
 
 import "math"
@@ -12,11 +13,6 @@ import "math"
 // NormCDF returns Φ(z), the standard normal cumulative distribution.
 func NormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormPDF returns the standard normal density at z.
-func NormPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
 }
 
 // NormQuantile returns Φ⁻¹(p) for p in (0, 1). It uses Acklam's rational

@@ -34,46 +34,6 @@ func pFromZ(z float64, tail Tail) float64 {
 	}
 }
 
-// ZTest performs a two-sample z test of mean(x) - mean(y) = delta using the
-// known (or plug-in) standard deviations sigmaX, sigmaY of individual
-// observations. This is the test sketched in Section 3.1: a difference of at
-// least z_{0.05}·sqrt((σA²+σB²)/k) must be observed to control false
-// detections at 95%.
-func ZTest(x, y []float64, sigmaX, sigmaY, delta float64, tail Tail) TestResult {
-	nx, ny := float64(len(x)), float64(len(y))
-	se := math.Sqrt(sigmaX*sigmaX/nx + sigmaY*sigmaY/ny)
-	z := (Mean(x) - Mean(y) - delta) / se
-	return TestResult{Stat: z, PValue: pFromZ(z, tail)}
-}
-
-// ZCriticalDifference returns the smallest mean difference detectable at
-// significance level alpha with k paired measurements per algorithm, given
-// the per-measurement variances: z_{1-alpha}·sqrt((σA²+σB²)/k).
-func ZCriticalDifference(sigmaA2, sigmaB2 float64, k int, alpha float64) float64 {
-	return NormQuantile(1-alpha) * math.Sqrt((sigmaA2+sigmaB2)/float64(k))
-}
-
-// WelchTTest performs a two-sample t test with unequal variances.
-func WelchTTest(x, y []float64, tail Tail) TestResult {
-	nx, ny := float64(len(x)), float64(len(y))
-	vx, vy := Variance(x), Variance(y)
-	se2 := vx/nx + vy/ny
-	t := (Mean(x) - Mean(y)) / math.Sqrt(se2)
-	// Welch-Satterthwaite degrees of freedom.
-	nu := se2 * se2 / (vx*vx/(nx*nx*(nx-1)) + vy*vy/(ny*ny*(ny-1)))
-	dist := StudentT{Nu: nu}
-	var p float64
-	switch tail {
-	case GreaterTailed:
-		p = 1 - dist.CDF(t)
-	case LessTailed:
-		p = dist.CDF(t)
-	default:
-		p = 2 * (1 - dist.CDF(math.Abs(t)))
-	}
-	return TestResult{Stat: t, PValue: p}
-}
-
 // PairedTTest performs a one-sample t test on the differences x[i]-y[i].
 func PairedTTest(x, y []float64, tail Tail) TestResult {
 	if len(x) != len(y) {
@@ -165,29 +125,6 @@ func MannWhitney(a, b []float64, tail Tail) MannWhitneyResult {
 		Z:      z,
 		PValue: pFromZ(z, tail),
 	}
-}
-
-// PairedPAB computes the paper's Equation 9: the proportion of paired
-// measurements where A strictly outperforms B, with ties counted half.
-// Pairing marginalizes shared sources of variation (Appendix C.2), shrinking
-// the variance of the estimate.
-func PairedPAB(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: PairedPAB needs equal lengths")
-	}
-	if len(a) == 0 {
-		return math.NaN()
-	}
-	wins := 0.0
-	for i := range a {
-		switch {
-		case a[i] > b[i]:
-			wins++
-		case a[i] == b[i]:
-			wins += 0.5
-		}
-	}
-	return wins / float64(len(a))
 }
 
 // WilcoxonSignedRank performs the paired Wilcoxon signed-rank test with the

@@ -8,59 +8,12 @@ import (
 	"varbench/internal/xrand"
 )
 
-func TestZTestDetectsShift(t *testing.T) {
-	r := xrand.New(1)
-	x := make([]float64, 100)
-	y := make([]float64, 100)
-	for i := range x {
-		x[i] = r.Normal(1, 1)
-		y[i] = r.Normal(0, 1)
-	}
-	res := ZTest(x, y, 1, 1, 0, GreaterTailed)
-	if res.PValue > 1e-6 {
-		t.Errorf("z test missed a 1σ shift with n=100: p=%v", res.PValue)
-	}
-	// Null: same mean.
-	for i := range x {
-		x[i] = r.Normal(0, 1)
-	}
-	res = ZTest(x, y, 1, 1, 0, TwoTailed)
-	if res.PValue < 0.001 {
-		t.Errorf("z test suspiciously significant under null: p=%v", res.PValue)
-	}
-}
-
-func TestZCriticalDifference(t *testing.T) {
-	// Section 3.1: z_{0.05}·sqrt((σA²+σB²)/k).
-	got := ZCriticalDifference(1, 1, 1, 0.05)
-	want := 1.6448536269514722 * math.Sqrt(2)
-	approxEq(t, "ZCriticalDifference", got, want, 1e-9)
-	// Grows smaller with k.
-	if ZCriticalDifference(1, 1, 100, 0.05) >= got {
-		t.Error("critical difference should shrink with k")
-	}
-}
-
-func TestWelchTTestGolden(t *testing.T) {
-	// Classic example: scipy.stats.ttest_ind(equal_var=False).
-	x := []float64{27.5, 21.0, 19.0, 23.6, 17.0, 17.9, 16.9, 20.1, 21.9, 22.6, 23.1, 19.6, 19.0, 21.7, 21.4}
-	y := []float64{27.1, 22.0, 20.8, 23.4, 23.4, 23.5, 25.8, 22.0, 24.8, 20.2, 21.9, 22.1, 22.9, 30.0, 23.9}
-	res := WelchTTest(x, y, TwoTailed)
-	approxEq(t, "Welch t", res.Stat, -2.8352638006644852, 1e-9)
-	approxEq(t, "Welch p", res.PValue, 0.008452732437472577, 1e-7)
-}
-
 func TestPairedTTest(t *testing.T) {
 	x := []float64{1.1, 2.2, 3.1, 4.3, 5.2}
 	y := []float64{1.0, 2.0, 3.0, 4.0, 5.0}
 	res := PairedTTest(x, y, GreaterTailed)
 	if res.PValue > 0.05 {
 		t.Errorf("paired t missed consistent improvement: p=%v", res.PValue)
-	}
-	// Unpaired Welch on the same data cannot see it.
-	welch := WelchTTest(x, y, GreaterTailed)
-	if welch.PValue < res.PValue {
-		t.Error("pairing should increase power on correlated data")
 	}
 }
 
@@ -146,36 +99,6 @@ func TestMannWhitneyAllTied(t *testing.T) {
 	res := MannWhitney(x, y, TwoTailed)
 	if res.PAB != 0.5 || res.PValue != 1 {
 		t.Errorf("all-tied MW should be PAB=0.5, p=1; got %v, %v", res.PAB, res.PValue)
-	}
-}
-
-func TestPairedPAB(t *testing.T) {
-	a := []float64{2, 3, 1, 5}
-	b := []float64{1, 2, 1, 6}
-	// wins: 2>1, 3>2, tie (0.5), 5<6 → 2.5/4
-	approxEq(t, "PairedPAB", PairedPAB(a, b), 2.5/4, 1e-12)
-	// Complementarity: PAB(a,b) + PAB(b,a) = 1.
-	approxEq(t, "complement", PairedPAB(a, b)+PairedPAB(b, a), 1, 1e-12)
-}
-
-func TestPairedPABProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 1 + r.Intn(30)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = float64(r.Intn(5))
-			b[i] = float64(r.Intn(5))
-		}
-		pab := PairedPAB(a, b)
-		if pab < 0 || pab > 1 {
-			return false
-		}
-		return math.Abs(pab+PairedPAB(b, a)-1) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -100,9 +100,9 @@ func TestIntoKernelsMatchReference(t *testing.T) {
 		// shapes maps (rows, inner, cols) to the operand shapes.
 		shapes func(m, n, p int) (ar, ac, br, bc int)
 	}{
-		{"MatMul", MatMulInto, MatMul, refMatMul, func(m, n, p int) (int, int, int, int) { return m, n, n, p }},
-		{"TMatMul", TMatMulInto, TMatMul, refTMatMul, func(m, n, p int) (int, int, int, int) { return n, m, n, p }},
-		{"MatMulT", MatMulTInto, MatMulT, refMatMulT, func(m, n, p int) (int, int, int, int) { return m, n, p, n }},
+		{"MatMul", MatMulInto, matMul, refMatMul, func(m, n, p int) (int, int, int, int) { return m, n, n, p }},
+		{"TMatMul", TMatMulInto, tMatMul, refTMatMul, func(m, n, p int) (int, int, int, int) { return n, m, n, p }},
+		{"MatMulT", MatMulTInto, matMulT, refMatMulT, func(m, n, p int) (int, int, int, int) { return m, n, p, n }},
 	}
 	for _, kn := range kernels {
 		for trial := 0; trial < 300; trial++ {

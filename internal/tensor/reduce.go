@@ -1,11 +1,7 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
-// Reducer selects how gradient and loss reductions are accumulated.
+// Reducer selects how the data-parallel trainer (nn.TrainConfig.Reducer)
+// accumulates its shards' gradients and losses.
 //
 // The paper could not fully seed one of its pipelines and therefore measured
 // a residual "numerical noise" caused by non-deterministic accumulation order
@@ -18,74 +14,10 @@ type Reducer int
 const (
 	// ReduceSequential accumulates left to right; bit-deterministic.
 	ReduceSequential Reducer = iota
-	// ReduceParallelDeterministic accumulates fixed-size chunks in parallel
-	// but folds the partial sums in chunk order; bit-deterministic.
+	// ReduceParallelDeterministic accumulates shards in parallel but folds
+	// the partial sums in shard order; bit-deterministic.
 	ReduceParallelDeterministic
 	// ReduceNondeterministic folds partial sums in completion order;
 	// simulates GPU atomics / cudnn non-determinism.
 	ReduceNondeterministic
 )
-
-// minParallel is the slice length below which the parallel reducers fall back
-// to sequential accumulation; launching goroutines for tiny slices costs more
-// than it saves and adds no useful nondeterminism.
-const minParallel = 2048
-
-// Reduce sums x according to the reducer policy.
-func (r Reducer) Reduce(x []float64) float64 {
-	if len(x) < minParallel || r == ReduceSequential {
-		return Sum(x)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	chunk := (len(x) + workers - 1) / workers
-	switch r {
-	case ReduceParallelDeterministic:
-		partials := make([]float64, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(x) {
-				hi = len(x)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				partials[w] = Sum(x[lo:hi])
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		return Sum(partials)
-	case ReduceNondeterministic:
-		ch := make(chan float64, workers)
-		launched := 0
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(x) {
-				hi = len(x)
-			}
-			if lo >= hi {
-				continue
-			}
-			launched++
-			//lint:allow goroline(ch is buffered to workers capacity, so each one-shot send completes without a receiver)
-			go func(lo, hi int) {
-				ch <- Sum(x[lo:hi])
-			}(lo, hi)
-		}
-		total := 0.0
-		for i := 0; i < launched; i++ {
-			total += <-ch // completion order: nondeterministic fold
-		}
-		return total
-	default:
-		return Sum(x)
-	}
-}

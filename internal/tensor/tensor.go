@@ -1,9 +1,10 @@
 // Package tensor implements the dense float64 linear algebra needed by the
 // benchmark substrates: matrices and vectors with the usual BLAS-like
 // operations, a Cholesky factorization for the Gaussian-process
-// hyperparameter optimizer, and (deliberately) a non-deterministic parallel
-// reduction that reproduces the floating-point "numerical noise" the paper
-// measures on GPU pipelines (Figure 1, Appendix A).
+// hyperparameter optimizer, and the Reducer policy that names the
+// (deliberately) non-deterministic gradient reduction reproducing the
+// floating-point "numerical noise" the paper measures on GPU pipelines
+// (Figure 1, Appendix A).
 package tensor
 
 import (
@@ -23,21 +24,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("tensor: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -61,18 +47,6 @@ func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
 }
 
 // Resize reshapes m to rows×cols in place and returns m. It keeps the
@@ -104,13 +78,6 @@ func checkProduct(op string, out, a, b *Matrix, rows, cols int, innerOK bool) {
 	}
 }
 
-// MatMul returns a×b. Panics on dimension mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes out = a×b without allocating. out must be a.Rows×b.Cols
 // and must not alias a or b. Each out[i][j] starts from +0 and adds
 // a[i][k]·b[k][j] for k ascending, skipping every k where a[i][k] is zero
@@ -136,13 +103,6 @@ func MatMulInto(out, a, b *Matrix) {
 	}
 }
 
-// MatMulT returns a×bᵀ without materializing the transpose.
-func MatMulT(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Rows)
-	MatMulTInto(out, a, b)
-	return out
-}
-
 // MatMulTInto computes out = a×bᵀ without allocating or materializing the
 // transpose. out must be a.Rows×b.Rows and must not alias a or b. Each
 // out[i][j] is Dot of row i of a and row j of b: it starts from +0 and adds
@@ -158,13 +118,6 @@ func MatMulTInto(out, a, b *Matrix) {
 			orow[j] = Dot(arow, b.Data[j*n:(j+1)*n])
 		}
 	}
-}
-
-// TMatMul returns aᵀ×b without materializing the transpose.
-func TMatMul(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Cols, b.Cols)
-	TMatMulInto(out, a, b)
-	return out
 }
 
 // TMatMulInto computes out = aᵀ×b without allocating or materializing the
@@ -191,31 +144,11 @@ func TMatMulInto(out, a, b *Matrix) {
 	}
 }
 
-// MulVec returns m×v as a new vector.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic("tensor: mulvec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := range out {
-		out[i] = Dot(m.Row(i), v)
-	}
-	return out
-}
-
 // Add computes a += b element-wise.
 func (m *Matrix) Add(b *Matrix) {
 	checkSameShape(m, b)
 	for i, v := range b.Data {
 		m.Data[i] += v
-	}
-}
-
-// Sub computes a -= b element-wise.
-func (m *Matrix) Sub(b *Matrix) {
-	checkSameShape(m, b)
-	for i, v := range b.Data {
-		m.Data[i] -= v
 	}
 }
 
@@ -226,39 +159,11 @@ func (m *Matrix) Scale(s float64) {
 	}
 }
 
-// AddScaled computes m += s·b (axpy).
-func (m *Matrix) AddScaled(s float64, b *Matrix) {
-	checkSameShape(m, b)
-	for i, v := range b.Data {
-		m.Data[i] += s * v
-	}
-}
-
 // Apply replaces every element x with f(x).
 func (m *Matrix) Apply(f func(float64) float64) {
 	for i, v := range m.Data {
 		m.Data[i] = f(v)
 	}
-}
-
-// MaxAbs returns the largest absolute element, 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// FrobeniusNorm returns sqrt(Σ x²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 func checkSameShape(a, b *Matrix) {

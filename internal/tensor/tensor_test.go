@@ -10,11 +10,58 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// matMul returns a×b through MatMulInto.
+func matMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// matMulT returns a×bᵀ through MatMulTInto.
+func matMulT(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Rows)
+	MatMulTInto(out, a, b)
+	return out
+}
+
+// tMatMul returns aᵀ×b through TMatMulInto.
+func tMatMul(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Cols, b.Cols)
+	TMatMulInto(out, a, b)
+	return out
+}
+
+// fromRows builds a matrix from a slice of equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("tensor: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:], r)
+	}
+	return m
+}
+
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Data[j*t.Cols+i] = v
+		}
+	}
+	return t
+}
+
 func TestMatMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMul(a, b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := matMul(a, b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	for i := range c.Data {
 		if c.Data[i] != want.Data[i] {
 			t.Fatalf("matmul = %v, want %v", c.Data, want.Data)
@@ -32,7 +79,7 @@ func TestMatMulIdentity(t *testing.T) {
 			a.Set(i, j, r.NormFloat64())
 		}
 	}
-	c := MatMul(a, eye)
+	c := matMul(a, eye)
 	for i := range c.Data {
 		if c.Data[i] != a.Data[i] {
 			t.Fatal("A·I != A")
@@ -46,7 +93,7 @@ func TestMatMulDimsPanic(t *testing.T) {
 			t.Fatal("mismatched matmul did not panic")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	matMul(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 func TestTransposeInvolution(t *testing.T) {
@@ -57,7 +104,7 @@ func TestTransposeInvolution(t *testing.T) {
 		for i := range m.Data {
 			m.Data[i] = r.NormFloat64()
 		}
-		tt := m.T().T()
+		tt := transpose(transpose(m))
 		if tt.Rows != m.Rows || tt.Cols != m.Cols {
 			return false
 		}
@@ -83,8 +130,8 @@ func TestMatMulTAgreesWithExplicitTranspose(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat64()
 	}
-	got := MatMulT(a, b)
-	want := MatMul(a, b.T())
+	got := matMulT(a, b)
+	want := matMul(a, transpose(b))
 	for i := range got.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-12) {
 			t.Fatalf("MatMulT mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
@@ -102,8 +149,8 @@ func TestTMatMulAgreesWithExplicitTranspose(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat64()
 	}
-	got := TMatMul(a, b)
-	want := MatMul(a.T(), b)
+	got := tMatMul(a, b)
+	want := matMul(transpose(a), b)
 	for i := range got.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-12) {
 			t.Fatalf("TMatMul mismatch at %d", i)
@@ -111,32 +158,16 @@ func TestTMatMulAgreesWithExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := m.MulVec([]float64{1, 1, 1})
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v", got)
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{1, 1}, {1, 1}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{1, 1}, {1, 1}})
 	a.Add(b)
 	if a.At(0, 0) != 2 || a.At(1, 1) != 5 {
 		t.Fatal("Add wrong")
 	}
-	a.Sub(b)
-	if a.At(0, 0) != 1 || a.At(1, 1) != 4 {
-		t.Fatal("Sub wrong")
-	}
 	a.Scale(2)
-	if a.At(1, 0) != 6 {
+	if a.At(1, 0) != 8 {
 		t.Fatal("Scale wrong")
-	}
-	a.AddScaled(0.5, b)
-	if a.At(0, 1) != 4.5 {
-		t.Fatal("AddScaled wrong")
 	}
 }
 
@@ -149,7 +180,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		a := MatMulT(b, b)
+		a := matMulT(b, b)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+float64(n))
 		}
@@ -158,7 +189,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 			return false
 		}
 		// L·Lᵀ should reproduce A.
-		llt := MatMulT(l, l)
+		llt := matMulT(l, l)
 		for i := range a.Data {
 			if !almostEqual(llt.Data[i], a.Data[i], 1e-8*(1+math.Abs(a.Data[i]))) {
 				return false
@@ -172,28 +203,28 @@ func TestCholeskyRoundTrip(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 0}, {0, -1}})
+	a := fromRows([][]float64{{1, 0}, {0, -1}})
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("Cholesky accepted an indefinite matrix")
 	}
 }
 
 func TestCholeskySolve(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := CholeskySolve(l, []float64{8, 7})
 	// Verify A·x = b.
-	b := a.MulVec(x)
+	b := []float64{Dot(a.Row(0), x), Dot(a.Row(1), x)}
 	if !almostEqual(b[0], 8, 1e-10) || !almostEqual(b[1], 7, 1e-10) {
 		t.Fatalf("CholeskySolve: A·x = %v, want [8 7]", b)
 	}
 }
 
 func TestLogDetFromCholesky(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 8}})
+	a := fromRows([][]float64{{2, 0}, {0, 8}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -215,53 +246,11 @@ func TestDotAxpy(t *testing.T) {
 	}
 }
 
-func TestReducersAgreeInValue(t *testing.T) {
-	r := xrand.New(5)
-	x := make([]float64, 10000)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	seq := ReduceSequential.Reduce(x)
-	par := ReduceParallelDeterministic.Reduce(x)
-	nd := ReduceNondeterministic.Reduce(x)
-	if !almostEqual(seq, par, 1e-9) || !almostEqual(seq, nd, 1e-9) {
-		t.Fatalf("reducers disagree: %v %v %v", seq, par, nd)
-	}
-}
-
-func TestParallelDeterministicIsBitStable(t *testing.T) {
-	r := xrand.New(6)
-	x := make([]float64, 50000)
-	for i := range x {
-		x[i] = r.NormFloat64() * 1e3
-	}
-	first := ReduceParallelDeterministic.Reduce(x)
-	for i := 0; i < 20; i++ {
-		if got := ReduceParallelDeterministic.Reduce(x); got != first {
-			t.Fatalf("deterministic parallel reduce changed: %v vs %v", got, first)
-		}
-	}
-}
-
-func TestSmallSlicesUseSequentialPath(t *testing.T) {
-	x := []float64{1, 2, 3}
-	if ReduceNondeterministic.Reduce(x) != 6 {
-		t.Fatal("small-slice reduce wrong")
-	}
-}
-
 func TestMeanAndMaxAbs(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("Mean of empty should be NaN")
-	}
-	m := FromRows([][]float64{{-5, 2}, {3, 4}})
-	if m.MaxAbs() != 5 {
-		t.Fatal("MaxAbs wrong")
-	}
-	if m.FrobeniusNorm() != math.Sqrt(25+4+9+16) {
-		t.Fatal("FrobeniusNorm wrong")
 	}
 }

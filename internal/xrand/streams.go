@@ -1,11 +1,5 @@
 package xrand
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-)
-
 // A Var names one source of variation in a learning pipeline, following the
 // paper's decomposition ξ = ξO ∪ ξH (Section 2.1): the learning-procedure
 // sources ξO (data split, weight initialization, data visit order, dropout
@@ -91,17 +85,6 @@ func (s *Streams) Reseed(v Var, seed uint64) {
 	delete(s.sources, v)
 }
 
-// ReseedAll assigns fresh seeds, derived from root, to every listed source.
-func (s *Streams) ReseedAll(root uint64, vars ...Var) {
-	base := New(root)
-	for _, v := range vars {
-		s.Reseed(v, base.Split(string(v)).Uint64())
-	}
-}
-
-// Seed reports the seed currently assigned to v.
-func (s *Streams) Seed(v Var) uint64 { return s.seeds[v] }
-
 // Get returns the stream for source v, creating it lazily from its seed.
 // Repeated calls return the same stream instance (it keeps its position).
 func (s *Streams) Get(v Var) *Source {
@@ -118,71 +101,4 @@ func (s *Streams) Get(v Var) *Source {
 	src := New(seed)
 	s.sources[v] = src
 	return src
-}
-
-// Checkpoint serializes the seeds and the live stream states so a run can be
-// resumed mid-training with bit-identical behaviour (the Appendix A test
-// protocol: interrupt after each epoch, resume later, demand identical
-// results).
-func (s *Streams) Checkpoint() []byte {
-	vars := make([]string, 0, len(s.seeds))
-	for v := range s.seeds { //lint:allow nondeterm(keys are sorted below before any byte is serialized)
-		vars = append(vars, string(v))
-	}
-	sort.Strings(vars)
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vars)))
-	for _, v := range vars {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		buf = append(buf, v...)
-		buf = binary.LittleEndian.AppendUint64(buf, s.seeds[Var(v)])
-		if src, ok := s.sources[Var(v)]; ok {
-			buf = append(buf, 1)
-			buf = append(buf, src.State()...)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// RestoreCheckpoint rebuilds the stream set from a Checkpoint buffer.
-func RestoreCheckpoint(data []byte) (*Streams, error) {
-	s := &Streams{
-		seeds:   make(map[Var]uint64),
-		sources: make(map[Var]*Source),
-	}
-	if len(data) < 4 {
-		return nil, fmt.Errorf("xrand: truncated checkpoint")
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < n; i++ {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("xrand: truncated checkpoint entry %d", i)
-		}
-		l := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < l+9 {
-			return nil, fmt.Errorf("xrand: truncated checkpoint entry %d", i)
-		}
-		v := Var(data[:l])
-		data = data[l:]
-		s.seeds[v] = binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		hasState := data[0] == 1
-		data = data[1:]
-		if hasState {
-			if len(data) < stateSize {
-				return nil, fmt.Errorf("xrand: truncated stream state for %q", v)
-			}
-			src := New(0)
-			if err := src.Restore(data[:stateSize]); err != nil {
-				return nil, err
-			}
-			s.sources[v] = src
-			data = data[stateSize:]
-		}
-	}
-	return s, nil
 }

@@ -1,9 +1,7 @@
 package xrand
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 )
 
 func TestStreamsIndependentSources(t *testing.T) {
@@ -70,52 +68,6 @@ func TestStreamsCustomLabel(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	f := func(root uint64, consume uint8) bool {
-		s := NewStreams(root)
-		for i := 0; i < int(consume); i++ {
-			s.Get(VarInit).NormFloat64()
-			s.Get(VarOrder).Uint64()
-		}
-		ckpt := s.Checkpoint()
-		restored, err := RestoreCheckpoint(ckpt)
-		if err != nil {
-			return false
-		}
-		for _, v := range AllVars() {
-			for i := 0; i < 10; i++ {
-				if s.Get(v).Uint64() != restored.Get(v).Uint64() {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCheckpointStable(t *testing.T) {
-	s := NewStreams(11)
-	s.Get(VarInit).Uint64()
-	a := s.Checkpoint()
-	b := s.Checkpoint()
-	if !bytes.Equal(a, b) {
-		t.Fatal("checkpoint is not deterministic")
-	}
-}
-
-func TestRestoreCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := RestoreCheckpoint([]byte{1, 2}); err == nil {
-		t.Fatal("accepted truncated checkpoint")
-	}
-	// A length prefix promising entries that are not there.
-	if _, err := RestoreCheckpoint([]byte{5, 0, 0, 0, 1}); err == nil {
-		t.Fatal("accepted checkpoint with missing entries")
-	}
-}
-
 func TestLearningVarsSubsetOfAllVars(t *testing.T) {
 	all := make(map[Var]bool)
 	for _, v := range AllVars() {
@@ -128,32 +80,5 @@ func TestLearningVarsSubsetOfAllVars(t *testing.T) {
 	}
 	if len(AllVars()) != len(LearningVars())+2 {
 		t.Errorf("AllVars should add exactly the two ξH sources")
-	}
-}
-
-func TestResumeMidSequence(t *testing.T) {
-	// The Appendix A protocol: interrupt, restore, and demand the exact
-	// continuation of every stream.
-	s := NewStreams(21)
-	var reference []uint64
-	for i := 0; i < 5; i++ {
-		reference = append(reference, s.Get(VarAugment).Uint64())
-	}
-
-	s2 := NewStreams(21)
-	for i := 0; i < 2; i++ {
-		if got := s2.Get(VarAugment).Uint64(); got != reference[i] {
-			t.Fatalf("prefix diverged at %d", i)
-		}
-	}
-	ckpt := s2.Checkpoint()
-	s3, err := RestoreCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i < 5; i++ {
-		if got := s3.Get(VarAugment).Uint64(); got != reference[i] {
-			t.Fatalf("resumed stream diverged at %d", i)
-		}
 	}
 }

@@ -1,12 +1,11 @@
-// Package xrand provides deterministic, splittable and checkpointable random
-// number generation for benchmark experiments.
+// Package xrand provides deterministic, splittable random number generation
+// for benchmark experiments.
 //
 // The paper (Bouthillier et al., MLSys 2021, Appendix A) stresses that every
 // source of variation in a learning pipeline must be independently seedable
-// and that RNG state must survive checkpoint/resume so that experiments are
-// bit-reproducible. This package gives each source of variation (ξ component)
-// its own independent stream derived from a root seed, and every stream can
-// be saved and restored exactly.
+// so that experiments are bit-reproducible. This package gives each source
+// of variation (ξ component) its own independent stream derived from a root
+// seed.
 //
 // The generator is xoshiro256** seeded through SplitMix64, a standard,
 // well-tested combination with period 2^256-1 and no observable correlation
@@ -14,8 +13,6 @@
 package xrand
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 	"strconv"
@@ -74,9 +71,6 @@ func (r *Source) Uint64() uint64 {
 	s[3] = rotl(s[3], 45)
 	return result
 }
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniform sample in [0, 1) with 53 bits of precision.
 func (r *Source) Float64() float64 {
@@ -202,41 +196,11 @@ func (r *Source) Normal(mu, sigma float64) float64 {
 // Bernoulli returns true with probability p.
 func (r *Source) Bernoulli(p float64) bool { return r.Float64() < p }
 
-// Binomial returns the number of successes in n Bernoulli(p) trials.
-// Intended for the moderate n used in benchmark simulation; O(n).
-func (r *Source) Binomial(n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles p in place (Fisher-Yates).
 func (r *Source) ShuffleInts(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle performs a Fisher-Yates shuffle of n elements through swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }
 
@@ -272,9 +236,6 @@ func HashLabel(label string) LabelHash {
 	return fnv1a(offset, label)
 }
 
-// Append returns the hash of the label h hashes followed by s.
-func (h LabelHash) Append(s string) LabelHash { return fnv1a(h, s) }
-
 // AppendInt returns the hash of the label h hashes followed by the decimal
 // form of v, spelled as strconv.AppendInt spells it.
 func (h LabelHash) AppendInt(v int) LabelHash {
@@ -290,34 +251,4 @@ func fnv1a[T string | []byte](h LabelHash, b T) LabelHash {
 		h *= prime
 	}
 	return h
-}
-
-// stateSize is the encoded size of a Source state in bytes.
-const stateSize = 4*8 + 8 + 1
-
-// State encodes the complete generator state, including the cached normal
-// value, so that a restored Source continues the exact same sequence.
-func (r *Source) State() []byte {
-	buf := make([]byte, stateSize)
-	for i, w := range r.s {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
-	}
-	binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(r.gauss))
-	if r.hasGauss {
-		buf[40] = 1
-	}
-	return buf
-}
-
-// Restore replaces the generator state with a state produced by State.
-func (r *Source) Restore(state []byte) error {
-	if len(state) != stateSize {
-		return fmt.Errorf("xrand: bad state size %d, want %d", len(state), stateSize)
-	}
-	for i := range r.s {
-		r.s[i] = binary.LittleEndian.Uint64(state[i*8:])
-	}
-	r.gauss = math.Float64frombits(binary.LittleEndian.Uint64(state[32:]))
-	r.hasGauss = state[40] == 1
-	return nil
 }

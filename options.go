@@ -142,13 +142,13 @@ func (e *Experiment) withDefaults() (*Experiment, error) {
 	if c.Gamma == 0 && !c.gammaSet {
 		c.Gamma = DefaultGamma
 	}
-	if c.Gamma <= 0.5 || c.Gamma >= 1 {
+	if !(c.Gamma > 0.5 && c.Gamma < 1) { // written positively so that NaN fails
 		return nil, fmt.Errorf("varbench: γ must be in (0.5, 1), got %v", c.Gamma)
 	}
 	if c.Confidence == 0 && !c.confidenceSet {
 		c.Confidence = DefaultConfidence
 	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
+	if !(c.Confidence > 0 && c.Confidence < 1) {
 		return nil, fmt.Errorf("varbench: confidence must be in (0, 1), got %v", c.Confidence)
 	}
 	if c.Bootstrap == 0 && !c.bootstrapSet {
