@@ -29,6 +29,7 @@ import (
 	"varbench/internal/stats"
 	"varbench/internal/tensor"
 	"varbench/internal/xrand"
+	"varbench/store"
 )
 
 // benchBudget keeps figure benchmarks to a few seconds per iteration.
@@ -527,9 +528,9 @@ func BenchmarkBatchedAnalysis(b *testing.B) {
 // BenchmarkCollectionLazyTrials pins the collection-memory fix: an
 // early-stopped experiment with a huge MaxRuns must allocate per collected
 // batch, not per MaxRuns — before the lazy trial stream, the 1<<20 cap
-// below meant ~1M Trial structs plus seed maps up front (B/op exploded
-// with the cap; now it is flat). γ = 0.98 puts Noether's N at 8, so every
-// run stops after one batch.
+// below meant ~1M Trial structs up front (B/op exploded with the cap; now
+// it is flat). γ = 0.98 puts Noether's N at 8, so every run stops after
+// one batch.
 func BenchmarkCollectionLazyTrials(b *testing.B) {
 	for _, maxRuns := range []int{64, 1 << 20} {
 		b.Run(fmt.Sprintf("maxruns-%d", maxRuns), func(b *testing.B) {
@@ -571,6 +572,48 @@ func BenchmarkMultiDatasetCollection(b *testing.B) {
 		if _, err := e.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCollectionStoreResume measures what collection itself costs per
+// cell: Experiment.Run to 1,000 pairs over an in-memory store that an
+// untimed run filled with the first 500, so half the cells are served from
+// the store and half are computed and put. The pipelines cost next to
+// nothing, so keys, seeds, the store index and the retry guard are the
+// whole figure.
+func BenchmarkCollectionStoreResume(b *testing.B) {
+	const pairs = 1000
+	side := func(label string, mean float64) TrialFunc {
+		return func(t Trial) (float64, error) {
+			return xrand.New(t.Seed).Split(label).Normal(mean, 0.02), nil
+		}
+	}
+	run := func(st store.Backend, maxRuns int) {
+		e := Experiment{
+			ATrial:      side("bench/side-a", 0.75),
+			BTrial:      side("bench/side-b", 0.745),
+			Seed:        1,
+			MaxRuns:     maxRuns,
+			EarlyStop:   EarlyStopOff,
+			Parallelism: 1,
+			Store:       st,
+			PipelineID:  "bench/store-resume",
+		}
+		res, err := e.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Pairs != maxRuns {
+			b.Fatalf("%d pairs, want %d", res.Pairs, maxRuns)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := store.NewMem()
+		run(st, pairs/2)
+		b.StartTimer()
+		run(st, pairs)
 	}
 }
 

@@ -46,20 +46,24 @@ type trialCache struct {
 	dataset string
 }
 
-// get returns the cached score of one (trial, side) cell.
-func (c *trialCache) get(index int, side string) (float64, bool) {
+// lookup builds the key of one (trial, side) cell and returns the cell's
+// cached score. resolve builds each key once: the same string serves the
+// lookup and, on a miss, the put.
+func (c *trialCache) lookup(index int, side string) (key string, v float64, ok bool) {
 	if c == nil {
-		return 0, false
+		return "", 0, false
 	}
-	return c.store.Get(store.TrialKey(c.seed, c.dataset, index, side), c.fp)
+	key = store.TrialKey(c.seed, c.dataset, index, side)
+	v, ok = c.store.Get(key, c.fp)
+	return key, v, ok
 }
 
-// put durably records one freshly measured score.
-func (c *trialCache) put(index int, side string, score float64) error {
+// put durably records one freshly measured score under its cell key.
+func (c *trialCache) put(key string, score float64) error {
 	if c == nil {
 		return nil
 	}
-	if err := c.store.Put(store.TrialKey(c.seed, c.dataset, index, side), c.fp, score); err != nil {
+	if err := c.store.Put(key, c.fp, score); err != nil {
 		return fmt.Errorf("varbench: trial store: %w", err)
 	}
 	return nil
@@ -147,14 +151,15 @@ func isCancellation(err error) bool {
 // either returns an error (fail-fast mode, or cancellation, which is never
 // quarantined) or a TrialFailure recorded durably with its attempt history.
 func (c *trialCache) resolve(ctx context.Context, g *guard, t Trial, side string, run TrialFunc, label string) (float64, *TrialFailure, error) {
-	if v, ok := c.get(t.Index, side); ok {
+	key, v, ok := c.lookup(t.Index, side)
+	if ok {
 		return v, nil, nil
 	}
 	var history []attemptRecord
 	for attempt := 1; ; attempt++ {
 		v, err := g.attempt(ctx, run, t)
 		if err == nil {
-			err = c.put(t.Index, side, v)
+			err = c.put(key, v)
 		}
 		if err == nil {
 			return v, nil, nil

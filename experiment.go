@@ -627,85 +627,47 @@ func (e *Experiment) datasetRoot(name string) uint64 {
 // did, so the sequence is pinned bit-for-bit (see
 // TestTrialStreamMatchesHistoricalSeeds). Streaming means an experiment
 // whose MaxRuns is huge (γ near 0.5 makes Noether's N explode) allocates
-// trials per batch, not MaxRuns Trial structs plus one seed map each before
-// the first measurement.
+// trials per batch, not MaxRuns Trial structs before the first
+// measurement; a trial is its index, its root seed and the stream's one
+// shared seedPlan.
 type trialStream struct {
-	root      *xrand.Source
-	entries   []Source
-	varied    map[Source]bool
-	fixed     map[Source]uint64
-	fixedRoot uint64
-	next      int // index of the next trial to derive
+	root *xrand.Source
+	plan *seedPlan
+	next int // index of the next trial to derive
 }
 
 // trialStream prepares the lazy per-trial seed derivation for one dataset.
+// The default vary-all stream needs no plan: SourceSeed's nil-plan rule is
+// exactly its rule.
 func (e *Experiment) trialStream(dataset string) *trialStream {
 	root := xrand.New(e.datasetRoot(dataset))
-
-	varied := make(map[Source]bool)
-	listed := e.Sources
-	restricted := len(listed) > 0
-	if !restricted {
-		listed = AllSources()
+	if len(e.Sources) == 0 {
+		return &trialStream{root: root}
 	}
-	for _, s := range listed {
-		varied[s] = true
+	// Custom labels listed in Sources vary too, though SourceSeed holds
+	// unlisted unknown labels fixed.
+	plan := &seedPlan{varied: make(map[Source]bool, len(e.Sources)), fixed: make(map[Source]uint64)}
+	for _, s := range e.Sources {
+		plan.varied[s] = true
 	}
-	// Map entries cover the known sources plus any custom labels listed in
-	// a restricted Sources set (those must vary even though SourceSeed's
-	// fallback would hold them fixed).
-	entries := AllSources()
-	knownSet := make(map[Source]bool, len(entries))
-	for _, s := range entries {
-		knownSet[s] = true
-	}
-	for _, s := range listed {
-		if !knownSet[s] {
-			entries = append(entries, s)
-		}
-	}
-
 	// Split does not consume the parent stream, but its output depends on
 	// the parent's state: derive all fixed-source seeds before drawing any
 	// trial seeds so the trial-seed sequence matches xrand.New(root).
-	var fixedRoot uint64
-	if restricted {
-		fixedRoot = root.Split("custom-fixed").Uint64()
-	}
-	fixed := make(map[Source]uint64)
-	for _, s := range entries {
-		if !varied[s] {
-			fixed[s] = root.Split("fixed/" + string(s)).Uint64()
+	plan.fixedRoot = root.Split("custom-fixed").Uint64()
+	for _, s := range AllSources() {
+		if !plan.varied[s] {
+			plan.fixed[s] = root.Split("fixed/" + string(s)).Uint64()
 		}
 	}
-	return &trialStream{
-		root:      root,
-		entries:   entries,
-		varied:    varied,
-		fixed:     fixed,
-		fixedRoot: fixedRoot,
-	}
+	return &trialStream{root: root, plan: plan}
 }
 
 // take appends the next n trials of the stream to dst and returns it.
-// Callers reuse dst across batches (dst[:0]) so the Trial headers are
-// allocated once per batch, not once per MaxRuns.
+// Callers reuse dst across batches (dst[:0]), so a warm take allocates
+// nothing; SourceSeed derives the per-source seeds when asked.
 func (s *trialStream) take(dst []Trial, n int) []Trial {
 	for ; n > 0; n-- {
-		seed := s.root.Uint64()
-		tr := xrand.New(seed)
-		seeds := make(map[Source]uint64, len(s.entries))
-		for _, src := range s.entries {
-			if s.varied[src] {
-				// Same derivation as xrand.NewStreams(seed), so plain
-				// RunFunc pipelines built on NewStreams agree with
-				// SourceSeed for every varied source.
-				seeds[src] = tr.Split(string(src)).Uint64()
-			} else {
-				seeds[src] = s.fixed[src]
-			}
-		}
-		dst = append(dst, Trial{Index: s.next, Seed: seed, seeds: seeds, fixedRoot: s.fixedRoot})
+		dst = append(dst, Trial{Index: s.next, Seed: s.root.Uint64(), plan: s.plan})
 		s.next++
 	}
 	return dst

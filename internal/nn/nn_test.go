@@ -358,8 +358,13 @@ func TestConfigValidation(t *testing.T) {
 		{OutDim: 1, LR: 0.1, Epochs: 0, BatchSize: 1, Init: He{}},
 		{OutDim: 1, LR: 0.1, Epochs: 1, BatchSize: 1, Init: He{}, Dropout: 1.0},
 		{OutDim: 1, LR: 0.1, Epochs: 1, BatchSize: 1},
+		{OutDim: 1, LR: math.NaN(), Epochs: 1, BatchSize: 1, Init: He{}},
+		{OutDim: 1, LR: 0.1, Epochs: 1, BatchSize: 1, Init: He{}, Dropout: math.NaN()},
 	}
 	for i, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("config %d passed Validate", i)
+		}
 		if _, err := Train(cfg, train, xrand.NewStreams(1)); err == nil {
 			t.Errorf("config %d should have been rejected", i)
 		}

@@ -59,13 +59,13 @@ func (c *TrainConfig) Validate() error {
 			return fmt.Errorf("nn: hidden widths must be ≥ 1, got %v", c.Hidden)
 		}
 	}
-	if c.LR <= 0 {
+	if !(c.LR > 0) {
 		return fmt.Errorf("nn: LR must be positive")
 	}
 	if c.Epochs < 1 || c.BatchSize < 1 {
 		return fmt.Errorf("nn: Epochs and BatchSize must be ≥ 1")
 	}
-	if c.Dropout < 0 || c.Dropout >= 1 {
+	if !(c.Dropout >= 0 && c.Dropout < 1) {
 		return fmt.Errorf("nn: Dropout must be in [0, 1)")
 	}
 	if c.Init == nil {

@@ -190,10 +190,22 @@ type Trial struct {
 	// varied source.
 	Seed uint64
 
-	seeds map[Source]uint64
+	// plan is the seed rules every trial of one stream shares; nil varies
+	// every source.
+	plan *seedPlan
+}
+
+// A seedPlan holds what the trials of one stream share: the varied
+// sources, the seeds of the known sources held fixed, and the root of the
+// fixed seeds of custom labels. A stream builds it once and never writes it
+// again, so concurrent workers read it freely. Its zero value varies every
+// source.
+type seedPlan struct {
+	varied map[Source]bool
+	fixed  map[Source]uint64
 	// fixedRoot derives seeds for custom labels outside a restricted
-	// Sources set; 0 means the experiment varies all sources, so unknown
-	// labels vary per trial instead.
+	// Sources set; 0, as in the zero plan, lets unknown labels vary per
+	// trial instead.
 	fixedRoot uint64
 }
 
@@ -202,12 +214,21 @@ type Trial struct {
 // rest. Custom labels follow the same contract: when the experiment
 // restricts Sources, a label not in that set yields a seed that is constant
 // across trials; when all sources vary (the default), it varies per trial.
+// A varied source's seed is derived on each call, from Seed alone.
 func (t Trial) SourceSeed(s Source) uint64 {
-	if seed, ok := t.seeds[s]; ok {
-		return seed
+	if p := t.plan; p != nil && !p.varied[s] {
+		if seed, ok := p.fixed[s]; ok {
+			return seed
+		}
+		if p.fixedRoot != 0 {
+			return splitSeed(p.fixedRoot, "fixed/"+string(s))
+		}
 	}
-	if t.fixedRoot != 0 {
-		return xrand.New(t.fixedRoot).Split("fixed/" + string(s)).Uint64()
-	}
-	return xrand.New(t.Seed).Split(string(s)).Uint64()
+	return splitSeed(t.Seed, string(s))
+}
+
+// splitSeed returns xrand.New(root).Split(label).Uint64(), the first draw
+// of the child stream, without allocating the child.
+func splitSeed(root uint64, label string) uint64 {
+	return xrand.New(xrand.New(root).SplitSeed(xrand.HashLabel(label))).Uint64()
 }

@@ -174,6 +174,21 @@ func TestConformanceFingerprintRejection(t *testing.T) {
 		if v, ok := b.Get("k", "fp-new"); !ok || v != 2 {
 			t.Errorf("new cell missing: %v, %v", v, ok)
 		}
+		// Counts span fingerprints: one key under two is two cells.
+		if err := b.PutJSON("failure/k", "fp-old", map[string]int{"attempts": 1}); err != nil {
+			t.Fatal(err)
+		}
+		b = reopen(t, fx, dir, b)
+		defer b.Close()
+		if n := b.Len(); n != 3 {
+			t.Errorf("Len = %d, want 3", n)
+		}
+		if n := b.CountPrefix("k"); n != 2 {
+			t.Errorf("CountPrefix(k) = %d, want 2", n)
+		}
+		if n := b.CountPrefix("failure/"); n != 1 {
+			t.Errorf("CountPrefix(failure/) = %d, want 1", n)
+		}
 	})
 }
 

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // legacyLogName is the legacy log's file name inside a store directory; a
@@ -147,10 +146,11 @@ func decodeLegacyLine(path string, lineno int, line []byte) (record, entry, erro
 // it also works after Close.
 func (s *SegLog) Dump(w io.Writer) error {
 	s.mu.Lock()
-	cells := make([]legacyCell, 0, len(s.idx))
-	for id, e := range s.idx {
-		key, fp, _ := strings.Cut(id, "\x00")
-		cells = append(cells, legacyCell{record{Key: key, Fingerprint: fp}, e})
+	cells := make([]legacyCell, 0, s.idx.count(""))
+	for fp, keys := range s.idx {
+		for key, e := range keys {
+			cells = append(cells, legacyCell{record{Key: key, Fingerprint: fp}, e})
+		}
 	}
 	s.mu.Unlock()
 	sort.Slice(cells, func(i, j int) bool {

@@ -360,9 +360,9 @@ func TestLegacyImportRunsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &SegLog{idx: make(map[string]entry)}
-	if _, err := probe.replaySegment("probe", data); err != nil || len(probe.idx) != 2 {
-		t.Fatalf("segment holds %d cells (%v) when the import returns, want 2", len(probe.idx), err)
+	probe := &SegLog{idx: make(index)}
+	if _, err := probe.replaySegment("probe", data); err != nil || probe.idx.count("") != 2 {
+		t.Fatalf("segment holds %d cells (%v) when the import returns, want 2", probe.idx.count(""), err)
 	}
 	want := dump(t, s)
 	s.Close()

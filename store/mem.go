@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,7 +16,7 @@ import (
 // not measure the filesystem, and deliberately ephemeral runs (DSN "mem:").
 type Mem struct {
 	mu     sync.Mutex
-	idx    map[string]entry
+	idx    index
 	closed bool
 
 	hits   atomic.Int64
@@ -26,13 +25,13 @@ type Mem struct {
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{idx: make(map[string]entry)}
+	return &Mem{idx: make(index)}
 }
 
 // Get returns the score recorded for (key, fingerprint), if any.
 func (m *Mem) Get(key, fingerprint string) (float64, bool) {
 	m.mu.Lock()
-	e, ok := m.idx[key+"\x00"+fingerprint]
+	e, ok := m.idx.get(key, fingerprint)
 	m.mu.Unlock()
 	if !ok || !e.hasScore {
 		m.misses.Add(1)
@@ -50,14 +49,14 @@ func (m *Mem) Put(key, fingerprint string, score float64) error {
 	if m.closed {
 		return fmt.Errorf("store: mem: %w", ErrClosed)
 	}
-	m.idx[key+"\x00"+fingerprint] = entry{score: score, hasScore: true}
+	m.idx.set(key, fingerprint, entry{score: score, hasScore: true})
 	return nil
 }
 
 // GetJSON decodes the JSON payload recorded for (key, fingerprint) into v.
 func (m *Mem) GetJSON(key, fingerprint string, v any) (bool, error) {
 	m.mu.Lock()
-	e, ok := m.idx[key+"\x00"+fingerprint]
+	e, ok := m.idx.get(key, fingerprint)
 	m.mu.Unlock()
 	if !ok || e.value == nil {
 		m.misses.Add(1)
@@ -84,7 +83,7 @@ func (m *Mem) PutJSON(key, fingerprint string, v any) error {
 	if m.closed {
 		return fmt.Errorf("store: mem: %w", ErrClosed)
 	}
-	m.idx[key+"\x00"+fingerprint] = entry{value: raw}
+	m.idx.set(key, fingerprint, entry{value: raw})
 	return nil
 }
 
@@ -92,7 +91,7 @@ func (m *Mem) PutJSON(key, fingerprint string, v any) error {
 func (m *Mem) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.idx)
+	return m.idx.count("")
 }
 
 // CountPrefix returns the number of distinct cells whose key starts with
@@ -100,13 +99,7 @@ func (m *Mem) Len() int {
 func (m *Mem) CountPrefix(prefix string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for k := range m.idx {
-		if strings.HasPrefix(k, prefix) {
-			n++
-		}
-	}
-	return n
+	return m.idx.count(prefix)
 }
 
 // Stats returns how many Get/GetJSON lookups hit and missed since NewMem.

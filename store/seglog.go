@@ -79,7 +79,7 @@ type SegLog struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast when committed advances, err sets, or Close drains
-	idx  map[string]entry
+	idx  index
 
 	pending   []byte // frames accepted but not yet handed to the committer
 	accepted  int64  // total frame bytes accepted since Open
@@ -141,7 +141,7 @@ func openSegLog(dir string, cfg segCfg) (*SegLog, error) {
 	s := &SegLog{
 		dir:   dir,
 		cfg:   cfg,
-		idx:   make(map[string]entry),
+		idx:   make(index),
 		wake:  make(chan struct{}, 1),
 		kick:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
@@ -230,12 +230,17 @@ func (s *SegLog) load() error {
 // scan (nil when the segment ends exactly on a frame boundary).
 func (s *SegLog) replaySegment(path string, data []byte) (int, error) {
 	off := 0
+	fp := ""
 	for off < len(data) {
-		rec, e, n, err := decodeFrame(data[off:])
+		key, fpb, e, n, err := decodeFrame(data[off:])
 		if err != nil {
 			return off, fmt.Errorf("store: %s: offset %d: %w", path, off, err)
 		}
-		s.idx[rec.Key+"\x00"+rec.Fingerprint] = e
+		// Frames come in long runs of one fingerprint: copy it once per run.
+		if string(fpb) != fp {
+			fp = string(fpb)
+		}
+		s.idx.set(string(key), fp, e)
 		off += n
 	}
 	return off, nil
@@ -262,44 +267,43 @@ func appendFrame(dst []byte, kind byte, key, fp string, value []byte) []byte {
 	return dst
 }
 
-// decodeFrame parses one frame from the head of data, returning the
-// record, its index entry and the frame's total size. A short,
-// CRC-failing or malformed frame is an error; the caller decides whether
-// that means a torn tail (truncate) or corruption (refuse).
-func decodeFrame(data []byte) (record, entry, int, error) {
+// decodeFrame parses one frame from the head of data, returning its key
+// and fingerprint (views into data), its index entry and the frame's total
+// size. A short, CRC-failing or malformed frame is an error; the caller
+// decides whether that means a torn tail (truncate) or corruption
+// (refuse).
+func decodeFrame(data []byte) (key, fp []byte, e entry, n int, err error) {
 	if len(data) < segFrameHeader {
-		return record{}, entry{}, 0, fmt.Errorf("torn frame header (%d bytes)", len(data))
+		return nil, nil, entry{}, 0, fmt.Errorf("torn frame header (%d bytes)", len(data))
 	}
 	payload := int(binary.LittleEndian.Uint32(data[0:4]))
 	if payload < 9 || payload > segMaxPayload {
-		return record{}, entry{}, 0, fmt.Errorf("implausible frame length %d", payload)
+		return nil, nil, entry{}, 0, fmt.Errorf("implausible frame length %d", payload)
 	}
 	if len(data) < segFrameHeader+payload {
-		return record{}, entry{}, 0, fmt.Errorf("torn frame (%d of %d payload bytes)", len(data)-segFrameHeader, payload)
+		return nil, nil, entry{}, 0, fmt.Errorf("torn frame (%d of %d payload bytes)", len(data)-segFrameHeader, payload)
 	}
 	body := data[segFrameHeader : segFrameHeader+payload]
 	if crc := crc32.Checksum(body, segCRC); crc != binary.LittleEndian.Uint32(data[4:8]) {
-		return record{}, entry{}, 0, fmt.Errorf("frame checksum mismatch")
+		return nil, nil, entry{}, 0, fmt.Errorf("frame checksum mismatch")
 	}
 	kind := body[0]
 	keyLen := int(binary.LittleEndian.Uint32(body[1:5]))
 	if keyLen < 0 || 5+keyLen+4 > len(body) {
-		return record{}, entry{}, 0, fmt.Errorf("frame key length %d exceeds payload", keyLen)
+		return nil, nil, entry{}, 0, fmt.Errorf("frame key length %d exceeds payload", keyLen)
 	}
-	key := string(body[5 : 5+keyLen])
+	key = body[5 : 5+keyLen]
 	fpLen := int(binary.LittleEndian.Uint32(body[5+keyLen : 9+keyLen]))
 	valOff := 9 + keyLen + fpLen
 	if fpLen < 0 || valOff > len(body) {
-		return record{}, entry{}, 0, fmt.Errorf("frame fingerprint length %d exceeds payload", fpLen)
+		return nil, nil, entry{}, 0, fmt.Errorf("frame fingerprint length %d exceeds payload", fpLen)
 	}
-	fp := string(body[9+keyLen : valOff])
+	fp = body[9+keyLen : valOff]
 	value := body[valOff:]
-	rec := record{Key: key, Fingerprint: fp}
-	var e entry
 	switch kind {
 	case segKindScore:
 		if len(value) != 8 {
-			return record{}, entry{}, 0, fmt.Errorf("score frame with %d value bytes, want 8", len(value))
+			return nil, nil, entry{}, 0, fmt.Errorf("score frame with %d value bytes, want 8", len(value))
 		}
 		e = entry{score: math.Float64frombits(binary.LittleEndian.Uint64(value)), hasScore: true}
 	case segKindJSON:
@@ -310,15 +314,15 @@ func decodeFrame(data []byte) (record, entry, int, error) {
 		// decode failure: corruption in a sealed segment, torn tail in the
 		// final one — safe either way, since tail truncation only drops
 		// bytes our own committer never acknowledged.
-		return record{}, entry{}, 0, fmt.Errorf("unknown frame kind %d", kind)
+		return nil, nil, entry{}, 0, fmt.Errorf("unknown frame kind %d", kind)
 	}
-	return rec, e, segFrameHeader + payload, nil
+	return key, fp, e, segFrameHeader + payload, nil
 }
 
 // Get returns the score recorded for (key, fingerprint), if any.
 func (s *SegLog) Get(key, fingerprint string) (float64, bool) {
 	s.mu.Lock()
-	e, ok := s.idx[key+"\x00"+fingerprint]
+	e, ok := s.idx.get(key, fingerprint)
 	s.mu.Unlock()
 	if !ok || !e.hasScore {
 		s.misses.Add(1)
@@ -341,7 +345,7 @@ func (s *SegLog) Put(key, fingerprint string, score float64) error {
 // GetJSON decodes the JSON payload recorded for (key, fingerprint) into v.
 func (s *SegLog) GetJSON(key, fingerprint string, v any) (bool, error) {
 	s.mu.Lock()
-	e, ok := s.idx[key+"\x00"+fingerprint]
+	e, ok := s.idx.get(key, fingerprint)
 	s.mu.Unlock()
 	if !ok || e.value == nil {
 		s.misses.Add(1)
@@ -381,7 +385,7 @@ func (s *SegLog) append(kind byte, key, fp string, value []byte, e entry) error 
 	before := len(s.pending)
 	s.pending = appendFrame(s.pending, kind, key, fp, value)
 	s.accepted += int64(len(s.pending) - before)
-	s.idx[key+"\x00"+fp] = e
+	s.idx.set(key, fp, e)
 	if len(s.pending) >= s.cfg.flushBytes {
 		select {
 		case s.kick <- struct{}{}:
@@ -400,7 +404,7 @@ func (s *SegLog) append(kind byte, key, fp string, value []byte, e entry) error 
 func (s *SegLog) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.idx)
+	return s.idx.count("")
 }
 
 // CountPrefix returns the number of distinct cells whose key starts with
@@ -408,13 +412,7 @@ func (s *SegLog) Len() int {
 func (s *SegLog) CountPrefix(prefix string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for k := range s.idx {
-		if strings.HasPrefix(k, prefix) {
-			n++
-		}
-	}
-	return n
+	return s.idx.count(prefix)
 }
 
 // Stats returns how many Get/GetJSON lookups hit and missed since Open.

@@ -77,7 +77,7 @@ func TestSegLogFlushBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &SegLog{idx: make(map[string]entry)}
+	probe := &SegLog{idx: make(index)}
 	good, perr := probe.replaySegment("probe", data)
 	if perr != nil {
 		t.Fatalf("flushed segment does not replay cleanly: %v", perr)
@@ -85,8 +85,8 @@ func TestSegLogFlushBarrier(t *testing.T) {
 	if good != len(data) {
 		t.Fatalf("flushed segment has %d trailing bytes past the last frame", len(data)-good)
 	}
-	if len(probe.idx) != 2 {
-		t.Fatalf("flushed segment replays %d cells, want 2", len(probe.idx))
+	if probe.idx.count("") != 2 {
+		t.Fatalf("flushed segment replays %d cells, want 2", probe.idx.count(""))
 	}
 }
 

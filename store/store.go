@@ -45,6 +45,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // entry is one cell's visible value in a backend's in-memory index.
@@ -52,6 +54,45 @@ type entry struct {
 	score    float64
 	hasScore bool
 	value    json.RawMessage
+}
+
+// index is the in-memory view Mem and SegLog share: fingerprint → key →
+// entry. A lookup is two map probes on the caller's own strings, so no
+// combined cell key is ever built; a store holds one fingerprint per spec,
+// so the outer map stays small. The owner serializes access.
+type index map[string]map[string]entry
+
+// get returns the entry of the cell (key, fp).
+func (x index) get(key, fp string) (entry, bool) {
+	e, ok := x[fp][key]
+	return e, ok
+}
+
+// set records e as the visible value of the cell (key, fp).
+func (x index) set(key, fp string, e entry) {
+	cells, ok := x[fp]
+	if !ok {
+		cells = make(map[string]entry)
+		x[fp] = cells
+	}
+	cells[key] = e
+}
+
+// count returns the number of cells whose key starts with prefix.
+func (x index) count(prefix string) int {
+	n := 0
+	for _, cells := range x {
+		if prefix == "" {
+			n += len(cells)
+			continue
+		}
+		for key := range cells {
+			if strings.HasPrefix(key, prefix) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Fingerprint hashes canonical spec parts into a short hex digest. Parts
@@ -67,11 +108,12 @@ func Fingerprint(parts ...string) string {
 
 // TrialKey names one deterministic trial identity: the collection seed (an
 // experiment's root seed, or a variance cell's realization root), the
-// dataset label, the trial index and the pipeline side ("A"/"B"). varbench
-// builds every store key through this one function, so external tools can
-// address the same cells.
+// dataset label, the trial index and the pipeline side ("A"/"B"):
+// "trial/seed=SEED/dataset=DATASET/run=INDEX/SIDE". varbench builds every
+// store key through this one function, so external tools can address the
+// same cells.
 func TrialKey(seed uint64, dataset string, index int, side string) string {
-	return fmt.Sprintf("trial/seed=%d/dataset=%s/run=%d/%s", seed, dataset, index, side)
+	return cellKey("trial", seed, dataset, index, side)
 }
 
 // FailureKey names one quarantined trial cell, addressing the same
@@ -82,5 +124,21 @@ func TrialKey(seed uint64, dataset string, index int, side string) string {
 // later successful resume writes the trial/ key and the failure record
 // simply stays behind as history.
 func FailureKey(seed uint64, dataset string, index int, side string) string {
-	return fmt.Sprintf("failure/seed=%d/dataset=%s/run=%d/%s", seed, dataset, index, side)
+	return cellKey("failure", seed, dataset, index, side)
+}
+
+// cellKey spells "FAMILY/seed=SEED/dataset=DATASET/run=INDEX/SIDE" with
+// decimal numbers, in one allocation for keys of up to 96 bytes.
+func cellKey(family string, seed uint64, dataset string, index int, side string) string {
+	var buf [96]byte
+	b := append(buf[:0], family...)
+	b = append(b, "/seed="...)
+	b = strconv.AppendUint(b, seed, 10)
+	b = append(b, "/dataset="...)
+	b = append(b, dataset...)
+	b = append(b, "/run="...)
+	b = strconv.AppendInt(b, int64(index), 10)
+	b = append(b, '/')
+	b = append(b, side...)
+	return string(b)
 }

@@ -25,31 +25,56 @@ type LineTailer struct {
 	buf []byte
 }
 
-// Feed appends one chunk and invokes emit for every newline-completed
-// line (without its terminator). The line slice is only valid during the
-// emit call; a non-nil emit error stops the scan and is returned.
+// Feed scans one chunk and invokes emit for every newline-completed line
+// (without its terminator). The line slice is only valid during the emit
+// call; a non-nil emit error stops the scan and is returned, and the
+// unscanned rest of the chunk stays buffered for the next Feed. Lines are
+// emitted from the chunk itself: only the buffered bytes completed by the
+// chunk's first line, and the chunk's trailing partial line, are copied.
 func (t *LineTailer) Feed(chunk []byte, emit func(line []byte) error) error {
-	t.buf = append(t.buf, chunk...)
-	start := 0
+	if len(t.buf) > 0 {
+		i := bytes.IndexByte(chunk, '\n')
+		if i < 0 {
+			t.buf = append(t.buf, chunk...)
+			return t.scan(t.buf, emit)
+		}
+		t.buf = append(t.buf, chunk[:i+1]...)
+		if err := t.scan(t.buf, emit); err != nil {
+			t.buf = append(t.buf, chunk[i+1:]...)
+			return err
+		}
+		chunk = chunk[i+1:]
+	}
+	return t.scan(chunk, emit)
+}
+
+// scan emits every complete line of data and keeps the rest — the partial
+// tail, or everything after a line whose emit failed — in the buffer,
+// which therefore never grows past the longest line. data may alias the
+// buffer.
+func (t *LineTailer) scan(data []byte, emit func(line []byte) error) error {
 	for {
-		i := bytes.IndexByte(t.buf[start:], '\n')
+		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
 			break
 		}
-		line := t.buf[start : start+i]
-		if len(line) > 0 && line[len(line)-1] == '\r' {
-			line = line[:len(line)-1]
-		}
-		start += i + 1
-		if err := emit(line); err != nil {
-			t.buf = append(t.buf[:0], t.buf[start:]...)
+		line := data[:i]
+		data = data[i+1:]
+		if err := emit(trimCR(line)); err != nil {
+			t.buf = append(t.buf[:0], data...)
 			return err
 		}
 	}
-	// Keep only the partial tail; compact in place so the buffer never
-	// grows past the longest line.
-	t.buf = append(t.buf[:0], t.buf[start:]...)
+	t.buf = append(t.buf[:0], data...)
 	return nil
+}
+
+// trimCR strips one final "\r", so CRLF lines read like LF ones.
+func trimCR(line []byte) []byte {
+	if len(line) > 0 && line[len(line)-1] == '\r' {
+		return line[:len(line)-1]
+	}
+	return line
 }
 
 // Remainder returns the buffered partial line awaiting its newline —

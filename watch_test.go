@@ -55,29 +55,35 @@ func TestLineTailerChunkingInvariant(t *testing.T) {
 }
 
 // TestLineTailerEmitError: a failing emit stops the scan, and the already
-// consumed lines are not replayed by the next Feed.
+// consumed lines are not replayed by the next Feed — wherever the stream
+// is split and whichever line fails, including a line completed from the
+// buffered partial line of an earlier chunk.
 func TestLineTailerEmitError(t *testing.T) {
-	var tailer LineTailer
-	var seen []string
+	data := []byte("one\ntwo\nthree\n")
 	boom := fmt.Errorf("boom")
-	err := tailer.Feed([]byte("one\ntwo\nthree\n"), func(line []byte) error {
-		seen = append(seen, string(line))
-		if len(seen) == 2 {
-			return boom
+	for split := 0; split <= len(data); split++ {
+		for fail := 1; fail <= 3; fail++ {
+			var tailer LineTailer
+			var seen []string
+			emit := func(line []byte) error {
+				seen = append(seen, string(line))
+				if len(seen) == fail {
+					return boom
+				}
+				return nil
+			}
+			errs := 0
+			for _, chunk := range [][]byte{data[:split], data[split:], nil} {
+				if err := tailer.Feed(chunk, emit); err == boom {
+					errs++
+				} else if err != nil {
+					t.Fatalf("split %d fail %d: Feed returned %v", split, fail, err)
+				}
+			}
+			if got := fmt.Sprint(seen); errs != 1 || got != "[one two three]" {
+				t.Fatalf("split %d fail %d: %d errors, lines %v", split, fail, errs, seen)
+			}
 		}
-		return nil
-	})
-	if err != boom {
-		t.Fatalf("Feed returned %v, want the emit error", err)
-	}
-	if err := tailer.Feed(nil, func(line []byte) error {
-		seen = append(seen, string(line))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(seen); got != "[one two three]" {
-		t.Fatalf("lines after emit error: %v", seen)
 	}
 }
 
