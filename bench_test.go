@@ -2,8 +2,9 @@ package varbench
 
 // The benchmark harness: one benchmark per paper table/figure (regenerating
 // the artifact at a reduced budget and reporting its headline quantity as a
-// custom metric), ablation benchmarks for the design choices called out in
-// DESIGN.md §5, and micro-benchmarks of the substrates. Run with:
+// custom metric), ablation benchmarks for the protocol's design choices
+// (pairing, the resampling probe, the CI, stratification and γ, each citing
+// the paper's section), and micro-benchmarks of the substrates. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -168,7 +169,7 @@ func BenchmarkTable8MHCComparison(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §5) --------------------------------
+// --- Ablation benchmarks -----------------------------------------------
 
 // BenchmarkAblationPairing quantifies the power gained by pairing (Appendix
 // C.2): detection rate of the PAB test on paired vs independently drawn

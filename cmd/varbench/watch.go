@@ -14,10 +14,11 @@ import (
 // runWatch implements the `varbench watch` subcommand: the recommended
 // test over a growing score file. Each line is one paired trial — `a,b`
 // CSV or `{"a": .., "b": ..}` JSONL — and every batch of new lines is
-// added to the win/tie/loss counts in O(new) work, so the live conclusion
-// is always current without ever re-reading the history. With -follow the
-// command tails the file like `tail -f`. There is no -store: the whole
-// analysis is three counts and two sums, which a rerun rebuilds by
+// added to the win/tie/loss counts, so the live conclusion is always
+// current without ever re-reading the history. With -follow the command
+// tails the file like `tail -f`. The whole analysis is three counts and
+// two sums: watch keeps no scores, so its memory does not grow with the
+// file, and there is no store, since a rerun rebuilds the counts by
 // reading the file again.
 func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("varbench watch", flag.ContinueOnError)
@@ -29,8 +30,6 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	confidence := fs.Float64("confidence", varbench.DefaultConfidence, "bootstrap CI confidence level")
 	bootstrap := fs.Int("bootstrap", varbench.DefaultBootstrap, "bootstrap resamples (ignored: watch computes the paired bootstrap's exact K → ∞ interval)")
 	seed := fs.Uint64("seed", 1, "bootstrap seed (ignored: the paired interval draws no randomness)")
-	id := fs.String("id", "", "no longer supported: see -store")
-	storeDir := fs.String("store", "", "no longer supported: the analysis is three counts and two sums, so a rerun re-reads the file instead of resuming a snapshot")
 	format := fs.String("format", "text", "output format: text, json or csv")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: varbench watch -file scores.csv [-follow] [flags]")
@@ -43,9 +42,6 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	if *file == "" {
 		fs.Usage()
 		return fmt.Errorf("watch needs a -file to tail")
-	}
-	if *storeDir != "" || *id != "" {
-		return fmt.Errorf("watch -store and -id are no longer supported: %s", errWatchStore)
 	}
 	var ren varbench.Renderer
 	switch *format {
@@ -193,6 +189,3 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	}
 	return final()
 }
-
-// errWatchStore says why watch keeps no store.
-const errWatchStore = "the analysis is three counts and two score sums, rebuilt by reading the file again, so there is no snapshot to persist or resume"

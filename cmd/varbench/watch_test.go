@@ -1,26 +1,38 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// writeScoreFile renders n deterministic paired score lines.
+// writeScoreFile writes n deterministic paired score lines, streaming
+// them so that a long log costs the test no memory.
 func writeScoreFile(t *testing.T, path string, n int) {
 	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("# synthetic paired scores\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&buf, "0.%02d,0.%02d\n", 80+i%15, 60+(i*7)%20)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	// A bufio.Writer keeps its first write error, and Flush returns it.
+	bw := bufio.NewWriter(f)
+	bw.WriteString("# synthetic paired scores\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(bw, "0.%02d,0.%02d\n", 80+i%15, 60+(i*7)%20)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,10 +87,6 @@ func TestWatchCommandErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"watch"}, &out); err == nil {
 		t.Error("watch without -file accepted")
-	}
-	if err := run(context.Background(), []string{"watch", "-file", "x", "-store", dir}, &out); err == nil ||
-		!strings.Contains(err.Error(), "no longer supported") {
-		t.Errorf("watch -store: %v", err)
 	}
 	one := filepath.Join(dir, "one.csv")
 	if err := os.WriteFile(one, []byte("0.5,0.4\n"), 0o644); err != nil {
@@ -136,5 +144,56 @@ func TestWatchCommandFollowInterrupt(t *testing.T) {
 	}
 	if rerun.String() != clean.String() {
 		t.Errorf("rerun watch differs from uninterrupted run:\n%s\n---\n%s", rerun.String(), clean.String())
+	}
+}
+
+// TestWatchMemoryIsConstant: watch keeps no score history, so reading a
+// 2M-pair log allocates within 1 MiB of what a 20k-pair log does, in text
+// and in JSON. A watch that kept the scores would allocate at least 32 MB
+// more for the longer log.
+func TestWatchMemoryIsConstant(t *testing.T) {
+	dir := t.TempDir()
+	small, large := filepath.Join(dir, "20k.csv"), filepath.Join(dir, "2m.csv")
+	writeScoreFile(t, small, 20_000)
+	writeScoreFile(t, large, 2_000_000)
+	for _, format := range []string{"text", "json"} {
+		allocated := func(file string) uint64 {
+			t.Helper()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := run(context.Background(), []string{"watch", "-file", file, "-format", format}, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		s, l := allocated(small), allocated(large)
+		t.Logf("%s: %d bytes allocated on 20k pairs, %d on 2M", format, s, l)
+		if l > s+1<<20 {
+			t.Errorf("%s: watch allocated %d bytes on 2M pairs, %d on 20k: want within 1 MiB", format, l, s)
+		}
+	}
+}
+
+// TestWatchEveryOutputIsLinear: an interim JSON report is the same size
+// whatever the pair count, so `-every` output grows at most in proportion
+// to the log. A report that printed the scores would grow with the square
+// of it.
+func TestWatchEveryOutputIsLinear(t *testing.T) {
+	dir := t.TempDir()
+	output := func(n int) int {
+		t.Helper()
+		file := filepath.Join(dir, fmt.Sprintf("%d.csv", n))
+		writeScoreFile(t, file, n)
+		var out bytes.Buffer
+		if err := run(context.Background(), []string{"watch", "-file", file, "-every", "1000", "-format", "json"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Len()
+	}
+	s, l := output(2_000), output(20_000)
+	t.Logf("%d bytes printed on 2k pairs, %d on 20k", s, l)
+	if l > 10*s {
+		t.Errorf("watch -every 1000 printed %d bytes on 2k pairs and %d on 20k: more than 10x", s, l)
 	}
 }

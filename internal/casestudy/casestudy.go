@@ -10,7 +10,7 @@
 //
 // Search spaces and default hyperparameters mirror the shapes of Tables 2,
 // 3, 5 and 6 (log vs linear dimensions, which parameters are tuned), scaled
-// to substrate-appropriate ranges. See DESIGN.md for the substitution table.
+// to substrate-appropriate ranges.
 package casestudy
 
 import (

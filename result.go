@@ -90,8 +90,10 @@ const (
 
 // DatasetResult is the outcome of one dataset's collection and test.
 type DatasetResult struct {
-	Name         string     `json:"name,omitempty"`
-	Comparison   Comparison `json:"comparison"`
+	Name       string     `json:"name,omitempty"`
+	Comparison Comparison `json:"comparison"`
+	// ScoresA and ScoresB hold the scores the test analysed. A Stream's
+	// results carry none: a stream keeps no score history.
 	ScoresA      []float64  `json:"scores_a,omitempty"`
 	ScoresB      []float64  `json:"scores_b,omitempty"`
 	Pairs        int        `json:"pairs"`

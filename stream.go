@@ -11,22 +11,23 @@ import (
 // A Stream is the recommended test as a long-lived sidecar: paired scores
 // arrive continuously — from a live training fleet, a log tailer (see
 // varbench watch), a message queue — and every Extend adds them to the
-// win/tie/loss counts and score sums, in O(new pairs), whose current
-// three-zone conclusion is available at any moment. Feeding chunks of any
-// size gives the same bits as a single Analyze of the full sequence.
+// win/tie/loss counts and score sums, whose current three-zone conclusion
+// is available at any moment. An Extend costs O(its pairs) plus one exact
+// interval over all n pairs so far, which is O(√n) with ties. Feeding
+// chunks of any size gives the same Comparison as a single Analyze of the
+// full sequence.
 //
-// A Stream holds no state worth persisting: its analysis is three counts
-// and two sums, so a rerun re-reads its input instead of resuming a
-// snapshot, and NewStream rejects WithStore.
+// A Stream keeps no score history: its whole state is three counts and two
+// sums, so its memory stays constant however many pairs it consumes, and
+// its results carry no scores (the producer's log holds them). For the same
+// reason it holds nothing worth persisting: a rerun re-reads its input
+// instead of resuming a snapshot, and NewStream rejects WithStore.
 //
 // A Stream is not safe for concurrent use; one goroutine feeds it, while
 // Subscribe delivers results to any number of consumers.
 type Stream struct {
 	cfg *Experiment
 	ana *compare.AnalysisState
-
-	// The score history fills the result's ScoresA/ScoresB.
-	outA, outB []float64
 
 	mu     sync.Mutex // guards subs/closed; the feeding path is single-goroutine
 	subs   map[chan *Result]context.Context
@@ -77,8 +78,6 @@ func (s *Stream) Extend(a, b []float64) (*Result, error) {
 	if s.isClosed() {
 		return nil, fmt.Errorf("varbench: stream is closed")
 	}
-	s.outA = append(s.outA, a...)
-	s.outB = append(s.outB, b...)
 	for i := range a {
 		s.ana.Add(a[i], b[i])
 	}
@@ -106,8 +105,6 @@ func (s *Stream) Result() (*Result, error) {
 		Comparison: c,
 		Datasets: []DatasetResult{{
 			Comparison: c,
-			ScoresA:    s.outA,
-			ScoresB:    s.outB,
 			Pairs:      c.N,
 		}},
 		WilcoxonP: 1,

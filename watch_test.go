@@ -252,6 +252,10 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 	if resDribs.Comparison != resOne.Comparison {
 		t.Fatalf("drib-fed stream differs:\n%+v\n%+v", resDribs.Comparison, resOne.Comparison)
 	}
+	// A stream keeps no score history, so its results carry no scores.
+	if d := resDribs.Datasets[0]; d.ScoresA != nil || d.ScoresB != nil || d.Pairs != len(a) {
+		t.Fatalf("stream result carries scores or the wrong count: %+v", d)
+	}
 
 	ref, err := Analyze(a, b, WithSeed(5), WithGamma(0.7))
 	if err != nil {
@@ -309,7 +313,8 @@ func TestStreamSubscribe(t *testing.T) {
 
 // BenchmarkWatchIngest measures the watch ingestion hot path — tail,
 // parse, extend — per chunk of 8 score lines against a live stream, which
-// re-evaluates the exact interval on every chunk. Wired into the CI bench
+// re-evaluates the exact interval on every chunk. The stream keeps no score
+// history, so B/op does not depend on b.N. Wired into the CI bench
 // regression gate.
 func BenchmarkWatchIngest(bm *testing.B) {
 	var data bytes.Buffer
