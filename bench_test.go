@@ -527,11 +527,11 @@ func BenchmarkBatchedAnalysis(b *testing.B) {
 }
 
 // BenchmarkCollectionLazyTrials pins the collection-memory fix: an
-// early-stopped experiment with a huge MaxRuns must allocate per collected
-// batch, not per MaxRuns — before the lazy trial stream, the 1<<20 cap
-// below meant ~1M Trial structs up front (B/op exploded with the cap; now
-// it is flat). γ = 0.98 puts Noether's N at 8, so every run stops after
-// one batch.
+// early-stopped experiment with a huge MaxRuns must allocate for the pairs
+// it collects, not per MaxRuns — before the lazy trial stream, the 1<<20
+// cap below meant ~1M Trial structs up front (B/op exploded with the cap;
+// now it is flat). γ = 0.98 puts Noether's N at 8, so every run collects
+// 8 pairs.
 func BenchmarkCollectionLazyTrials(b *testing.B) {
 	for _, maxRuns := range []int{64, 1 << 20} {
 		b.Run(fmt.Sprintf("maxruns-%d", maxRuns), func(b *testing.B) {
@@ -559,7 +559,7 @@ func BenchmarkCollectionLazyTrials(b *testing.B) {
 // BenchmarkMultiDatasetCollection contrasts the concurrent multi-dataset
 // engine against per-dataset cost: 4 datasets whose pipelines sleep-free
 // compute keeps the benchmark deterministic; wall-clock gains show up once
-// RunFuncs do real work. Each dataset collects one batch of 8 pairs.
+// RunFuncs do real work. Each dataset collects 8 pairs.
 func BenchmarkMultiDatasetCollection(b *testing.B) {
 	datasets := []Dataset{
 		{Name: "d1", A: noisyRunner(0.9), B: noisyRunner(0.6)},
@@ -581,12 +581,17 @@ func BenchmarkMultiDatasetCollection(b *testing.B) {
 // untimed run filled with the first 500, so half the cells are served from
 // the store and half are computed and put. The pipelines cost next to
 // nothing, so keys, seeds, the store index and the retry guard are the
-// whole figure.
+// whole figure. The pipelines draw what xrand.New(t.Seed).Split(label)
+// would, bit for bit, from a stack Source, so that they allocate nothing
+// themselves.
 func BenchmarkCollectionStoreResume(b *testing.B) {
 	const pairs = 1000
 	side := func(label string, mean float64) TrialFunc {
+		h := xrand.HashLabel(label)
 		return func(t Trial) (float64, error) {
-			return xrand.New(t.Seed).Split(label).Normal(mean, 0.02), nil
+			var src xrand.Source
+			src.Seed(xrand.New(t.Seed).SplitSeed(h))
+			return src.Normal(mean, 0.02), nil
 		}
 	}
 	run := func(st store.Backend, maxRuns int) {

@@ -11,16 +11,16 @@ import (
 )
 
 // TestDefaultProtocolCalibration checks the error rates of the default
-// Experiment (γ 0.75, K 1000, batch 8, MaxRuns from Noether's N) on
+// Experiment (γ 0.75, MaxRuns from Noether's N) on
 // synthetic paired pipelines whose true P(A>B) is known exactly: A−B is
 // N(μ, 2) with μ = √2·Φ⁻¹(p), so P(A>B) = p. Over 1,000 seeds per cell the
 // final 95% CI must cover p in at least 90% of runs, at most 4.5% of null
 // runs (p = 0.5) may be judged significant, and every run must use exactly
 // the fixed N the default stopping rule promises: 29 pairs for one dataset,
-// and for two datasets 24 each (N = 21 at the Bonferroni-adjusted γ, rounded
-// up to the batch). The bounds sit a few binomial standard errors below the
-// rates the fixed-N protocol reaches; re-reading the CI at every batch
-// boundary, as an early stop on the CI does, covers far less at p ≥ 0.75.
+// and for two datasets 21 each (Noether's N at the Bonferroni-adjusted γ).
+// The bounds sit a few binomial standard errors below the rates the
+// fixed-N protocol reaches; re-reading the CI every few pairs, as an early
+// stop on the CI does, covers far less at p ≥ 0.75.
 func TestDefaultProtocolCalibration(t *testing.T) {
 	const seeds = 1000
 	cells := []struct {
@@ -31,7 +31,7 @@ func TestDefaultProtocolCalibration(t *testing.T) {
 		{0.5, 1, 29},
 		{0.75, 1, 29},
 		{0.9, 1, 29},
-		{0.75, 2, 24},
+		{0.75, 2, 21},
 	}
 	for _, c := range cells {
 		t.Run(fmt.Sprintf("p=%v/datasets=%d", c.p, c.datasets), func(t *testing.T) {

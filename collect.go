@@ -5,19 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"varbench/store"
 )
 
-// The collection engine: a bounded worker pool executing one batch of
-// trials at a time, writing each score to its trial's slot. Batches are
-// streamed from a lazy trialStream whose seeds depend only on (Seed,
+// The collection engine: a bounded worker pool that claims one dataset's
+// trials by index and commits their scores in index order (see schedule).
+// Trials come from a trialStream whose seeds depend only on (Seed,
 // dataset, trial index), fixed before any trial is dispatched, so workers
-// never share mutable state beyond disjoint slice elements and the output
-// is identical at any parallelism. Multi-dataset experiments run one such
-// pool per dataset concurrently. Cancellation is observed between runs; a
-// run already started is allowed to finish.
+// share no mutable state beyond what the commit lock guards, and the
+// output is identical at any parallelism. Multi-dataset experiments run
+// one such pool per dataset concurrently. Cancellation is observed between
+// trials; a trial already started is allowed to finish.
 //
 // When a trial store is attached, the engine is cache-first: each (trial,
 // side) cell is looked up before the pipeline runs, and every freshly
@@ -204,62 +205,167 @@ func wrapTrialErr(label, side string, index int, err error) error {
 	return fmt.Errorf("varbench: %salgorithm %s run %d: %w: %w", label, side, index, ErrTrialFailed, err)
 }
 
-// collectPairs measures one batch of paired trials: trial i feeds both
-// pipelines, outA[i] and outB[i] receive the scores. label names the
-// dataset in errors ("" for single-dataset experiments). In quarantine mode
-// a failed side quarantines the whole pair (the other side is skipped —
-// half a pair is useless to a paired test) into fails[i]; every slot is
-// written only by its own trial, so failure placement is deterministic at
-// any parallelism.
-func collectPairs(ctx context.Context, label string, cache *trialCache, g *guard, runA, runB TrialFunc, trials []Trial, outA, outB []float64, fails []*TrialFailure, workers int) error {
-	return collectN(ctx, len(trials), workers, func(cctx context.Context, i int) error {
-		t := trials[i]
-		a, fa, err := cache.resolve(cctx, g, t, "A", runA, label)
-		if err != nil {
-			return err
-		}
-		if fa != nil {
-			fails[i] = fa
-			return nil
-		}
-		b, fb, err := cache.resolve(cctx, g, t, "B", runB, label)
-		if err != nil {
-			return err
-		}
-		if fb != nil {
-			fails[i] = fb
-			return nil
-		}
-		outA[i], outB[i] = a, b
-		return nil
-	})
+// A schedule collects the trials of one stream through collectN's pool, in
+// rounds. A round hands its trial indices to the pool, whose workers claim
+// them in increasing order and measure them in any order; commit then
+// folds the completed prefix into the result in trial-index order. So the
+// surviving scores, the failure list and the sequence of Progress events
+// are the same at any Parallelism. Nothing waits at a batch boundary: a
+// worker that finishes a trial claims the next one while slower trials run
+// on. Trials are derived as their jobs start, so a round of N holds no N
+// trials at once.
+type schedule struct {
+	e              *Experiment
+	label, dataset string // the dataset's error prefix and name
+	cache          *trialCache
+	g              *guard
+	runA, runB     TrialFunc // runB is nil for single-pipeline collection
+	stream         *trialStream
+
+	lo int // the index of the round's first trial, collectN's job 0
+
+	mu    sync.Mutex
+	early map[int]Trial // trials derived ahead of their job
+	// Survivors, in trial-index order; failures likewise.
+	outA, outB []float64
+	failures   []TrialFailure
+	committed  int             // trials committed so far: the next to commit
+	ahead      map[int]outcome // trials measured ahead of the next to commit
+	feeding    bool            // a worker is committing
 }
 
-// collectRuns measures a single pipeline once per trial. Stored cells use
-// side "A", so a study's single-pipeline measurements and an experiment's
-// A-side trials address the same cache cells.
-func collectRuns(ctx context.Context, cache *trialCache, g *guard, run TrialFunc, trials []Trial, out []float64, fails []*TrialFailure, workers int) error {
-	return collectN(ctx, len(trials), workers, func(cctx context.Context, i int) error {
-		t := trials[i]
-		v, f, err := cache.resolve(cctx, g, t, "A", run, "")
-		if err != nil {
-			return err
-		}
-		if f != nil {
-			fails[i] = f
-			return nil
-		}
-		out[i] = v
-		return nil
-	})
+// An outcome is one measured trial: its scores, or its quarantine record.
+type outcome struct {
+	a, b float64
+	fail *TrialFailure
 }
 
-// collectN executes do(ctx, i) for i in [0, n) across a worker pool,
-// stopping at the first error or context cancellation. It is the engine
-// behind both trial collection and the (source × realization) fan-out of
-// VarianceStudy.Run: every job writes only to its own pre-assigned slot, so
-// any worker count produces identical results. The ctx handed to do is
-// canceled as soon as any job fails, so long-running jobs (a whole
+// newSchedule prepares the collection of up to n survivors of one dataset.
+// runB nil collects a single pipeline, stored as side "A".
+func (e *Experiment) newSchedule(dataset, label string, runA, runB TrialFunc, n int) *schedule {
+	s := &schedule{
+		e:       e,
+		label:   label,
+		dataset: dataset,
+		cache:   e.trialCache(dataset),
+		g:       e.guard(),
+		runA:    runA,
+		runB:    runB,
+		stream:  e.trialStream(dataset),
+		outA:    make([]float64, 0, n),
+	}
+	if runB != nil {
+		s.outB = make([]float64, 0, n)
+	}
+	return s
+}
+
+// collect runs trials until n of them survive or limit trial indices are
+// spent, and returns the number of indices spent. The first round runs
+// trials 0..n−1; each later round runs the next indices, one per trial
+// quarantined so far. A trial's seed depends on its index alone, so a
+// make-up trial never moves another trial's seeds.
+func (s *schedule) collect(ctx context.Context, n, limit int) (int, error) {
+	used := 0
+	for m := n; m > 0; m = min(n-len(s.outA), limit-used) {
+		s.lo = used
+		if err := collectN(ctx, m, s.e.Parallelism, s.measure); err != nil {
+			return used, err
+		}
+		used += m
+	}
+	return used, nil
+}
+
+// measure is collectN's job k: it measures the round's trial k and commits
+// it. In quarantine mode a failed side quarantines the whole pair, and the
+// other side is skipped: half a pair is useless to a paired test.
+func (s *schedule) measure(ctx context.Context, k int) error {
+	t := s.trial(s.lo + k)
+	var o outcome
+	var err error
+	o.a, o.fail, err = s.cache.resolve(ctx, s.g, t, "A", s.runA, s.label)
+	if err == nil && o.fail == nil && s.runB != nil {
+		o.b, o.fail, err = s.cache.resolve(ctx, s.g, t, "B", s.runB, s.label)
+	}
+	if err != nil {
+		return err
+	}
+	s.commit(t.Index, o)
+	return nil
+}
+
+// trial derives trial i. Jobs claim their indices in increasing order but
+// may get here in any order, and the stream derives trials only in order:
+// a trial derived for a later job's sake waits in early for its own job.
+// Each worker holds at most one claimed job, so early holds fewer trials
+// than there are workers.
+func (s *schedule) trial(i int) Trial {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.early[i]; ok {
+		delete(s.early, i)
+		return t
+	}
+	for s.stream.next < i {
+		if s.early == nil {
+			s.early = make(map[int]Trial)
+		}
+		t := s.stream.trial()
+		s.early[t.Index] = t
+	}
+	return s.stream.trial()
+}
+
+// commit folds trial i into the result once every earlier trial is in,
+// reporting each folded trial through progress in index order. A trial
+// that arrives early waits in ahead. The worker that commits keeps
+// committing while the next trial is in, and calls progress outside the
+// lock: a trial that completes meanwhile only waits in ahead, for that
+// worker's next pass. Rounds run one after another and a round ends only
+// when all its trials are in, so the next round starts at committed.
+func (s *schedule) commit(i int, o outcome) {
+	s.mu.Lock()
+	if i != s.committed || s.feeding {
+		if s.ahead == nil {
+			s.ahead = make(map[int]outcome)
+		}
+		s.ahead[i] = o
+		s.mu.Unlock()
+		return
+	}
+	s.feeding = true
+	for ok := true; ok; o, ok = s.ahead[s.committed] {
+		delete(s.ahead, s.committed)
+		if o.fail != nil {
+			o.fail.Dataset = s.dataset
+			s.failures = append(s.failures, *o.fail)
+		} else {
+			s.outA = append(s.outA, o.a)
+			if s.outB != nil {
+				s.outB = append(s.outB, o.b)
+			}
+		}
+		s.committed++
+		if s.e.Progress != nil {
+			p := Progress{Dataset: s.dataset, Pairs: len(s.outA), MaxRuns: s.e.MaxRuns, Quarantined: len(s.failures)}
+			s.mu.Unlock()
+			s.e.Progress(p)
+			s.mu.Lock()
+		}
+	}
+	s.feeding = false
+	s.mu.Unlock()
+}
+
+// collectN executes do(ctx, i) for i in [0, n) across a pool of workers
+// that claim indices in increasing order, stopping at the first error or
+// context cancellation. It is the engine behind trial collection, the
+// concurrent datasets of a multi-dataset Run and the (source ×
+// realization) fan-out of VarianceStudy.Run: every job writes only to its
+// own pre-assigned slot, so any worker count produces identical results.
+// One worker runs the jobs inline, with no goroutine. The ctx handed to do
+// is canceled as soon as any job fails, so long-running jobs (a whole
 // K-measure variance cell, not just one trial) can stop between their own
 // steps instead of running to completion. The reported error is the
 // lowest-index real failure: cancellation-shaped errors from siblings that
@@ -288,8 +394,9 @@ func collectN(ctx context.Context, n, workers int, do func(ctx context.Context, 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
+		wg   sync.WaitGroup
+		next atomic.Int64 // the next unclaimed index
+		mu   sync.Mutex
 		// The lowest-index real failure wins the reported error. A
 		// cancellation-shaped error is kept only as a fallback: it is
 		// usually a sibling observing our own cancel (or the caller's), and
@@ -317,12 +424,15 @@ func collectN(ctx context.Context, n, workers int, do func(ctx context.Context, 
 			errIdx, firstErr = i, err
 		}
 	}
-	idx := make(chan int)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				if err := do(ctx, i); err != nil {
 					fail(i, err)
 					return
@@ -330,15 +440,6 @@ func collectN(ctx context.Context, n, workers int, do func(ctx context.Context, 
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr

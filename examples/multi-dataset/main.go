@@ -74,8 +74,10 @@ func main() {
 		Seed:        77,
 		MaxRuns:     *k,
 		Parallelism: *workers,
+		// Progress goes to stderr: the datasets' events interleave in
+		// completion order, so stdout keeps only the deterministic report.
 		Progress: func(p varbench.Progress) {
-			fmt.Printf("%s: %d/%d pairs\n", p.Dataset, p.Pairs, p.MaxRuns)
+			fmt.Fprintf(os.Stderr, "%s: %d/%d pairs\n", p.Dataset, p.Pairs, p.MaxRuns)
 		},
 	}
 	res, err := exp.Run(context.Background())

@@ -6,9 +6,9 @@
 //
 //  1. every run randomizes the data split, initialization, data order,
 //     dropout and augmentation, pairing the two algorithms on shared seeds;
-//  2. collection fans out across a worker pool and stops at the first
-//     batch boundary past Noether's recommended sample size (29 pairs at
-//     γ=0.75), the paper's fixed-N protocol;
+//  2. collection fans out across a worker pool and stops at exactly
+//     Noether's recommended sample size (29 pairs at γ=0.75), the paper's
+//     fixed-N protocol;
 //  3. the conclusion is the probability of outperforming P(A>B) with its
 //     bootstrap confidence interval, not a bare average difference.
 //
@@ -73,7 +73,7 @@ func quickstart() int {
 		A:       runner(algoA),
 		B:       runner(algoB),
 		Seed:    2021,
-		MaxRuns: 64, // a cap above Noether's N: the run stops at 32 pairs
+		MaxRuns: 64, // a cap above Noether's N: the run stops at 29 pairs
 		Progress: func(p varbench.Progress) {
 			fmt.Printf("collected %d/%d pairs...\n", p.Pairs, p.MaxRuns)
 		},

@@ -4,8 +4,8 @@
 // effect P(A>B)=0.75, the test should detect at roughly the designed power.
 //
 // This is the curve behind varbench.Experiment's defaults: MaxRuns defaults
-// to Noether's N for the chosen γ, and the default stopping rule ends
-// collection at the first batch boundary where that N is reached.
+// to Noether's N for the chosen γ, and the default stopping rule collects
+// exactly that N, fixed before the first trial.
 //
 // Run: go run ./examples/sample-size
 package main

@@ -31,12 +31,13 @@ type TrialFunc func(t Trial) (float64, error)
 type EarlyStopPolicy int
 
 const (
-	// EarlyStopAuto (the default) is the paper's fixed-N protocol: it stops
-	// at the first batch boundary where the collected pairs reach Noether's
-	// recommended sample size for the dataset's γ (Bonferroni-adjusted in
-	// multi-dataset runs), or at MaxRuns, and evaluates the recommended test
-	// once, on the final pairs. It never looks at the CI before then, so the
-	// test keeps its single-look error rates.
+	// EarlyStopAuto (the default) is the paper's fixed-N protocol: it
+	// collects exactly N pairs, where N is Noether's recommended sample size
+	// for the dataset's γ (Bonferroni-adjusted in multi-dataset runs) capped
+	// by MaxRuns, and evaluates the recommended test once, on the final
+	// pairs. It never looks at the CI before then, so the test keeps its
+	// single-look error rates. A quarantined trial is made up for by the
+	// next trial index, while MaxRuns leaves indices to spend.
 	EarlyStopAuto EarlyStopPolicy = iota
 	// EarlyStopOff always collects exactly MaxRuns pairs.
 	EarlyStopOff
@@ -50,11 +51,13 @@ type Dataset struct {
 	ATrial, BTrial TrialFunc
 }
 
-// Progress reports the state of a running experiment after each batch.
+// Progress reports the state of a running experiment after each trial. It
+// fires once per trial index, in index order, so the sequence of events is
+// the same at any Parallelism.
 type Progress struct {
 	// Dataset is the dataset being collected ("" for single-dataset runs).
 	Dataset string
-	// Pairs is the number of trials collected so far on this dataset:
+	// Pairs is the number of trials that survived so far on this dataset:
 	// paired runs for Experiment.Run, single measurements for
 	// Experiment.Collect.
 	Pairs int
@@ -115,22 +118,15 @@ type Experiment struct {
 	// seed 0, use WithSeed(0).
 	Seed uint64
 
-	// MaxRuns caps the number of pairs collected per dataset (default:
-	// Noether's recommended sample size for γ, e.g. 29 at γ=0.75).
+	// MaxRuns caps the trials run per dataset, quarantined ones included
+	// (default: Noether's recommended sample size for γ, e.g. 29 at
+	// γ=0.75).
 	MaxRuns int
-	// BatchSize is the number of pairs collected between stop checks and
-	// Progress callbacks (default 8); EarlyStopAuto stops at the first
-	// boundary at or past Noether's N. Batch boundaries are independent of
-	// Parallelism, so changing the worker count never changes the result —
-	// which is also why the default is a constant rather than tracking
-	// Parallelism. At most BatchSize trials are in flight at once, so set
-	// BatchSize ≥ Parallelism to use the full worker pool.
-	BatchSize int
 	// Parallelism is the collection worker-pool size (default GOMAXPROCS).
-	// Effective concurrency is additionally bounded by BatchSize. In a
-	// multi-dataset experiment the datasets are collected concurrently,
-	// each with its own pool, so up to len(Datasets)·min(Parallelism,
-	// BatchSize) trials may be in flight at once.
+	// Workers claim trials one at a time, so up to Parallelism trials are
+	// in flight. In a multi-dataset experiment the datasets are collected
+	// concurrently, each with its own pool, so up to
+	// len(Datasets)·Parallelism trials may be in flight at once.
 	Parallelism int
 	// EarlyStop selects the stopping policy (default EarlyStopAuto).
 	EarlyStop EarlyStopPolicy
@@ -186,11 +182,11 @@ type Experiment struct {
 	// point; see WithUnpaired.
 	Unpaired bool
 
-	// Progress, when set, is invoked after every collected batch.
-	// Invocations are never concurrent: multi-dataset runs collect
-	// datasets in parallel but funnel every callback through a single
-	// delivery goroutine, so batches from different datasets interleave
-	// in completion order while the callback itself stays single-threaded.
+	// Progress, when set, is invoked once per trial index, in index order
+	// within each dataset. Invocations are never concurrent: it runs on a
+	// collection worker, and multi-dataset runs, which collect datasets in
+	// parallel, hold a mutex around it, so events of different datasets
+	// interleave in completion order. A slow callback slows collection.
 	Progress func(Progress)
 
 	// The set flags distinguish an explicit zero passed through an Option
@@ -226,100 +222,59 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now() //lint:allow nondeterm(Elapsed is wall-clock metadata, not part of the deterministic result)
-	res := &Result{
-		Name:  cfg.Name,
-		Gamma: cfg.Gamma,
-		Seed:  cfg.Seed,
-	}
 
-	if len(datasets) == 1 {
-		// A single dataset — named or not — needs no multiple-comparison
-		// adjustment and reports through the Comparison convenience field.
-		dr, err := cfg.runDataset(ctx, datasets[0], cfg.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		res.Datasets = []DatasetResult{*dr}
-		res.Comparison = dr.Comparison
-		res.Pairs = dr.Pairs
-		res.Runs = 2 * dr.Pairs
-		res.Quarantined = len(dr.Failures)
-		res.EarlyStopped = dr.EarlyStopped
-		res.StopReason = dr.StopReason
-		res.WilcoxonP = 1
-		res.Elapsed = time.Since(start) //lint:allow nondeterm(Elapsed is wall-clock metadata, not part of the deterministic result)
-		return res, nil
-	}
-
-	// Multi-dataset: judge each dataset at the Bonferroni-adjusted
-	// threshold, then combine the evidence through combineEvidence.
-	// Datasets are collected concurrently — every dataset derives its
-	// seeds from its own (Seed, name)-keyed root, so scheduling cannot
-	// perturb any per-dataset result — and a single delivery goroutine
-	// serializes Progress callbacks, so user callbacks never run
-	// concurrently even though collection does.
-	adjGamma := stats.GammaBonferroni(cfg.Gamma, 0.05, len(datasets))
-	runCfg := *cfg
-	var progCh chan Progress
-	var progWG sync.WaitGroup
-	if cfg.Progress != nil {
-		progCh = make(chan Progress, len(datasets))
-		progWG.Add(1)
-		go func() {
-			defer progWG.Done()
-			for p := range progCh {
-				cfg.Progress(p)
-			}
-		}()
-		runCfg.Progress = func(p Progress) { progCh <- p }
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	drs := make([]*DatasetResult, len(datasets))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, ds := range datasets {
-		wg.Add(1)
-		go func(i int, ds Dataset) {
-			defer wg.Done()
-			dr, err := runCfg.runDataset(ctx, ds, adjGamma)
-			if err != nil {
+	// A multi-dataset run judges each dataset at the Bonferroni-adjusted
+	// threshold, then combines the evidence through combineEvidence. The
+	// datasets are collected concurrently, one collectN job each: every
+	// dataset derives its seeds from its own (Seed, name)-keyed root, so
+	// scheduling cannot perturb any per-dataset result.
+	gamma := cfg.Gamma
+	if len(datasets) > 1 {
+		gamma = stats.GammaBonferroni(cfg.Gamma, 0.05, len(datasets))
+		if progress := cfg.Progress; progress != nil {
+			var mu sync.Mutex
+			cfg.Progress = func(p Progress) {
 				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-				return
+				defer mu.Unlock()
+				progress(p)
 			}
-			drs[i] = dr
-		}(i, ds)
+		}
 	}
-	wg.Wait()
-	if progCh != nil {
-		close(progCh)
-		progWG.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	drs := make([]DatasetResult, len(datasets))
+	err = collectN(ctx, len(datasets), len(datasets), func(ctx context.Context, i int) error {
+		dr, err := cfg.runDataset(ctx, datasets[i], gamma)
+		if err != nil {
+			return err
+		}
+		drs[i] = *dr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	earlyAll := true
+	res := &Result{
+		Name:         cfg.Name,
+		Gamma:        cfg.Gamma,
+		Seed:         cfg.Seed,
+		Datasets:     drs,
+		EarlyStopped: true,
+	}
 	for _, dr := range drs {
-		res.Datasets = append(res.Datasets, *dr)
 		res.Pairs += dr.Pairs
 		res.Runs += 2 * dr.Pairs
 		res.Quarantined += len(dr.Failures)
-		if !dr.EarlyStopped {
-			earlyAll = false
-		}
+		res.EarlyStopped = res.EarlyStopped && dr.EarlyStopped
 	}
-	res.EarlyStopped = earlyAll
-	res.AllMeaningful, res.WilcoxonP = combineEvidence(res.Datasets)
+	if len(drs) == 1 {
+		// A single dataset — named or not — needs no multiple-comparison
+		// adjustment and reports through the Comparison convenience field.
+		res.Comparison = drs[0].Comparison
+		res.StopReason = drs[0].StopReason
+		res.WilcoxonP = 1
+	} else {
+		res.AllMeaningful, res.WilcoxonP = combineEvidence(res.Datasets)
+	}
 	res.Elapsed = time.Since(start) //lint:allow nondeterm(Elapsed is wall-clock metadata, not part of the deterministic result)
 	return res, nil
 }
@@ -332,7 +287,9 @@ func (e Experiment) Run(ctx context.Context) (*Result, error) {
 // measurements are collected unless ctx is canceled or the pipeline errors
 // — or, in quarantine mode, fewer when trials exhaust their attempts (use
 // collectAll via VarianceStudy, or compare len(out) to MaxRuns, to detect
-// the shortfall). Progress, when set, fires after every batch.
+// the shortfall). Collect runs Run's schedule without its make-up rounds,
+// so the measurements come in trial-index order at any Parallelism.
+// Progress, when set, fires once per trial index, in index order.
 func (e Experiment) Collect(ctx context.Context) ([]float64, error) {
 	out, _, err := e.collectAll(ctx)
 	return out, err
@@ -355,39 +312,11 @@ func (e Experiment) collectAll(ctx context.Context) ([]float64, []TrialFailure, 
 	if err != nil {
 		return nil, nil, err
 	}
-	g := cfg.guard()
-	stream := cfg.trialStream("")
-	cache := cfg.trialCache("")
-	batch := make([]Trial, 0, cfg.BatchSize)
-	scores := make([]float64, cfg.BatchSize)
-	fails := make([]*TrialFailure, cfg.BatchSize)
-	var out []float64
-	var failures []TrialFailure
-	for lo := 0; lo < cfg.MaxRuns; lo += cfg.BatchSize {
-		hi := min(lo+cfg.BatchSize, cfg.MaxRuns)
-		m := hi - lo
-		batch = stream.take(batch[:0], m)
-		for i := 0; i < m; i++ {
-			fails[i] = nil
-		}
-		if err := collectRuns(ctx, cache, g, run, batch, scores[:m], fails[:m], cfg.Parallelism); err != nil {
-			return nil, nil, err
-		}
-		// Compact the batch in trial-index order: successes extend out,
-		// quarantined slots extend failures. Slot placement is per-trial,
-		// so the compacted order is identical at any Parallelism.
-		for i := 0; i < m; i++ {
-			if f := fails[i]; f != nil {
-				failures = append(failures, *f)
-				continue
-			}
-			out = append(out, scores[i])
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(Progress{Pairs: len(out), MaxRuns: cfg.MaxRuns, Quarantined: len(failures)})
-		}
+	s := cfg.newSchedule("", "", run, nil, cfg.MaxRuns)
+	if _, err := s.collect(ctx, cfg.MaxRuns, cfg.MaxRuns); err != nil {
+		return nil, nil, err
 	}
-	return out, failures, nil
+	return s.outA, s.failures, nil
 }
 
 // datasetList normalizes the experiment into one or more fully-specified
@@ -472,12 +401,13 @@ func pickRunner(tf TrialFunc, rf RunFunc, which string) (TrialFunc, error) {
 	}
 }
 
-// runDataset collects one dataset's paired measurements in batches until
-// the policy stops it, then evaluates the recommended test once at the
-// meaningfulness threshold gamma. Trials and score buffers grow one batch
-// at a time: memory tracks the pairs actually collected, never the MaxRuns
-// cap, which matters when MaxRuns is set far above Noether's N, where
-// EarlyStopAuto stops long before the cap.
+// runDataset collects one dataset's paired measurements, then evaluates
+// the recommended test once at the meaningfulness threshold gamma. Under
+// EarlyStopAuto it collects Noether's N at gamma, capped by MaxRuns, and
+// makes up for quarantined trials with the next trial indices while
+// MaxRuns leaves some; under EarlyStopOff it runs MaxRuns trials and
+// reports the ones that survive. Memory tracks that N, never the MaxRuns
+// cap, which matters when MaxRuns is set far above Noether's N.
 func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) (*DatasetResult, error) {
 	// gamma may be the Bonferroni-adjusted threshold rather than the
 	// user-validated Gamma field; re-validate at the point of consumption.
@@ -492,74 +422,39 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	if err != nil {
 		return nil, err
 	}
-	g := e.guard()
-	stream := e.trialStream(ds.Name)
-	cache := e.trialCache(ds.Name)
 	label := ""
 	if ds.Name != "" {
 		label = "dataset " + ds.Name + ": "
 	}
-	var outA, outB []float64
-	var failures []TrialFailure
-	batch := make([]Trial, 0, e.BatchSize)
-	batchA := make([]float64, e.BatchSize)
-	batchB := make([]float64, e.BatchSize)
-	fails := make([]*TrialFailure, e.BatchSize)
-	// One analysis state threads through every batch boundary: each batch
-	// adds its surviving pairs to the win/tie/loss counts and score sums,
-	// and the test is evaluated once, on the final counts.
+	// The analysis is three counts and two sums, fed in trial-index order
+	// once collection ends.
 	ana, err := compare.PAB{Gamma: gamma, Level: e.Confidence, Bootstrap: e.Bootstrap}.NewAnalysis()
 	if err != nil {
 		return nil, err
 	}
 	recommended := stats.NoetherSampleSize(gamma, 0.05, 0.05)
-
-	var stop StopReason
-	n := 0
-	for lo := 0; lo < e.MaxRuns && stop == ""; lo += e.BatchSize {
-		hi := min(lo+e.BatchSize, e.MaxRuns)
-		m := hi - lo
-		batch = stream.take(batch[:0], m)
-		for i := 0; i < m; i++ {
-			fails[i] = nil
-		}
-		if err := collectPairs(ctx, label, cache, g, runA, runB, batch, batchA[:m], batchB[:m], fails[:m], e.Parallelism); err != nil {
-			return nil, err
-		}
-		// Compact the batch in trial-index order: surviving pairs extend
-		// outA/outB contiguously (the analysis only ever sees successes),
-		// quarantined ones extend the failure list. MaxRuns caps attempted
-		// trial indices, not surviving pairs — a degraded run reports fewer
-		// pairs rather than drawing replacement trials, which would change
-		// every sibling's seed schedule.
-		for i := 0; i < m; i++ {
-			if f := fails[i]; f != nil {
-				f.Dataset = ds.Name
-				failures = append(failures, *f)
-				continue
-			}
-			outA = append(outA, batchA[i])
-			outB = append(outB, batchB[i])
-			ana.Add(batchA[i], batchB[i])
-		}
-		n = len(outA)
-		// The Noether stop only applies before the last scheduled batch: hi
-		// counts attempted trial indices, which is what the MaxRuns budget
-		// caps, while n counts surviving pairs, so quarantined trials are
-		// made up for from the budget left above Noether's N.
-		if e.EarlyStop == EarlyStopAuto && hi < e.MaxRuns && n >= recommended {
-			stop = StopNoetherN
-		}
-		if e.Progress != nil {
-			e.Progress(Progress{Dataset: ds.Name, Pairs: n, MaxRuns: e.MaxRuns, Quarantined: len(failures)})
-		}
+	want := e.MaxRuns
+	if e.EarlyStop == EarlyStopAuto {
+		want = min(recommended, e.MaxRuns)
 	}
-	if stop == "" {
-		stop = StopMaxRuns
+	s := e.newSchedule(ds.Name, label, runA, runB, want)
+	used, err := s.collect(ctx, want, e.MaxRuns)
+	if err != nil {
+		return nil, err
 	}
-	if n < 2 && len(failures) > 0 {
+	outA, outB, n := s.outA, s.outB, len(s.outA)
+	if n < 2 && len(s.failures) > 0 {
 		return nil, fmt.Errorf("varbench: %sonly %d pair(s) survived collection, %d quarantined — cannot analyze: %w (first: %s)",
-			label, n, len(failures), ErrTrialFailed, failures[0].String())
+			label, n, len(s.failures), ErrTrialFailed, s.failures[0].String())
+	}
+	// The stop counts as Noether's only when it left budget unspent: a run
+	// whose cap is N itself stops at MaxRuns.
+	stop := StopMaxRuns
+	if e.EarlyStop == EarlyStopAuto && n >= recommended && used < e.MaxRuns {
+		stop = StopNoetherN
+	}
+	for i := range outA {
+		ana.Add(outA[i], outB[i])
 	}
 	final, err := comparisonOf(ana)
 	if err != nil {
@@ -568,10 +463,10 @@ func (e *Experiment) runDataset(ctx context.Context, ds Dataset, gamma float64) 
 	return &DatasetResult{
 		Name:         ds.Name,
 		Comparison:   final,
-		ScoresA:      outA[:n],
-		ScoresB:      outB[:n],
+		ScoresA:      outA,
+		ScoresB:      outB,
 		Pairs:        n,
-		Failures:     failures,
+		Failures:     s.failures,
 		EarlyStopped: stop != StopMaxRuns,
 		StopReason:   stop,
 	}, nil
@@ -588,8 +483,8 @@ func (e *Experiment) trialCache(dataset string) *trialCache {
 
 // specFingerprint hashes the parts of the spec that change what a trial
 // measures: the pipeline identity and the varied-source assignment. It
-// deliberately excludes MaxRuns, BatchSize, Parallelism, the stopping
-// policy and every analysis knob — none of them affect a trial's seeds — so
+// deliberately excludes MaxRuns, Parallelism, the stopping policy and
+// every analysis knob — none of them affect a trial's seeds — so
 // raising a budget, changing worker counts or re-running after an interrupt
 // reuses every recorded trial, and overlapping studies share identical
 // cells. A record whose fingerprint does not match is rejected
@@ -626,8 +521,8 @@ func (e *Experiment) datasetRoot(name string) uint64 {
 // stream draws them in exactly the order the historical eager makeTrials
 // did, so the sequence is pinned bit-for-bit (see
 // TestTrialStreamMatchesHistoricalSeeds). Streaming means an experiment
-// whose MaxRuns is huge (γ near 0.5 makes Noether's N explode) allocates
-// trials per batch, not MaxRuns Trial structs before the first
+// whose MaxRuns is huge but whose N is small derives the trials of each
+// collection round only, not MaxRuns Trial structs before the first
 // measurement; a trial is its index, its root seed and the stream's one
 // shared seedPlan.
 type trialStream struct {
@@ -662,13 +557,19 @@ func (e *Experiment) trialStream(dataset string) *trialStream {
 	return &trialStream{root: root, plan: plan}
 }
 
+// trial derives the next trial of the stream. It allocates nothing;
+// SourceSeed derives the per-source seeds when asked.
+func (s *trialStream) trial() Trial {
+	t := Trial{Index: s.next, Seed: s.root.Uint64(), plan: s.plan}
+	s.next++
+	return t
+}
+
 // take appends the next n trials of the stream to dst and returns it.
-// Callers reuse dst across batches (dst[:0]), so a warm take allocates
-// nothing; SourceSeed derives the per-source seeds when asked.
+// Callers that reuse dst (dst[:0]) allocate nothing.
 func (s *trialStream) take(dst []Trial, n int) []Trial {
 	for ; n > 0; n-- {
-		dst = append(dst, Trial{Index: s.next, Seed: s.root.Uint64(), plan: s.plan})
-		s.next++
+		dst = append(dst, s.trial())
 	}
 	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,8 +91,8 @@ func TestRunParallelismInvarianceMultiDataset(t *testing.T) {
 
 func TestRunEarlyStopsClearSeparation(t *testing.T) {
 	// A dominates B by 10σ, and MaxRuns leaves room past Noether's N:
-	// collection stops at the first batch boundary at or past N (32 pairs
-	// at γ=0.75) and judges the win once.
+	// collection stops at exactly N (29 pairs at γ=0.75) and judges the
+	// win once.
 	e := Experiment{
 		A:           noisyRunner(1.0),
 		B:           noisyRunner(0.5),
@@ -105,8 +106,8 @@ func TestRunEarlyStopsClearSeparation(t *testing.T) {
 	if !res.EarlyStopped {
 		t.Fatal("clearly separated pair did not early-stop")
 	}
-	if res.Pairs >= 64 {
-		t.Errorf("early stop used %d of %d runs", res.Pairs, 64)
+	if res.Pairs != 29 {
+		t.Errorf("early stop used %d of %d runs, want Noether's 29", res.Pairs, 64)
 	}
 	if res.StopReason != StopNoetherN {
 		t.Errorf("stop reason = %s, want %s", res.StopReason, StopNoetherN)
@@ -119,38 +120,84 @@ func TestRunEarlyStopsClearSeparation(t *testing.T) {
 	}
 }
 
-func TestRunEarlyStopBatchBoundaries(t *testing.T) {
-	// Collection proceeds in whole batches: with BatchSize 8 the pair
-	// count at stop must be a multiple of 8 (MaxRuns not reached).
-	var calls atomic.Int64
-	count := func(f RunFunc) RunFunc {
-		return func(seed uint64) (float64, error) { calls.Add(1); return f(seed) }
+// TestRunCollectsExactlyN: without quarantine a run collects exactly
+// Noether's N per dataset, and runs each pipeline exactly N times per
+// dataset, at any Parallelism. With MaxRuns above N a one-dataset run
+// collects 29 pairs (γ 0.75); the default two-dataset run collects 21 per
+// dataset (γ 0.798). Rounding N up to a batch of 8 would give 32 and 24.
+func TestRunCollectsExactlyN(t *testing.T) {
+	cases := []struct {
+		name     string
+		e        Experiment
+		datasets int
+		want     int
+	}{
+		{"one dataset, MaxRuns 64", Experiment{MaxRuns: 64}, 1, 29},
+		{"two datasets, default MaxRuns", Experiment{Datasets: []Dataset{{Name: "d1"}, {Name: "d2"}}}, 2, 21},
 	}
-	e := Experiment{
-		A:         count(noisyRunner(1.0)),
-		B:         count(noisyRunner(0.5)),
-		MaxRuns:   60,
-		BatchSize: 8,
+	for _, c := range cases {
+		for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			var calls atomic.Int64
+			count := func(f RunFunc) RunFunc {
+				return func(seed uint64) (float64, error) { calls.Add(1); return f(seed) }
+			}
+			e := c.e
+			e.A, e.B, e.Parallelism = count(noisyRunner(1.0)), count(noisyRunner(0.5)), par
+			res, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range res.Datasets {
+				if d.Pairs != c.want || len(d.ScoresA) != c.want || d.StopReason != StopNoetherN {
+					t.Errorf("%s, p=%d: dataset %q collected %d pairs (%d scores, %s), want %d (%s)",
+						c.name, par, d.Name, d.Pairs, len(d.ScoresA), d.StopReason, c.want, StopNoetherN)
+				}
+			}
+			if got, want := calls.Load(), int64(2*c.datasets*c.want); got != want {
+				t.Errorf("%s, p=%d: pipelines ran %d times, want %d", c.name, par, got, want)
+			}
+		}
 	}
-	res, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pairs%8 != 0 {
-		t.Errorf("stopped at %d pairs, not a batch boundary", res.Pairs)
-	}
-	if got := calls.Load(); got != int64(2*res.Pairs) {
-		t.Errorf("pipelines executed %d times, want %d: collection overshot the stop", got, 2*res.Pairs)
-	}
-	if len(res.Datasets[0].ScoresA) != res.Pairs {
-		t.Error("score bookkeeping disagrees with pair count")
+}
+
+// TestCollectionHasNoBatchBarrier: a slow trial holds up no other trial.
+// At Parallelism 4, trial 0 blocks until a trial with index 8 or more has
+// started, which a batch of trials 0–7 that waits for its slowest trial
+// never does. The wait times out rather than hanging the test.
+func TestCollectionHasNoBatchBarrier(t *testing.T) {
+	for _, paired := range []bool{true, false} {
+		later := make(chan struct{})
+		var once sync.Once
+		run := func(tr Trial) (float64, error) {
+			if tr.Index >= 8 {
+				once.Do(func() { close(later) })
+			}
+			if tr.Index == 0 {
+				select {
+				case <-later:
+				case <-time.After(10 * time.Second):
+					return 0, errors.New("trial 0 waited 10s for a trial past index 7 to start")
+				}
+			}
+			return float64(tr.Index), nil
+		}
+		e := Experiment{ATrial: run, MaxRuns: 16, EarlyStop: EarlyStopOff, Parallelism: 4}
+		var err error
+		if paired {
+			e.BTrial = run
+			_, err = e.Run(context.Background())
+		} else {
+			_, err = e.Collect(context.Background())
+		}
+		if err != nil {
+			t.Fatalf("paired=%v: %v", paired, err)
+		}
 	}
 }
 
 func TestRunEarlyStopNoetherN(t *testing.T) {
 	// Indistinguishable pipelines: collection stops at Noether's
-	// recommended N (29 at γ=0.75, so 32 pairs in batches of 8) short of
-	// MaxRuns.
+	// recommended N (29 at γ=0.75) short of MaxRuns.
 	e := Experiment{
 		A:       noisyRunner(0.7),
 		B:       noisyRunner(0.7),
@@ -164,8 +211,8 @@ func TestRunEarlyStopNoetherN(t *testing.T) {
 	if res.StopReason != StopNoetherN {
 		t.Fatalf("stop reason = %s", res.StopReason)
 	}
-	if res.Pairs < res.Comparison.RecommendedN {
-		t.Errorf("stopped at %d pairs, below recommended %d", res.Pairs, res.Comparison.RecommendedN)
+	if res.Pairs != res.Comparison.RecommendedN {
+		t.Errorf("stopped at %d pairs, want the recommended %d", res.Pairs, res.Comparison.RecommendedN)
 	}
 	if res.Pairs >= 200 {
 		t.Error("null comparison ran to MaxRuns despite early stopping")
@@ -287,25 +334,47 @@ func TestRunDatasetFallbackPipelines(t *testing.T) {
 	}
 }
 
+// TestRunProgressCallback: Progress fires once per trial index, in index
+// order, with the same sequence at any Parallelism — through quarantined
+// trials and the make-up rounds that replace them. Side B fails for good
+// on trials 3, 17 and 29, so N = 29 takes a first round of trials 0–28
+// (27 survive), a make-up round of 29–30 (29 fails) and one of 31.
 func TestRunProgressCallback(t *testing.T) {
-	var events []Progress
-	e := Experiment{
-		A:         noisyRunner(1.0),
-		B:         noisyRunner(0.5),
-		MaxRuns:   24,
-		BatchSize: 8,
-		EarlyStop: EarlyStopOff,
-		Progress:  func(p Progress) { events = append(events, p) },
+	broken := map[int]bool{3: true, 17: true, 29: true}
+	var want []Progress
+	pairs, quarantined := 0, 0
+	for i := 0; i < 32; i++ {
+		if broken[i] {
+			quarantined++
+		} else {
+			pairs++
+		}
+		want = append(want, Progress{Pairs: pairs, MaxRuns: 64, Quarantined: quarantined})
 	}
-	if _, err := e.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("progress fired %d times, want 3", len(events))
-	}
-	for i, ev := range events {
-		if ev.Pairs != 8*(i+1) || ev.MaxRuns != 24 {
-			t.Errorf("event %d = %+v", i, ev)
+	for _, par := range []int{1, 8, runtime.GOMAXPROCS(0)} {
+		var events []Progress
+		e := Experiment{
+			ATrial: func(tr Trial) (float64, error) { return 1, nil },
+			BTrial: func(tr Trial) (float64, error) {
+				if broken[tr.Index] {
+					return 0, errors.New("permanent fault")
+				}
+				return 0, nil
+			},
+			MaxRuns:     64,
+			Parallelism: par,
+			Retry:       RetryPolicy{MaxAttempts: 1},
+			Progress:    func(p Progress) { events = append(events, p) },
+		}
+		res, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pairs != 29 || res.Quarantined != 3 || res.StopReason != StopNoetherN {
+			t.Errorf("p=%d: %d pairs, %d quarantined, %s; want 29, 3, %s", par, res.Pairs, res.Quarantined, res.StopReason, StopNoetherN)
+		}
+		if !reflect.DeepEqual(events, want) {
+			t.Errorf("p=%d: progress events\n got %v\nwant %v", par, events, want)
 		}
 	}
 }
@@ -406,19 +475,20 @@ func TestCollectVariesOnlyChosenSource(t *testing.T) {
 func TestCollectProgress(t *testing.T) {
 	var events []Progress
 	e := Experiment{
-		ATrial:    func(t Trial) (float64, error) { return 1, nil },
-		MaxRuns:   20,
-		BatchSize: 8,
-		Progress:  func(p Progress) { events = append(events, p) },
+		ATrial:   func(t Trial) (float64, error) { return 1, nil },
+		MaxRuns:  20,
+		Progress: func(p Progress) { events = append(events, p) },
 	}
 	if _, err := e.Collect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 { // batches of 8, 8, 4
-		t.Fatalf("progress fired %d times, want 3", len(events))
+	if len(events) != 20 { // one per trial
+		t.Fatalf("progress fired %d times, want 20", len(events))
 	}
-	if events[2].Pairs != 20 || events[2].MaxRuns != 20 {
-		t.Errorf("last event = %+v", events[2])
+	for i, ev := range events {
+		if ev != (Progress{Pairs: i + 1, MaxRuns: 20}) {
+			t.Errorf("event %d = %+v", i, ev)
+		}
 	}
 }
 

@@ -17,10 +17,6 @@ const (
 	// unpaired test. A paired test computes the bootstrap's exact limit
 	// instead and ignores it.
 	DefaultBootstrap = 1000
-	// DefaultBatchSize is the number of pairs collected between stop
-	// checks. It is independent of Parallelism so that results do not
-	// depend on the worker count.
-	DefaultBatchSize = 8
 )
 
 // An Option adjusts an Experiment (or, for the score-level entry points
@@ -57,20 +53,14 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithParallelism sets the worker-pool size used during collection
-// (default: GOMAXPROCS). Results are identical at any parallelism.
-// Effective concurrency is bounded by BatchSize, the unit of collection.
-// An explicit negative value is rejected; 0 means "use the default".
+// (default: GOMAXPROCS): up to that many trials are in flight per dataset.
+// Results are identical at any parallelism. An explicit negative value is
+// rejected; 0 means "use the default".
 func WithParallelism(n int) Option { return func(e *Experiment) { e.Parallelism = n } }
 
 // WithMaxRuns caps the number of paired measurements collected
 // (default: Noether's recommended sample size for the chosen γ).
 func WithMaxRuns(n int) Option { return func(e *Experiment) { e.MaxRuns = n } }
-
-// WithBatchSize sets how many pairs are collected between stop checks and
-// Progress callbacks (default 8). Raise it to at least the parallelism when
-// using a large worker pool — at most one batch is in flight at a time. An
-// explicit negative value is rejected; 0 means "use the default".
-func WithBatchSize(n int) Option { return func(e *Experiment) { e.BatchSize = n } }
 
 // WithEarlyStop selects the stopping policy (default EarlyStopAuto).
 func WithEarlyStop(p EarlyStopPolicy) Option { return func(e *Experiment) { e.EarlyStop = p } }
@@ -101,7 +91,8 @@ func WithPipelineID(id string) Option { return func(e *Experiment) { e.PipelineI
 // effect on Experiment.Run, which always pairs runs on shared trials.
 func WithUnpaired() Option { return func(e *Experiment) { e.Unpaired = true } }
 
-// WithProgress installs a callback invoked after every collected batch.
+// WithProgress installs a callback invoked once per trial index, in index
+// order within each dataset; see Experiment.Progress.
 func WithProgress(f func(Progress)) Option { return func(e *Experiment) { e.Progress = f } }
 
 // WithTrialTimeout bounds every pipeline invocation: an attempt running
@@ -165,12 +156,6 @@ func (e *Experiment) withDefaults() (*Experiment, error) {
 	// WithBootstrap treat out-of-range input. The zero value of these
 	// fields cannot be confused with an explicit setting, so no set flag is
 	// needed: any negative must have been written deliberately.
-	if c.BatchSize < 0 {
-		return nil, fmt.Errorf("varbench: BatchSize must not be negative, got %d (0 means default)", c.BatchSize)
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = DefaultBatchSize
-	}
 	if c.MaxRuns == 0 {
 		c.MaxRuns = stats.NoetherSampleSize(c.Gamma, 0.05, 0.05)
 	}

@@ -166,7 +166,7 @@ func TestAnalyzeDatasetsAnalysisParallelismInvariance(t *testing.T) {
 // TestRunMultiDatasetProgressSerialized exercises the concurrent
 // multi-dataset collection path under the race detector: the Progress
 // callback appends to a plain slice with no synchronization, which is only
-// safe because Run funnels all callbacks through one delivery goroutine.
+// safe because Run holds one mutex around every callback.
 func TestRunMultiDatasetProgressSerialized(t *testing.T) {
 	var events []Progress // deliberately unsynchronized
 	e := Experiment{
@@ -176,24 +176,25 @@ func TestRunMultiDatasetProgressSerialized(t *testing.T) {
 			{Name: "d3", A: noisyRunner(0.7), B: noisyRunner(0.5)},
 			{Name: "d4", A: noisyRunner(0.6), B: noisyRunner(0.4)},
 		},
-		MaxRuns:   24,
-		BatchSize: 8,
-		EarlyStop: EarlyStopOff,
-		Progress:  func(p Progress) { events = append(events, p) },
+		MaxRuns:     24,
+		EarlyStop:   EarlyStopOff,
+		Parallelism: 4,
+		Progress:    func(p Progress) { events = append(events, p) },
 	}
 	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4 * 3; len(events) != want { // 4 datasets × 3 batches
+	if want := 4 * 24; len(events) != want { // 4 datasets × 24 trials
 		t.Fatalf("progress fired %d times, want %d", len(events), want)
 	}
-	// Per-dataset events stay ordered even though datasets interleave.
+	// Each dataset reports its trials one at a time, in index order, even
+	// though datasets interleave.
 	last := map[string]int{}
 	for _, ev := range events {
-		if ev.Pairs <= last[ev.Dataset] {
-			t.Errorf("dataset %s progress went backwards: %d after %d",
-				ev.Dataset, ev.Pairs, last[ev.Dataset])
+		if ev.Pairs != last[ev.Dataset]+1 {
+			t.Errorf("dataset %s progress went from %d to %d pairs",
+				ev.Dataset, last[ev.Dataset], ev.Pairs)
 		}
 		last[ev.Dataset] = ev.Pairs
 	}
@@ -246,7 +247,7 @@ func TestRunMultiDatasetMatchesIndividualRuns(t *testing.T) {
 // trial stream: before it, Run materialized MaxRuns Trial structs (plus one
 // seed map each) before the first measurement, so a MaxRuns in the billions
 // — Noether's N for γ near 0.5 — was an instant OOM. Now memory tracks the
-// 32 pairs actually collected before the Noether stop.
+// 29 pairs of Noether's N.
 func TestRunHugeMaxRunsLazyAllocation(t *testing.T) {
 	e := Experiment{
 		A:       noisyRunner(1.0),
@@ -269,7 +270,6 @@ func TestNegativeKnobsRejected(t *testing.T) {
 	ok := noisyRunner(1)
 	cases := map[string]Experiment{
 		"Parallelism": {A: ok, B: ok, Parallelism: -1},
-		"BatchSize":   {A: ok, B: ok, BatchSize: -8},
 		"MaxRuns":     {A: ok, B: ok, MaxRuns: -3},
 	}
 	for name, e := range cases {
@@ -282,7 +282,6 @@ func TestNegativeKnobsRejected(t *testing.T) {
 	a := []float64{1, 2, 3}
 	for name, opt := range map[string]Option{
 		"WithParallelism": WithParallelism(-1),
-		"WithBatchSize":   WithBatchSize(-1),
 		"WithMaxRuns":     WithMaxRuns(-1),
 	} {
 		if _, err := Analyze(a, a, opt); err == nil {
@@ -290,7 +289,7 @@ func TestNegativeKnobsRejected(t *testing.T) {
 		}
 	}
 	// Zero still means "use the default".
-	if _, err := Analyze(a, a, WithParallelism(0), WithBatchSize(0)); err != nil {
+	if _, err := Analyze(a, a, WithParallelism(0), WithMaxRuns(0)); err != nil {
 		t.Errorf("zero-valued knobs rejected: %v", err)
 	}
 }
@@ -352,7 +351,7 @@ func TestAnalyzeDatasetsNameValidation(t *testing.T) {
 // adjustment saturates at stats.GammaMax < 1; a total winner must still be
 // judged a meaningful win, which the old clamp at exactly 1.0 made
 // impossible (CI.Lo > 1 cannot happen), and Noether's N stays finite (8),
-// so every dataset stops after one batch.
+// so every dataset stops at 8 pairs.
 func TestSaturatedAdjustedGammaEarlyStop(t *testing.T) {
 	adj := stats.GammaBonferroni(DefaultGamma, 0.05, 200)
 	if adj != stats.GammaMax {

@@ -182,7 +182,6 @@ func TestExperimentRunStoreResume(t *testing.T) {
 					BTrial:      b,
 					Seed:        5,
 					MaxRuns:     maxRuns,
-					BatchSize:   4,
 					EarlyStop:   EarlyStopOff,
 					Bootstrap:   50,
 					Parallelism: par,
@@ -429,7 +428,6 @@ func TestMultiDatasetStoreResume(t *testing.T) {
 			},
 			Seed:       13,
 			MaxRuns:    6,
-			BatchSize:  2, // three batches per dataset
 			EarlyStop:  EarlyStopOff,
 			Bootstrap:  50,
 			Store:      st,
@@ -494,7 +492,6 @@ func TestResumedOffRunReportsFedPairs(t *testing.T) {
 		BTrial:      normalSide("b", 0.75),
 		Seed:        3,
 		MaxRuns:     16,
-		BatchSize:   8,
 		EarlyStop:   EarlyStopOff,
 		Bootstrap:   200,
 		Parallelism: 1,
@@ -549,7 +546,6 @@ func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 					BTrial:      normalSide("b", 0.75),
 					Seed:        seed,
 					MaxRuns:     24,
-					BatchSize:   8,
 					Bootstrap:   200,
 					Parallelism: 1,
 					Retry:       RetryPolicy{MaxAttempts: 1},
@@ -594,7 +590,7 @@ func TestResumedAutoRunMatchesFreshRun(t *testing.T) {
 // budget reports what a storeless run at that budget reports — whether the
 // stored trials cover fewer pairs than the rerun feeds or more (40→13),
 // and whether or not the first run quarantined a pair (put@3), which
-// leaves the stored trials off the batch grid.
+// leaves a hole in the stored trials.
 func TestOffResumeAfterBudgetChange(t *testing.T) {
 	for _, budget := range [][2]int{{13, 40}, {29, 64}, {40, 13}, {5, 9}} {
 		for _, fault := range []struct{ name, schedule string }{{"clean", ""}, {"quarantine", "put@3"}} {

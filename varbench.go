@@ -22,10 +22,11 @@
 //     pairing the two algorithms on shared trials so that shared noise
 //     cancels (Appendix C.2). Restrict Sources to probe individual
 //     variances, or use Experiment.Collect for single-pipeline studies.
-//  2. It collects in parallel batches with deterministic per-trial seeds:
-//     the result is bit-identical at any Parallelism, and collection stops
-//     early as soon as the bootstrap CI clears γ, A provably cannot win,
-//     or Noether's recommended sample size is reached.
+//  2. It collects exactly N pairs, N fixed before the first trial:
+//     Noether's recommended sample size for γ, capped by MaxRuns
+//     (Appendix C). Workers claim trials one at a time from a single
+//     schedule, and every trial's seeds derive from its index alone, so the
+//     result is bit-identical at any Parallelism.
 //  3. It concludes with the probability of outperforming P(A>B) against
 //     the meaningfulness threshold γ — the three-zone decision of
 //     Appendix C.6 — and renders as text, JSON or CSV (Renderer).

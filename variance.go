@@ -231,7 +231,6 @@ func (s VarianceStudy) Run(ctx context.Context) (*VarianceReport, error) {
 			ATrial:       cfg.Pipeline,
 			Sources:      rowSources[c.row],
 			MaxRuns:      cfg.K,
-			BatchSize:    cfg.K,
 			Parallelism:  1, // the pool parallelizes across cells, not within
 			Store:        cfg.Store,
 			PipelineID:   cfg.PipelineID,
