@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -79,42 +77,10 @@ func TestStoreResumeBackends(t *testing.T) {
 	})
 }
 
-// reimportSegLog dumps sl as a legacy trials.jsonl, without the lines that
-// contain drop (none when drop is ""), and imports it into a fresh
-// directory. It fails the test when drop matches no line.
-func reimportSegLog(t *testing.T, sl *store.SegLog, drop string) *store.SegLog {
-	t.Helper()
-	var dump bytes.Buffer
-	if err := sl.Dump(&dump); err != nil {
-		t.Fatal(err)
-	}
-	var kept []byte
-	dropped := 0
-	for _, line := range bytes.SplitAfter(dump.Bytes(), []byte("\n")) {
-		if drop != "" && bytes.Contains(line, []byte(drop)) {
-			dropped++
-			continue
-		}
-		kept = append(kept, line...)
-	}
-	if drop != "" && dropped == 0 {
-		t.Fatalf("the dump holds no %s line to drop", drop)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "trials.jsonl"), kept, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := store.OpenSegLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return imported
-}
-
 // TestExperimentResumeBackendEquivalence: one interrupted Experiment.Run
 // resumed on each backend lands on the byte-identical report — the report
-// must not depend on which engine, or which on-disk format, persisted the
-// trials, nor on an analysis record an older build left in the store.
+// must not depend on which engine persisted the trials, nor on an analysis
+// record an older build left in the store.
 func TestExperimentResumeBackendEquivalence(t *testing.T) {
 	const maxRuns = 12
 	// The cancel lands on the 11th pipeline call. Every call entered by
@@ -166,20 +132,12 @@ func TestExperimentResumeBackendEquivalence(t *testing.T) {
 		resume func(t *testing.T, st store.Backend) store.Backend
 	}{
 		{"mem", store.NewMem(), nil},
+		// Every leg's interrupted run leaves trials and no analysis record,
+		// so the seglog leg resumes from trials alone.
 		{"seglog", seglog(), nil},
-		// The interrupted run's trials reach the resumed run as a legacy
-		// trials.jsonl — a store dump — imported into a fresh directory.
-		{"jsonl", seglog(), func(t *testing.T, st store.Backend) store.Backend {
-			return reimportSegLog(t, st.(*store.SegLog), "")
-		}},
 		// Builds before the exact interval stored each dataset's analysis
-		// under an analysis/ key. The resumed run must neither need such a
-		// record (trials-only: filtered out of the dump) nor read or drop
-		// one (stale-analysis).
-		{"trials-only", seglog(), func(t *testing.T, st store.Backend) store.Backend {
-			putStaleAnalysis(t, st)
-			return reimportSegLog(t, st.(*store.SegLog), `"key":"analysis/`)
-		}},
+		// under an analysis/ key. The resumed run must neither read nor
+		// drop such a record.
 		{"stale-analysis", seglog(), func(t *testing.T, st store.Backend) store.Backend {
 			putStaleAnalysis(t, st)
 			return nopCloser{st}

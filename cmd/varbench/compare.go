@@ -22,7 +22,6 @@ import (
 // a Bonferroni-adjusted threshold), where fields may be quoted; blank
 // lines are skipped, and a digit-free first line is treated as a header.
 func runCompare(ctx context.Context, args []string, w io.Writer) error {
-	_ = ctx // reserved: the analysis is CPU-bound and completes in one shot
 	fs := flag.NewFlagSet("varbench compare", flag.ContinueOnError)
 	fileA := fs.String("a", "", "CSV scores of algorithm A (required)")
 	fileB := fs.String("b", "", "CSV scores of algorithm B (required)")

@@ -45,8 +45,9 @@
 // so -bootstrap and -seed change nothing in them.
 //
 // The store dump subcommand prints every cell of a -store directory as one
-// JSON line, sorted by (key, fingerprint) — the line format of the retired
-// trials.jsonl log, so a dump is itself an importable legacy log.
+// JSON line, sorted by (key, fingerprint), in the line format of the
+// retired trials.jsonl log. A dump is a read-only view: nothing reads one
+// back, and a -store run does not read a trials.jsonl either.
 package main
 
 import (
@@ -58,6 +59,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -153,16 +155,23 @@ func openStore(ctx context.Context, dsn string, waitLock time.Duration) (store.B
 }
 
 // runStore implements `varbench store dump DIR`: every cell of the store
-// in DIR as one legacy JSON line, sorted by (key, fingerprint). Opening the
-// store takes its lock and imports a legacy trials.jsonl first, so the dump
-// shows what a -store run would see.
+// in DIR as one legacy JSON line, sorted by (key, fingerprint). A directory
+// with no seg-*.log segment is refused before anything is opened, since
+// opening it would create a store there. Opening the store takes its lock,
+// so the dump shows what a -store run would see.
 func runStore(args []string, w io.Writer) error {
 	if len(args) != 2 || args[0] != "dump" {
 		return fmt.Errorf("usage: varbench store dump DIR")
 	}
 	dir := args[1]
-	if _, err := os.Stat(dir); err != nil {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		return fmt.Errorf("store dump: %w", err)
+	}
+	if !slices.ContainsFunc(entries, func(e os.DirEntry) bool {
+		return strings.HasPrefix(e.Name(), "seg-") && strings.HasSuffix(e.Name(), ".log")
+	}) {
+		return fmt.Errorf("store dump: %s is not a store: it holds no seg-*.log segment", dir)
 	}
 	st, err := store.OpenSegLog(dir)
 	if err != nil {

@@ -5,50 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// legacyFixture is a store the retired JSONL engine wrote: the 24 trials of
-// `varbench variance -task tiny -k 2 -realizations 2 -seed 5 -store DIR`.
-var legacyFixture = filepath.Join("testdata", "legacy-store", "trials.jsonl")
-
-// copyLegacyStore returns a fresh directory holding the legacy fixture.
-func copyLegacyStore(t *testing.T) string {
-	t.Helper()
-	data, err := os.ReadFile(legacyFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "trials.jsonl"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// captureStderr runs fn with os.Stderr redirected and returns what fn wrote
-// there — the CLI's cache notes go to stderr to keep stdout byte-comparable.
-func captureStderr(t *testing.T, fn func()) string {
-	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stderr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	orig := os.Stderr
-	os.Stderr = f
-	defer func() { os.Stderr = orig }()
-	fn()
-	data, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
+// dumpGolden holds the 24 trials of `varbench variance -task tiny -k 2
+// -realizations 2 -seed 5 -store DIR` as the retired JSONL engine wrote
+// them. Sorted by (key, fingerprint), it is what `varbench store dump DIR`
+// prints for a fresh store of that run, so it pins cell keys, fingerprints
+// and score bits.
+var dumpGolden = filepath.Join("testdata", "legacy-store", "trials.jsonl")
 
 // TestVarianceCommandStoreResume: with -store, an interrupted `varbench
 // variance` run leaves a trial log a rerun resumes from, and the resumed
@@ -162,70 +133,22 @@ func TestCompareCommandStoreReuse(t *testing.T) {
 	}
 }
 
-// TestVarianceCommandResumesLegacyStore: a store the retired JSONL engine
-// wrote resumes through both a bare directory and a seglog: DSN. Raising
-// -k from 2 to 3 reuses all 24 recorded trials, computes only the 12 new
-// ones and renders byte-identically to a storeless run. The import retires
-// the log, and a rerun never reads it again.
-func TestVarianceCommandResumesLegacyStore(t *testing.T) {
-	var clean bytes.Buffer
-	if err := run(context.Background(), varianceArgs(), &clean); err != nil {
+// TestStoreDumpCommand: `varbench store dump DIR` prints every cell as a
+// legacy line sorted by (key, fingerprint). A fresh store of the -seed 5
+// study dumps to the golden, sorted: the line format is byte for byte the
+// one the JSONL engine wrote. A directory that holds no segment is refused
+// before anything is opened: it stays as it was.
+func TestStoreDumpCommand(t *testing.T) {
+	dir := t.TempDir()
+	study := []string{"variance", "-task", "tiny", "-k", "2", "-realizations", "2", "-seed", "5", "-store", dir}
+	if err := run(context.Background(), study, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []string{"", "seglog:"} {
-		t.Run("dsn="+scheme+"DIR", func(t *testing.T) {
-			dir := copyLegacyStore(t)
-			var out bytes.Buffer
-			var err error
-			stderr := captureStderr(t, func() {
-				err = run(context.Background(), varianceArgs("-store", scheme+dir), &out)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.String() != clean.String() {
-				t.Errorf("legacy-resumed report differs from storeless run:\n%s\n---\n%s", out.String(), clean.String())
-			}
-			if !strings.Contains(stderr, "24 trial(s) reused, 12 computed") {
-				t.Errorf("stderr = %q, want 24 reused and 12 computed", stderr)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "trials.jsonl")); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("legacy log not retired: %v", err)
-			}
-
-			// Garble the retired log: a rerun serves every trial from the
-			// segments and never notices.
-			if err := os.WriteFile(filepath.Join(dir, "trials.jsonl.imported"), []byte("garbage\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			out.Reset()
-			stderr = captureStderr(t, func() {
-				err = run(context.Background(), varianceArgs("-store", scheme+dir), &out)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.String() != clean.String() {
-				t.Errorf("rerun differs from storeless run")
-			}
-			if !strings.Contains(stderr, "36 trial(s) reused, 0 computed") {
-				t.Errorf("rerun stderr = %q, want 36 reused and 0 computed", stderr)
-			}
-		})
-	}
-}
-
-// TestStoreDumpCommand: `varbench store dump DIR` prints every cell as a
-// legacy line sorted by (key, fingerprint). The dump of the imported
-// legacy fixture is the fixture itself, sorted: the line format is
-// byte-for-byte the one the JSONL engine wrote.
-func TestStoreDumpCommand(t *testing.T) {
-	dir := copyLegacyStore(t)
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"store", "dump", dir}, &out); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(legacyFixture)
+	data, err := os.ReadFile(dumpGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,17 +169,59 @@ func TestStoreDumpCommand(t *testing.T) {
 		return a.Key < b.Key || a.Key == b.Key && a.FP < b.FP
 	})
 	if want := strings.Join(lines, "\n") + "\n"; out.String() != want {
-		t.Errorf("dump of the imported fixture:\n%s\nwant the fixture sorted:\n%s", out.String(), want)
+		t.Errorf("dump of a fresh store:\n%s\nwant the golden sorted:\n%s", out.String(), want)
 	}
 
-	for _, args := range [][]string{
-		{"store"},
-		{"store", "dump"},
-		{"store", "list", dir},
-		{"store", "dump", filepath.Join(dir, "missing")},
+	// A directory with no segment, empty or holding only a trials.jsonl
+	// from a build before seglog, is not a store.
+	empty := t.TempDir()
+	legacyOnly := t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacyOnly, "trials.jsonl"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		dir  string // when set, the error names it and it is left as it was
+	}{
+		{args: []string{"store"}},
+		{args: []string{"store", "dump"}},
+		{args: []string{"store", "list", dir}},
+		{args: []string{"store", "dump", filepath.Join(dir, "missing")}},
+		{args: []string{"store", "dump", empty}, dir: empty},
+		{args: []string{"store", "dump", legacyOnly}, dir: legacyOnly},
 	} {
-		if err := run(context.Background(), args, &out); err == nil {
-			t.Errorf("%q: want an error", args)
+		var before []string
+		if tc.dir != "" {
+			before = listDir(t, tc.dir)
+		}
+		out.Reset()
+		err := run(context.Background(), tc.args, &out)
+		if err == nil {
+			t.Errorf("%q: want an error", tc.args)
+			continue
+		}
+		if tc.dir == "" {
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.dir) {
+			t.Errorf("%q: error %q does not name the directory", tc.args, err)
+		}
+		if after := listDir(t, tc.dir); !slices.Equal(after, before) || out.Len() != 0 {
+			t.Errorf("%q left %q (was %q) and printed %q", tc.args, after, before, out.String())
 		}
 	}
+}
+
+// listDir returns the names of the entries of dir.
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }

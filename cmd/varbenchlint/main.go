@@ -6,17 +6,13 @@
 // durability contracts of the store layer, enforced mechanically instead
 // of by prose.
 //
-// Standalone over package patterns (exit 1 on findings):
+// It runs over package patterns and exits 1 on findings:
 //
 //	go run ./cmd/varbenchlint ./...
 //	go run ./cmd/varbenchlint -format github ./...   # CI annotations
 //	go run ./cmd/varbenchlint -checks nondeterm,jsonsafe ./internal/stats
 //
-// Or as a vet tool, speaking go vet's separate-compilation protocol
-// (-V=full, -flags, unit.cfg):
-//
-//	go build -o "$(go env GOPATH)/bin/varbenchlint" ./cmd/varbenchlint
-//	go vet -vettool="$(which varbenchlint)" ./...
+// The contracts bind production code, so test files are not analyzed.
 //
 // Intentional violations carry an inline, reasoned escape hatch:
 //
@@ -26,7 +22,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -47,27 +42,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "finding output format: text or github (::error workflow annotations)")
 	checks := fs.String("checks", "", "comma-separated analyzer subset to run (default: all)")
 	dir := fs.String("C", ".", "directory to resolve package patterns from")
-	version := fs.String("V", "", "version query (go vet protocol; -V=full prints the tool identity)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (go vet protocol)")
-	printFlags := fs.Bool("flags", false, "print the tool's flags as JSON (go vet protocol)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: varbenchlint [-format text|github] [-checks a,b] [packages]")
-		fmt.Fprintln(stderr, "       varbenchlint unit.cfg   (invoked by go vet -vettool)")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version != "" {
-		// go vet fingerprints the tool for build caching and requires devel
-		// versions to end in a buildID= field; hash the binary so the
-		// fingerprint changes whenever the tool does.
-		fmt.Fprintf(stdout, "varbenchlint version devel buildID=%s\n", selfSum())
-		return 0
-	}
-	if *printFlags {
-		fmt.Fprintln(stdout, "[]")
-		return 0
 	}
 
 	analyzers, err := selectAnalyzers(*checks)
@@ -76,12 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0], analyzers, *jsonOut, stdout, stderr)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -141,22 +116,4 @@ func printDiagnostic(w io.Writer, format string, pkg *lint.Package, d lint.Diagn
 		return
 	}
 	fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", file, posn.Line, posn.Column, d.Analyzer, d.Message)
-}
-
-// selfSum hashes the running binary for -V=full build fingerprints.
-func selfSum() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,30 +61,6 @@ func TestSeededFlowViolationsFail(t *testing.T) {
 	}
 }
 
-// TestVetToolSeededViolationsFail proves the same failures through go
-// vet's separate-compilation protocol: the built binary, handed to
-// -vettool, must fail each seeded package.
-func TestVetToolSeededViolationsFail(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary and shells out to go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "varbenchlint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	for _, tc := range seededFlowPackages {
-		t.Run(tc.analyzer, func(t *testing.T) {
-			out, err := exec.Command("go", "vet", "-vettool="+bin, tc.pkg).CombinedOutput()
-			if err == nil {
-				t.Fatalf("go vet -vettool on %s succeeded, want failure\n%s", tc.pkg, out)
-			}
-			if !strings.Contains(string(out), "["+tc.analyzer+"]") {
-				t.Errorf("vet output missing [%s] finding:\n%s", tc.analyzer, out)
-			}
-		})
-	}
-}
-
 // TestGitHubFormat checks the CI annotation format: one ::error workflow
 // command per finding, with file, line and column.
 func TestGitHubFormat(t *testing.T) {
@@ -113,28 +87,5 @@ func TestChecksSubset(t *testing.T) {
 		t.Errorf("-checks bogus = exit %d, want 2", code)
 	} else if !strings.Contains(stderr.String(), `unknown analyzer "bogus"`) {
 		t.Errorf("stderr missing unknown-analyzer error:\n%s", stderr.String())
-	}
-}
-
-// TestVetProtocolHandshake covers the go vet tool protocol surface that does
-// not need a build: -V=full identity and -flags.
-func TestVetProtocolHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full = exit %d", code)
-	}
-	fields := strings.Fields(stdout.String())
-	// go vet requires ≥3 fields, "version" second, and — for devel versions —
-	// a final buildID= field (cmd/go/internal/work.(*Builder).toolID).
-	if len(fields) < 3 || fields[0] != "varbenchlint" || fields[1] != "version" ||
-		(fields[2] == "devel" && !strings.HasPrefix(fields[len(fields)-1], "buildID=")) {
-		t.Errorf("-V=full output %q does not satisfy the vet fingerprint format", stdout.String())
-	}
-	stdout.Reset()
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags = exit %d", code)
-	}
-	if strings.TrimSpace(stdout.String()) != "[]" {
-		t.Errorf("-flags = %q, want []", stdout.String())
 	}
 }

@@ -1,7 +1,7 @@
 // Package seeded carries a deliberate lock-order inversion: the two
 // methods acquire the same pair of mutexes in opposite orders. The
-// integration tests feed this package to varbenchlint standalone and
-// through go vet -vettool, demanding a lockorder finding and exit 1.
+// integration tests feed this package to varbenchlint, demanding a
+// lockorder finding and exit 1.
 package seeded
 
 import "sync"

@@ -2,9 +2,11 @@ package varbench
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"varbench/internal/stats"
@@ -316,6 +318,50 @@ func TestScoreEntryPointsRejectTooFewScores(t *testing.T) {
 		{Name: "thin", ScoresA: []float64{1}, ScoresB: []float64{0}},
 	}); err == nil {
 		t.Error("AnalyzeDatasets with a 1-score dataset: accepted")
+	}
+
+	// A NaN or ±Inf score would count as a loss for A. Every score entry
+	// point rejects it, naming the dataset and the position; a stream
+	// names the position among all its pairs and adds none of the call.
+	good := []float64{0.9, 0.8, 0.95, 0.85, 0.9, 0.88}
+	rejects := func(what string, err error, want ...string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: accepted", what)
+			return
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", what, err, w)
+			}
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		worse := []float64{0.1, 0.2, 0.15, 0.25, bad, 0.12}
+		_, err := Analyze(good, worse)
+		rejects("Analyze with "+strconv.FormatFloat(bad, 'g', -1, 64)+" in B", err, "B[4]")
+		_, err = Analyze(worse, good)
+		rejects("Analyze with a non-finite A score", err, "A[4]")
+		_, err = Analyze(good, worse[:5], WithUnpaired())
+		rejects("Analyze unpaired with a non-finite score", err, "B[4]")
+		_, err = AnalyzeDatasets([]DatasetScores{
+			{Name: "ok", ScoresA: good, ScoresB: good},
+			{Name: "thick", ScoresA: good, ScoresB: worse},
+		})
+		rejects("AnalyzeDatasets with a non-finite score", err, "dataset thick", "B[4]")
+
+		s, err := NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Extend(good[:2], worse[:2]); err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Extend(good[2:], worse[2:])
+		rejects("Stream.Extend with a non-finite score", err, "B[4]")
+		if s.N() != 2 {
+			t.Errorf("a refused Extend added pairs: N = %d, want 2", s.N())
+		}
 	}
 }
 

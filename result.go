@@ -425,10 +425,11 @@ func (e *Experiment) pairedOnly(entry string) error {
 	return nil
 }
 
-// validScores uniformly rejects samples too small for the recommended test
+// validScores uniformly rejects samples the recommended test cannot judge
 // at the public API boundary: the bootstrap needs at least 2 scores per
 // algorithm, and reaching the resampler with an empty sample would panic
-// deep inside internal/stats instead of returning a useful error.
+// deep inside internal/stats instead of returning a useful error. Scores
+// must also be finite (see finiteScores).
 func validScores(scoresA, scoresB []float64, dataset string) error {
 	where := ""
 	if dataset != "" {
@@ -437,6 +438,20 @@ func validScores(scoresA, scoresB []float64, dataset string) error {
 	if len(scoresA) < 2 || len(scoresB) < 2 {
 		return fmt.Errorf("varbench: %sneed at least 2 scores per algorithm, got %d and %d",
 			where, len(scoresA), len(scoresB))
+	}
+	return finiteScores(scoresA, scoresB, where, 0)
+}
+
+// finiteScores rejects the first NaN or ±Inf score, naming its side and its
+// position counted from first; where prefixes the message. The test would
+// otherwise count a pair with a NaN as a loss for A and bias P(A>B).
+func finiteScores(scoresA, scoresB []float64, where string, first int) error {
+	for side, scores := range [2][]float64{scoresA, scoresB} {
+		for i, v := range scores {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("varbench: %snon-finite score %c[%d] = %v", where, 'A'+side, first+i, v)
+			}
+		}
 	}
 	return nil
 }

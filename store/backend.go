@@ -10,11 +10,10 @@ import "errors"
 var ErrClosed = errors.New("store is closed")
 
 // ErrLocked is returned by OpenSegLog when another live process holds the
-// store's advisory lock, or, during a legacy import, the flock of a
-// pre-upgrade writer still appending to trials.jsonl. It is transient by
-// nature — the lock drops the moment the other process exits — which makes
-// it the canonical retryable open error (the varbench CLI's -wait-lock
-// flag retries exactly this). Check with errors.Is.
+// store's advisory lock. It is transient by nature — the lock drops the
+// moment the other process exits — which makes it the canonical retryable
+// open error (the varbench CLI's -wait-lock flag retries exactly this).
+// Check with errors.Is.
 var ErrLocked = errors.New("store is locked")
 
 // Backend is the trial-store contract every storage engine implements: a

@@ -21,10 +21,10 @@ import (
 // "./cache" or "/tmp/cache", including Windows drive paths like "C:\cache"
 // or "c:\cache" — opens seglog on that directory, so every pre-DSN store
 // argument keeps working; a trials.jsonl left there by the retired JSONL
-// engine is imported on first open. The retired "jsonl:DIR" scheme is an
-// error naming its bare-path replacement, and any other unknown lowercase
-// scheme is an error naming the valid ones rather than a surprise
-// directory with a colon in it.
+// engine is not read. The retired "jsonl:DIR" scheme is an error naming
+// its bare-path replacement, and any other unknown lowercase scheme is an
+// error naming the valid ones rather than a surprise directory with a
+// colon in it.
 func OpenDSN(dsn string) (Backend, error) {
 	scheme, rest, ok := splitScheme(dsn)
 	if !ok {
@@ -42,7 +42,7 @@ func OpenDSN(dsn string) (Backend, error) {
 		}
 		return NewMem(), nil
 	case "jsonl":
-		return nil, fmt.Errorf("store: DSN %q: the jsonl engine is retired; pass the bare directory %q instead, which opens seglog and imports its trials.jsonl", dsn, rest)
+		return nil, fmt.Errorf("store: DSN %q: the jsonl engine is retired; pass the bare directory %q instead, which opens seglog and recomputes the trials of its trials.jsonl", dsn, rest)
 	case "faultinject":
 		schedule, inner, ok := strings.Cut(rest, ":")
 		if !ok {

@@ -116,10 +116,9 @@ type SegLog struct {
 // first, into segments of 64 MiB. A SIGKILL can therefore lose the last
 // ≤2ms of accepted Puts; a resumed run recomputes them deterministically.
 //
-// A dir/trials.jsonl left by the retired JSONL engine is imported once:
-// OpenSegLog takes the file's flock (ErrLocked while a pre-upgrade writer
-// still holds it), replays its records, flushes them and renames the file
-// trials.jsonl.imported. Without one, the import costs a failed open.
+// Segments are the only files an open reads. A dir/trials.jsonl left by
+// the retired JSONL engine is neither read, locked nor renamed: its cells
+// are recomputed, to the same values, by the next run.
 func OpenSegLog(dir string) (*SegLog, error) {
 	return openSegLog(dir, defaultSegCfg)
 }
@@ -154,10 +153,6 @@ func openSegLog(dir string, cfg segCfg) (*SegLog, error) {
 		return nil, err
 	}
 	go s.committer()
-	if err := s.importLegacy(); err != nil {
-		s.Close()
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -419,9 +414,6 @@ func (s *SegLog) CountPrefix(prefix string) int {
 func (s *SegLog) Stats() (hits, misses int64) {
 	return s.hits.Load(), s.misses.Load()
 }
-
-// Dir returns the segment directory.
-func (s *SegLog) Dir() string { return s.dir }
 
 // Flush is the group-commit barrier: it returns once every append
 // accepted before the call has been written and fsynced (or with the

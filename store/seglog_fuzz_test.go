@@ -7,9 +7,8 @@ import (
 )
 
 // FuzzSegLogRepairsTail throws arbitrary bytes at the seglog recovery
-// path, as FuzzOpenRepairsTail does for the legacy import. The contract is
-// the same: OpenSegLog either rejects the directory with an error or
-// returns a fully working store — never panics, and never leaves the final
+// path. OpenSegLog either rejects the directory with an error or returns a
+// fully working store — never panics, and never leaves the final
 // segment in a state a second OpenSegLog would refuse. Because the fuzzed bytes
 // become the FINAL segment, every decode failure is by policy a torn tail;
 // the frames before it must survive the truncation.

@@ -31,9 +31,11 @@
 // exits, however it dies) and fails fast with ErrLocked when another live
 // process holds it, which is what makes the tail repair safe.
 //
-// A directory written by the retired JSONL engine (a trials.jsonl log) is
-// imported on its first OpenSegLog, and SegLog.Dump prints any store in
-// that line format (see legacy.go).
+// SegLog.Dump prints a store in the line format of the retired JSONL
+// engine (see legacy.go), as a read-only view; nothing reads that format
+// back. A store is a cache: a trial cell is a pure function of its key and
+// fingerprint, so a trials.jsonl that engine left in a directory is never
+// read, and the next run recomputes its trials to the same values.
 //
 // The store does not hash pipeline code. Runs sharing a directory must
 // execute the same pipeline per (PipelineID, side); use one directory per

@@ -502,13 +502,16 @@ func TestResumedOffRunReportsFedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sl.Close()
-	clean := exp
-	clean.Store = sl
-	if _, err := clean.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	// A clean run stores its trials and nothing else; trialsOnly is a
+	// second store the same run filled.
+	trialsOnly := store.NewMem()
+	for _, st := range []store.Backend{sl, trialsOnly} {
+		clean := exp
+		clean.Store = st
+		if _, err := clean.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	trialsOnly := reimportSegLog(t, sl, "")
-	defer trialsOnly.Close()
 
 	rerun := func(inner store.Backend) *Result {
 		t.Helper()

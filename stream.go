@@ -1,9 +1,7 @@
 package varbench
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"varbench/internal/compare"
 )
@@ -23,14 +21,11 @@ import (
 // reason it holds nothing worth persisting: a rerun re-reads its input
 // instead of resuming a snapshot, and NewStream rejects WithStore.
 //
-// A Stream is not safe for concurrent use; one goroutine feeds it, while
-// Subscribe delivers results to any number of consumers.
+// A Stream is not safe for concurrent use: one goroutine feeds it and
+// reads its results.
 type Stream struct {
-	cfg *Experiment
-	ana *compare.AnalysisState
-
-	mu     sync.Mutex // guards subs/closed; the feeding path is single-goroutine
-	subs   map[chan *Result]context.Context
+	cfg    *Experiment
+	ana    *compare.AnalysisState
 	closed bool
 }
 
@@ -55,11 +50,7 @@ func NewStream(opts ...Option) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{
-		cfg:  cfg,
-		ana:  ana,
-		subs: make(map[chan *Result]context.Context),
-	}, nil
+	return &Stream{cfg: cfg, ana: ana}, nil
 }
 
 // errStreamStore says why a stream takes no store.
@@ -69,14 +60,18 @@ const errStreamStore = "a stream's analysis is three counts and two score sums, 
 func (s *Stream) N() int { return s.ana.N() }
 
 // Extend feeds newly arrived paired scores (a[i] and b[i] from the same
-// trial) and returns the updated conclusion, publishing it to subscribers.
-// The result is nil without error while fewer than two pairs exist.
+// trial) and returns the updated conclusion. The result is nil without
+// error while fewer than two pairs exist. A NaN or ±Inf score fails the
+// whole call, naming its position in the stream, before any pair is added.
 func (s *Stream) Extend(a, b []float64) (*Result, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("varbench: unpaired lengths %d vs %d", len(a), len(b))
 	}
-	if s.isClosed() {
+	if s.closed {
 		return nil, fmt.Errorf("varbench: stream is closed")
+	}
+	if err := finiteScores(a, b, "", s.ana.N()); err != nil {
+		return nil, err
 	}
 	for i := range a {
 		s.ana.Add(a[i], b[i])
@@ -84,12 +79,7 @@ func (s *Stream) Extend(a, b []float64) (*Result, error) {
 	if s.ana.N() < 2 {
 		return nil, nil
 	}
-	res, err := s.Result()
-	if err != nil {
-		return nil, err
-	}
-	s.publish(res)
-	return res, nil
+	return s.Result()
 }
 
 // Result returns the conclusion over every pair consumed so far.
@@ -116,66 +106,8 @@ func (s *Stream) Result() (*Result, error) {
 // a stream has no store to flush.
 func (s *Stream) Flush() error { return nil }
 
-// Subscribe returns a channel delivering the latest conclusion after each
-// Extend. Delivery is latest-wins: a slow consumer observes the newest
-// result, never a backlog. The channel closes when ctx is done or the
-// stream closes.
-func (s *Stream) Subscribe(ctx context.Context) <-chan *Result {
-	ch := make(chan *Result, 1)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		close(ch)
-		return ch
-	}
-	s.subs[ch] = ctx
-	s.mu.Unlock()
-	if done := ctx.Done(); done != nil {
-		go func() {
-			<-done
-			s.mu.Lock()
-			if _, ok := s.subs[ch]; ok {
-				delete(s.subs, ch)
-				close(ch)
-			}
-			s.mu.Unlock()
-		}()
-	}
-	return ch
-}
-
-// publish delivers res to every subscriber, replacing any undelivered
-// previous result.
-func (s *Stream) publish(res *Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for ch := range s.subs {
-		select {
-		case <-ch: // drop the stale undelivered result
-		default:
-		}
-		ch <- res
-	}
-}
-
-func (s *Stream) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Close ends the stream: subscriber channels close and further Extends
-// fail.
+// Close ends the stream: further Extends fail.
 func (s *Stream) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	for ch := range s.subs {
-		delete(s.subs, ch)
-		close(ch)
-	}
 	return nil
 }

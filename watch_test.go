@@ -275,39 +275,28 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestStreamSubscribe: subscribers get the latest result after each
-// extend, latest-wins under slow consumption, and close on ctx/Close.
-func TestStreamSubscribe(t *testing.T) {
+// TestStreamClose: a closed stream refuses further pairs, and a second
+// Close is harmless.
+func TestStreamClose(t *testing.T) {
 	s, err := NewStream(WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := s.Subscribe(t.Context())
-	a := []float64{0.9, 0.8, 0.95, 0.85, 0.9, 0.88}
-	b := []float64{0.1, 0.2, 0.15, 0.25, 0.1, 0.12}
-	for i := range a {
-		if _, err := s.Extend(a[i:i+1], b[i:i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Latest-wins: exactly one pending result, the newest.
-	res := <-ch
-	if res == nil || res.Pairs != len(a) {
-		t.Fatalf("subscriber got %+v, want the %d-pair result", res, len(a))
-	}
-	select {
-	case stale := <-ch:
-		t.Fatalf("subscriber had a backlog: %+v", stale)
-	default:
-	}
-	if err := s.Close(); err != nil {
+	a := []float64{0.9, 0.8, 0.95}
+	b := []float64{0.1, 0.2, 0.15}
+	if _, err := s.Extend(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, open := <-ch; open {
-		t.Fatal("subscriber channel still open after Close")
+	for i := 0; i < 2; i++ {
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
 	}
 	if _, err := s.Extend(a[:1], b[:1]); err == nil {
 		t.Fatal("extend after Close accepted")
+	}
+	if s.N() != len(a) {
+		t.Errorf("N = %d after a refused extend, want %d", s.N(), len(a))
 	}
 }
 
