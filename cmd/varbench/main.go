@@ -156,9 +156,10 @@ func openStore(ctx context.Context, dsn string, waitLock time.Duration) (store.B
 
 // runStore implements `varbench store dump DIR`: every cell of the store
 // in DIR as one legacy JSON line, sorted by (key, fingerprint). A directory
-// with no seg-*.log segment is refused before anything is opened, since
-// opening it would create a store there. Opening the store takes its lock,
-// so the dump shows what a -store run would see.
+// with no seg-*.log segment is refused: it is not a store. The dump
+// replays the segments read-only (store.Dump), so it works while a run
+// holds the store, and it leaves every file as it was, a torn tail
+// included.
 func runStore(args []string, w io.Writer) error {
 	if len(args) != 2 || args[0] != "dump" {
 		return fmt.Errorf("usage: varbench store dump DIR")
@@ -173,15 +174,7 @@ func runStore(args []string, w io.Writer) error {
 	}) {
 		return fmt.Errorf("store dump: %s is not a store: it holds no seg-*.log segment", dir)
 	}
-	st, err := store.OpenSegLog(dir)
-	if err != nil {
-		return err
-	}
-	if err := st.Dump(w); err != nil {
-		st.Close()
-		return err
-	}
-	return st.Close()
+	return store.Dump(dir, w)
 }
 
 func run(ctx context.Context, args []string, w io.Writer) error {

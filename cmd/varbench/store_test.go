@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"varbench/store"
 )
 
 // dumpGolden holds the 24 trials of `varbench variance -task tiny -k 2
@@ -209,6 +212,67 @@ func TestStoreDumpCommand(t *testing.T) {
 		if after := listDir(t, tc.dir); !slices.Equal(after, before) || out.Len() != 0 {
 			t.Errorf("%q left %q (was %q) and printed %q", tc.args, after, before, out.String())
 		}
+	}
+}
+
+// TestStoreDumpIsReadOnly: a dump replays the segments without opening
+// the store. Six garbage bytes appended to the final segment, a torn tail,
+// are skipped, and every file keeps its bytes; and a dump succeeds while
+// another process's SegLog holds the directory's lock.
+func TestStoreDumpIsReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	study := []string{"variance", "-task", "tiny", "-k", "2", "-realizations", "2", "-seed", "5", "-store", dir}
+	if err := run(context.Background(), study, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	dump := func() string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(context.Background(), []string{"store", "dump", dir}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	want := dump()
+	seg := filepath.Join(dir, "seg-00000001.log")
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("garbag")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		t.Helper()
+		m := make(map[string]string)
+		for _, name := range listDir(t, dir) {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[name] = string(data)
+		}
+		return m
+	}
+	before := files()
+	if got := dump(); got != want {
+		t.Errorf("dump of the torn store:\n%s\nwant the intact store's:\n%s", got, want)
+	}
+	if after := files(); !maps.Equal(after, before) {
+		t.Errorf("the dump changed the store's files: %d bytes in %s, was %d",
+			len(after["seg-00000001.log"]), seg, len(before["seg-00000001.log"]))
+	}
+
+	held, err := store.OpenSegLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if got := dump(); got != want {
+		t.Errorf("dump of a held store:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,14 +152,23 @@ func isCancellation(err error) bool {
 // store is a retryable fault like a flaky trial). On terminal failure it
 // either returns an error (fail-fast mode, or cancellation, which is never
 // quarantined) or a TrialFailure recorded durably with its attempt history.
+//
+// A score is a measurement only when it is finite: a NaN or an infinity
+// fails its attempt with ErrTrialFailed and is never stored, and one that a
+// store already holds counts as a miss. So no non-finite score reaches the
+// analysis, whose paired test would count its pair as a loss for A,
+// whichever side returned it.
 func (c *trialCache) resolve(ctx context.Context, g *guard, t Trial, side string, run TrialFunc, label string) (float64, *TrialFailure, error) {
 	key, v, ok := c.lookup(t.Index, side)
-	if ok {
+	if ok && !math.IsNaN(v) && !math.IsInf(v, 0) {
 		return v, nil, nil
 	}
 	var history []attemptRecord
 	for attempt := 1; ; attempt++ {
 		v, err := g.attempt(ctx, run, t)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("%w: the pipeline returned the non-finite score %v", ErrTrialFailed, v)
+		}
 		if err == nil {
 			err = c.put(key, v)
 		}

@@ -22,10 +22,17 @@ type Jitter struct {
 	Std float64
 }
 
-// Apply implements Augmenter.
+// Apply implements Augmenter. It draws the noise in bulk, a chunk at a
+// time, exactly as one NormFloat64 call per element would.
 func (j Jitter) Apply(row []float64, r *xrand.Source) {
-	for i := range row {
-		row[i] += j.Std * r.NormFloat64()
+	var buf [16]float64
+	for len(row) > 0 {
+		noise := buf[:min(len(row), len(buf))]
+		r.NormFloat64s(noise)
+		for i, z := range noise {
+			row[i] += float64(j.Std * z)
+		}
+		row = row[len(noise):]
 	}
 }
 

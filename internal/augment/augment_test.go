@@ -34,6 +34,39 @@ func TestJitterMagnitude(t *testing.T) {
 	}
 }
 
+// TestJitterMatchesScalarDraws: Jitter adds Std times one NormFloat64 per
+// feature, in feature order, bit for bit, through rows shorter and longer
+// than its chunk and a cached Gaussian carried from row to row. In a
+// Pipeline{Jitter, Mask} the Mask then draws its Intn from the state the
+// Jitter left.
+func TestJitterMatchesScalarDraws(t *testing.T) {
+	aug := Pipeline{Jitter{Std: 0.1}, Mask{Frac: 0.25}}
+	r, ref := xrand.New(9), xrand.New(9)
+	for _, n := range []int{1, 3, 8, 15, 16, 17, 40, 7} {
+		row := make([]float64, n)
+		want := make([]float64, n)
+		for i := range row {
+			row[i] = float64(i) - 2.5
+			want[i] = row[i] + float64(0.1*ref.NormFloat64())
+		}
+		if w := int(0.25 * float64(n)); w > 0 {
+			start := ref.Intn(n - w + 1)
+			for i := start; i < start+w; i++ {
+				want[i] = 0
+			}
+		}
+		aug.Apply(row, r)
+		for i := range want {
+			if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("row of %d: feature %d = %v, want %v", n, i, row[i], want[i])
+			}
+		}
+	}
+	if r.Uint64() != ref.Uint64() {
+		t.Fatal("the pipeline consumed the stream differently")
+	}
+}
+
 func TestMaskZeroesContiguousBlock(t *testing.T) {
 	row := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
 	Mask{Frac: 0.3}.Apply(row, xrand.New(3))

@@ -108,43 +108,77 @@ func (m *MLP) forward(ws *workspace, x *tensor.Matrix, dropoutRng *xrand.Source)
 		z := ws.outs[l].Resize(h.Rows, m.Weights[l].Cols)
 		tensor.MatMulInto(z, h, m.Weights[l])
 		bias := m.Biases[l]
-		for i := 0; i < z.Rows; i++ {
-			row := z.Row(i)
-			for j := range row {
-				row[j] += bias[j]
-			}
-		}
 		if l == m.NumLayers()-1 {
+			for i := 0; i < z.Rows; i++ {
+				row := z.Row(i)[:len(bias)]
+				for j, b := range bias {
+					row[j] += b
+				}
+			}
 			return z
 		}
-		switch m.Activation {
-		case ReLU:
-			z.Apply(func(v float64) float64 {
-				if v < 0 {
-					return 0
-				}
-				return v
-			})
-		case Tanh:
-			z.Apply(math.Tanh)
-		}
+		var acts, mask []float64
 		if drop {
-			copy(ws.acts[l].Resize(z.Rows, z.Cols).Data, z.Data)
-			mask := ws.masks[l].Resize(z.Rows, z.Cols)
-			keep := 1 - m.Dropout
-			for i := range mask.Data {
-				mask.Data[i] = 0
-				if dropoutRng.Float64() < keep {
-					mask.Data[i] = 1 / keep
-				}
-			}
-			for i := range z.Data {
-				z.Data[i] *= mask.Data[i]
-			}
+			acts = ws.acts[l].Resize(z.Rows, z.Cols).Data
+			mask = ws.masks[l].Resize(z.Rows, z.Cols).Data
+			dropoutRng.Float64s(mask)
 		}
+		m.activate(z, bias, acts, mask)
 		h = z
 	}
 	return h
+}
+
+// activate finishes hidden layer z = h·W in place: z ← f(z + bias) for the
+// activation f, where ReLU maps v < 0 to +0 and passes −0 and NaN through.
+// Given a dropout pass's buffers, with mask holding one uniform draw per
+// element, it also keeps f(z + bias) in acts, turns each draw u into the
+// mask value (1/keep if u < keep, else 0) and leaves the masked activations
+// in z. For ReLU that is one pass over the elements.
+func (m *MLP) activate(z *tensor.Matrix, bias, acts, mask []float64) {
+	n := len(bias)
+	relu := m.Activation == ReLU
+	keep := 1 - m.Dropout
+	scale := 1 / keep
+	for i := 0; i < z.Rows; i++ {
+		row := z.Row(i)[:n]
+		if !relu {
+			for j, b := range bias {
+				row[j] = math.Tanh(row[j] + b)
+			}
+		}
+		if mask == nil {
+			if relu {
+				for j, b := range bias {
+					v := row[j] + b
+					row[j] = sel(v < 0, 0, v)
+				}
+			}
+			continue
+		}
+		arow, mrow := acts[i*n:][:n], mask[i*n:][:n]
+		for j, b := range bias {
+			v := row[j]
+			if relu {
+				v = sel(v+b < 0, 0, v+b)
+			}
+			mk := sel(mrow[j] < keep, scale, 0)
+			arow[j], mrow[j], row[j] = v, mk, v*mk
+		}
+	}
+}
+
+// sel returns x if ok and y otherwise. It picks between the bit patterns
+// in integer registers, which the compiler does with a conditional move, so
+// the data-dependent selects of a training step cost no mispredicted
+// branch. Both patterns are read before the if: a call inlined inside it
+// would keep the branch.
+func sel(ok bool, x, y float64) float64 {
+	xb, b := math.Float64bits(x), math.Float64bits(y)
+	if ok {
+		b = xb
+	}
+	return math.Float64frombits(b)
 }
 
 // softmaxRows replaces each row of p with its softmax.
@@ -153,9 +187,7 @@ func softmaxRows(p *tensor.Matrix) {
 		row := p.Row(i)
 		max := row[0]
 		for _, v := range row[1:] {
-			if v > max {
-				max = v
-			}
+			max = sel(v > max, v, max)
 		}
 		sum := 0.0
 		for j, v := range row {
@@ -227,7 +259,7 @@ func (m *MLP) lossAndGrad(ws *workspace, x *tensor.Matrix, y []float64, dropoutR
 		delta.Zero()
 		for i := 0; i < out.Rows; i++ {
 			d := out.At(i, 0) - y[i]
-			loss += d * d
+			loss += float64(d * d)
 			delta.Set(i, 0, 2*d/n)
 		}
 		loss /= n
@@ -256,27 +288,26 @@ func (m *MLP) lossAndGrad(ws *workspace, x *tensor.Matrix, y []float64, dropoutR
 			break
 		}
 		// Propagate: dIn = delta·Wᵀ, back through dropout, then through the
-		// activation using the pre-dropout activation values.
+		// activation using the pre-dropout activation values, in one pass.
 		back := ws.deltas[l-1].Resize(delta.Rows, m.Weights[l].Rows)
 		tensor.MatMulTInto(back, delta, m.Weights[l])
-		acts := in
+		acts, mask := in.Data, []float64(nil)
 		if dropped {
-			for i, v := range ws.masks[l-1].Data {
-				back.Data[i] *= v
-			}
-			acts = &ws.acts[l-1]
+			acts, mask = ws.acts[l-1].Data, ws.masks[l-1].Data[:len(back.Data)]
 		}
-		switch m.Activation {
-		case ReLU:
-			for i, v := range acts.Data {
-				if v <= 0 {
-					back.Data[i] = 0
-				}
+		acts = acts[:len(back.Data)]
+		tanh := m.Activation == Tanh
+		for i, d := range back.Data {
+			if dropped {
+				d *= mask[i]
 			}
-		case Tanh:
-			for i, v := range acts.Data {
-				back.Data[i] *= 1 - v*v
+			v := acts[i]
+			if tanh {
+				d *= 1 - float64(v*v)
+			} else {
+				d = sel(v <= 0, 0, d)
 			}
+			back.Data[i] = d
 		}
 		delta = back
 	}

@@ -216,6 +216,63 @@ func TestDropoutOnlyAppliedInTraining(t *testing.T) {
 	}
 }
 
+// TestActivateMatchesElementwiseDefinition holds the fused hidden-layer
+// pass to its element-by-element definition, bit for bit, on values the
+// goldens never meet: v = z + bias, then ReLU (v < 0 becomes +0; −0 and NaN
+// pass) or tanh, then, with dropout, mask = 1/keep where the draw is below
+// keep and 0 elsewhere, and z = v·mask. Every special z meets every bias,
+// and the draws include keep itself and its neighbours.
+func TestActivateMatchesElementwiseDefinition(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	special := []float64{-2, -1e-300, negZero, 0, 1e-300, 3, math.NaN(), math.Inf(1), math.Inf(-1)}
+	bias := []float64{negZero, 0, -1, 0.5, 1e-300}
+	for _, act := range []Activation{ReLU, Tanh} {
+		for _, dropout := range []float64{0, 0.3} {
+			m := &MLP{Activation: act, Dropout: dropout}
+			keep := 1 - dropout
+			z := tensor.NewMatrix(len(special), len(bias))
+			for i := range z.Data {
+				z.Data[i] = special[i/len(bias)]
+			}
+			want := z.Clone()
+			var acts, mask, draws []float64
+			if dropout > 0 {
+				acts = make([]float64, len(z.Data))
+				mask = make([]float64, len(z.Data))
+				for i := range mask {
+					u := []float64{0, math.Nextafter(keep, 0), keep, math.Nextafter(keep, 1), 0.999}
+					mask[i] = u[(i+i/len(bias))%len(u)]
+				}
+				draws = append(draws, mask...)
+			}
+			m.activate(z, bias, acts, mask)
+			for i, v := range want.Data {
+				v += bias[i%len(bias)]
+				if act == Tanh {
+					v = math.Tanh(v)
+				} else if v < 0 {
+					v = 0
+				}
+				got, exp := []float64{z.Data[i]}, []float64{v}
+				if dropout > 0 {
+					mk := 0.0
+					if draws[i] < keep {
+						mk = 1 / keep
+					}
+					got = append(got, acts[i], mask[i])
+					exp = []float64{v * mk, v, mk}
+				}
+				for k := range exp {
+					if math.Float64bits(got[k]) != math.Float64bits(exp[k]) && !(math.IsNaN(got[k]) && math.IsNaN(exp[k])) {
+						t.Fatalf("activation %v, dropout %v, element %d (z %v, bias %v): got %v, want %v (z, acts, mask)",
+							act, dropout, i, want.Data[i], bias[i%len(bias)], got, exp)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := xrand.New(1)
 	logits := tensor.NewMatrix(10, 5)

@@ -82,8 +82,58 @@ func checkProduct(op string, out, a, b *Matrix, rows, cols int, innerOK bool) {
 // and must not alias a or b. Each out[i][j] starts from +0 and adds
 // a[i][k]·b[k][j] for k ascending, skipping every k where a[i][k] is zero
 // (either sign), so a zero in a hides a NaN or an infinity in b.
+//
+// On a finite b the skip cannot change a bit: a skipped product is ±0, and
+// adding ±0 leaves a sum that starts from +0 unchanged, because such a sum
+// never becomes −0 (x + y is −0 only when both are −0). So on a finite b
+// the kernel adds every product, with no branch per element; the
+// element-by-element loop with the skip serves a b that holds a NaN or an
+// infinity.
+//
+// All three Into kernels compute out in blocks of four rows, one column at
+// a time, with the four sums in registers, and round each product to
+// float64 before adding it, so that no architecture fuses the two.
 func MatMulInto(out, a, b *Matrix) {
 	checkProduct("matmul", out, a, b, a.Rows, b.Cols, a.Cols == b.Rows)
+	if !finite(b.Data) {
+		matMulSkip(out, a, b)
+		return
+	}
+	m, n, p := a.Rows, a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := ad[i*n : (i+1)*n]
+		a1 := ad[(i+1)*n : (i+2)*n][:len(a0)]
+		a2 := ad[(i+2)*n : (i+3)*n][:len(a0)]
+		a3 := ad[(i+3)*n : (i+4)*n][:len(a0)]
+		o := od[i*p : (i+4)*p]
+		for j := 0; j < p; j++ {
+			var s0, s1, s2, s3 float64
+			for k, kj := 0, j; k < len(a0); k, kj = k+1, kj+p {
+				bv := bd[kj]
+				s0 += float64(a0[k] * bv)
+				s1 += float64(a1[k] * bv)
+				s2 += float64(a2[k] * bv)
+				s3 += float64(a3[k] * bv)
+			}
+			o[j], o[p+j], o[2*p+j], o[3*p+j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < m; i++ {
+		arow := ad[i*n : (i+1)*n]
+		for j := 0; j < p; j++ {
+			var s float64
+			for k, kj := 0, j; k < len(arow); k, kj = k+1, kj+p {
+				s += float64(arow[k] * bd[kj])
+			}
+			od[i*p+j] = s
+		}
+	}
+}
+
+// matMulSkip is MatMulInto element by element, skipping the zeros of a.
+func matMulSkip(out, a, b *Matrix) {
 	out.Zero()
 	n, p := a.Cols, b.Cols
 	// ikj loop order: the inner loop streams over contiguous rows of b and
@@ -97,7 +147,7 @@ func MatMulInto(out, a, b *Matrix) {
 			brow := b.Data[k*p : (k+1)*p]
 			brow = brow[:len(orow)] // drops the bounds check on brow[j]
 			for j := range orow {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
@@ -105,17 +155,41 @@ func MatMulInto(out, a, b *Matrix) {
 
 // MatMulTInto computes out = a×bᵀ without allocating or materializing the
 // transpose. out must be a.Rows×b.Rows and must not alias a or b. Each
-// out[i][j] is Dot of row i of a and row j of b: it starts from +0 and adds
-// a[i][k]·b[j][k] for k ascending, with no zero skipping, so a NaN or an
-// infinity anywhere in either row reaches the result.
+// out[i][j] is the inner product of row i of a and row j of b: it starts
+// from +0 and adds a[i][k]·b[j][k] for k ascending, with no zero skipping,
+// so a NaN or an infinity anywhere in either row reaches the result.
 func MatMulTInto(out, a, b *Matrix) {
 	checkProduct("matmulT", out, a, b, a.Rows, b.Rows, a.Cols == b.Cols)
-	n, p := a.Cols, b.Rows
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*p : (i+1)*p]
-		for j := range orow {
-			orow[j] = Dot(arow, b.Data[j*n:(j+1)*n])
+	m, n, p := a.Rows, a.Cols, b.Rows
+	ad, bd, od := a.Data, b.Data, out.Data
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := ad[i*n : (i+1)*n]
+		a1 := ad[(i+1)*n : (i+2)*n][:len(a0)]
+		a2 := ad[(i+2)*n : (i+3)*n][:len(a0)]
+		a3 := ad[(i+3)*n : (i+4)*n][:len(a0)]
+		o := od[i*p : (i+4)*p]
+		for j := 0; j < p; j++ {
+			brow := bd[j*n : (j+1)*n][:len(a0)]
+			var s0, s1, s2, s3 float64
+			for k, bv := range brow {
+				s0 += float64(a0[k] * bv)
+				s1 += float64(a1[k] * bv)
+				s2 += float64(a2[k] * bv)
+				s3 += float64(a3[k] * bv)
+			}
+			o[j], o[p+j], o[2*p+j], o[3*p+j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < m; i++ {
+		arow := ad[i*n : (i+1)*n]
+		for j := 0; j < p; j++ {
+			brow := bd[j*n : (j+1)*n][:len(arow)]
+			var s float64
+			for k, bv := range brow {
+				s += float64(arow[k] * bv)
+			}
+			od[i*p+j] = s
 		}
 	}
 }
@@ -123,10 +197,45 @@ func MatMulTInto(out, a, b *Matrix) {
 // TMatMulInto computes out = aᵀ×b without allocating or materializing the
 // transpose. out must be a.Cols×b.Cols and must not alias a or b. Each
 // out[i][j] starts from +0 and adds a[k][i]·b[k][j] for k ascending,
-// skipping every k where a[k][i] is zero (either sign), the same rule as
-// MatMulInto.
+// skipping every k where a[k][i] is zero (either sign): the same rule as
+// MatMulInto, elided the same way on a finite b.
 func TMatMulInto(out, a, b *Matrix) {
 	checkProduct("TmatMul", out, a, b, a.Cols, b.Cols, a.Rows == b.Rows)
+	if !finite(b.Data) {
+		tMatMulSkip(out, a, b)
+		return
+	}
+	m, p := a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		o := od[i*p : (i+4)*p]
+		for j := 0; j < p; j++ {
+			var s0, s1, s2, s3 float64
+			for ki, kj := i, j; kj < len(bd); ki, kj = ki+m, kj+p {
+				ak := (*[4]float64)(ad[ki:])
+				bv := bd[kj]
+				s0 += float64(ak[0] * bv)
+				s1 += float64(ak[1] * bv)
+				s2 += float64(ak[2] * bv)
+				s3 += float64(ak[3] * bv)
+			}
+			o[j], o[p+j], o[2*p+j], o[3*p+j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < m; i++ {
+		for j := 0; j < p; j++ {
+			var s float64
+			for ki, kj := i, j; kj < len(bd); ki, kj = ki+m, kj+p {
+				s += float64(ad[ki] * bd[kj])
+			}
+			od[i*p+j] = s
+		}
+	}
+}
+
+// tMatMulSkip is TMatMulInto element by element, skipping the zeros of a.
+func tMatMulSkip(out, a, b *Matrix) {
 	out.Zero()
 	m, p := a.Cols, b.Cols
 	for k := 0; k < a.Rows; k++ {
@@ -138,10 +247,20 @@ func TMatMulInto(out, a, b *Matrix) {
 			orow := out.Data[i*p : (i+1)*p]
 			orow = orow[:len(brow)] // drops the bounds check on orow[j]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
+}
+
+// finite reports whether x holds no NaN and no infinity.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 { // NaN for a NaN or an infinity, +0 for any other v
+			return false
+		}
+	}
+	return true
 }
 
 // Add computes a += b element-wise.
@@ -156,13 +275,6 @@ func (m *Matrix) Add(b *Matrix) {
 func (m *Matrix) Scale(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// Apply replaces every element x with f(x).
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
 	}
 }
 

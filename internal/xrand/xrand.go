@@ -58,23 +58,50 @@ func (r *Source) Seed(seed uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next runs one xoshiro256** step on the state (s0, s1, s2, s3): it returns
+// the output and the new state. Uint64 steps the Source's own state; the
+// bulk draws step a copy held in locals, which stays in registers for the
+// whole fill, and store it back once.
+func next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var x uint64
+	x, s[0], s[1], s[2], s[3] = next(s[0], s[1], s[2], s[3])
+	return x
 }
+
+// unit maps 64 random bits to [0, 1) with 53 bits of precision. The
+// scaling is exact; the conversion only keeps arm64 from fusing it into
+// the add of a caller's 2·unit(x) − 1, which the compiler spells u + u.
+func unit(x uint64) float64 { return float64(float64(x>>11) / (1 << 53)) }
 
 // Float64 returns a uniform sample in [0, 1) with 53 bits of precision.
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unit(r.Uint64())
+}
+
+// Float64s fills dst with uniform samples in [0, 1): exactly the values, and
+// the stream consumption, of len(dst) successive Float64 calls.
+func (r *Source) Float64s(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	for i := range dst {
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		dst[i] = unit(x)
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
 // Uniform returns a uniform sample in [lo, hi).
@@ -123,7 +150,6 @@ func (r *Source) intnRetry(bound uint64) int {
 // attempt), same accepted indices — but runs the generator on a
 // register-local state copy with the rejection threshold hoisted, removing
 // the two non-inlinable calls per draw that dominate the per-element cost.
-// The xoshiro step below must stay in sync with Uint64;
 // TestSampleBulkMatchesIntn pins the equivalence.
 //
 // Lemire's acceptance test `lo >= bound || lo >= (-bound)%bound` reduces to
@@ -146,17 +172,11 @@ func SampleInto[T any](r *Source, dst, src []T) {
 	bound := uint64(len(src))
 	thresh := (-bound) % bound
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
 	for i := range dst {
 		for {
-			res := rotl(s1*5, 7) * 9
-			t := s1 << 17
-			s2 ^= s0
-			s3 ^= s1
-			s1 ^= s2
-			s0 ^= s3
-			s2 ^= t
-			s3 = rotl(s3, 45)
-			hi, lo := bits.Mul64(res, bound)
+			x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+			hi, lo := bits.Mul64(x, bound)
 			if lo >= thresh {
 				dst[i] = src[hi]
 				break
@@ -175,17 +195,60 @@ func (r *Source) NormFloat64() float64 {
 		return r.gauss
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
+		g0, g1, ok := polar(r.Uint64(), r.Uint64())
+		if ok {
+			r.gauss = g1
+			r.hasGauss = true
+			return g0
+		}
+	}
+}
+
+// NormFloat64s fills dst with standard normal samples: exactly the values,
+// and the stream consumption, of len(dst) successive NormFloat64 calls. It
+// starts with a cached second value, when there is one, and caches the
+// second value of its last pair when len(dst) leaves it unused.
+func (r *Source) NormFloat64s(dst []float64) {
+	if len(dst) == 0 {
+		return
+	}
+	if r.hasGauss {
+		r.hasGauss = false
+		dst[0] = r.gauss
+		dst = dst[1:]
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x, y uint64
+	for len(dst) > 0 {
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		y, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		g0, g1, ok := polar(x, y)
+		if !ok {
 			continue
 		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		r.gauss = v * f
-		r.hasGauss = true
-		return u * f
+		dst[0] = g0
+		if len(dst) == 1 {
+			r.gauss, r.hasGauss = g1, true
+			break
+		}
+		dst[1] = g1
+		dst = dst[2:]
 	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
+// polar is one attempt of the Marsaglia polar method on the uniform draws
+// unit(x) and unit(y): it returns two independent standard normals, or ok
+// false when the point falls outside the unit disc or on its centre.
+func polar(x, y uint64) (g0, g1 float64, ok bool) {
+	u := float64(2*unit(x)) - 1
+	v := float64(2*unit(y)) - 1
+	s := float64(u*u) + float64(v*v)
+	if s >= 1 || s == 0 {
+		return 0, 0, false
+	}
+	f := math.Sqrt(-2 * math.Log(s) / s)
+	return u * f, v * f, true
 }
 
 // Normal returns a sample from N(mu, sigma^2).

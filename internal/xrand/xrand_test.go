@@ -254,6 +254,59 @@ func TestSampleBulkMatchesIntn(t *testing.T) {
 	}
 }
 
+// TestBulkFillsMatchScalarDraws pins NormFloat64s and Float64s to
+// successive NormFloat64 and Float64 calls, bit for bit: odd and even
+// lengths, fills that start with a cached Gaussian and fills that leave one
+// cached, and the stream state the next draw sees, of either kind.
+func TestBulkFillsMatchScalarDraws(t *testing.T) {
+	bits := math.Float64bits
+	for seed := uint64(1); seed <= 20; seed++ {
+		ra, rb := New(seed), New(seed)
+		// A run of fills, each followed by a scalar draw that depends on
+		// the state the fill left: a Gaussian (which may be the cached
+		// one), a uniform or an Intn, as augment.Pipeline{Jitter, Mask}
+		// draws them from one stream.
+		for i, n := range []int{0, 1, 2, 3, 5, 8, 17, 1, 1, 4, 33} {
+			want := make([]float64, n)
+			got := make([]float64, n)
+			if i%2 == 0 {
+				for j := range want {
+					want[j] = ra.NormFloat64()
+				}
+				rb.NormFloat64s(got)
+			} else {
+				for j := range want {
+					want[j] = ra.Float64()
+				}
+				rb.Float64s(got)
+			}
+			for j := range want {
+				if bits(got[j]) != bits(want[j]) {
+					t.Fatalf("seed %d, fill %d (len %d): element %d = %v, want %v", seed, i, n, j, got[j], want[j])
+				}
+			}
+			switch i % 3 {
+			case 0:
+				if a, b := ra.NormFloat64(), rb.NormFloat64(); bits(a) != bits(b) {
+					t.Fatalf("seed %d, after fill %d: NormFloat64 %v, want %v", seed, i, b, a)
+				}
+			case 1:
+				if a, b := ra.Float64(), rb.Float64(); bits(a) != bits(b) {
+					t.Fatalf("seed %d, after fill %d: Float64 %v, want %v", seed, i, b, a)
+				}
+			default:
+				if a, b := ra.Intn(5), rb.Intn(5); a != b {
+					t.Fatalf("seed %d, after fill %d: Intn %d, want %d", seed, i, b, a)
+				}
+			}
+		}
+		// The cached value is state only while hasGauss holds.
+		if ra.Uint64() != rb.Uint64() || ra.hasGauss != rb.hasGauss || ra.hasGauss && bits(ra.gauss) != bits(rb.gauss) {
+			t.Fatalf("seed %d: the fills left the stream in another state", seed)
+		}
+	}
+}
+
 func TestSampleBulkEmptyPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

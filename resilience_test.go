@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -223,6 +224,85 @@ func TestPanicIsolation(t *testing.T) {
 			t.Fatalf("pairs = %d, want 7 (8 attempted − 1 quarantined)", res.Pairs)
 		}
 	})
+}
+
+// TestNonFiniteScoreFailsItsTrial: a pipeline's NaN or infinity is a
+// failed attempt, not a score. A = 0.9 beats B = 0.5 on every trial, but B
+// returns NaN on every third one. Counted as scores, those four pairs read
+// as losses for A (P(A>B) = 0.667 over 12 pairs, MeanB NaN). Fail-fast
+// aborts on the first; quarantine drops the four pairs, and a stored NaN is
+// recomputed as a miss.
+func TestNonFiniteScoreFailsItsTrial(t *testing.T) {
+	scoreA := func(Trial) (float64, error) { return 0.9, nil }
+	scoreB := func(bad float64) TrialFunc {
+		return func(tr Trial) (float64, error) {
+			if tr.Index%3 == 0 {
+				return bad, nil
+			}
+			return 0.5, nil
+		}
+	}
+	spec := Experiment{ATrial: scoreA, BTrial: scoreB(math.NaN()), Seed: 4, MaxRuns: 12, EarlyStop: EarlyStopOff}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := spec
+		e.BTrial = scoreB(bad)
+		_, err := e.Run(context.Background())
+		if !errors.Is(err, ErrTrialFailed) || !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+			t.Errorf("fail-fast run with a %v score: err = %v, want ErrTrialFailed naming the score", bad, err)
+		}
+		single := Experiment{ATrial: scoreB(bad), Seed: 4, MaxRuns: 12}
+		if _, err := single.Collect(context.Background()); !errors.Is(err, ErrTrialFailed) {
+			t.Errorf("fail-fast Collect with a %v score: err = %v, want ErrTrialFailed", bad, err)
+		}
+	}
+
+	quarantine := spec
+	quarantine.Retry = RetryPolicy{MaxAttempts: 1}
+	res, err := quarantine.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Datasets[0].Comparison
+	if res.Quarantined != 4 || res.Pairs != 8 || c.PAB != 1 || c.MeanB != 0.5 {
+		t.Fatalf("quarantined %d, pairs %d, P(A>B) %v, MeanB %v; want 4, 8, 1, 0.5",
+			res.Quarantined, res.Pairs, c.PAB, c.MeanB)
+	}
+	for _, f := range res.Datasets[0].Failures {
+		if f.Side != "B" || f.Index%3 != 0 || f.Kind != FailureError || !strings.Contains(f.Err, "NaN") {
+			t.Errorf("failure %+v, want B's NaN at a multiple of 3", f)
+		}
+	}
+
+	// A store that holds a NaN serves it as a miss: the cell is measured
+	// again, stored, and the run matches a storeless one.
+	st := store.NewMem()
+	stored := spec
+	stored.BTrial = scoreB(0.5)
+	stored.Store = st
+	tc := stored.trialCache("")
+	for i := 0; i < 12; i += 3 {
+		if err := st.Put(store.TrialKey(tc.seed, tc.dataset, i, "B"), tc.fp, math.NaN()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := stored.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored.Store = nil
+	want, err := stored.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderText(t, got), renderText(t, want); g != w {
+		t.Fatalf("run over a store holding NaN cells:\n%s\nwant the storeless run:\n%s", g, w)
+	}
+	for i := 0; i < 12; i += 3 {
+		if v, ok := st.Get(store.TrialKey(tc.seed, tc.dataset, i, "B"), tc.fp); !ok || v != 0.5 {
+			t.Errorf("cell %d after the run: %v, %v; want the recomputed 0.5", i, v, ok)
+		}
+	}
 }
 
 func TestQuarantineParallelismInvariance(t *testing.T) {

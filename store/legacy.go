@@ -26,22 +26,27 @@ type record struct {
 	Value       json.RawMessage `json:"value,omitempty"`
 }
 
-// Dump writes every cell as one legacy JSONL line, sorted by (key,
-// fingerprint). Dump reads the in-memory index, so it also works after
-// Close.
-func (s *SegLog) Dump(w io.Writer) error {
+// Dump writes every cell of the store in dir as one legacy JSONL line,
+// sorted by (key, fingerprint). It replays the segments without opening
+// the store: it takes no lock, so it also reads a store a running process
+// holds, and it writes nothing. A torn tail in the final segment, which
+// the next open truncates, is skipped; a bad frame in a sealed segment is
+// an error.
+func Dump(dir string, w io.Writer) error {
+	idx := make(index)
+	if _, _, _, err := replay(dir, idx); err != nil {
+		return err
+	}
 	type cell struct {
 		key, fp string
 		e       entry
 	}
-	s.mu.Lock()
-	cells := make([]cell, 0, s.idx.count(""))
-	for fp, keys := range s.idx {
+	cells := make([]cell, 0, idx.count(""))
+	for fp, keys := range idx {
 		for key, e := range keys {
 			cells = append(cells, cell{key, fp, e})
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(cells, func(i, j int) bool {
 		a, b := cells[i], cells[j]
 		return a.key < b.key || a.key == b.key && a.fp < b.fp
@@ -55,7 +60,7 @@ func (s *SegLog) Dump(w io.Writer) error {
 		}
 		line, err := json.Marshal(rec)
 		if err != nil {
-			return fmt.Errorf("store: %s: dumping %q: %w", s.dir, rec.Key, err)
+			return fmt.Errorf("store: %s: dumping %q: %w", dir, rec.Key, err)
 		}
 		bw.Write(line)
 		bw.WriteByte('\n')

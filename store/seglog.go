@@ -184,46 +184,57 @@ func segments(dir string) ([]int, error) {
 // load replays every segment into the index and opens the final one for
 // appending, truncating a torn tail first.
 func (s *SegLog) load() error {
-	ns, err := segments(s.dir)
+	final, good, torn, err := replay(s.dir, s.idx)
 	if err != nil {
 		return err
 	}
-	if len(ns) == 0 {
-		ns = []int{1}
-	}
-	for i, n := range ns {
-		final := i == len(ns)-1
-		path := filepath.Join(s.dir, segName(n))
-		data, err := os.ReadFile(path)
-		if err != nil && !(final && os.IsNotExist(err)) {
-			return fmt.Errorf("store: %w", err)
-		}
-		good, perr := s.replaySegment(path, data)
-		if perr != nil {
-			if !final {
-				return perr // sealed segment: corruption, not a torn tail
-			}
-			if terr := os.Truncate(path, int64(good)); terr != nil {
-				return fmt.Errorf("store: %s: truncating torn tail: %w", path, terr)
-			}
-		}
-		if final {
-			f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			s.active = f
-			s.activeIdx = n
-			s.activeSize = int64(good)
+	path := filepath.Join(s.dir, segName(final))
+	if torn {
+		if err := os.Truncate(path, int64(good)); err != nil {
+			return fmt.Errorf("store: %s: truncating torn tail: %w", path, err)
 		}
 	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.active = f
+	s.activeIdx = final
+	s.activeSize = int64(good)
 	return nil
+}
+
+// replay indexes the intact frames of every segment in dir into idx, in
+// log order, and writes nothing. It returns the final segment's number
+// (1, not yet created, when dir holds none), the offset after its last
+// intact frame, and whether bytes follow that offset: a torn tail, the
+// signature of a crash mid-commit. The same damage in a sealed segment is
+// corruption, and an error.
+func replay(dir string, idx index) (final, good int, torn bool, err error) {
+	ns, err := segments(dir)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	final = 1
+	for i, n := range ns {
+		path := filepath.Join(dir, segName(n))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return 0, 0, false, fmt.Errorf("store: %w", err)
+		}
+		good, err = idx.replaySegment(path, data)
+		if err != nil && i < len(ns)-1 {
+			return 0, 0, false, err // sealed segment: corruption, not a torn tail
+		}
+		final, torn = n, err != nil
+	}
+	return final, good, torn, nil
 }
 
 // replaySegment indexes every intact frame of one segment and returns the
 // byte offset after the last intact frame, plus the error that stopped the
 // scan (nil when the segment ends exactly on a frame boundary).
-func (s *SegLog) replaySegment(path string, data []byte) (int, error) {
+func (x index) replaySegment(path string, data []byte) (int, error) {
 	off := 0
 	fp := ""
 	for off < len(data) {
@@ -235,7 +246,7 @@ func (s *SegLog) replaySegment(path string, data []byte) (int, error) {
 		if string(fpb) != fp {
 			fp = string(fpb)
 		}
-		s.idx.set(string(key), fp, e)
+		x.set(string(key), fp, e)
 		off += n
 	}
 	return off, nil

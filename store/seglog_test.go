@@ -77,7 +77,7 @@ func TestSegLogFlushBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &SegLog{idx: make(index)}
+	probe := make(index)
 	good, perr := probe.replaySegment("probe", data)
 	if perr != nil {
 		t.Fatalf("flushed segment does not replay cleanly: %v", perr)
@@ -85,8 +85,8 @@ func TestSegLogFlushBarrier(t *testing.T) {
 	if good != len(data) {
 		t.Fatalf("flushed segment has %d trailing bytes past the last frame", len(data)-good)
 	}
-	if probe.idx.count("") != 2 {
-		t.Fatalf("flushed segment replays %d cells, want 2", probe.idx.count(""))
+	if probe.count("") != 2 {
+		t.Fatalf("flushed segment replays %d cells, want 2", probe.count(""))
 	}
 }
 

@@ -31,9 +31,9 @@
 // exits, however it dies) and fails fast with ErrLocked when another live
 // process holds it, which is what makes the tail repair safe.
 //
-// SegLog.Dump prints a store in the line format of the retired JSONL
-// engine (see legacy.go), as a read-only view; nothing reads that format
-// back. A store is a cache: a trial cell is a pure function of its key and
+// Dump prints a store directory in the line format of the retired JSONL
+// engine (see legacy.go), as a read-only view that takes no lock and
+// writes nothing; nothing reads that format back. A store is a cache: a trial cell is a pure function of its key and
 // fingerprint, so a trials.jsonl that engine left in a directory is never
 // read, and the next run recomputes its trials to the same values.
 //
