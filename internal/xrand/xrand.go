@@ -118,8 +118,9 @@ func (r *Source) LogUniform(lo, hi float64) float64 {
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's nearly-divisionless method keeps the distribution exactly uniform.
 // The first draw is accepted with probability 1 - n/2^64, so the loop lives
-// in intnRetry and this fast path stays small enough to inline into the
-// bootstrap resampling loops.
+// in intnRetry and the common path runs no loop. Intn itself is not
+// inlined: the inliner prices it at 157, over its budget of 80. The
+// bootstrap's resampling draws in bulk with SampleInto instead.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
@@ -272,8 +273,20 @@ func (r *Source) ShuffleInts(p []int) {
 // parent has been consumed), so pipeline components may be reordered without
 // perturbing one another's streams: this is what lets the benchmark vary one
 // source of variation while holding all others fixed.
+//
+// Split stays cheap enough to inline, so a child that does not escape its
+// caller, as in New(seed).Split(label).Normal(mu, sigma), lives on the
+// caller's stack: the derivation is in child.
 func (r *Source) Split(label string) *Source {
-	return New(r.SplitSeed(HashLabel(label)))
+	return &Source{s: r.child(label)}
+}
+
+// child returns the state of the child stream Split creates for label: the
+// state Seed derives from SplitSeed(HashLabel(label)).
+func (r *Source) child(label string) [4]uint64 {
+	var c Source
+	c.Seed(r.SplitSeed(HashLabel(label)))
+	return c.s
 }
 
 // SplitSeed returns the seed of the child stream Split would create for the

@@ -161,6 +161,24 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestSplitAllocatesNothing: Split inlines, so a child that does not escape
+// its caller stays on the stack, and the pipeline shape
+// New(seed).Split(label).Normal(0, 1) allocates nothing.
+func TestSplitAllocatesNothing(t *testing.T) {
+	seed := uint64(5)
+	var sum float64
+	allocs := testing.AllocsPerRun(100, func() {
+		sum += New(seed).Split("side-a").Normal(0, 1)
+		seed++
+	})
+	if allocs != 0 {
+		t.Fatalf("New(s).Split(l).Normal(0, 1) allocates %v times, want 0", allocs)
+	}
+	if math.IsNaN(sum) {
+		t.Fatal("NaN draw")
+	}
+}
+
 func TestShuffleIntsPreservesMultiset(t *testing.T) {
 	r := New(41)
 	p := []int{1, 1, 2, 3, 5, 8, 13}

@@ -102,3 +102,77 @@ func BenchmarkStorePutParallel(b *testing.B) {
 		}
 	})
 }
+
+// benchSegLogCells is the store size of the resume benchmarks: the cells
+// experiment-resume's untimed run leaves behind.
+const benchSegLogCells = 10_000
+
+// writeBenchSegLog writes a closed seglog store of benchSegLogCells score
+// cells under fp and returns its directory and keys.
+func writeBenchSegLog(b *testing.B, fp string) (string, []string) {
+	b.Helper()
+	dir := b.TempDir()
+	s, err := OpenSegLog(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := benchKeys(benchSegLogCells)
+	for i, key := range keys {
+		if err := s.Put(key, fp, float64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return dir, keys
+}
+
+// BenchmarkSegLogOpen opens and closes a 10,000-cell seglog store: the
+// replay that starts experiment-resume's timed run.
+func BenchmarkSegLogOpen(b *testing.B) {
+	dir, _ := writeBenchSegLog(b, Fingerprint("bench/v1"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := OpenSegLog(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != benchSegLogCells {
+			b.Fatalf("%d cells, want %d", s.Len(), benchSegLogCells)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSegLogGet looks cells up in a reopened 10,000-cell store, as
+// experiment-resume's timed run does: hit finds a stored cell, and miss
+// asks for one of the next 10,000 trials, which the store lacks. The bench
+// gate holds both at zero allocations.
+func BenchmarkSegLogGet(b *testing.B) {
+	fp := Fingerprint("bench/v1")
+	dir, _ := writeBenchSegLog(b, fp)
+	s, err := OpenSegLog(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	keys := benchKeys(2 * benchSegLogCells)
+	for _, bc := range []struct {
+		name string
+		keys []string
+		hit  bool
+	}{{"hit", keys[:benchSegLogCells], true}, {"miss", keys[benchSegLogCells:], false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Get(bc.keys[i%len(bc.keys)], fp); ok != bc.hit {
+					b.Fatalf("Get hit %v, want %v", ok, bc.hit)
+				}
+			}
+		})
+	}
+}

@@ -33,30 +33,32 @@ type record struct {
 // the next open truncates, is skipped; a bad frame in a sealed segment is
 // an error.
 func Dump(dir string, w io.Writer) error {
-	idx := make(index)
-	if _, _, _, err := replay(dir, idx); err != nil {
+	var idx index
+	if _, _, _, err := replay(dir, &idx); err != nil {
 		return err
 	}
-	type cell struct {
+	type row struct {
 		key, fp string
-		e       entry
+		id      uint32
 	}
-	cells := make([]cell, 0, idx.count(""))
-	for fp, keys := range idx {
-		for key, e := range keys {
-			cells = append(cells, cell{key, fp, e})
-		}
+	rows := make([]row, idx.n)
+	for id := range idx.n {
+		c := idx.cell(id)
+		rows[id] = row{string(idx.key(c)), idx.fps[c.fp], id}
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
 		return a.key < b.key || a.key == b.key && a.fp < b.fp
 	})
 
 	bw := bufio.NewWriter(w)
-	for _, c := range cells {
-		rec := record{Key: c.key, Fingerprint: c.fp, Value: c.e.value}
-		if c.e.hasScore {
-			rec.Score = strconv.FormatFloat(c.e.score, 'g', -1, 64)
+	for _, r := range rows {
+		rec := record{Key: r.key, Fingerprint: r.fp}
+		switch c := idx.cell(r.id); c.kind {
+		case segKindScore:
+			rec.Score = strconv.FormatFloat(c.score, 'g', -1, 64)
+		case segKindJSON:
+			rec.Value = idx.payloads[r.id]
 		}
 		line, err := json.Marshal(rec)
 		if err != nil {

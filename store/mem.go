@@ -25,20 +25,20 @@ type Mem struct {
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{idx: make(index)}
+	return &Mem{}
 }
 
 // Get returns the score recorded for (key, fingerprint), if any.
 func (m *Mem) Get(key, fingerprint string) (float64, bool) {
 	m.mu.Lock()
-	e, ok := m.idx.get(key, fingerprint)
+	v, ok := m.idx.score(key, fingerprint)
 	m.mu.Unlock()
-	if !ok || !e.hasScore {
+	if !ok {
 		m.misses.Add(1)
 		return 0, false
 	}
 	m.hits.Add(1)
-	return e.score, true
+	return v, true
 }
 
 // Put records one trial score. The float is kept verbatim, so every bit
@@ -49,20 +49,20 @@ func (m *Mem) Put(key, fingerprint string, score float64) error {
 	if m.closed {
 		return fmt.Errorf("store: mem: %w", ErrClosed)
 	}
-	m.idx.set(key, fingerprint, entry{score: score, hasScore: true})
+	m.idx.set(segKindScore, key, fingerprint, score, nil)
 	return nil
 }
 
 // GetJSON decodes the JSON payload recorded for (key, fingerprint) into v.
 func (m *Mem) GetJSON(key, fingerprint string, v any) (bool, error) {
 	m.mu.Lock()
-	e, ok := m.idx.get(key, fingerprint)
+	raw, ok := m.idx.payload(key, fingerprint)
 	m.mu.Unlock()
-	if !ok || e.value == nil {
+	if !ok {
 		m.misses.Add(1)
 		return false, nil
 	}
-	if err := json.Unmarshal(e.value, v); err != nil {
+	if err := json.Unmarshal(raw, v); err != nil {
 		m.misses.Add(1)
 		return false, fmt.Errorf("store: mem: payload for %q: %w", key, err)
 	}
@@ -83,7 +83,7 @@ func (m *Mem) PutJSON(key, fingerprint string, v any) error {
 	if m.closed {
 		return fmt.Errorf("store: mem: %w", ErrClosed)
 	}
-	m.idx.set(key, fingerprint, entry{value: raw})
+	m.idx.set(segKindJSON, key, fingerprint, 0, raw)
 	return nil
 }
 

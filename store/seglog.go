@@ -81,10 +81,12 @@ type SegLog struct {
 	cond *sync.Cond // broadcast when committed advances, err sets, or Close drains
 	idx  index
 
-	pending   []byte // frames accepted but not yet handed to the committer
-	accepted  int64  // total frame bytes accepted since Open
-	committed int64  // total frame bytes written+fsynced since Open
-	err       error  // sticky commit error: later Put/Flush/Close report it
+	pending   [][]byte // frames accepted but not yet handed to the committer, in chunks
+	batched   int      // bytes in pending
+	spare     [][]byte // written chunks, emptied: the buffers of later batches
+	accepted  int64    // total frame bytes accepted since Open
+	committed int64    // total frame bytes written+fsynced since Open
+	err       error    // sticky commit error: later Put/Flush/Close report it
 	closed    bool
 
 	wake chan struct{} // first pending byte of a batch arrived
@@ -140,7 +142,6 @@ func openSegLog(dir string, cfg segCfg) (*SegLog, error) {
 	s := &SegLog{
 		dir:   dir,
 		cfg:   cfg,
-		idx:   make(index),
 		wake:  make(chan struct{}, 1),
 		kick:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
@@ -184,7 +185,7 @@ func segments(dir string) ([]int, error) {
 // load replays every segment into the index and opens the final one for
 // appending, truncating a torn tail first.
 func (s *SegLog) load() error {
-	final, good, torn, err := replay(s.dir, s.idx)
+	final, good, torn, err := replay(s.dir, &s.idx)
 	if err != nil {
 		return err
 	}
@@ -210,7 +211,7 @@ func (s *SegLog) load() error {
 // intact frame, and whether bytes follow that offset: a torn tail, the
 // signature of a crash mid-commit. The same damage in a sealed segment is
 // corruption, and an error.
-func replay(dir string, idx index) (final, good int, torn bool, err error) {
+func replay(dir string, idx *index) (final, good int, torn bool, err error) {
 	ns, err := segments(dir)
 	if err != nil {
 		return 0, 0, false, err
@@ -233,29 +234,58 @@ func replay(dir string, idx index) (final, good int, torn bool, err error) {
 
 // replaySegment indexes every intact frame of one segment and returns the
 // byte offset after the last intact frame, plus the error that stopped the
-// scan (nil when the segment ends exactly on a frame boundary).
-func (x index) replaySegment(path string, data []byte) (int, error) {
+// scan (nil when the segment ends exactly on a frame boundary). It sizes
+// the table once, from frameCount, and indexes a score frame with no
+// allocation of its own; a payload frame copies its payload.
+func (x *index) replaySegment(path string, data []byte) (int, error) {
+	x.reserve(frameCount(data))
 	off := 0
-	fp := ""
 	for off < len(data) {
-		key, fpb, e, n, err := decodeFrame(data[off:])
+		kind, key, fp, value, n, err := decodeFrame(data[off:])
 		if err != nil {
 			return off, fmt.Errorf("store: %s: offset %d: %w", path, off, err)
 		}
-		// Frames come in long runs of one fingerprint: copy it once per run.
-		if string(fpb) != fp {
-			fp = string(fpb)
+		var v float64
+		var raw []byte
+		if kind == segKindScore {
+			v = math.Float64frombits(binary.LittleEndian.Uint64(value))
+		} else {
+			raw = append([]byte(nil), value...)
 		}
-		x.set(string(key), fp, e)
+		f := intern(x, fp)
+		put(x, cellHashBytes(key, f), f, kind, key, v, raw)
 		off += n
 	}
 	return off, nil
 }
 
+// frameCount counts the frames whose length fields chain from the start of
+// data, stopping at the first implausible length or at a frame that runs
+// past the end. It checks no checksum, so it bounds the intact frames from
+// above, and it can count no more frames than data holds (one per 17 bytes
+// at most): replay's only capacity hint never comes from a length a torn
+// frame declares.
+func frameCount(data []byte) int {
+	n := 0
+	for off := 0; len(data)-off >= segFrameHeader; n++ {
+		payload := int(binary.LittleEndian.Uint32(data[off:]))
+		if payload < 9 || payload > segMaxPayload || payload > len(data)-off-segFrameHeader {
+			break
+		}
+		off += segFrameHeader + payload
+	}
+	return n
+}
+
+// frameSize is the size of the frame appendFrame encodes.
+func frameSize(key, fp string, value []byte) int {
+	return segFrameHeader + 1 + 4 + len(key) + 4 + len(fp) + len(value)
+}
+
 // appendFrame encodes one record as a length-prefixed, checksummed frame
 // appended to dst.
 func appendFrame(dst []byte, kind byte, key, fp string, value []byte) []byte {
-	payload := 1 + 4 + len(key) + 4 + len(fp) + len(value)
+	payload := frameSize(key, fp, value) - segFrameHeader
 	start := len(dst)
 	var scratch [segFrameHeader]byte
 	dst = append(dst, scratch[:]...) // length+CRC, patched below
@@ -273,69 +303,67 @@ func appendFrame(dst []byte, kind byte, key, fp string, value []byte) []byte {
 	return dst
 }
 
-// decodeFrame parses one frame from the head of data, returning its key
-// and fingerprint (views into data), its index entry and the frame's total
-// size. A short, CRC-failing or malformed frame is an error; the caller
-// decides whether that means a torn tail (truncate) or corruption
-// (refuse).
-func decodeFrame(data []byte) (key, fp []byte, e entry, n int, err error) {
+// decodeFrame parses one frame from the head of data, returning its kind,
+// its key, fingerprint and value (views into data: the 8 float bits of a
+// score, or a JSON payload) and the frame's total size. A short,
+// CRC-failing or malformed frame is an error; the caller decides whether
+// that means a torn tail (truncate) or corruption (refuse).
+func decodeFrame(data []byte) (kind byte, key, fp, value []byte, n int, err error) {
 	if len(data) < segFrameHeader {
-		return nil, nil, entry{}, 0, fmt.Errorf("torn frame header (%d bytes)", len(data))
+		return 0, nil, nil, nil, 0, fmt.Errorf("torn frame header (%d bytes)", len(data))
 	}
 	payload := int(binary.LittleEndian.Uint32(data[0:4]))
 	if payload < 9 || payload > segMaxPayload {
-		return nil, nil, entry{}, 0, fmt.Errorf("implausible frame length %d", payload)
+		return 0, nil, nil, nil, 0, fmt.Errorf("implausible frame length %d", payload)
 	}
 	if len(data) < segFrameHeader+payload {
-		return nil, nil, entry{}, 0, fmt.Errorf("torn frame (%d of %d payload bytes)", len(data)-segFrameHeader, payload)
+		return 0, nil, nil, nil, 0, fmt.Errorf("torn frame (%d of %d payload bytes)", len(data)-segFrameHeader, payload)
 	}
 	body := data[segFrameHeader : segFrameHeader+payload]
 	if crc := crc32.Checksum(body, segCRC); crc != binary.LittleEndian.Uint32(data[4:8]) {
-		return nil, nil, entry{}, 0, fmt.Errorf("frame checksum mismatch")
+		return 0, nil, nil, nil, 0, fmt.Errorf("frame checksum mismatch")
 	}
-	kind := body[0]
+	kind = body[0]
 	keyLen := int(binary.LittleEndian.Uint32(body[1:5]))
 	if keyLen < 0 || 5+keyLen+4 > len(body) {
-		return nil, nil, entry{}, 0, fmt.Errorf("frame key length %d exceeds payload", keyLen)
+		return 0, nil, nil, nil, 0, fmt.Errorf("frame key length %d exceeds payload", keyLen)
 	}
 	key = body[5 : 5+keyLen]
 	fpLen := int(binary.LittleEndian.Uint32(body[5+keyLen : 9+keyLen]))
 	valOff := 9 + keyLen + fpLen
 	if fpLen < 0 || valOff > len(body) {
-		return nil, nil, entry{}, 0, fmt.Errorf("frame fingerprint length %d exceeds payload", fpLen)
+		return 0, nil, nil, nil, 0, fmt.Errorf("frame fingerprint length %d exceeds payload", fpLen)
 	}
 	fp = body[9+keyLen : valOff]
-	value := body[valOff:]
+	value = body[valOff:]
 	switch kind {
 	case segKindScore:
 		if len(value) != 8 {
-			return nil, nil, entry{}, 0, fmt.Errorf("score frame with %d value bytes, want 8", len(value))
+			return 0, nil, nil, nil, 0, fmt.Errorf("score frame with %d value bytes, want 8", len(value))
 		}
-		e = entry{score: math.Float64frombits(binary.LittleEndian.Uint64(value)), hasScore: true}
 	case segKindJSON:
-		e = entry{value: append([]byte(nil), value...)}
 	default:
 		// A valid checksum over an unknown kind is a foreign or future
 		// writer, not a torn append. The caller treats it like any other
 		// decode failure: corruption in a sealed segment, torn tail in the
 		// final one — safe either way, since tail truncation only drops
 		// bytes our own committer never acknowledged.
-		return nil, nil, entry{}, 0, fmt.Errorf("unknown frame kind %d", kind)
+		return 0, nil, nil, nil, 0, fmt.Errorf("unknown frame kind %d", kind)
 	}
-	return key, fp, e, segFrameHeader + payload, nil
+	return kind, key, fp, value, segFrameHeader + payload, nil
 }
 
 // Get returns the score recorded for (key, fingerprint), if any.
 func (s *SegLog) Get(key, fingerprint string) (float64, bool) {
 	s.mu.Lock()
-	e, ok := s.idx.get(key, fingerprint)
+	v, ok := s.idx.score(key, fingerprint)
 	s.mu.Unlock()
-	if !ok || !e.hasScore {
+	if !ok {
 		s.misses.Add(1)
 		return 0, false
 	}
 	s.hits.Add(1)
-	return e.score, true
+	return v, true
 }
 
 // Put accepts one trial score: the record is visible to Get immediately
@@ -344,20 +372,19 @@ func (s *SegLog) Get(key, fingerprint string) (float64, bool) {
 func (s *SegLog) Put(key, fingerprint string, score float64) error {
 	var value [8]byte
 	binary.LittleEndian.PutUint64(value[:], math.Float64bits(score))
-	return s.append(segKindScore, key, fingerprint, value[:],
-		entry{score: score, hasScore: true})
+	return s.append(segKindScore, key, fingerprint, value[:], score, nil)
 }
 
 // GetJSON decodes the JSON payload recorded for (key, fingerprint) into v.
 func (s *SegLog) GetJSON(key, fingerprint string, v any) (bool, error) {
 	s.mu.Lock()
-	e, ok := s.idx.get(key, fingerprint)
+	raw, ok := s.idx.payload(key, fingerprint)
 	s.mu.Unlock()
-	if !ok || e.value == nil {
+	if !ok {
 		s.misses.Add(1)
 		return false, nil
 	}
-	if err := json.Unmarshal(e.value, v); err != nil {
+	if err := json.Unmarshal(raw, v); err != nil {
 		s.misses.Add(1)
 		return false, fmt.Errorf("store: %s: payload for %q: %w", s.dir, key, err)
 	}
@@ -372,13 +399,14 @@ func (s *SegLog) PutJSON(key, fingerprint string, v any) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return s.append(segKindJSON, key, fingerprint, raw, entry{value: raw})
+	return s.append(segKindJSON, key, fingerprint, raw, 0, raw)
 }
 
-// append stages one frame for the committer and indexes it. Index order
-// equals log order because both happen under one critical section — the
-// invariant that makes a replayed log agree with the live view.
-func (s *SegLog) append(kind byte, key, fp string, value []byte, e entry) error {
+// append stages one frame, whose value bytes are value, for the committer
+// and indexes the cell's score v or payload raw. Index order equals log
+// order because both happen under one critical section — the invariant
+// that makes a replayed log agree with the live view.
+func (s *SegLog) append(kind byte, key, fp string, value []byte, v float64, raw []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -387,12 +415,10 @@ func (s *SegLog) append(kind byte, key, fp string, value []byte, e entry) error 
 	if s.err != nil {
 		return s.err
 	}
-	wasEmpty := len(s.pending) == 0
-	before := len(s.pending)
-	s.pending = appendFrame(s.pending, kind, key, fp, value)
-	s.accepted += int64(len(s.pending) - before)
-	s.idx.set(key, fp, e)
-	if len(s.pending) >= s.cfg.flushBytes {
+	wasEmpty := s.batched == 0
+	s.stage(kind, key, fp, value)
+	s.idx.set(kind, key, fp, v, raw)
+	if s.batched >= s.cfg.flushBytes {
 		select {
 		case s.kick <- struct{}{}:
 		default:
@@ -404,6 +430,31 @@ func (s *SegLog) append(kind byte, key, fp string, value []byte, e entry) error 
 		}
 	}
 	return nil
+}
+
+// batchChunk is the capacity of a pending chunk. Frames are staged in
+// chunks that never move, so a burst of appends that outruns the committer
+// copies nothing as it grows; a frame larger than a chunk gets its own.
+const batchChunk = 64 << 10
+
+// stage appends one frame to the pending batch: to its last chunk when that
+// has room, or else to a new chunk, taken from spare when one is there.
+func (s *SegLog) stage(kind byte, key, fp string, value []byte) {
+	size := frameSize(key, fp, value)
+	last := len(s.pending) - 1
+	if last < 0 || cap(s.pending[last])-len(s.pending[last]) < size {
+		var c []byte
+		if n := len(s.spare); n > 0 && size <= batchChunk {
+			c, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			c = make([]byte, 0, max(batchChunk, size))
+		}
+		s.pending = append(s.pending, c)
+		last++
+	}
+	s.pending[last] = appendFrame(s.pending[last], kind, key, fp, value)
+	s.batched += size
+	s.accepted += int64(size)
 }
 
 // Len returns the number of distinct (key, fingerprint) cells.
@@ -510,31 +561,38 @@ func (s *SegLog) committer() {
 	}
 }
 
-// commit writes the staged batch to the active segment in one write call,
-// fsyncs it, publishes the new committed watermark and rotates the
+// commit writes the staged batch to the active segment, one write call per
+// chunk, fsyncs it, publishes the new committed watermark and rotates the
 // segment past the size threshold. Only the committer (and Close, after
 // the committer exited) touches the file, so file I/O runs outside the
-// lock.
+// lock. The written chunks, emptied, go back to spare as the next
+// batches' buffers, up to twice the size threshold of them.
 func (s *SegLog) commit() {
 	s.mu.Lock()
-	if len(s.pending) == 0 || s.err != nil {
+	if s.batched == 0 || s.err != nil {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		return
 	}
-	batch := s.pending
-	s.pending = nil
+	batch, size := s.pending, s.batched
+	s.pending, s.batched = nil, 0
 	target := s.accepted
 	s.mu.Unlock()
 
 	var err error
-	if _, werr := s.active.Write(batch); werr != nil {
-		err = fmt.Errorf("store: %s: %w", s.dir, werr)
-	} else if serr := s.active.Sync(); serr != nil {
-		err = fmt.Errorf("store: %s: %w", s.dir, serr)
+	for _, c := range batch {
+		if _, werr := s.active.Write(c); werr != nil {
+			err = fmt.Errorf("store: %s: %w", s.dir, werr)
+			break
+		}
 	}
 	if err == nil {
-		s.activeSize += int64(len(batch))
+		if serr := s.active.Sync(); serr != nil {
+			err = fmt.Errorf("store: %s: %w", s.dir, serr)
+		}
+	}
+	if err == nil {
+		s.activeSize += int64(size)
 		if s.activeSize >= s.cfg.segmentBytes {
 			err = s.rotate()
 		}
@@ -545,6 +603,11 @@ func (s *SegLog) commit() {
 		s.err = err
 	} else {
 		s.committed = target
+	}
+	for _, c := range batch {
+		if cap(c) == batchChunk && (len(s.spare)+1)*batchChunk <= 2*s.cfg.flushBytes {
+			s.spare = append(s.spare, c[:0])
+		}
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -77,7 +77,7 @@ func TestSegLogFlushBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := make(index)
+	var probe index
 	good, perr := probe.replaySegment("probe", data)
 	if perr != nil {
 		t.Fatalf("flushed segment does not replay cleanly: %v", perr)

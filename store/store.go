@@ -45,53 +45,258 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"strconv"
-	"strings"
 )
 
-// entry is one cell's visible value in a backend's in-memory index.
-type entry struct {
-	score    float64
-	hasScore bool
-	value    json.RawMessage
+// index is the in-memory view Mem and SegLog share: the visible value of
+// every (key, fingerprint) cell. It keeps no pointer per cell:
+//
+//   - cells holds one fixed-size record per cell (score, kind, interned
+//     fingerprint, where its key lives), in chunks of cellChunk records;
+//   - keys holds every key's bytes once, back to back, in chunks of at
+//     least keyChunk bytes that are never reallocated;
+//   - fps interns each fingerprint once; a store holds one per spec;
+//   - payloads holds the JSON payloads, by cell, the only cell values that
+//     own memory of their own;
+//   - slots is an open-addressing table, at most 3/4 full and probed
+//     linearly, from 32 bits of a 64-bit hash of (fingerprint, key) to a
+//     cell, where the fingerprint enters as its interned number. A hit is
+//     confirmed by comparing the cell's fingerprint number and key bytes.
+//     A fingerprint the store never saw misses before any hashing.
+//
+// Growth adds a chunk, or rehashes the table's 8-byte slots from the hash
+// bits they hold: it moves hashes and small integers, never key bytes. The
+// chunks and the table hold no pointers, so the garbage collector never
+// scans them, however many cells the store holds. The zero index is empty
+// and allocates nothing until its first cell. The owner serializes access.
+type index struct {
+	cells    [][]cell
+	n        uint32 // cells in use
+	keys     [][]byte
+	fps      []string
+	fpIDs    map[string]uint32
+	lastFP   uint32 // the fingerprint found last: runs of cells share one
+	slots    []slot
+	payloads map[uint32][]byte
 }
 
-// index is the in-memory view Mem and SegLog share: fingerprint → key →
-// entry. A lookup is two map probes on the caller's own strings, so no
-// combined cell key is ever built; a store holds one fingerprint per spec,
-// so the outer map stays small. The owner serializes access.
-type index map[string]map[string]entry
+// Chunk sizes: 512 cells of 32 bytes, and 16 KiB of key bytes.
+const (
+	cellChunk = 512
+	keyChunk  = 16 << 10
+)
 
-// get returns the entry of the cell (key, fp).
-func (x index) get(key, fp string) (entry, bool) {
-	e, ok := x[fp][key]
-	return e, ok
+// cell is one cell's record.
+type cell struct {
+	score float64 // a score cell's value
+	chunk uint32  // the key is keys[chunk][off:][:klen]
+	off   uint32
+	klen  uint32
+	fp    uint32 // into fps
+	kind  byte   // segKindScore or segKindJSON
 }
 
-// set records e as the visible value of the cell (key, fp).
-func (x index) set(key, fp string, e entry) {
-	cells, ok := x[fp]
+// slot is one entry of the table: the low 32 bits of its cell's hash, which
+// also place the slot when the table grows, and the cell's number plus one;
+// 0 marks an empty slot.
+type slot struct {
+	hash uint32
+	cell uint32
+}
+
+// cellSeed keys the index hash. Nothing persists the hash, so every process
+// draws its own.
+var cellSeed = maphash.MakeSeed()
+
+// cellHash hashes the cell (key, fingerprint number f). cellHashBytes
+// hashes the same cell from a frame's key bytes, to the same value.
+func cellHash(key string, f uint32) uint64 {
+	return maphash.String(cellSeed, key) ^ uint64(f)*0x9e3779b97f4a7c15
+}
+
+func cellHashBytes(key []byte, f uint32) uint64 {
+	return maphash.Bytes(cellSeed, key) ^ uint64(f)*0x9e3779b97f4a7c15
+}
+
+// cell returns the record of cell id.
+func (x *index) cell(id uint32) *cell {
+	return &x.cells[id/cellChunk][id%cellChunk]
+}
+
+// key returns the bytes of c's key.
+func (x *index) key(c *cell) []byte {
+	return x.keys[c.chunk][c.off:][:c.klen]
+}
+
+// lookup returns the record of the cell (key, fp), if the index holds it.
+func (x *index) lookup(key, fp string) (uint32, *cell, bool) {
+	f, ok := fpNumber(x, fp)
 	if !ok {
-		cells = make(map[string]entry)
-		x[fp] = cells
+		return 0, nil, false
 	}
-	cells[key] = e
+	i, ok := find(x, cellHash(key, f), f, key)
+	if !ok {
+		return 0, nil, false
+	}
+	id := x.slots[i].cell - 1
+	return id, x.cell(id), true
+}
+
+// score returns the score of the cell (key, fp), if it holds one.
+func (x *index) score(key, fp string) (float64, bool) {
+	_, c, ok := x.lookup(key, fp)
+	if !ok || c.kind != segKindScore {
+		return 0, false
+	}
+	return c.score, true
+}
+
+// payload returns the JSON payload of the cell (key, fp), if it holds one.
+func (x *index) payload(key, fp string) ([]byte, bool) {
+	id, c, ok := x.lookup(key, fp)
+	if !ok || c.kind != segKindJSON {
+		return nil, false
+	}
+	raw := x.payloads[id]
+	return raw, raw != nil
+}
+
+// set records the visible value of the cell (key, fp): the score v, or,
+// when kind is segKindJSON, the payload raw, which the index keeps.
+func (x *index) set(kind byte, key, fp string, v float64, raw []byte) {
+	f := intern(x, fp)
+	put(x, cellHash(key, f), f, kind, key, v, raw)
+}
+
+// put is set for the cell (key, fingerprint number f) whose hash is h,
+// from a caller's string or from a frame's bytes.
+func put[K string | []byte](x *index, h uint64, f uint32, kind byte, key K, v float64, raw []byte) {
+	x.reserve(1)
+	i, ok := find(x, h, f, key)
+	var id uint32
+	if ok {
+		id = x.slots[i].cell - 1
+	} else {
+		id = add(x, f, key)
+		x.slots[i] = slot{hash: uint32(h), cell: id + 1}
+	}
+	c := x.cell(id)
+	if kind == segKindJSON {
+		if x.payloads == nil {
+			x.payloads = make(map[uint32][]byte)
+		}
+		x.payloads[id] = raw
+	} else if c.kind == segKindJSON {
+		delete(x.payloads, id)
+	}
+	c.kind, c.score = kind, v
+}
+
+// find returns the slot of the cell (key, fingerprint number f) whose hash
+// is h, or, when the table does not hold it, the empty slot where it
+// belongs. The table must have an empty slot.
+func find[K string | []byte](x *index, h uint64, f uint32, key K) (uint32, bool) {
+	mask := uint32(len(x.slots) - 1)
+	tag := uint32(h)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s.cell == 0 {
+			return i, false
+		}
+		if s.hash != tag {
+			continue
+		}
+		c := x.cell(s.cell - 1)
+		if c.fp == f && string(x.key(c)) == string(key) {
+			return i, true
+		}
+	}
+}
+
+// add appends a record for the new cell (key, fingerprint number f), with
+// its key bytes, and returns its number.
+func add[K string | []byte](x *index, f uint32, key K) uint32 {
+	id := x.n
+	if id%cellChunk == 0 {
+		x.cells = append(x.cells, make([]cell, cellChunk))
+	}
+	x.n++
+	last := len(x.keys) - 1
+	if last < 0 || len(x.keys[last])+len(key) > cap(x.keys[last]) {
+		x.keys = append(x.keys, make([]byte, 0, max(keyChunk, len(key))))
+		last++
+	}
+	c := x.cell(id)
+	c.chunk, c.off, c.klen = uint32(last), uint32(len(x.keys[last])), uint32(len(key))
+	x.keys[last] = append(x.keys[last], key...)
+	c.fp = f
+	return id
+}
+
+// fpNumber returns the number of fingerprint fp, if the index interned it.
+func fpNumber[K string | []byte](x *index, fp K) (uint32, bool) {
+	if len(x.fps) > 0 && x.fps[x.lastFP] == string(fp) {
+		return x.lastFP, true
+	}
+	f, ok := x.fpIDs[string(fp)]
+	if ok {
+		x.lastFP = f
+	}
+	return f, ok
+}
+
+// intern returns the number of fingerprint fp, interning it first if new.
+func intern[K string | []byte](x *index, fp K) uint32 {
+	if f, ok := fpNumber(x, fp); ok {
+		return f
+	}
+	if x.fpIDs == nil {
+		x.fpIDs = make(map[string]uint32)
+	}
+	f, s := uint32(len(x.fps)), string(fp)
+	x.fps = append(x.fps, s)
+	x.fpIDs[s] = f
+	x.lastFP = f
+	return f
+}
+
+// reserve grows the table, if needed, so that n more cells leave it at most
+// 3/4 full. Growth rehashes slots from the hash bits they hold.
+func (x *index) reserve(n int) {
+	need := int(x.n) + n
+	if need*4 <= len(x.slots)*3 {
+		return
+	}
+	size := max(len(x.slots), 8)
+	for size*3 < need*4 {
+		size *= 2
+	}
+	old := x.slots
+	x.slots = make([]slot, size)
+	mask := uint32(size - 1)
+	for _, s := range old {
+		if s.cell == 0 {
+			continue
+		}
+		i := s.hash & mask
+		for x.slots[i].cell != 0 {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = s
+	}
 }
 
 // count returns the number of cells whose key starts with prefix.
-func (x index) count(prefix string) int {
+func (x *index) count(prefix string) int {
+	if prefix == "" {
+		return int(x.n)
+	}
 	n := 0
-	for _, cells := range x {
-		if prefix == "" {
-			n += len(cells)
-			continue
-		}
-		for key := range cells {
-			if strings.HasPrefix(key, prefix) {
-				n++
-			}
+	for id := range x.n {
+		if k := x.key(x.cell(id)); len(k) >= len(prefix) && string(k[:len(prefix)]) == prefix {
+			n++
 		}
 	}
 	return n
