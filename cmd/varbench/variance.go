@@ -125,9 +125,9 @@ func runVariance(ctx context.Context, args []string, w io.Writer) error {
 	if *maxRetries > 0 {
 		study.Retry = varbench.RetryPolicy{MaxAttempts: *maxRetries + 1}
 	}
-	// An explicit -fail-fast=false alone opts into quarantine mode even with
-	// no retries and no deadline; the zero Retry field would otherwise read
-	// as "no resilience configured" and keep the fail-fast default.
+	// An explicit -fail-fast=false alone means "quarantine, no retries",
+	// which has one spelling: Retry{MaxAttempts: 1} (see
+	// varbench.Experiment.FailFast).
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "fail-fast" && !*failFast && study.Retry.MaxAttempts == 0 {
 			study.Retry = varbench.RetryPolicy{MaxAttempts: 1}

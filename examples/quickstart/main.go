@@ -23,8 +23,10 @@
 // failed runs are retried on a deterministic backoff, and runs that still
 // fail are quarantined — recorded in the store, excluded from the
 // analysis, retried on the next rerun — instead of aborting the whole
-// experiment. A run that quarantined anything exits with code 3 so scripts
-// can tell "partial but usable" from success (0) and failure (1).
+// experiment. -fail-fast=false quarantines without either flag, and
+// -fail-fast aborts even with them. A run that quarantined anything exits
+// with code 3 so scripts can tell "partial but usable" from success (0)
+// and failure (1).
 package main
 
 import (
@@ -53,7 +55,7 @@ func quickstart() int {
 	storeDir := flag.String("store", "", "trial store DSN: a directory, seglog:DIR, mem: or faultinject:SCHEDULE:INNER; empty = recompute everything")
 	maxRetries := flag.Int("max-retries", 0, "retries per failed run on a deterministic seeded backoff")
 	trialTimeout := flag.Duration("trial-timeout", 0, "per-run deadline (0: none)")
-	failFast := flag.Bool("fail-fast", false, "abort on the first exhausted run instead of quarantining it")
+	failFast := flag.Bool("fail-fast", false, "abort on the first exhausted run even when -max-retries or -trial-timeout is set. By default a failed run aborts unless one of those is set, which quarantines it instead; -fail-fast=false quarantines with neither. A run that quarantined anything exits with code 3")
 	flag.Parse()
 	task := casestudy.Tiny(1)
 
@@ -83,9 +85,9 @@ func quickstart() int {
 	if *maxRetries > 0 {
 		exp.Retry = varbench.RetryPolicy{MaxAttempts: *maxRetries + 1, BaseDelay: 10 * time.Millisecond}
 	}
-	// An explicit -fail-fast=false alone means "quarantine, no retries":
-	// without it the zero Retry/TrialTimeout fields keep the fail-fast
-	// default (see varbench.Experiment.FailFast).
+	// An explicit -fail-fast=false alone means "quarantine, no retries",
+	// which has one spelling: Retry{MaxAttempts: 1} (see
+	// varbench.Experiment.FailFast).
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "fail-fast" && !*failFast && exp.Retry.MaxAttempts == 0 {
 			exp.Retry = varbench.RetryPolicy{MaxAttempts: 1}

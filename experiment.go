@@ -141,8 +141,7 @@ type Experiment struct {
 	// the same store. Only trials are stored: the analysis is three counts
 	// and two sums, which a rerun recounts from the cached pairs. Any
 	// store.Backend implementation works; store.NewMem, store.OpenSegLog
-	// and store.OpenDSN all produce one. See WithStore and the store
-	// package.
+	// and store.OpenDSN all produce one. See the store package.
 	Store store.Backend
 	// PipelineID names the pipeline implementation inside the store's spec
 	// fingerprint. The store cannot hash code: two experiments sharing a
@@ -157,30 +156,22 @@ type Experiment struct {
 	// pipeline's goroutine is abandoned — a TrialFunc cannot be killed —
 	// so pipelines that can hang should also honor cancellation
 	// themselves when possible. Setting TrialTimeout opts the experiment
-	// into quarantine mode by default; see FailFast.
+	// into quarantine mode; see FailFast.
 	TrialTimeout time.Duration
 	// Retry re-runs failed trials with deterministic seeded backoff; see
 	// RetryPolicy. The zero value means a single attempt. Setting
-	// Retry.MaxAttempts — even to 1 — opts the experiment into quarantine
-	// mode by default; see FailFast. MaxAttempts: 1 is the idiomatic way
-	// to say "quarantine without retrying".
+	// Retry.MaxAttempts opts the experiment into quarantine mode; see
+	// FailFast. MaxAttempts: 1 quarantines without retrying.
 	Retry RetryPolicy
 	// FailFast selects what a trial that exhausts its attempts does to the
-	// run: abort it with the trial's error (true — today's behavior and
-	// the default for experiments that configure no resilience knobs), or
-	// quarantine the failed cell and keep collecting (false). Quarantined
-	// cells are dropped from the analysis, recorded in the store under
+	// run: abort it with the trial's error (true), or quarantine the failed
+	// cell and keep collecting (false). A run that sets neither Retry nor
+	// TrialTimeout fails fast whatever this field says. Quarantined cells
+	// are dropped from the analysis, recorded in the store under
 	// failure/... keys with their attempt history, and surfaced in the
 	// Result's failure summary; re-running with the same store retries
-	// them. Because the zero value cannot distinguish "unset" from an
-	// explicit false, a false field means "fail fast unless TrialTimeout
-	// or Retry is configured"; a true field always fails fast, and
-	// WithFailFast(false) forces quarantine mode on its own.
+	// them.
 	FailFast bool
-
-	// Unpaired selects the unpaired test of the score-level Analyze entry
-	// point; see WithUnpaired.
-	Unpaired bool
 
 	// Progress, when set, is invoked once per trial index, in index order
 	// within each dataset. Invocations are never concurrent: it runs on a
@@ -196,7 +187,10 @@ type Experiment struct {
 	gammaSet      bool
 	confidenceSet bool
 	bootstrapSet  bool
-	failFastSet   bool
+
+	// unpaired selects the unpaired test of the score-level Analyze entry
+	// point; see WithUnpaired.
+	unpaired bool
 }
 
 // guard bundles the resilience knobs for the collection engine.
@@ -563,20 +557,4 @@ func (s *trialStream) trial() Trial {
 	t := Trial{Index: s.next, Seed: s.root.Uint64(), plan: s.plan}
 	s.next++
 	return t
-}
-
-// take appends the next n trials of the stream to dst and returns it.
-// Callers that reuse dst (dst[:0]) allocate nothing.
-func (s *trialStream) take(dst []Trial, n int) []Trial {
-	for ; n > 0; n-- {
-		dst = append(dst, s.trial())
-	}
-	return dst
-}
-
-// makeTrials eagerly materializes the full MaxRuns seed assignment. It is
-// the historical eager path, kept as the reference the lazy stream is
-// pinned against.
-func (e *Experiment) makeTrials(dataset string) []Trial {
-	return e.trialStream(dataset).take(make([]Trial, 0, e.MaxRuns), e.MaxRuns)
 }

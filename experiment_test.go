@@ -379,6 +379,22 @@ func TestRunProgressCallback(t *testing.T) {
 	}
 }
 
+// take appends the next n trials of the stream to dst and returns it.
+// Callers that reuse dst (dst[:0]) allocate nothing.
+func (s *trialStream) take(dst []Trial, n int) []Trial {
+	for ; n > 0; n-- {
+		dst = append(dst, s.trial())
+	}
+	return dst
+}
+
+// makeTrials eagerly materializes the full MaxRuns seed assignment. It is
+// the historical eager path, kept as the reference the lazy stream is
+// pinned against.
+func (e *Experiment) makeTrials(dataset string) []Trial {
+	return e.trialStream(dataset).take(make([]Trial, 0, e.MaxRuns), e.MaxRuns)
+}
+
 func TestTrialSourceSeeds(t *testing.T) {
 	e := Experiment{Seed: 5, MaxRuns: 10, Sources: []Source{VarInit}}
 	cfg, err := e.withDefaults()

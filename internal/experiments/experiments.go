@@ -3,8 +3,7 @@
 // budget (the full paper-scale protocol or a quick reduced version), returns
 // a typed result, and renders it as text tables/plots. The cmd/varbench CLI
 // and the root-level benchmark harness are thin wrappers around this
-// package; `varbench` without arguments lists the experiments. See
-// EXPERIMENTS.md for paper-vs-measured outcomes.
+// package; `varbench` without arguments lists the experiments.
 package experiments
 
 import (

@@ -93,10 +93,11 @@ func (r Fig1Result) Render(w io.Writer) error {
 	return tb.Render(w)
 }
 
-// CheckShape verifies the paper's qualitative conclusions on this run:
-// (1) data sampling is the largest ξO source on every task (within slack),
-// (2) HOpt variance is non-negligible — at least a quarter of init variance
-// on average. Returns a list of violated expectations (empty = consistent).
+// CheckShape verifies one of the paper's qualitative conclusions on this
+// run: data sampling is the largest ξO source on every task, within a slack
+// of 1.5x (no other ξO source's std, numerical noise included, exceeds the
+// bootstrap's by more). Returns a list of violated expectations (empty =
+// consistent).
 func (r Fig1Result) CheckShape() []string {
 	var issues []string
 	for _, task := range r.Tasks {

@@ -9,10 +9,10 @@ import (
 	"varbench/internal/xrand"
 )
 
-// ModelStats parameterizes the Figure 6 simulation for one task. The
-// defaults below were measured with this repository's own fig5 experiment at
-// the quick budget on the RTE-like study (see EXPERIMENTS.md); pass your own
-// measurements for other tasks.
+// ModelStats parameterizes the Figure 6 simulation for one task. `varbench
+// fig6` derives them from a Fig5 run on its first selected study;
+// DefaultModelStats holds the regime the paper reports for Glue-RTE, which
+// figI6 simulates.
 type ModelStats struct {
 	Task      string
 	Sigma2    float64

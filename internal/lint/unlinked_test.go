@@ -21,25 +21,30 @@ import (
 // The linker is the reachability analysis: a function that no program's
 // binary contains serves no run, however well it is tested. An internal/
 // package can be imported only inside this module, so every main package
-// here is every program that can ever reach it. TestNoUnlinkedInternalFuncs
-// builds them all with inlining off (an inlined function leaves no symbol
-// of its own), reads their text symbols with `go tool nm`, and fails on any
-// function declared in an internal/ package that none of them contains.
-// The root package and store are public API and stay out of scope.
+// here is every program that can ever reach it. The root package and store
+// are public API, and these programs (the CLI, the examples and the
+// end-to-end benchmark) are the uses of it that this module shows: a public
+// function that none of them links is a knob that no run turns.
+// TestNoUnlinkedInternalFuncs builds them all with inlining off (an inlined
+// function leaves no symbol of its own), reads their text symbols with
+// `go tool nm`, and fails on any function declared in an internal/
+// package, the root package or store that none of them contains.
 
-// unlinkedAllow names the internal/ functions that no program links but
-// that stay, each with its reason. Keys have the form the scan reports:
-// the package path below internal/, then the receiver type for a method,
-// then the name. Keep it short: an entry that gets linked, or whose
-// function is deleted, fails the scan until it is removed.
+// unlinkedAllow names the scanned functions that no program links but that
+// stay, each with its reason. Keys have the form the scan reports: the
+// package path below internal/ (the whole import path for the root package
+// and store), then the receiver type for a method, then the name. Keep it
+// short: an entry that gets linked, or whose function is deleted, fails the
+// scan until it is removed.
 var unlinkedAllow = map[string]string{
-	"stats.ClopperPearson":   "the exact binomial interval a calibrated paired verdict may adopt",
-	"stats.betaQuantile":     "ClopperPearson's quantile",
-	"stats.Binomial.PMF":     "the exact calibration's binomial weights",
-	"stats.LogChoose":        "Binomial.PMF's log coefficient",
-	"stats.ChiSquared.CDF":   "the chi-square interval on a variance study's pooled σ",
-	"stats.RegIncGammaLower": "ChiSquared.CDF's regularized gamma",
-	"compare.Oracle.Name":    "Oracle must keep satisfying Criterion",
+	"stats.ClopperPearson":        "the exact binomial interval a calibrated paired verdict may adopt",
+	"stats.betaQuantile":          "ClopperPearson's quantile",
+	"stats.Binomial.PMF":          "the exact calibration's binomial weights",
+	"stats.LogChoose":             "Binomial.PMF's log coefficient",
+	"stats.ChiSquared.CDF":        "the chi-square interval on a variance study's pooled σ",
+	"stats.RegIncGammaLower":      "ChiSquared.CDF's regularized gamma",
+	"compare.Oracle.Name":         "Oracle must keep satisfying Criterion",
+	"varbench.Experiment.Collect": "ROADMAP item 14's figure drivers collect through it",
 }
 
 // maxUnlinkedAllow caps unlinkedAllow.
@@ -50,11 +55,11 @@ func TestNoUnlinkedInternalFuncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared, err := declaredInternalFuncs(root)
+	declared, err := declaredFuncs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	linked, err := linkedInternalFuncs(root, t.TempDir())
+	linked, err := linkedFuncs(root, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +71,11 @@ func TestNoUnlinkedInternalFuncs(t *testing.T) {
 	}
 }
 
-// declaredInternalFuncs maps the key of every function and method declared
-// in a non-test file of an internal/ package (as built for this platform)
-// to its position.
-func declaredInternalFuncs(root string) (map[string]string, error) {
-	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles", "./internal/...")
+// declaredFuncs maps the key of every function and method declared in a
+// non-test file of a scanned package (as built for this platform) to its
+// position.
+func declaredFuncs(root string) (map[string]string, error) {
+	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles", ".", "./store", "./internal/...")
 	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -88,7 +93,7 @@ func declaredInternalFuncs(root string) (map[string]string, error) {
 		} else if err != nil {
 			return nil, err
 		}
-		pkg, ok := strings.CutPrefix(p.ImportPath, internalPrefix)
+		pkg, ok := scannedPackage(p.ImportPath)
 		if !ok {
 			continue
 		}
@@ -110,6 +115,16 @@ func declaredInternalFuncs(root string) (map[string]string, error) {
 }
 
 const internalPrefix = "varbench/internal/"
+
+// scannedPackage returns the key prefix of a package the scan covers: the
+// path below internal/ for an internal/ package, and the import path
+// itself for the root package and store.
+func scannedPackage(path string) (string, bool) {
+	if rest, ok := strings.CutPrefix(path, internalPrefix); ok {
+		return rest, true
+	}
+	return path, path == "varbench" || path == "varbench/store"
+}
 
 // declKey is pkg.Name for a function and pkg.Type.Name for a method,
 // whatever its receiver's pointerness and type parameters.
@@ -135,10 +150,10 @@ func declKey(pkg string, fd *ast.FuncDecl) string {
 	}
 }
 
-// linkedInternalFuncs builds every main package of the module into dir with
-// inlining off and returns the key of every internal/ function whose code
+// linkedFuncs builds every main package of the module into dir with
+// inlining off and returns the key of every scanned function whose code
 // one of the binaries contains.
-func linkedInternalFuncs(root, dir string) (map[string]bool, error) {
+func linkedFuncs(root, dir string) (map[string]bool, error) {
 	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", dir+string(filepath.Separator), "./...")
 	build.Dir = root
 	if out, err := build.CombinedOutput(); err != nil {
@@ -171,12 +186,12 @@ func linkedInternalFuncs(root, dir string) (map[string]bool, error) {
 }
 
 // textSymbolKey reads one line of `go tool nm` output ("addr type name")
-// and returns the declaration key of a text symbol in an internal/
-// package. Closures (F.func1, F.func1.2, F.gowrap1, F.deferwrap1), range
-// function bodies (F-range1), method values (T.M-fm) and package
-// initializers (init.0) count for the function that declares them;
-// instantiation brackets ([go.shape.string]) and the pointer receiver's
-// parentheses are dropped.
+// and returns the declaration key of a text symbol in a scanned package.
+// Closures (F.func1, F.func1.2, F.gowrap1, F.deferwrap1), range function
+// bodies (F-range1), method values (T.M-fm) and package initializers
+// (init.0) count for the function that declares them; instantiation
+// brackets ([go.shape.string]) and the pointer receiver's parentheses are
+// dropped.
 func textSymbolKey(line string) (string, bool) {
 	f := strings.Fields(line)
 	if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
@@ -189,13 +204,9 @@ func textSymbolKey(line string) (string, bool) {
 
 // symbolKey maps a linker symbol name to its declaration key.
 func symbolKey(name string) (string, bool) {
-	rest, ok := strings.CutPrefix(name, internalPrefix)
-	if !ok {
-		return "", false
-	}
 	var b strings.Builder
 	depth := 0
-	for _, r := range rest {
+	for _, r := range name {
 		switch {
 		case r == '[':
 			depth++
@@ -207,14 +218,18 @@ func symbolKey(name string) (string, bool) {
 			b.WriteRune(r)
 		}
 	}
-	rest = b.String()
+	rest := b.String()
 	// The package path ends at the first dot after its last slash.
 	slash := strings.LastIndexByte(rest, '/') + 1
 	dot := strings.IndexByte(rest[slash:], '.')
 	if dot < 0 {
 		return "", false
 	}
-	pkg, name := rest[:slash+dot], rest[slash+dot+1:]
+	pkg, ok := scannedPackage(rest[:slash+dot])
+	if !ok {
+		return "", false
+	}
+	name = rest[slash+dot+1:]
 	if i := strings.IndexByte(name, '-'); i >= 0 {
 		name = name[:i]
 	}
@@ -299,19 +314,25 @@ func TestSymbolKey(t *testing.T) {
 		// A name that only begins like a closure suffix is kept.
 		{"varbench/internal/x.funcs", "x.funcs"},
 		{"varbench/internal/x.T.deferwrap", "x.T.deferwrap"},
+		// The root package and store keep their whole import path.
+		{"varbench.Analyze", "varbench.Analyze"},
+		{"varbench.(*Experiment).withDefaults", "varbench.Experiment.withDefaults"},
+		{"varbench.(*guard).attempt.deferwrap1", "varbench.guard.attempt"},
+		{"varbench/store.(*SegLog).Put", "varbench/store.SegLog.Put"},
 	} {
 		if got, ok := symbolKey(c.sym); !ok || got != c.want {
 			t.Errorf("symbolKey(%q) = %q, %v; want %q", c.sym, got, ok, c.want)
 		}
 	}
 	for _, sym := range []string{
-		"varbench.Analyze",
-		"varbench/store.(*SegLog).Put",
 		"varbench/cmd/varbench/internal.F",
+		"varbench/storex.F",
+		"type:.eq.varbench.Comparison",
+		"type:.eq.varbench/store.cell",
 		"fmt.Println",
 	} {
 		if got, ok := symbolKey(sym); ok {
-			t.Errorf("symbolKey(%q) = %q; want no key outside internal/", sym, got)
+			t.Errorf("symbolKey(%q) = %q; want no key outside the scanned packages", sym, got)
 		}
 	}
 }
@@ -362,31 +383,37 @@ func (t *(T)) Paren()                 {}
 
 func TestUnlinkedProblems(t *testing.T) {
 	declared := map[string]string{
-		"stats.PABCountsCI":     "internal/stats/pabexact.go:10",
-		"stats.Planted":         "internal/stats/planted.go:3",
-		"stats.ClopperPearson":  "internal/stats/exact.go:7",
-		"lint/flow.Facts.Clone": "internal/lint/flow/dataflow.go:20",
+		"stats.PABCountsCI":         "internal/stats/pabexact.go:10",
+		"stats.Planted":             "internal/stats/planted.go:3",
+		"stats.ClopperPearson":      "internal/stats/exact.go:7",
+		"lint/flow.Facts.Clone":     "internal/lint/flow/dataflow.go:20",
+		"varbench.Experiment.Run":   "experiment.go:200",
+		"varbench.Planted":          "planted.go:5",
+		"varbench/store.SegLog.Put": "store/seglog.go:90",
 	}
 	// What the scan of the binaries found, through symbolKey.
 	linked := make(map[string]bool)
 	for _, sym := range []string{
 		"varbench/internal/stats.PABCountsCI",
 		"varbench/internal/lint/flow.Facts[go.shape.string].Clone",
+		"varbench.Experiment.Run",
+		"varbench/store.(*SegLog).Put",
 	} {
 		key, _ := symbolKey(sym)
 		linked[key] = true
 	}
 	allow := map[string]string{"stats.ClopperPearson": "a reason"}
 
-	// The planted function fails, and it is the only problem.
+	// The planted functions fail, and they are the only problems.
 	got := unlinkedProblems(declared, linked, allow)
-	if len(got) != 1 || !strings.Contains(got[0], "stats.Planted is linked into no program") ||
-		!strings.HasPrefix(got[0], "internal/stats/planted.go:3: ") {
-		t.Errorf("planted function: problems %q", got)
+	if len(got) != 2 || !strings.HasPrefix(got[0], "internal/stats/planted.go:3: stats.Planted is linked into no program") ||
+		!strings.HasPrefix(got[1], "planted.go:5: varbench.Planted is linked into no program") {
+		t.Errorf("planted functions: problems %q", got)
 	}
 
-	// Once it is linked, nothing is left to report.
+	// Once they are linked, nothing is left to report.
 	linked["stats.Planted"] = true
+	linked["varbench.Planted"] = true
 	if got := unlinkedProblems(declared, linked, allow); len(got) != 0 {
 		t.Errorf("clean scan: problems %q", got)
 	}

@@ -3,10 +3,8 @@ package varbench
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"varbench/internal/stats"
-	"varbench/store"
 )
 
 // Default knobs of the recommended protocol.
@@ -19,9 +17,9 @@ const (
 	DefaultBootstrap = 1000
 )
 
-// An Option adjusts an Experiment (or, for the score-level entry points
-// Analyze and AnalyzeDatasets, the protocol parameters they share with
-// Experiment).
+// An Option sets one protocol parameter of the score-level entry points
+// Analyze, AnalyzeDatasets and NewStream. It is a func(*Experiment), so it
+// applies to an Experiment too; every other knob is an Experiment field.
 type Option func(*Experiment)
 
 // WithGamma sets the meaningfulness threshold for P(A>B) (default 0.75).
@@ -52,79 +50,11 @@ func WithSeed(seed uint64) Option {
 	return func(e *Experiment) { e.Seed = seed; e.seedSet = true }
 }
 
-// WithParallelism sets the worker-pool size used during collection
-// (default: GOMAXPROCS): up to that many trials are in flight per dataset.
-// Results are identical at any parallelism. An explicit negative value is
-// rejected; 0 means "use the default".
-func WithParallelism(n int) Option { return func(e *Experiment) { e.Parallelism = n } }
-
-// WithMaxRuns caps the number of paired measurements collected
-// (default: Noether's recommended sample size for the chosen γ).
-func WithMaxRuns(n int) Option { return func(e *Experiment) { e.MaxRuns = n } }
-
-// WithEarlyStop selects the stopping policy (default EarlyStopAuto).
-func WithEarlyStop(p EarlyStopPolicy) Option { return func(e *Experiment) { e.EarlyStop = p } }
-
-// WithSources restricts which sources of variation receive a fresh seed on
-// every run; the rest stay fixed (default: all sources vary).
-func WithSources(sources ...Source) Option {
-	return func(e *Experiment) { e.Sources = sources }
-}
-
-// WithStore attaches a durable trial store: completed measurements are
-// appended as soon as they exist and trials already recorded under the same
-// spec fingerprint are served from the store instead of re-running the
-// pipeline, making interrupted runs resumable and identical cells shareable
-// across overlapping experiments. Any store.Backend works — an in-memory
-// store, a seglog, or a DSN-opened backend from store.OpenDSN. See
-// Experiment.Store.
-func WithStore(s store.Backend) Option { return func(e *Experiment) { e.Store = s } }
-
-// WithPipelineID names the pipeline implementation inside the trial store's
-// spec fingerprint, isolating different pipelines that share one store
-// directory. See Experiment.PipelineID.
-func WithPipelineID(id string) Option { return func(e *Experiment) { e.PipelineID = id } }
-
 // WithUnpaired marks pre-collected scores as unpaired, switching Analyze to
 // the Mann-Whitney estimate of P(A>B). Analyze is the only unpaired entry
 // point: AnalyzeDatasets and NewStream reject the option, and it has no
 // effect on Experiment.Run, which always pairs runs on shared trials.
-func WithUnpaired() Option { return func(e *Experiment) { e.Unpaired = true } }
-
-// WithProgress installs a callback invoked once per trial index, in index
-// order within each dataset; see Experiment.Progress.
-func WithProgress(f func(Progress)) Option { return func(e *Experiment) { e.Progress = f } }
-
-// WithTrialTimeout bounds every pipeline invocation: an attempt running
-// longer fails with ErrTrialTimeout. Setting a timeout opts the experiment
-// into quarantine mode by default; see Experiment.FailFast. An explicit
-// negative value is rejected; 0 means "no deadline".
-func WithTrialTimeout(d time.Duration) Option {
-	return func(e *Experiment) { e.TrialTimeout = d }
-}
-
-// WithRetry installs a retry policy for failed trials; see RetryPolicy.
-// Setting a policy (any non-zero MaxAttempts) opts the experiment into
-// quarantine mode by default; see Experiment.FailFast.
-func WithRetry(p RetryPolicy) Option {
-	return func(e *Experiment) { e.Retry = p }
-}
-
-// WithMaxRetries is shorthand for WithRetry with n retries after the first
-// attempt (MaxAttempts = n+1) and default backoff.
-func WithMaxRetries(n int) Option {
-	return func(e *Experiment) { e.Retry = RetryPolicy{MaxAttempts: n + 1} }
-}
-
-// WithFailFast selects explicitly between aborting on the first exhausted
-// trial (true) and quarantining failed cells (false), overriding the
-// default inferred from the other resilience knobs. Unlike the
-// Experiment.FailFast field — whose zero value means "fail fast unless
-// TrialTimeout or Retry is configured" — WithFailFast(false) alone is
-// honored: it enables quarantine mode with single attempts and no deadline.
-func WithFailFast(v bool) Option {
-	return func(e *Experiment) { e.FailFast = v; e.failFastSet = true }
-}
+func WithUnpaired() Option { return func(e *Experiment) { e.unpaired = true } }
 
 // withDefaults returns a copy of e with zero-valued protocol knobs replaced
 // by their defaults, and rejects out-of-range settings.
@@ -174,11 +104,9 @@ func (e *Experiment) withDefaults() (*Experiment, error) {
 	if err := c.Retry.validate(); err != nil {
 		return nil, err
 	}
-	// FailFast defaults on — today's behavior — unless the spec configures
-	// a resilience knob, which opts it into quarantine mode. A true field
-	// is always honored (fail fast even with retries/deadlines); an
-	// explicit WithFailFast(false) forces quarantine mode on its own.
-	if !c.failFastSet && !c.FailFast {
+	// The one failure rule: a run that sets neither Retry nor TrialTimeout
+	// fails fast; one that sets either quarantines unless FailFast is true.
+	if !c.FailFast {
 		c.FailFast = c.Retry.MaxAttempts == 0 && c.TrialTimeout == 0
 	}
 	return &c, nil

@@ -279,19 +279,20 @@ func TestNegativeKnobsRejected(t *testing.T) {
 			t.Errorf("%s: explicit negative accepted", name)
 		}
 	}
-	// The option form must reject the same way (these used to be silently
-	// coerced to defaults, unlike WithGamma/WithConfidence/WithBootstrap).
+	// An Option is a func(*Experiment), so one can set these fields too;
+	// the score-level entry points must reject the same way.
 	a := []float64{1, 2, 3}
 	for name, opt := range map[string]Option{
-		"WithParallelism": WithParallelism(-1),
-		"WithMaxRuns":     WithMaxRuns(-1),
+		"Parallelism": func(e *Experiment) { e.Parallelism = -1 },
+		"MaxRuns":     func(e *Experiment) { e.MaxRuns = -1 },
 	} {
 		if _, err := Analyze(a, a, opt); err == nil {
-			t.Errorf("%s(-n): explicit negative accepted", name)
+			t.Errorf("%s set to -1 through an Option: explicit negative accepted", name)
 		}
 	}
 	// Zero still means "use the default".
-	if _, err := Analyze(a, a, WithParallelism(0), WithMaxRuns(0)); err != nil {
+	zero := func(e *Experiment) { e.Parallelism, e.MaxRuns = 0, 0 }
+	if _, err := Analyze(a, a, zero); err != nil {
 		t.Errorf("zero-valued knobs rejected: %v", err)
 	}
 }

@@ -562,25 +562,62 @@ func TestVarianceStudyTooFewSurvivors(t *testing.T) {
 	}
 }
 
+// TestFailFastInference: one rule decides whether a trial that exhausts
+// its attempts aborts the run or is quarantined. Experiment.withDefaults
+// resolves it, and a VarianceStudy inherits it through the Experiment of
+// each of its cells.
 func TestFailFastInference(t *testing.T) {
 	cases := []struct {
-		name string
-		opts []Option
-		want bool // effective FailFast
+		name     string
+		timeout  time.Duration
+		retry    RetryPolicy
+		failFast bool
+		want     bool // effective FailFast
 	}{
-		{"default", nil, true},
-		{"retry opts in", []Option{WithMaxRetries(2)}, false},
-		{"timeout opts in", []Option{WithTrialTimeout(time.Second)}, false},
-		{"explicit fail-fast wins over retry", []Option{WithMaxRetries(2), WithFailFast(true)}, true},
-		{"explicit quarantine alone", []Option{WithFailFast(false)}, false},
+		{"default", 0, RetryPolicy{}, false, true},
+		{"retry opts in", 0, RetryPolicy{MaxAttempts: 3}, false, false},
+		{"timeout opts in", time.Minute, RetryPolicy{}, false, false},
+		{"fail-fast wins over retry", 0, RetryPolicy{MaxAttempts: 3}, true, true},
+		{"quarantine without retrying", 0, RetryPolicy{MaxAttempts: 1}, false, false},
 	}
 	for _, tc := range cases {
-		e, err := applyOptions(tc.opts)
+		e := Experiment{TrialTimeout: tc.timeout, Retry: tc.retry, FailFast: tc.failFast}
+		cfg, err := e.withDefaults()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e.FailFast != tc.want {
-			t.Errorf("%s: FailFast = %v, want %v", tc.name, e.FailFast, tc.want)
+		if cfg.FailFast != tc.want {
+			t.Errorf("%s: FailFast = %v, want %v", tc.name, cfg.FailFast, tc.want)
+		}
+
+		// The first measure the study runs fails, and so does every measure
+		// that shares its trial seed: trial 0 of that realization, in every
+		// row. The other realizations survive.
+		var once sync.Once
+		var bad uint64
+		study := VarianceStudy{
+			Pipeline: func(tr Trial) (float64, error) {
+				once.Do(func() { bad = tr.Seed })
+				if tr.Seed == bad {
+					return 0, errors.New("bad seed")
+				}
+				return 0.8 + 0.05*xrand.New(tr.Seed^0x9E3779B9).NormFloat64(), nil
+			},
+			Sources:      []Source{VarInit, VarOrder},
+			K:            3,
+			Realizations: 3,
+			Seed:         9,
+			Parallelism:  1,
+			TrialTimeout: tc.timeout,
+			Retry:        tc.retry,
+			FailFast:     tc.failFast,
+		}
+		rep, err := study.Run(context.Background())
+		if tc.want && !errors.Is(err, ErrTrialFailed) {
+			t.Errorf("%s: study err = %v, want an abort with ErrTrialFailed", tc.name, err)
+		}
+		if !tc.want && (err != nil || len(rep.Failures) == 0) {
+			t.Errorf("%s: study err = %v, want a report with the bad seed's measures quarantined", tc.name, err)
 		}
 	}
 }

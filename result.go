@@ -419,7 +419,7 @@ func (e *Experiment) protocol() protocol {
 // pairedOnly rejects WithUnpaired at a paired-only entry point rather than
 // silently running the paired test on scores the caller marked unpaired.
 func (e *Experiment) pairedOnly(entry string) error {
-	if e.Unpaired {
+	if e.unpaired {
 		return fmt.Errorf("varbench: %s takes paired scores only; use Analyze for an unpaired comparison", entry)
 	}
 	return nil
@@ -466,14 +466,14 @@ func Analyze(scoresA, scoresB []float64, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !e.Unpaired && len(scoresA) != len(scoresB) {
+	if !e.unpaired && len(scoresA) != len(scoresB) {
 		return nil, fmt.Errorf("varbench: unpaired lengths %d vs %d", len(scoresA), len(scoresB))
 	}
 	if err := validScores(scoresA, scoresB, ""); err != nil {
 		return nil, err
 	}
 	var c Comparison
-	if e.Unpaired {
+	if e.unpaired {
 		c, err = e.protocol().unpaired(scoresA, scoresB)
 	} else {
 		c, err = e.protocol().paired(scoresA, scoresB)

@@ -63,8 +63,8 @@ func sourcesOf(vars []xrand.Var) []Source {
 // A SourceSet names a canonical group of sources of variation, bridging the
 // randomization subsets of the internal estimators (the FixHOptEst variants
 // of Algorithm 2, Section 3.3) to the public Source vocabulary. Sets expand
-// through Sources and are accepted anywhere ParseSources specs are, e.g. the
-// `varbench variance -sources` flag.
+// through ParseSources, e.g. ParseSources(string(SetLearning)), and so are
+// accepted by the `varbench variance -sources` flag.
 type SourceSet string
 
 // The canonical source sets.
@@ -93,15 +93,6 @@ func sourceSets() map[SourceSet][]Source {
 		SetLearning: sourcesOf(estimator.SubsetAll.Vars()),
 		SetAll:      AllSources(),
 	}
-}
-
-// Sources expands the set into its sources of variation. Unknown sets return
-// an error listing the valid names.
-func (s SourceSet) Sources() ([]Source, error) {
-	if out, ok := sourceSets()[s]; ok {
-		return out, nil
-	}
-	return nil, fmt.Errorf("varbench: unknown source set %q (valid: %s)", s, validSourceNames())
 }
 
 // ParseSources resolves a comma-separated spec of source labels and set names

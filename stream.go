@@ -19,7 +19,7 @@ import (
 // sums, so its memory stays constant however many pairs it consumes, and
 // its results carry no scores (the producer's log holds them). For the same
 // reason it holds nothing worth persisting: a rerun re-reads its input
-// instead of resuming a snapshot, and NewStream rejects WithStore.
+// instead of resuming a snapshot, and NewStream rejects a store.
 //
 // A Stream is not safe for concurrent use: one goroutine feeds it and
 // reads its results.
@@ -32,9 +32,10 @@ type Stream struct {
 // NewStream opens an analysis stream. The statistical knobs come from the
 // same Options as Analyze (WithGamma, WithConfidence); WithBootstrap and
 // WithSeed are accepted and, as in every paired analysis, ignored. A stream
-// is paired-only: WithUnpaired is an error. WithStore is an error too: the
-// stream's whole analysis state is three counts and two score sums, so
-// there is nothing to resume that re-reading the input does not rebuild.
+// is paired-only: WithUnpaired is an error. An Option that sets
+// Experiment.Store is an error too: the stream's whole analysis state is
+// three counts and two score sums, so there is nothing to resume that
+// re-reading the input does not rebuild.
 func NewStream(opts ...Option) (*Stream, error) {
 	cfg, err := applyOptions(opts)
 	if err != nil {

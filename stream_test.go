@@ -89,9 +89,10 @@ func TestStreamResumeByteIdentical(t *testing.T) {
 func TestStreamRejectsStore(t *testing.T) {
 	st := store.NewMem()
 	defer st.Close()
-	_, err := NewStream(WithSeed(11), WithStore(st), WithPipelineID("resume-test"))
+	withStore := func(e *Experiment) { e.Store, e.PipelineID = st, "resume-test" }
+	_, err := NewStream(WithSeed(11), withStore)
 	if err == nil || !strings.Contains(err.Error(), "three counts and two score sums") {
-		t.Fatalf("NewStream(WithStore) = %v, want an error naming the counts", err)
+		t.Fatalf("NewStream with a store = %v, want an error naming the counts", err)
 	}
 	if s, err := NewStream(WithSeed(11)); err != nil || s.Flush() != nil {
 		t.Fatalf("storeless stream: %v; Flush must be a no-op", err)

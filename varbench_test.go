@@ -125,7 +125,7 @@ func TestCompareOptionValidation(t *testing.T) {
 	if _, err := Analyze(a, a, WithGamma(1.0)); err == nil {
 		t.Error("γ ≥ 1 should error")
 	}
-	if _, err := Analyze(a, a, WithGamma(math.NaN()), WithMaxRuns(30)); err == nil {
+	if _, err := Analyze(a, a, WithGamma(math.NaN())); err == nil {
 		t.Error("γ = NaN should error")
 	}
 	if _, err := Analyze(a, a, WithConfidence(math.NaN())); err == nil {

@@ -82,17 +82,14 @@ type VarianceStudy struct {
 	// setting.
 	Parallelism int
 
-	// TrialTimeout, Retry and FailFast mirror the Experiment resilience
-	// knobs; they thread into every collection cell. A false FailFast
-	// means "fail fast unless TrialTimeout or Retry is configured" (the
-	// study has no option form to disambiguate an explicit false; use
-	// Retry{MaxAttempts: 1} to opt into quarantine without retries). In
-	// quarantine mode a cell with any quarantined measure drops its whole
-	// realization — a partial realization would bias the SE-vs-k curves —
-	// and the study degrades to the surviving realizations per row,
-	// erroring only when fewer than 2 survive. Dropped measures are listed
-	// in VarianceReport.Failures and recorded under store failure/... keys;
-	// re-running with the same store retries exactly the failed cells.
+	// TrialTimeout, Retry and FailFast mean what they mean on Experiment,
+	// and every collection cell gets them. In quarantine mode a cell with
+	// any quarantined measure drops its whole realization — a partial
+	// realization would bias the SE-vs-k curves — and the study degrades
+	// to the surviving realizations per row, erroring only when fewer than
+	// 2 survive. Dropped measures are listed in VarianceReport.Failures and
+	// recorded under store failure/... keys; re-running with the same store
+	// retries exactly the failed cells.
 	TrialTimeout time.Duration
 	Retry        RetryPolicy
 	FailFast     bool
@@ -168,9 +165,6 @@ func (s VarianceStudy) withDefaults() (VarianceStudy, error) {
 	if err := c.Retry.validate(); err != nil {
 		return c, err
 	}
-	if !c.FailFast {
-		c.FailFast = c.Retry.MaxAttempts == 0 && c.TrialTimeout == 0
-	}
 	return c, nil
 }
 
@@ -237,12 +231,6 @@ func (s VarianceStudy) Run(ctx context.Context) (*VarianceReport, error) {
 			TrialTimeout: cfg.TrialTimeout,
 			Retry:        cfg.Retry,
 			FailFast:     cfg.FailFast,
-		}
-		if !cfg.FailFast {
-			// The study's withDefaults already resolved the tri-state; pin
-			// the inner experiment to quarantine explicitly so its own
-			// inference cannot flip it back to fail-fast.
-			WithFailFast(false)(&e)
 		}
 		WithSeed(roots[c.realization])(&e)
 		label := rowLabel(rowSources[c.row], c.row == jointRow)

@@ -249,23 +249,21 @@ func TestVarianceStudyCancellation(t *testing.T) {
 }
 
 func TestSourceSetBridge(t *testing.T) {
-	init, err := SetInit.Sources()
-	if err != nil || !reflect.DeepEqual(init, []Source{VarInit}) {
-		t.Errorf("SetInit -> %v, %v", init, err)
+	for _, c := range []struct {
+		set  SourceSet
+		want []Source
+	}{
+		{SetInit, []Source{VarInit}},
+		{SetData, []Source{VarDataSplit}},
+		{SetLearning, LearningSources()},
+		{SetAll, AllSources()},
+	} {
+		got, err := ParseSources(string(c.set))
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s -> %v, %v; want %v", c.set, got, err, c.want)
+		}
 	}
-	data, err := SetData.Sources()
-	if err != nil || !reflect.DeepEqual(data, []Source{VarDataSplit}) {
-		t.Errorf("SetData -> %v, %v", data, err)
-	}
-	learning, err := SetLearning.Sources()
-	if err != nil || !reflect.DeepEqual(learning, LearningSources()) {
-		t.Errorf("SetLearning -> %v, %v", learning, err)
-	}
-	all, err := SetAll.Sources()
-	if err != nil || !reflect.DeepEqual(all, AllSources()) {
-		t.Errorf("SetAll -> %v, %v", all, err)
-	}
-	if _, err := SourceSet("nope").Sources(); err == nil {
+	if _, err := ParseSources(string(SourceSet("nope"))); err == nil {
 		t.Error("unknown set should error")
 	}
 }
