@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"varbench"
+	"varbench/internal/ingest"
 	"varbench/store"
 )
 
@@ -188,6 +189,12 @@ func readScores(path string) (*scoreFile, []byte, error) {
 // line is split on its commas here, which is all encoding/csv would do to
 // it. A quoted field may not span lines (no score needs one). Errors name
 // the file line.
+//
+// While the current dataset is the unnamed one, a line that is exactly
+// `num\n`, a plain decimal of at most 15 digits, is framed and parsed in
+// one pass by the scanner ParseScore uses. Every other line goes through
+// LineTailer.Feed to scoreParser.line, which says what it means; both give
+// the same scores (FuzzReadScores).
 func parseScores(path string, data []byte) (*scoreFile, error) {
 	p := scoreParser{
 		path: path,
@@ -197,8 +204,20 @@ func parseScores(path string, data []byte) (*scoreFile, error) {
 		scores: make([]float64, 0, bytes.Count(data, []byte("\n"))+1),
 	}
 	var tailer varbench.LineTailer
-	if err := tailer.Feed(data, p.line); err != nil {
-		return nil, err
+	for len(data) > 0 {
+		if len(p.out.datasets) > 0 && p.cur == "" {
+			if v, n, ok := ingest.Scan(data); ok && n < len(data) && data[n] == '\n' {
+				p.lineNo++
+				p.records++
+				p.scores = append(p.scores, v)
+				data = data[n+1:]
+				continue
+			}
+		}
+		var err error
+		if data, err = feedLine(&tailer, data, p.line); err != nil {
+			return nil, err
+		}
 	}
 	if rem := tailer.Remainder(); len(rem) > 0 {
 		// encoding/csv drops a "\r" that ends the file.

@@ -229,6 +229,28 @@ func TestReadScoresAllocations(t *testing.T) {
 	}
 }
 
+// BenchmarkReadScores measures compare's reader on one score-log column:
+// 50,000 lines of 6-decimal scores, as e2ebench's score-log workload writes
+// them. Wired into the CI bench regression gate.
+func BenchmarkReadScores(bm *testing.B) {
+	r := xrand.New(41)
+	var data []byte
+	for i := 0; i < 50_000; i++ {
+		data = append(strconv.AppendFloat(data, r.Normal(0.75, 0.02), 'f', 6, 64), '\n')
+	}
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		out, err := parseScores("a.csv", data)
+		if err != nil {
+			bm.Fatal(err)
+		}
+		if n := len(out.byDataset[""]); n != 50_000 {
+			bm.Fatalf("read %d scores, want 50000", n)
+		}
+	}
+}
+
 // readScoresCSV is the reader compare used before parseScores: the whole
 // file through encoding/csv's ReadAll. It stays as parseScores' oracle.
 func readScoresCSV(path string, data []byte) (*scoreFile, error) {
@@ -304,6 +326,7 @@ func FuzzReadScores(f *testing.F) {
 		"\"a,b\",0.5\n\"q\"\"x\",-0.75\nplain,1e-3",
 		"\"ds\",0.5\r\r\nds,0.6\r",
 		"dataset,score\nrte,0.7\n\"rte\",+.25\n",
+		"rte,0.7\n0.5\n0.25\nrte,0.75\n0.5\n",
 		"x\"y,0.5\n",
 		"\"open,0.5\n0.6\n",
 		"0.5,\n0.6\n",

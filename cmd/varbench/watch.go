@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"varbench"
+	"varbench/internal/ingest"
 )
 
 // runWatch implements the `varbench watch` subcommand: the recommended
@@ -74,39 +76,30 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	defer f.Close()
 
 	var (
-		tailer   varbench.LineTailer
-		batchA   []float64
-		batchB   []float64
-		badLines int
 		rendered int // pair count at the last interim render
 		buf      = make([]byte, 64*1024)
 	)
-	emit := func(line []byte) error {
-		a, b, ok, err := varbench.ParseScorePair(line)
-		if err != nil {
-			badLines++
-			fmt.Fprintf(os.Stderr, "varbench: %s: skipping %v\n", *file, err)
-			return nil
-		}
-		if ok {
-			batchA = append(batchA, a)
-			batchB = append(batchB, b)
-		}
-		return nil
-	}
-	// flush folds the batched pairs into the stream and renders an interim
-	// conclusion when -every is due.
+	pairs := &pairReader{warn: func(err error) {
+		fmt.Fprintf(os.Stderr, "varbench: %s: skipping %v\n", *file, err)
+	}}
+	// flush folds the pairs read so far into the stream and renders an
+	// interim conclusion when -every is due; only then is an interval
+	// computed.
 	flush := func() error {
-		if len(batchA) == 0 {
+		if len(pairs.a) == 0 {
 			return nil
 		}
-		res, err := stream.Extend(batchA, batchB)
-		batchA, batchB = batchA[:0], batchB[:0]
+		err := stream.Add(pairs.a, pairs.b)
+		pairs.a, pairs.b = pairs.a[:0], pairs.b[:0]
 		if err != nil {
 			return err
 		}
-		if res != nil && *every > 0 && stream.N() >= rendered+*every {
+		if *every > 0 && stream.N() >= 2 && stream.N() >= rendered+*every {
 			rendered = stream.N()
+			res, err := stream.Result()
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(w, "--- after %d pairs ---\n", stream.N())
 			if err := res.Render(w, ren); err != nil {
 				return err
@@ -130,8 +123,8 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 		if err := res.Render(w, ren); err != nil {
 			return err
 		}
-		if badLines > 0 && *format == "text" {
-			if _, err := fmt.Fprintf(w, "skipped: %d malformed line(s) — not part of the analysis\n", badLines); err != nil {
+		if pairs.bad > 0 && *format == "text" {
+			if _, err := fmt.Fprintf(w, "skipped: %d malformed line(s) — not part of the analysis\n", pairs.bad); err != nil {
 				return err
 			}
 		}
@@ -141,9 +134,7 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 	for {
 		n, readErr := f.Read(buf)
 		if n > 0 {
-			if err := tailer.Feed(buf[:n], emit); err != nil {
-				return err
-			}
+			pairs.feed(buf[:n])
 			if err := flush(); err != nil {
 				return err
 			}
@@ -176,16 +167,80 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 
 	// End of a bounded file: a last line without a trailing newline still
 	// counts.
-	if rem := tailer.Remainder(); len(rem) > 0 {
-		if err := emit(rem); err != nil {
-			return err
-		}
-		if err := flush(); err != nil {
-			return err
-		}
+	pairs.end()
+	if err := flush(); err != nil {
+		return err
 	}
-	if badLines > 0 {
-		fmt.Fprintf(os.Stderr, "varbench: %s: %d malformed line(s) skipped\n", *file, badLines)
+	if pairs.bad > 0 {
+		fmt.Fprintf(os.Stderr, "varbench: %s: %d malformed line(s) skipped\n", *file, pairs.bad)
 	}
 	return final()
+}
+
+// A pairReader reads the chunks of a paired score log into pairs. A line
+// that is exactly `num,num\n`, two plain decimals of at most 15 digits, is
+// framed and parsed in one pass by the scanner ParseScore uses; every other
+// line, and a line that a chunk edge cuts, goes through LineTailer.Feed to
+// ParseScorePair, which says what it means. Both give the same pairs, in
+// line order, and the same malformed-line count (FuzzWatchIngest).
+type pairReader struct {
+	tailer varbench.LineTailer
+	a, b   []float64       // the pairs read since the caller last took them
+	bad    int             // malformed lines so far
+	warn   func(err error) // called with each malformed line's error
+}
+
+// parse is the per-line path: one line, without its terminator, through
+// ParseScorePair.
+func (r *pairReader) parse(line []byte) error {
+	a, b, ok, err := varbench.ParseScorePair(line)
+	if err != nil {
+		r.bad++
+		r.warn(err)
+		return nil
+	}
+	if ok {
+		r.a = append(r.a, a)
+		r.b = append(r.b, b)
+	}
+	return nil
+}
+
+// feed reads one chunk. A partial line buffered from the previous chunk is
+// completed first; the line the chunk ends in, if it has no newline, waits
+// in the tailer for the next chunk or for end. parse never fails, so
+// neither does feedLine here.
+func (r *pairReader) feed(chunk []byte) {
+	if len(r.tailer.Remainder()) > 0 {
+		chunk, _ = feedLine(&r.tailer, chunk, r.parse)
+	}
+	for len(chunk) > 0 {
+		if a, n, ok := ingest.Scan(chunk); ok && n < len(chunk) && chunk[n] == ',' {
+			rest := chunk[n+1:]
+			if b, m, ok := ingest.Scan(rest); ok && m < len(rest) && rest[m] == '\n' {
+				r.a = append(r.a, a)
+				r.b = append(r.b, b)
+				chunk = rest[m+1:]
+				continue
+			}
+		}
+		chunk, _ = feedLine(&r.tailer, chunk, r.parse)
+	}
+}
+
+// feedLine hands data's first line, with its newline if it has one, to the
+// tailer, and returns the rest of data and emit's error.
+func feedLine(t *varbench.LineTailer, data []byte, emit func(line []byte) error) ([]byte, error) {
+	i := bytes.IndexByte(data, '\n') + 1
+	if i == 0 {
+		i = len(data)
+	}
+	return data[i:], t.Feed(data[:i], emit)
+}
+
+// end reads the log's last line when it has no final newline.
+func (r *pairReader) end() {
+	if rem := r.tailer.Remainder(); len(rem) > 0 {
+		_ = r.parse(rem)
+	}
 }

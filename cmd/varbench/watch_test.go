@@ -7,12 +7,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"varbench"
 )
 
 // writeScoreFile writes n deterministic paired score lines, streaming
@@ -196,4 +200,87 @@ func TestWatchEveryOutputIsLinear(t *testing.T) {
 	if l > 10*s {
 		t.Errorf("watch -every 1000 printed %d bytes on 2k pairs and %d on 20k: more than 10x", s, l)
 	}
+}
+
+// FuzzWatchIngest: watch's reader, fed arbitrary bytes cut at one or two
+// arbitrary points, reads the same pairs, bit for bit and in order, and
+// counts the same malformed lines as the per-line path over the whole
+// input: LineTailer.Feed and ParseScorePair, then the unterminated last
+// line. CI runs it as a short fuzz-smoke; the seeds run as a plain test.
+func FuzzWatchIngest(f *testing.F) {
+	line := []byte("0.5,0.25\n")
+	for cut := 0; cut <= len(line); cut++ {
+		f.Add(line, cut, cut)
+	}
+	for _, seed := range []string{
+		"0.5,0.25\r\n0.125,0.5\r\n",
+		"{\"a\": 0.5, \"b\": 0.25}\n0.5,0.25\n",
+		" 0.5 , 0.25 \n0.5,\t0.25\n0.5 ,0.25\n",
+		"1e5,2\n2,1e5\n",
+		"0.1234567890123456,0.5\n0.5,1234567890123456\n0.123456789012345,1\n",
+		"0.5,0.25\n0.75,0.5",
+		"0.5\x00,0.25\n\x00\n0.5,0.25\x00\n",
+		"a,b\n# c\n\n0.5,0.25,0.1\n-0.5,+.5\n1.5.3,2\nNaN,1\n0.5,\n,0.5\n",
+	} {
+		f.Add([]byte(seed), 3, 11)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut1, cut2 int) {
+		var want []float64
+		wantBad := 0
+		var tailer varbench.LineTailer
+		emit := func(line []byte) error {
+			a, b, ok, err := varbench.ParseScorePair(line)
+			if err != nil {
+				wantBad++
+			} else if ok {
+				want = append(want, a, b)
+			}
+			return nil
+		}
+		if err := tailer.Feed(data, emit); err != nil {
+			t.Fatal(err)
+		}
+		if rem := tailer.Remainder(); len(rem) > 0 {
+			_ = emit(rem)
+		}
+
+		cuts := []int{ingestCut(cut1, len(data)), ingestCut(cut2, len(data))}
+		slices.Sort(cuts)
+		var got []float64
+		warned := 0
+		r := &pairReader{warn: func(error) { warned++ }}
+		for _, chunk := range [][]byte{data[:cuts[0]], data[cuts[0]:cuts[1]], data[cuts[1]:]} {
+			if len(chunk) > 0 { // as watch feeds its reads
+				r.feed(chunk)
+			}
+			for i := range r.a {
+				got = append(got, r.a[i], r.b[i])
+			}
+			r.a, r.b = r.a[:0], r.b[:0]
+		}
+		r.end()
+		for i := range r.a {
+			got = append(got, r.a[i], r.b[i])
+		}
+		if r.bad != wantBad || warned != wantBad {
+			t.Fatalf("cuts %v: %d malformed lines (%d warnings), want %d", cuts, r.bad, warned, wantBad)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cuts %v: %d pairs, want %d", cuts, len(got)/2, len(want)/2)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("cuts %v: pair %d side %d = %v, want %v", cuts, i/2, i%2, got[i], want[i])
+			}
+		}
+	})
+}
+
+// ingestCut maps an arbitrary int to a cut point in [0, n].
+func ingestCut(c, n int) int {
+	c %= n + 1
+	if c < 0 {
+		c += n + 1
+	}
+	return c
 }

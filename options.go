@@ -98,6 +98,9 @@ func (e *Experiment) withDefaults() (*Experiment, error) {
 	if c.Parallelism == 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	if c.EarlyStop != EarlyStopAuto && c.EarlyStop != EarlyStopOff {
+		return nil, fmt.Errorf("varbench: EarlyStop must be EarlyStopAuto or EarlyStopOff, got EarlyStopPolicy(%d)", int(c.EarlyStop))
+	}
 	if c.TrialTimeout < 0 {
 		return nil, fmt.Errorf("varbench: TrialTimeout must not be negative, got %v (0 means no deadline)", c.TrialTimeout)
 	}

@@ -273,21 +273,29 @@ func TestNegativeKnobsRejected(t *testing.T) {
 	cases := map[string]Experiment{
 		"Parallelism": {A: ok, B: ok, Parallelism: -1},
 		"MaxRuns":     {A: ok, B: ok, MaxRuns: -3},
+		// No policy but the two named ones: a run must not quietly treat
+		// an unknown one as EarlyStopOff and collect MaxRuns pairs.
+		"EarlyStop=99": {A: ok, B: ok, EarlyStop: EarlyStopPolicy(99), MaxRuns: 40},
+		"EarlyStop=-1": {A: ok, B: ok, EarlyStop: EarlyStopPolicy(-1)},
 	}
 	for name, e := range cases {
 		if _, err := e.Run(context.Background()); err == nil {
-			t.Errorf("%s: explicit negative accepted", name)
+			t.Errorf("%s: explicit out-of-range value accepted", name)
+		} else if name == "EarlyStop=99" && !strings.Contains(err.Error(), "99") {
+			t.Errorf("%s: error %q does not name the value", name, err)
 		}
 	}
 	// An Option is a func(*Experiment), so one can set these fields too;
 	// the score-level entry points must reject the same way.
 	a := []float64{1, 2, 3}
 	for name, opt := range map[string]Option{
-		"Parallelism": func(e *Experiment) { e.Parallelism = -1 },
-		"MaxRuns":     func(e *Experiment) { e.MaxRuns = -1 },
+		"Parallelism":  func(e *Experiment) { e.Parallelism = -1 },
+		"MaxRuns":      func(e *Experiment) { e.MaxRuns = -1 },
+		"EarlyStop=99": func(e *Experiment) { e.EarlyStop = 99 },
+		"EarlyStop=-1": func(e *Experiment) { e.EarlyStop = -1 },
 	} {
 		if _, err := Analyze(a, a, opt); err == nil {
-			t.Errorf("%s set to -1 through an Option: explicit negative accepted", name)
+			t.Errorf("%s set through an Option: explicit out-of-range value accepted", name)
 		}
 	}
 	// Zero still means "use the default".

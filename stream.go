@@ -8,12 +8,13 @@ import (
 
 // A Stream is the recommended test as a long-lived sidecar: paired scores
 // arrive continuously — from a live training fleet, a log tailer (see
-// varbench watch), a message queue — and every Extend adds them to the
+// varbench watch), a message queue — and every Add folds them into the
 // win/tie/loss counts and score sums, whose current three-zone conclusion
-// is available at any moment. An Extend costs O(its pairs) plus one exact
-// interval over all n pairs so far, which is O(√n) with ties. Feeding
-// chunks of any size gives the same Comparison as a single Analyze of the
-// full sequence.
+// Result computes at any moment. An Add costs O(its pairs) and computes no
+// interval; a Result costs one exact interval over all n pairs so far,
+// which is O(√n) with ties, and Extend is an Add followed by a Result.
+// Feeding chunks of any size gives the same Comparison as a single Analyze
+// of the full sequence.
 //
 // A Stream keeps no score history: its whole state is three counts and two
 // sums, so its memory stays constant however many pairs it consumes, and
@@ -60,22 +61,32 @@ const errStreamStore = "a stream's analysis is three counts and two score sums, 
 // N returns how many score pairs the stream has consumed.
 func (s *Stream) N() int { return s.ana.N() }
 
-// Extend feeds newly arrived paired scores (a[i] and b[i] from the same
-// trial) and returns the updated conclusion. The result is nil without
-// error while fewer than two pairs exist. A NaN or ±Inf score fails the
-// whole call, naming its position in the stream, before any pair is added.
-func (s *Stream) Extend(a, b []float64) (*Result, error) {
+// Add feeds newly arrived paired scores (a[i] and b[i] from the same
+// trial) without computing a conclusion: call Result when one is read. A
+// NaN or ±Inf score fails the whole call, naming its position in the
+// stream, before any pair is added.
+func (s *Stream) Add(a, b []float64) error {
 	if len(a) != len(b) {
-		return nil, fmt.Errorf("varbench: unpaired lengths %d vs %d", len(a), len(b))
+		return fmt.Errorf("varbench: unpaired lengths %d vs %d", len(a), len(b))
 	}
 	if s.closed {
-		return nil, fmt.Errorf("varbench: stream is closed")
+		return fmt.Errorf("varbench: stream is closed")
 	}
 	if err := finiteScores(a, b, "", s.ana.N()); err != nil {
-		return nil, err
+		return err
 	}
 	for i := range a {
 		s.ana.Add(a[i], b[i])
+	}
+	return nil
+}
+
+// Extend is Add followed by Result: it feeds newly arrived paired scores
+// and returns the updated conclusion, or nil without error while fewer
+// than two pairs exist.
+func (s *Stream) Extend(a, b []float64) (*Result, error) {
+	if err := s.Add(a, b); err != nil {
+		return nil, err
 	}
 	if s.ana.N() < 2 {
 		return nil, nil
@@ -107,7 +118,7 @@ func (s *Stream) Result() (*Result, error) {
 // a stream has no store to flush.
 func (s *Stream) Flush() error { return nil }
 
-// Close ends the stream: further Extends fail.
+// Close ends the stream: further Adds and Extends fail.
 func (s *Stream) Close() error {
 	s.closed = true
 	return nil

@@ -6,15 +6,19 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"varbench/internal/ingest"
 )
 
 // This file is the ingestion side of the command line: varbench watch
 // tails a growing score file and feeds a Stream, and varbench compare
 // frames and parses its score files with the same tailer and ParseScore.
-// The tailer and the parsers are exported so other sidecars (log
-// shippers, fleet agents) can reuse the exact same framing and syntax
-// rules — which also keeps a resumed watch byte-identical: parsing is a
-// pure function of the bytes.
+// Both commands read a plain `a,b` or `score` line in one pass with
+// ParseScore's number scanner, and hand every other line to the tailer
+// and the parsers here, which define what a line means. The tailer and the
+// parsers are exported so other sidecars (log shippers, fleet agents) can
+// reuse the exact same framing and syntax rules — which also keeps a
+// resumed watch byte-identical: parsing is a pure function of the bytes.
 
 // A LineTailer incrementally splits an append-only byte stream into lines.
 // Feed it chunks of any size — reads racing a writer may split a line at
@@ -90,49 +94,23 @@ type jsonScorePair struct {
 	B *float64 `json:"b"`
 }
 
-// pow10 holds the powers of ten ParseScore's fast path divides by; every
-// one is exact in float64 (the exact powers run to 1e22).
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
-
 // ParseScore parses one score field, and returns exactly what
 // strconv.ParseFloat(string(field), 64) returns: the same bits and the
 // same error (fuzz-tested). Both `varbench compare` and ParseScorePair
 // parse their scores with it.
 //
-// A plain decimal [+-]?digits[.digits] of at most 15 digits takes a fast
-// path: its digits m are below 2⁵³ and 10^f, f the number of fraction
-// digits, is exact too, so one IEEE division rounds m/10^f correctly —
-// which is strconv's own first step (Clinger's fast path). Every other
-// field (an exponent, more digits, Inf, NaN, hex, underscores, spaces,
-// junk) goes to strconv unchanged.
+// A plain decimal [+-]?digits[.digits] of at most 15 digits, the form
+// score logs are written in, takes a fast path: one scan, the same one
+// watch and compare frame their plain lines with. Its digits m are below
+// 2⁵³ and 10^f, f the number of fraction digits, is exact too, so one IEEE
+// division rounds m/10^f correctly — which is strconv's own first step
+// (Clinger's fast path). Every other field (an exponent, more digits, Inf,
+// NaN, hex, underscores, spaces, junk) goes to strconv unchanged.
 func ParseScore(field []byte) (float64, error) {
-	i, neg := 0, false
-	if len(field) > 0 && (field[0] == '+' || field[0] == '-') {
-		i, neg = 1, field[0] == '-'
+	if v, n, ok := ingest.Scan(field); ok && n == len(field) {
+		return v, nil
 	}
-	var m uint64
-	digits, dot := 0, -1
-	for ; i < len(field); i++ {
-		if d := field[i] - '0'; d < 10 {
-			m = m*10 + uint64(d)
-			digits++
-		} else if field[i] == '.' && dot < 0 {
-			dot = digits
-		} else {
-			break
-		}
-	}
-	if i < len(field) || digits == 0 || digits > 15 {
-		return strconv.ParseFloat(string(field), 64)
-	}
-	v := float64(m)
-	if dot >= 0 {
-		v /= pow10[digits-dot]
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
+	return strconv.ParseFloat(string(field), 64)
 }
 
 // ParseScorePair parses one line of a paired score stream. Two syntaxes
@@ -147,6 +125,13 @@ func ParseScore(field []byte) (float64, error) {
 // an error for the caller to count or surface; it never contributes pairs,
 // so replaying a file skips it deterministically.
 func ParseScorePair(line []byte) (a, b float64, ok bool, err error) {
+	// The form score logs are written in, two plain decimals and nothing
+	// else, needs neither trimming nor a search for the comma.
+	if x, n, good := ingest.Scan(line); good && n < len(line) && line[n] == ',' {
+		if y, m, good := ingest.Scan(line[n+1:]); good && n+1+m == len(line) {
+			return x, y, true, nil
+		}
+	}
 	s := bytes.TrimSpace(line)
 	if len(s) == 0 || s[0] == '#' {
 		return 0, 0, false, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -99,6 +100,10 @@ func TestParseScorePair(t *testing.T) {
 		{"0.91,0.87", 0.91, 0.87, true, false},
 		{" 1e-3 ,\t2 ", 1e-3, 2, true, false},
 		{"0.5,0.6,extra,columns", 0.5, 0.6, true, false},
+		{"-0.5,+.5", -0.5, 0.5, true, false},
+		{"0.5,0.6 ", 0.5, 0.6, true, false},
+		{"0.5,0.6x", 0, 0, false, true},
+		{"0.5x,0.6", 0, 0, false, true},
 		{`{"a": 0.91, "b": 0.87}`, 0.91, 0.87, true, false},
 		{`{"b": 1, "a": 2}`, 2, 1, true, false},
 		{"", 0, 0, false, false},
@@ -225,7 +230,8 @@ func FuzzWatchTailer(f *testing.F) {
 
 // TestStreamMatchesAnalyze: a stream fed in dribs and drabs reaches the
 // same conclusion as itself fed in one call, and as Analyze on the same
-// scores — at any seed, since a paired verdict draws no randomness.
+// scores — at any seed, since a paired verdict draws no randomness. So do
+// two Adds split anywhere and one Result.
 func TestStreamMatchesAnalyze(t *testing.T) {
 	a := []float64{0.91, 0.89, 0.93, 0.90, 0.92, 0.88, 0.94, 0.91, 0.90, 0.92}
 	b := []float64{0.85, 0.86, 0.84, 0.87, 0.83, 0.85, 0.86, 0.84, 0.85, 0.83}
@@ -265,6 +271,47 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 		t.Fatalf("stream differs from Analyze:\n%+v\n%+v", c, rc)
 	}
 
+	// Add computes no interval, so where the pairs split cannot matter.
+	for split := 0; split <= len(a); split++ {
+		s, err := NewStream(WithSeed(6), WithGamma(0.7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(a[:split], b[:split]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(a[split:], b[split:]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Comparison != resOne.Comparison || res.Comparison != ref.Comparison {
+			t.Fatalf("Add split at %d, then Result:\n%+v\nExtend:\n%+v\nAnalyze:\n%+v",
+				split, res.Comparison, resOne.Comparison, ref.Comparison)
+		}
+	}
+
+	// A NaN anywhere in one Add fails the whole call before any pair of it
+	// is added, as Extend does.
+	for pos := range a {
+		for side := 0; side < 2; side++ {
+			s, err := NewStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Add(a[:2], b[:2]); err != nil {
+				t.Fatal(err)
+			}
+			bad := [2][]float64{slices.Clone(a), slices.Clone(b)}
+			bad[side][pos] = math.NaN()
+			if err := s.Add(bad[0], bad[1]); err == nil || s.N() != 2 {
+				t.Fatalf("NaN at %c[%d]: Add error %v, N = %d, want an error and N = 2", 'A'+side, pos, err, s.N())
+			}
+		}
+	}
+
 	// Below two pairs: no result, no error.
 	early, _ := NewStream(WithSeed(3))
 	if res, err := early.Extend(a[:1], b[:1]); err != nil || res != nil {
@@ -275,8 +322,8 @@ func TestStreamMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestStreamClose: a closed stream refuses further pairs, and a second
-// Close is harmless.
+// TestStreamClose: a closed stream refuses further pairs through Extend
+// and Add, and a second Close is harmless.
 func TestStreamClose(t *testing.T) {
 	s, err := NewStream(WithSeed(1))
 	if err != nil {
@@ -295,16 +342,18 @@ func TestStreamClose(t *testing.T) {
 	if _, err := s.Extend(a[:1], b[:1]); err == nil {
 		t.Fatal("extend after Close accepted")
 	}
+	if err := s.Add(a[:1], b[:1]); err == nil {
+		t.Fatal("add after Close accepted")
+	}
 	if s.N() != len(a) {
 		t.Errorf("N = %d after a refused extend, want %d", s.N(), len(a))
 	}
 }
 
 // BenchmarkWatchIngest measures the watch ingestion hot path — tail,
-// parse, extend — per chunk of 8 score lines against a live stream, which
-// re-evaluates the exact interval on every chunk. The stream keeps no score
-// history, so B/op does not depend on b.N. Wired into the CI bench
-// regression gate.
+// parse, add — per chunk of 8 score lines against a live stream. Like
+// watch between renders, it computes no interval, so it allocates nothing;
+// the bench gate holds it at 0 allocs/op.
 func BenchmarkWatchIngest(bm *testing.B) {
 	var data bytes.Buffer
 	const batch = 8
@@ -337,7 +386,7 @@ func BenchmarkWatchIngest(bm *testing.B) {
 		if err != nil {
 			bm.Fatal(err)
 		}
-		if _, err := s.Extend(a, b); err != nil {
+		if err := s.Add(a, b); err != nil {
 			bm.Fatal(err)
 		}
 	}
