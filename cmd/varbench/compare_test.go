@@ -326,7 +326,6 @@ func FuzzReadScores(f *testing.F) {
 		"\"a,b\",0.5\n\"q\"\"x\",-0.75\nplain,1e-3",
 		"\"ds\",0.5\r\r\nds,0.6\r",
 		"dataset,score\nrte,0.7\n\"rte\",+.25\n",
-		"rte,0.7\n0.5\n0.25\nrte,0.75\n0.5\n",
 		"x\"y,0.5\n",
 		"\"open,0.5\n0.6\n",
 		"0.5,\n0.6\n",
@@ -334,6 +333,7 @@ func FuzzReadScores(f *testing.F) {
 		"NaN\n",
 		"\"a\nb\",0.5\n",
 		"",
+		"rte,0.7\n0.5\n0.25\nrte,0.75\n0.5\n",
 	} {
 		f.Add([]byte(seed))
 	}
