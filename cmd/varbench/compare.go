@@ -191,10 +191,11 @@ func readScores(path string) (*scoreFile, []byte, error) {
 // the file line.
 //
 // While the current dataset is the unnamed one, a line that is exactly
-// `num\n`, a plain decimal of at most 15 digits, is framed and parsed in
-// one pass by the scanner ParseScore uses. Every other line goes through
-// LineTailer.Feed to scoreParser.line, which says what it means; both give
-// the same scores (FuzzReadScores).
+// `num`, a plain decimal, and ends in "\n" or "\r\n" is framed and parsed
+// in one pass by the scanner ParseScore uses. Every
+// other line is cut at its newline, searched for from where that scan
+// stopped, and goes to scoreParser.line, which says what it means; both
+// give the same scores (FuzzReadScores).
 func parseScores(path string, data []byte) (*scoreFile, error) {
 	p := scoreParser{
 		path: path,
@@ -203,25 +204,30 @@ func parseScores(path string, data []byte) (*scoreFile, error) {
 		// the only one, never regrows.
 		scores: make([]float64, 0, bytes.Count(data, []byte("\n"))+1),
 	}
-	var tailer varbench.LineTailer
 	for len(data) > 0 {
+		n := 0 // where the scan stopped: the line's newline lies beyond it
 		if len(p.out.datasets) > 0 && p.cur == "" {
-			if v, n, ok := ingest.Scan(data); ok && n < len(data) && data[n] == '\n' {
+			v, k, ok := ingest.Scan(data)
+			e := lineEnd(data[k:])
+			if e > 0 && k > 0 && !ok {
+				v, ok = ingest.Long(data[:k]) // more than 15 digits
+			}
+			if ok && e > 0 {
 				p.lineNo++
 				p.records++
 				p.scores = append(p.scores, v)
-				data = data[n+1:]
+				data = data[k+e:]
 				continue
 			}
+			n = k
 		}
-		var err error
-		if data, err = feedLine(&tailer, data, p.line); err != nil {
-			return nil, err
+		line := data
+		if i := bytes.IndexByte(data[n:], '\n'); i >= 0 {
+			line, data = data[:n+i], data[n+i+1:]
+		} else {
+			data = nil // the last line, with no newline
 		}
-	}
-	if rem := tailer.Remainder(); len(rem) > 0 {
-		// encoding/csv drops a "\r" that ends the file.
-		if err := p.line(bytes.TrimSuffix(rem, []byte("\r"))); err != nil {
+		if err := p.line(trimCR(line)); err != nil {
 			return nil, err
 		}
 	}
@@ -230,6 +236,18 @@ func parseScores(path string, data []byte) (*scoreFile, error) {
 	}
 	p.out.byDataset[p.cur] = p.scores
 	return p.out, nil
+}
+
+// lineEnd returns the length of the line end that data starts with: 1 for
+// "\n", 2 for "\r\n", and 0 when it starts with neither.
+func lineEnd(data []byte) int {
+	switch {
+	case len(data) > 0 && data[0] == '\n':
+		return 1
+	case len(data) > 1 && data[0] == '\r' && data[1] == '\n':
+		return 2
+	}
+	return 0
 }
 
 // A scoreParser parses the lines of one score file. It appends to the

@@ -334,6 +334,7 @@ func FuzzReadScores(f *testing.F) {
 		"\"a\nb\",0.5\n",
 		"",
 		"rte,0.7\n0.5\n0.25\nrte,0.75\n0.5\n",
+		"0.5\n0.76833333333333331\n-0.12345678901234567\r\n1234567890123456\n",
 	} {
 		f.Add([]byte(seed))
 	}

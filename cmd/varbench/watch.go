@@ -178,11 +178,13 @@ func runWatch(ctx context.Context, args []string, w io.Writer) error {
 }
 
 // A pairReader reads the chunks of a paired score log into pairs. A line
-// that is exactly `num,num\n`, two plain decimals of at most 15 digits, is
-// framed and parsed in one pass by the scanner ParseScore uses; every other
-// line, and a line that a chunk edge cuts, goes through LineTailer.Feed to
-// ParseScorePair, which says what it means. Both give the same pairs, in
-// line order, and the same malformed-line count (FuzzWatchIngest).
+// in ParseScorePair's CSV form without spaces, two plain decimals and
+// perhaps further columns, is framed and parsed in one pass by the scanner
+// ParseScore uses. Every other line is cut at its newline, searched for
+// from where that scan stopped, and handed to ParseScorePair, which says
+// what it means; a line that a chunk edge cuts waits in a LineTailer.
+// Both give the same pairs, in line order, and the same malformed-line
+// count as LineTailer.Feed and ParseScorePair (FuzzWatchIngest).
 type pairReader struct {
 	tailer varbench.LineTailer
 	a, b   []float64       // the pairs read since the caller last took them
@@ -207,35 +209,72 @@ func (r *pairReader) parse(line []byte) error {
 }
 
 // feed reads one chunk. A partial line buffered from the previous chunk is
-// completed first; the line the chunk ends in, if it has no newline, waits
-// in the tailer for the next chunk or for end. parse never fails, so
-// neither does feedLine here.
+// completed through the tailer first; the line the chunk ends in, if it
+// has no newline, waits in the tailer for the next chunk or for end. parse
+// never fails, so neither does Feed here.
 func (r *pairReader) feed(chunk []byte) {
 	if len(r.tailer.Remainder()) > 0 {
-		chunk, _ = feedLine(&r.tailer, chunk, r.parse)
+		i := bytes.IndexByte(chunk, '\n') + 1
+		if i == 0 {
+			i = len(chunk)
+		}
+		_ = r.tailer.Feed(chunk[:i], r.parse)
+		chunk = chunk[i:]
 	}
 	for len(chunk) > 0 {
-		if a, n, ok := ingest.Scan(chunk); ok && n < len(chunk) && chunk[n] == ',' {
-			rest := chunk[n+1:]
-			if b, m, ok := ingest.Scan(rest); ok && m < len(rest) && rest[m] == '\n' {
-				r.a = append(r.a, a)
-				r.b = append(r.b, b)
-				chunk = rest[m+1:]
-				continue
-			}
+		// pair: the line starts with `num,num`, the comma at c, and the
+		// scans stopped at n, after the second number.
+		a, c, okA := ingest.Scan(chunk)
+		pair := c > 0 && c < len(chunk) && chunk[c] == ','
+		n := c
+		var b float64
+		var okB bool
+		if pair {
+			var m int
+			b, m, okB = ingest.Scan(chunk[c+1:])
+			pair, n = m > 0, c+1+m
 		}
-		chunk, _ = feedLine(&r.tailer, chunk, r.parse)
+		// The line's newline is at i, and no earlier than n.
+		i := n
+		switch {
+		case i < len(chunk) && chunk[i] == '\n':
+		case i+1 < len(chunk) && chunk[i] == '\r' && chunk[i+1] == '\n':
+			i++
+		default:
+			j := bytes.IndexByte(chunk[n:], '\n')
+			if j < 0 {
+				_ = r.tailer.Feed(chunk, r.parse)
+				return
+			}
+			// Further columns, which ParseScorePair ignores, keep the
+			// line plain; anything else after the pair does not.
+			pair, i = pair && chunk[n] == ',', n+j
+		}
+		// A number of more than 15 digits is valued only now that its
+		// line is known to be plain.
+		if pair && !okA {
+			a, okA = ingest.Long(chunk[:c])
+		}
+		if pair && !okB {
+			b, okB = ingest.Long(chunk[c+1 : n])
+		}
+		if pair && okA && okB {
+			r.a = append(r.a, a)
+			r.b = append(r.b, b)
+		} else {
+			_ = r.parse(trimCR(chunk[:i]))
+		}
+		chunk = chunk[i+1:]
 	}
 }
 
-// feedLine hands data's first line, with its newline if it has one, to the
-// tailer, and returns the rest of data and emit's error.
-func feedLine(t *varbench.LineTailer, data []byte, emit func(line []byte) error) ([]byte, error) {
-	i := bytes.IndexByte(data, '\n') + 1
-	if i == 0 {
-		i = len(data)
+// trimCR strips one final "\r", as LineTailer does, so that a CRLF line
+// reads like an LF one.
+func trimCR(line []byte) []byte {
+	if len(line) > 0 && line[len(line)-1] == '\r' {
+		return line[:len(line)-1]
 	}
-	return data[i:], t.Feed(data[:i], emit)
+	return line
 }
 
 // end reads the log's last line when it has no final newline.

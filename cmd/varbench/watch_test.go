@@ -202,6 +202,39 @@ func TestWatchEveryOutputIsLinear(t *testing.T) {
 	}
 }
 
+// BenchmarkWatchIngest measures watch's ingestion path, pairReader.feed
+// and then Stream.Add, per chunk of 8 score lines against a live stream.
+// Like watch between renders, it computes no interval, so it allocates
+// nothing; the bench gate holds it at 0 allocs/op.
+func BenchmarkWatchIngest(bm *testing.B) {
+	const batch = 8
+	var chunk []byte
+	for i := 0; i < batch; i++ {
+		chunk = fmt.Appendf(chunk, "0.9%d,0.8%d\n", i, (i+3)%10)
+	}
+	s, err := varbench.NewStream(varbench.WithSeed(7))
+	if err != nil {
+		bm.Fatal(err)
+	}
+	r := &pairReader{
+		a:    make([]float64, 0, batch),
+		b:    make([]float64, 0, batch),
+		warn: func(err error) { bm.Fatal(err) },
+	}
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		r.feed(chunk)
+		if err := s.Add(r.a, r.b); err != nil {
+			bm.Fatal(err)
+		}
+		r.a, r.b = r.a[:0], r.b[:0]
+	}
+	if s.N() != batch*bm.N {
+		bm.Fatalf("stream holds %d pairs, want %d", s.N(), batch*bm.N)
+	}
+}
+
 // FuzzWatchIngest: watch's reader, fed arbitrary bytes cut at one or two
 // arbitrary points, reads the same pairs, bit for bit and in order, and
 // counts the same malformed lines as the per-line path over the whole
@@ -221,6 +254,7 @@ func FuzzWatchIngest(f *testing.F) {
 		"0.5,0.25\n0.75,0.5",
 		"0.5\x00,0.25\n\x00\n0.5,0.25\x00\n",
 		"a,b\n# c\n\n0.5,0.25,0.1\n-0.5,+.5\n1.5.3,2\nNaN,1\n0.5,\n,0.5\n",
+		"0.76833333333333331, 0.5\n0.5,0.12345678901234567e-3\n1234567890123456,0.5,x\r\n+,1\n1,+\n",
 	} {
 		f.Add([]byte(seed), 3, 11)
 	}

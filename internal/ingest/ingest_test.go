@@ -3,6 +3,7 @@ package ingest
 import (
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -43,5 +44,37 @@ func TestScanPrefix(t *testing.T) {
 		if err != nil || math.Float64bits(v) != math.Float64bits(want) {
 			t.Errorf("Scan(%q) = %v, strconv says %v (%v)", c.in, v, want, err)
 		}
+	}
+}
+
+// TestLong pins Long to strconv on the prefixes Scan cannot value: 16 and
+// 17 digits read, a digit-free prefix or one beyond float64's range fails,
+// and a repr-length number allocates nothing.
+func TestLong(t *testing.T) {
+	for _, c := range []struct {
+		in string
+		ok bool
+	}{
+		{"1234567890123456", true},
+		{"0.7683333333333333", true},
+		{"-0.12345678901234567", true},
+		{"+.5", true},
+		{"+", false},
+		{".", false},
+		{"1" + strings.Repeat("0", 400), false},
+	} {
+		_, n, _ := Scan([]byte(c.in))
+		if n != len(c.in) {
+			t.Fatalf("Scan(%q) stopped at %d", c.in, n)
+		}
+		v, ok := Long([]byte(c.in))
+		want, err := strconv.ParseFloat(c.in, 64)
+		if ok != c.ok || ok != (err == nil) || ok && math.Float64bits(v) != math.Float64bits(want) {
+			t.Errorf("Long(%q) = %v, %v; strconv says %v, %v", c.in, v, ok, want, err)
+		}
+	}
+	num := []byte("0.76833333333333331")
+	if allocs := testing.AllocsPerRun(100, func() { Long(num) }); allocs != 0 {
+		t.Errorf("Long(%q) made %v allocations, want 0", num, allocs)
 	}
 }

@@ -12,13 +12,14 @@ import (
 
 // This file is the ingestion side of the command line: varbench watch
 // tails a growing score file and feeds a Stream, and varbench compare
-// frames and parses its score files with the same tailer and ParseScore.
-// Both commands read a plain `a,b` or `score` line in one pass with
-// ParseScore's number scanner, and hand every other line to the tailer
-// and the parsers here, which define what a line means. The tailer and the
-// parsers are exported so other sidecars (log shippers, fleet agents) can
-// reuse the exact same framing and syntax rules — which also keeps a
-// resumed watch byte-identical: parsing is a pure function of the bytes.
+// parses its score files with ParseScore. Both commands read a plain
+// `a,b` or `score` line in one pass with ParseScore's number scanner;
+// every other line goes to ParseScorePair (watch, through the tailer when
+// a read cuts the line) or to compare's line parser, which say what a line
+// means. The tailer and the parsers are exported so other sidecars (log
+// shippers, fleet agents) can reuse the exact same framing and syntax
+// rules — which also keeps a resumed watch byte-identical: parsing is a
+// pure function of the bytes.
 
 // A LineTailer incrementally splits an append-only byte stream into lines.
 // Feed it chunks of any size — reads racing a writer may split a line at
@@ -99,13 +100,13 @@ type jsonScorePair struct {
 // same error (fuzz-tested). Both `varbench compare` and ParseScorePair
 // parse their scores with it.
 //
-// A plain decimal [+-]?digits[.digits] of at most 15 digits, the form
-// score logs are written in, takes a fast path: one scan, the same one
-// watch and compare frame their plain lines with. Its digits m are below
-// 2⁵³ and 10^f, f the number of fraction digits, is exact too, so one IEEE
-// division rounds m/10^f correctly — which is strconv's own first step
-// (Clinger's fast path). Every other field (an exponent, more digits, Inf,
-// NaN, hex, underscores, spaces, junk) goes to strconv unchanged.
+// A plain decimal [+-]?digits[.digits] of at most 15 digits takes a fast
+// path: one scan, the same one watch and compare frame their plain lines
+// with. Its digits m are below 2⁵³ and 10^f, f the number of fraction
+// digits, is exact too, so one IEEE division rounds m/10^f correctly —
+// which is strconv's own first step (Clinger's fast path). Every other
+// field (an exponent, more digits, Inf, NaN, hex, underscores, spaces,
+// junk) goes to strconv unchanged.
 func ParseScore(field []byte) (float64, error) {
 	if v, n, ok := ingest.Scan(field); ok && n == len(field) {
 		return v, nil
@@ -125,13 +126,6 @@ func ParseScore(field []byte) (float64, error) {
 // an error for the caller to count or surface; it never contributes pairs,
 // so replaying a file skips it deterministically.
 func ParseScorePair(line []byte) (a, b float64, ok bool, err error) {
-	// The form score logs are written in, two plain decimals and nothing
-	// else, needs neither trimming nor a search for the comma.
-	if x, n, good := ingest.Scan(line); good && n < len(line) && line[n] == ',' {
-		if y, m, good := ingest.Scan(line[n+1:]); good && n+1+m == len(line) {
-			return x, y, true, nil
-		}
-	}
 	s := bytes.TrimSpace(line)
 	if len(s) == 0 || s[0] == '#' {
 		return 0, 0, false, nil

@@ -350,51 +350,9 @@ func TestStreamClose(t *testing.T) {
 	}
 }
 
-// BenchmarkWatchIngest measures the watch ingestion hot path — tail,
-// parse, add — per chunk of 8 score lines against a live stream. Like
-// watch between renders, it computes no interval, so it allocates nothing;
-// the bench gate holds it at 0 allocs/op.
-func BenchmarkWatchIngest(bm *testing.B) {
-	var data bytes.Buffer
-	const batch = 8
-	for i := 0; i < batch; i++ {
-		fmt.Fprintf(&data, "0.9%d,0.8%d\n", i, (i+3)%10)
-	}
-	chunk := data.Bytes()
-	s, err := NewStream(WithSeed(7))
-	if err != nil {
-		bm.Fatal(err)
-	}
-	var tailer LineTailer
-	a := make([]float64, 0, batch)
-	b := make([]float64, 0, batch)
-	bm.ReportAllocs()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		a, b = a[:0], b[:0]
-		err := tailer.Feed(chunk, func(line []byte) error {
-			av, bv, ok, err := ParseScorePair(line)
-			if err != nil {
-				return err
-			}
-			if ok {
-				a = append(a, av)
-				b = append(b, bv)
-			}
-			return nil
-		})
-		if err != nil {
-			bm.Fatal(err)
-		}
-		if err := s.Add(a, b); err != nil {
-			bm.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParseScorePair measures the line parser alone, on
-// BenchmarkWatchIngest's 8 CSV lines per op. The bench gate holds it at 0
-// allocs/op.
+// BenchmarkParseScorePair measures the line parser alone, on the 8 CSV
+// lines per op that cmd/varbench's BenchmarkWatchIngest feeds watch's
+// reader. The bench gate holds it at 0 allocs/op.
 func BenchmarkParseScorePair(bm *testing.B) {
 	var lines [][]byte
 	for i := 0; i < 8; i++ {
